@@ -7,20 +7,19 @@
 namespace twochains::cache {
 
 CacheLevel::CacheLevel(const LevelConfig& config, std::uint64_t line_bytes)
-    : line_bytes_(line_bytes),
+    : line_shift_(Log2(line_bytes)),
       sets_(config.size_bytes / (line_bytes * config.ways)),
       ways_(config.ways),
       hit_cycles_(config.hit_cycles),
       tags_(sets_ * ways_, 0),
       valid_(sets_ * ways_, 0) {
-  assert(IsPowerOfTwo(line_bytes_));
+  assert(IsPowerOfTwo(line_bytes));
   assert(IsPowerOfTwo(sets_) && "size/(line*ways) must be a power of two");
 }
 
-bool CacheLevel::Lookup(mem::VirtAddr addr) noexcept {
-  const std::uint64_t line = LineOf(addr);
-  const std::uint64_t base = SetOf(line) * ways_;
-  for (std::uint32_t w = 0; w < ways_; ++w) {
+bool CacheLevel::LookupBehindMru(std::uint64_t line,
+                                 std::uint64_t base) noexcept {
+  for (std::uint32_t w = 1; w < ways_; ++w) {
     if (valid_[base + w] && tags_[base + w] == line) {
       // Move to MRU position (front of the set slice).
       for (std::uint32_t i = w; i > 0; --i) {
@@ -78,9 +77,10 @@ bool CacheLevel::Invalidate(mem::VirtAddr addr) noexcept {
 void CacheLevel::InvalidateRange(mem::VirtAddr addr,
                                  std::uint64_t size) noexcept {
   if (size == 0) return;
-  const std::uint64_t first = AlignDown(addr, line_bytes_);
-  const std::uint64_t last = AlignUp(addr + size, line_bytes_);
-  for (std::uint64_t a = first; a < last; a += line_bytes_) Invalidate(a);
+  const std::uint64_t line_bytes = 1ull << line_shift_;
+  const std::uint64_t first = AlignDown(addr, line_bytes);
+  const std::uint64_t last = AlignUp(addr + size, line_bytes);
+  for (std::uint64_t a = first; a < last; a += line_bytes) Invalidate(a);
 }
 
 void CacheLevel::Clear() noexcept {

@@ -17,7 +17,14 @@ class CacheLevel {
   CacheLevel(const LevelConfig& config, std::uint64_t line_bytes);
 
   /// True (and LRU-updates) if the line containing @p addr is present.
-  bool Lookup(mem::VirtAddr addr) noexcept;
+  /// A hit on the MRU way returns inline: moving that line to the front is
+  /// a no-op.
+  bool Lookup(mem::VirtAddr addr) noexcept {
+    const std::uint64_t line = LineOf(addr);
+    const std::uint64_t base = SetOf(line) * ways_;
+    if (valid_[base] && tags_[base] == line) return true;
+    return LookupBehindMru(line, base);
+  }
 
   /// Presence check without LRU side effects (for tests).
   bool Probe(mem::VirtAddr addr) const noexcept;
@@ -43,15 +50,19 @@ class CacheLevel {
 
  private:
   std::uint64_t LineOf(mem::VirtAddr addr) const noexcept {
-    return addr / line_bytes_;
+    return addr >> line_shift_;
   }
   std::uint64_t SetOf(std::uint64_t line) const noexcept {
     return line & (sets_ - 1);
   }
 
+  /// Lookup's search of ways 1.. of the set at @p base; a hit moves the
+  /// line to the MRU way.
+  bool LookupBehindMru(std::uint64_t line, std::uint64_t base) noexcept;
+
   // Each set is a contiguous slice of `ways_` entries in tags_/valid_,
   // ordered most-recently-used first.
-  std::uint64_t line_bytes_;
+  unsigned line_shift_;  // log2 of the line size
   std::uint64_t sets_;
   std::uint32_t ways_;
   Cycles hit_cycles_;

@@ -53,20 +53,14 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig& config)
   }
 }
 
-Cycles CacheHierarchy::AccessLine(std::uint32_t core, mem::VirtAddr addr,
-                                  AccessKind kind, HitLevel* level) noexcept {
+Cycles CacheHierarchy::MissL1(std::uint32_t core, mem::VirtAddr addr,
+                              AccessKind kind, HitLevel* level) noexcept {
   (void)kind;  // loads, stores (write-allocate) and ifetch share the walk
-  assert(core < config_.cores);
   const std::uint32_t cluster = ClusterOf(core);
   auto& l1 = l1_[core];
   auto& l2 = l2_[core];
   auto& l3 = l3_[cluster];
 
-  if (l1.Lookup(addr)) {
-    ++stats_.l1_hits;
-    if (level) *level = HitLevel::kL1;
-    return l1.hit_cycles();
-  }
   if (l2.Lookup(addr)) {
     l1.Insert(addr);
     ++stats_.l2_hits;
@@ -136,9 +130,9 @@ Cycles CacheHierarchy::AccessLine(std::uint32_t core, mem::VirtAddr addr,
   return cost;
 }
 
-Cycles CacheHierarchy::Access(std::uint32_t core, mem::VirtAddr addr,
-                              std::uint64_t size, AccessKind kind,
-                              HitLevel* last_level) noexcept {
+Cycles CacheHierarchy::AccessLines(std::uint32_t core, mem::VirtAddr addr,
+                                   std::uint64_t size, AccessKind kind,
+                                   HitLevel* last_level) noexcept {
   if (size == 0) return 0;
   const std::uint64_t line = config_.line_bytes;
   const std::uint64_t first = AlignDown(addr, line);

@@ -24,6 +24,7 @@
 // measurable axis (fig17).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "cache/cache_level.hpp"
 #include "cache/config.hpp"
 #include "cache/prefetcher.hpp"
+#include "common/bitops.hpp"
 #include "mem/address.hpp"
 
 namespace twochains::cache {
@@ -64,14 +66,31 @@ class CacheHierarchy {
 
   /// CPU access from @p core touching [addr, addr+size). Returns total
   /// latency in core cycles (per-line walk; the level that hits also
-  /// reports through @p last_level when non-null, for tests).
+  /// reports through @p last_level when non-null, for tests). A single-line
+  /// access that hits L1 — most interpreter fetches and stack accesses —
+  /// returns inline.
   Cycles Access(std::uint32_t core, mem::VirtAddr addr, std::uint64_t size,
-                AccessKind kind, HitLevel* last_level = nullptr) noexcept;
+                AccessKind kind, HitLevel* last_level = nullptr) noexcept {
+    const std::uint64_t line = config_.line_bytes;
+    if (size != 0 && size <= line && (addr & (line - 1)) + size <= line) {
+      return AccessLine(core, AlignDown(addr, line), kind, last_level);
+    }
+    return AccessLines(core, addr, size, kind, last_level);
+  }
 
   /// Single-line access fast path used by the interpreter (addr need not be
   /// aligned; only the containing line is charged).
   Cycles AccessLine(std::uint32_t core, mem::VirtAddr addr, AccessKind kind,
-                    HitLevel* level = nullptr) noexcept;
+                    HitLevel* level = nullptr) noexcept {
+    assert(core < config_.cores);
+    CacheLevel& l1 = l1_[core];
+    if (l1.Lookup(addr)) {
+      ++stats_.l1_hits;
+      if (level) *level = HitLevel::kL1;
+      return l1.hit_cycles();
+    }
+    return MissL1(core, addr, kind, level);
+  }
 
   /// Inbound-DMA delivery with LLC stashing: installs every line of
   /// [addr,+size) into its home domain's LLC slice and invalidates
@@ -123,6 +142,14 @@ class CacheHierarchy {
   std::uint32_t ClusterOf(std::uint32_t core) const noexcept {
     return core / config_.cores_per_cluster;
   }
+
+  /// Access's walk over every line of a multi-line or empty range.
+  Cycles AccessLines(std::uint32_t core, mem::VirtAddr addr,
+                     std::uint64_t size, AccessKind kind,
+                     HitLevel* last_level) noexcept;
+  /// AccessLine past an L1 miss: L2, prefetcher, L3, LLC, then DRAM.
+  Cycles MissL1(std::uint32_t core, mem::VirtAddr addr, AccessKind kind,
+                HitLevel* level) noexcept;
 
   HierarchyConfig config_;
   std::vector<CacheLevel> l1_;   // per core

@@ -366,7 +366,7 @@ class Assembler {
     if (name == ".space") {
       const auto n = ParseInt(rest);
       if (!n || *n < 0) return Err(line_no, ".space needs a size");
-      for (std::int64_t i = 0; i < *n; ++i) Cur().push_back(0);
+      Cur().resize(Cur().size() + static_cast<std::size_t>(*n), 0);
       return Status::Ok();
     }
     return Err(line_no, "unknown directive '" + std::string(name) + "'");

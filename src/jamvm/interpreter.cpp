@@ -8,38 +8,28 @@ namespace twochains::vm {
 
 // ----------------------------------------------------------- NativeFrame
 
+namespace {
+
+bool IsScalarWidth(unsigned bytes) {
+  return bytes == 1 || bytes == 2 || bytes == 4 || bytes == 8;
+}
+
+}  // namespace
+
 StatusOr<std::uint64_t> NativeFrame::Load(mem::VirtAddr addr, unsigned bytes) {
-  TC_RETURN_IF_ERROR(interp_.CheckDataWindows(addr, bytes));
-  interp_.ChargeAccess(addr, bytes, cache::AccessKind::kLoad);
-  switch (bytes) {
-    case 1: {
-      TC_ASSIGN_OR_RETURN(const auto v, interp_.memory_.LoadU8(addr));
-      return static_cast<std::uint64_t>(v);
-    }
-    case 2: {
-      TC_ASSIGN_OR_RETURN(const auto v, interp_.memory_.LoadU16(addr));
-      return static_cast<std::uint64_t>(v);
-    }
-    case 4: {
-      TC_ASSIGN_OR_RETURN(const auto v, interp_.memory_.LoadU32(addr));
-      return static_cast<std::uint64_t>(v);
-    }
-    case 8: return interp_.memory_.LoadU64(addr);
-    default: return InvalidArgument("native load width");
-  }
+  if (!IsScalarWidth(bytes)) return InvalidArgument("native load width");
+  std::uint64_t v = 0;
+  Status fault;
+  if (!interp_.LoadData(addr, bytes, v, fault)) return fault;
+  return v;
 }
 
 Status NativeFrame::Store(mem::VirtAddr addr, std::uint64_t value,
                           unsigned bytes) {
-  TC_RETURN_IF_ERROR(interp_.CheckDataWindows(addr, bytes));
-  interp_.ChargeAccess(addr, bytes, cache::AccessKind::kStore);
-  switch (bytes) {
-    case 1: return interp_.memory_.StoreU8(addr, static_cast<std::uint8_t>(value));
-    case 2: return interp_.memory_.StoreU16(addr, static_cast<std::uint16_t>(value));
-    case 4: return interp_.memory_.StoreU32(addr, static_cast<std::uint32_t>(value));
-    case 8: return interp_.memory_.StoreU64(addr, value);
-    default: return InvalidArgument("native store width");
-  }
+  if (!IsScalarWidth(bytes)) return InvalidArgument("native store width");
+  Status fault;
+  interp_.StoreData(addr, value, bytes, fault);
+  return fault;
 }
 
 Status NativeFrame::CopyBytes(mem::VirtAddr dst, mem::VirtAddr src,
@@ -118,7 +108,7 @@ Interpreter::Interpreter(mem::HostMemory& memory,
       config_(std::move(config)) {}
 
 Status Interpreter::CheckDataWindows(mem::VirtAddr addr,
-                                     std::uint64_t bytes) {
+                                     std::uint64_t bytes) const {
   if (config_.data_windows.empty() ||
       InWindows(config_.data_windows, addr, bytes)) {
     return Status::Ok();
@@ -127,6 +117,29 @@ Status Interpreter::CheckDataWindows(mem::VirtAddr addr,
       StrFormat("data access at 0x%llx (%llu B) escapes the sandbox",
                 static_cast<unsigned long long>(addr),
                 static_cast<unsigned long long>(bytes)));
+}
+
+bool Interpreter::WindowFault(mem::VirtAddr addr, unsigned bytes,
+                              Status& fault) const {
+  fault = CheckDataWindows(addr, bytes);
+  return false;
+}
+
+bool Interpreter::LoadSlow(mem::VirtAddr addr, unsigned bytes,
+                           std::uint64_t& out, Status& fault) const {
+  std::uint8_t buf[8] = {};
+  fault = memory_.Read(addr, std::span<std::uint8_t>(buf, bytes));
+  if (!fault.ok()) return false;
+  out = LoadLE(buf, bytes);
+  return true;
+}
+
+bool Interpreter::StoreSlow(mem::VirtAddr addr, std::uint64_t value,
+                            unsigned bytes, Status& fault) {
+  std::uint8_t buf[8] = {};
+  StoreLE(buf, value, bytes);
+  fault = memory_.Write(addr, std::span<const std::uint8_t>(buf, bytes));
+  return fault.ok();
 }
 
 namespace {
@@ -154,6 +167,7 @@ ExecResult Interpreter::Execute(mem::VirtAddr entry,
   mem::VirtAddr checked_exec_page = ~0ull;
   const std::uint64_t line_bytes = caches_.config().line_bytes;
 
+  Status fault;  // filled by a failing LoadData/StoreData
   auto fail = [&](Status status) {
     result.status = Status(status.code(),
                            StrFormat("%s (pc=0x%llx, #%llu)",
@@ -190,21 +204,23 @@ ExecResult Interpreter::Execute(mem::VirtAddr entry,
     if (config_.enforce_exec_permission) {
       const mem::VirtAddr page = pc & ~(mem::kPageSize - 1);
       if (page != checked_exec_page) {
-        Status perm = memory_.CheckPerms(pc, kInstrBytes, mem::Perm::kExec);
-        if (!perm.ok()) return fail(perm);
+        if (memory_.PageBytes(pc, kInstrBytes, mem::Perm::kExec) == nullptr) {
+          Status perm = memory_.CheckPerms(pc, kInstrBytes, mem::Perm::kExec);
+          if (!perm.ok()) return fail(perm);
+        }
         checked_exec_page = page;
       }
     }
 
     // Instruction fetch: charge the cache when entering a new line.
-    const std::uint64_t ifetch_line = pc / line_bytes;
+    const std::uint64_t ifetch_line = pc & ~(line_bytes - 1);
     if (ifetch_line != last_ifetch_line) {
       ChargeAccess(pc, kInstrBytes, cache::AccessKind::kInstFetch);
       last_ifetch_line = ifetch_line;
     }
-    const auto code = memory_.RawSpan(pc, kInstrBytes);
-    if (!code.ok()) return fail(code.status());
-    const auto decoded = Decode(code->data());
+    const std::uint8_t* code = memory_.RawBytes(pc, kInstrBytes);
+    if (code == nullptr) return fail(memory_.RawSpan(pc, kInstrBytes).status());
+    const auto decoded = Decode(code);
     if (!decoded) return fail(DataLoss("undecodable instruction"));
     const Instr in = *decoded;
 
@@ -293,54 +309,14 @@ ExecResult Interpreter::Execute(mem::VirtAddr entry,
         if (in.op == Opcode::kLdb || in.op == Opcode::kLdbu) bytes = 1;
         else if (in.op == Opcode::kLdh || in.op == Opcode::kLdhu) bytes = 2;
         else if (in.op == Opcode::kLdw || in.op == Opcode::kLdwu) bytes = 4;
-        if (Status s = CheckDataWindows(addr, bytes); !s.ok()) {
-          return fail(std::move(s));
-        }
-        ChargeAccess(addr, bytes, cache::AccessKind::kLoad);
         std::uint64_t v = 0;
-        Status st;
-        switch (bytes) {
-          case 1: {
-            auto r = memory_.LoadU8(addr);
-            st = r.status();
-            if (r.ok()) {
-              v = in.op == Opcode::kLdb
-                      ? U(static_cast<std::int64_t>(
-                            static_cast<std::int8_t>(*r)))
-                      : *r;
-            }
-            break;
-          }
-          case 2: {
-            auto r = memory_.LoadU16(addr);
-            st = r.status();
-            if (r.ok()) {
-              v = in.op == Opcode::kLdh
-                      ? U(static_cast<std::int64_t>(
-                            static_cast<std::int16_t>(*r)))
-                      : *r;
-            }
-            break;
-          }
-          case 4: {
-            auto r = memory_.LoadU32(addr);
-            st = r.status();
-            if (r.ok()) {
-              v = in.op == Opcode::kLdw
-                      ? U(static_cast<std::int64_t>(
-                            static_cast<std::int32_t>(*r)))
-                      : *r;
-            }
-            break;
-          }
-          default: {
-            auto r = memory_.LoadU64(addr);
-            st = r.status();
-            if (r.ok()) v = *r;
-            break;
-          }
+        if (!LoadData(addr, bytes, v, fault)) return fail(std::move(fault));
+        switch (in.op) {
+          case Opcode::kLdb: v = U(static_cast<std::int8_t>(v)); break;
+          case Opcode::kLdh: v = U(static_cast<std::int16_t>(v)); break;
+          case Opcode::kLdw: v = U(static_cast<std::int32_t>(v)); break;
+          default: break;
         }
-        if (!st.ok()) return fail(st);
         rd_val = v;
         break;
       }
@@ -352,18 +328,7 @@ ExecResult Interpreter::Execute(mem::VirtAddr entry,
         if (in.op == Opcode::kStb) bytes = 1;
         else if (in.op == Opcode::kSth) bytes = 2;
         else if (in.op == Opcode::kStw) bytes = 4;
-        if (Status s = CheckDataWindows(addr, bytes); !s.ok()) {
-          return fail(std::move(s));
-        }
-        ChargeAccess(addr, bytes, cache::AccessKind::kStore);
-        Status st;
-        switch (bytes) {
-          case 1: st = memory_.StoreU8(addr, static_cast<std::uint8_t>(b)); break;
-          case 2: st = memory_.StoreU16(addr, static_cast<std::uint16_t>(b)); break;
-          case 4: st = memory_.StoreU32(addr, static_cast<std::uint32_t>(b)); break;
-          default: st = memory_.StoreU64(addr, b); break;
-        }
-        if (!st.ok()) return fail(st);
+        if (!StoreData(addr, b, bytes, fault)) return fail(std::move(fault));
         break;
       }
 
@@ -411,13 +376,7 @@ ExecResult Interpreter::Execute(mem::VirtAddr entry,
 
       case Opcode::kLdgFix: {
         const mem::VirtAddr slot = pc + U(imm64);
-        if (Status s = CheckDataWindows(slot, 8); !s.ok()) {
-          return fail(std::move(s));
-        }
-        ChargeAccess(slot, 8, cache::AccessKind::kLoad);
-        auto v = memory_.LoadU64(slot);
-        if (!v.ok()) return fail(v.status());
-        rd_val = *v;
+        if (!LoadData(slot, 8, rd_val, fault)) return fail(std::move(fault));
         break;
       }
 
@@ -425,20 +384,10 @@ ExecResult Interpreter::Execute(mem::VirtAddr entry,
         // The paper's rewritten form: GOT pointer at a PC-relative preamble
         // slot, then an index into the patched table.
         const mem::VirtAddr pre = pc + U(imm64);
-        if (Status s = CheckDataWindows(pre, 8); !s.ok()) {
-          return fail(std::move(s));
-        }
-        ChargeAccess(pre, 8, cache::AccessKind::kLoad);
-        auto gotp = memory_.LoadU64(pre);
-        if (!gotp.ok()) return fail(gotp.status());
-        const mem::VirtAddr slot = *gotp + 8ull * in.rs2;
-        if (Status s = CheckDataWindows(slot, 8); !s.ok()) {
-          return fail(std::move(s));
-        }
-        ChargeAccess(slot, 8, cache::AccessKind::kLoad);
-        auto v = memory_.LoadU64(slot);
-        if (!v.ok()) return fail(v.status());
-        rd_val = *v;
+        std::uint64_t gotp = 0;
+        if (!LoadData(pre, 8, gotp, fault)) return fail(std::move(fault));
+        const mem::VirtAddr slot = gotp + 8ull * in.rs2;
+        if (!LoadData(slot, 8, rd_val, fault)) return fail(std::move(fault));
         break;
       }
 

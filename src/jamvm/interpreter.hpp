@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <span>
 #include <string>
@@ -174,13 +175,90 @@ class Interpreter {
   }
 
   /// OK when data windows are off or @p addr..+bytes is inside one.
-  Status CheckDataWindows(mem::VirtAddr addr, std::uint64_t bytes);
+  Status CheckDataWindows(mem::VirtAddr addr, std::uint64_t bytes) const;
 
   Cycles ChargeAccess(mem::VirtAddr addr, std::uint64_t size,
                       cache::AccessKind kind) {
     const Cycles c = caches_.Access(core_, addr, size, kind);
     cycles_ += c;
     return c;
+  }
+
+  // Data accesses of 1, 2, 4 or 8 bytes, as jam code and natives issue them:
+  // the sandbox window check, the cache charge, then the bytes. A legal
+  // access within one page stays inline and builds no Status. Anything else
+  // goes out of line to HostMemory's Status path, which serves a legal
+  // page-straddling access or leaves the exact fault in @p fault. Both
+  // return false on a fault. Forced inline: Execute is too large for the
+  // compiler's own inlining budget to take every call site.
+
+  /// Loads @p bytes at @p addr into @p out, zero-extended.
+  [[gnu::always_inline]] bool LoadData(mem::VirtAddr addr, unsigned bytes,
+                                       std::uint64_t& out, Status& fault) {
+    if (!config_.data_windows.empty() &&
+        !InWindows(config_.data_windows, addr, bytes)) {
+      return WindowFault(addr, bytes, fault);
+    }
+    ChargeAccess(addr, bytes, cache::AccessKind::kLoad);
+    if (const std::uint8_t* p =
+            memory_.PageBytes(addr, bytes, mem::Perm::kRead)) {
+      out = LoadLE(p, bytes);
+      return true;
+    }
+    return LoadSlow(addr, bytes, out, fault);
+  }
+
+  /// Stores the low @p bytes of @p value at @p addr.
+  [[gnu::always_inline]] bool StoreData(mem::VirtAddr addr,
+                                        std::uint64_t value, unsigned bytes,
+                                        Status& fault) {
+    if (!config_.data_windows.empty() &&
+        !InWindows(config_.data_windows, addr, bytes)) {
+      return WindowFault(addr, bytes, fault);
+    }
+    ChargeAccess(addr, bytes, cache::AccessKind::kStore);
+    if (std::uint8_t* p = memory_.PageBytes(addr, bytes, mem::Perm::kWrite)) {
+      StoreLE(p, value, bytes);
+      return true;
+    }
+    return StoreSlow(addr, value, bytes, fault);
+  }
+
+  // The out-of-line halves of LoadData/StoreData.
+  bool WindowFault(mem::VirtAddr addr, unsigned bytes, Status& fault) const;
+  bool LoadSlow(mem::VirtAddr addr, unsigned bytes, std::uint64_t& out,
+                Status& fault) const;
+  bool StoreSlow(mem::VirtAddr addr, std::uint64_t value, unsigned bytes,
+                 Status& fault);
+
+  // Host-endian scalars, as HostMemory's Load*/Store* read and write them;
+  // a fixed-size memcpy per width compiles to one move.
+  static std::uint64_t LoadLE(const std::uint8_t* p, unsigned bytes) {
+    switch (bytes) {
+      case 1: return *p;
+      case 2: return LoadAs<std::uint16_t>(p);
+      case 4: return LoadAs<std::uint32_t>(p);
+      default: return LoadAs<std::uint64_t>(p);
+    }
+  }
+  static void StoreLE(std::uint8_t* p, std::uint64_t value, unsigned bytes) {
+    switch (bytes) {
+      case 1: *p = static_cast<std::uint8_t>(value); break;
+      case 2: StoreAs<std::uint16_t>(p, value); break;
+      case 4: StoreAs<std::uint32_t>(p, value); break;
+      default: StoreAs<std::uint64_t>(p, value); break;
+    }
+  }
+  template <typename T>
+  static T LoadAs(const std::uint8_t* p) {
+    T v = 0;
+    std::memcpy(&v, p, sizeof(T));
+    return v;
+  }
+  template <typename T>
+  static void StoreAs(std::uint8_t* p, std::uint64_t value) {
+    const auto v = static_cast<T>(value);
+    std::memcpy(p, &v, sizeof(T));
   }
 
   mem::HostMemory& memory_;

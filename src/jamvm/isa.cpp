@@ -82,22 +82,6 @@ void Encode(const Instr& instr, std::uint8_t* out) noexcept {
   std::memcpy(out + 4, &instr.imm, sizeof(instr.imm));
 }
 
-std::optional<Instr> Decode(const std::uint8_t* in) noexcept {
-  if (in[0] >= static_cast<std::uint8_t>(Opcode::kOpcodeCount)) {
-    return std::nullopt;
-  }
-  Instr instr;
-  instr.op = static_cast<Opcode>(in[0]);
-  instr.rd = in[1];
-  instr.rs1 = in[2];
-  instr.rs2 = in[3];
-  std::memcpy(&instr.imm, in + 4, sizeof(instr.imm));
-  if (instr.rd >= kNumRegs || instr.rs1 >= kNumRegs || instr.rs2 >= kNumRegs) {
-    return std::nullopt;
-  }
-  return instr;
-}
-
 std::string_view OpcodeName(Opcode op) noexcept {
   const auto idx = static_cast<std::size_t>(op);
   if (idx >= kOpTable.size()) return "<bad>";
@@ -155,60 +139,6 @@ std::optional<std::uint8_t> RegFromName(std::string_view name) noexcept {
     }
   }
   return std::nullopt;
-}
-
-bool IsBranch(Opcode op) noexcept {
-  switch (op) {
-    case Opcode::kBeq:
-    case Opcode::kBne:
-    case Opcode::kBlt:
-    case Opcode::kBge:
-    case Opcode::kBltu:
-    case Opcode::kBgeu:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsLoad(Opcode op) noexcept {
-  switch (op) {
-    case Opcode::kLdb:
-    case Opcode::kLdbu:
-    case Opcode::kLdh:
-    case Opcode::kLdhu:
-    case Opcode::kLdw:
-    case Opcode::kLdwu:
-    case Opcode::kLdd:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsStore(Opcode op) noexcept {
-  switch (op) {
-    case Opcode::kStb:
-    case Opcode::kSth:
-    case Opcode::kStw:
-    case Opcode::kStd:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsMemAccess(Opcode op) noexcept { return IsLoad(op) || IsStore(op); }
-
-bool WritesRd(Opcode op) noexcept {
-  if (IsStore(op) || IsBranch(op)) return false;
-  switch (op) {
-    case Opcode::kHalt:
-    case Opcode::kNop:
-      return false;
-    default:
-      return true;
-  }
 }
 
 }  // namespace twochains::vm

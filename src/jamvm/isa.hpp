@@ -35,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -96,8 +97,23 @@ struct Instr {
 /// Encodes into 8 bytes at @p out (caller guarantees space).
 void Encode(const Instr& instr, std::uint8_t* out) noexcept;
 
-/// Decodes 8 bytes. Returns nullopt on an invalid opcode byte.
-std::optional<Instr> Decode(const std::uint8_t* in) noexcept;
+/// Decodes 8 bytes. Returns nullopt on an invalid opcode byte or register.
+/// Inline: the interpreter decodes every instruction it executes.
+inline std::optional<Instr> Decode(const std::uint8_t* in) noexcept {
+  if (in[0] >= static_cast<std::uint8_t>(Opcode::kOpcodeCount)) {
+    return std::nullopt;
+  }
+  Instr instr;
+  instr.op = static_cast<Opcode>(in[0]);
+  instr.rd = in[1];
+  instr.rs1 = in[2];
+  instr.rs2 = in[3];
+  std::memcpy(&instr.imm, in + 4, sizeof(instr.imm));
+  if (instr.rd >= kNumRegs || instr.rs1 >= kNumRegs || instr.rs2 >= kNumRegs) {
+    return std::nullopt;
+  }
+  return instr;
+}
 
 /// Mnemonic for an opcode ("add", "ldg.fix", ...).
 std::string_view OpcodeName(Opcode op) noexcept;
@@ -111,12 +127,26 @@ std::string RegName(std::uint8_t reg);
 /// Parses a register name or alias ("r7", "a2", "sp"); nullopt if invalid.
 std::optional<std::uint8_t> RegFromName(std::string_view name) noexcept;
 
-/// Instruction classification helpers used by the verifier, rewriter and
-/// disassembler.
-bool IsBranch(Opcode op) noexcept;       ///< conditional branches
-bool IsMemAccess(Opcode op) noexcept;    ///< loads + stores
-bool IsLoad(Opcode op) noexcept;
-bool IsStore(Opcode op) noexcept;
-bool WritesRd(Opcode op) noexcept;
+/// Instruction classification helpers used by the interpreter, verifier,
+/// rewriter and disassembler. The opcode enum keeps each class contiguous.
+
+/// Conditional branches.
+constexpr bool IsBranch(Opcode op) noexcept {
+  return op >= Opcode::kBeq && op <= Opcode::kBgeu;
+}
+constexpr bool IsLoad(Opcode op) noexcept {
+  return op >= Opcode::kLdb && op <= Opcode::kLdd;
+}
+constexpr bool IsStore(Opcode op) noexcept {
+  return op >= Opcode::kStb && op <= Opcode::kStd;
+}
+/// Loads + stores.
+constexpr bool IsMemAccess(Opcode op) noexcept {
+  return IsLoad(op) || IsStore(op);
+}
+constexpr bool WritesRd(Opcode op) noexcept {
+  return !IsStore(op) && !IsBranch(op) && op != Opcode::kHalt &&
+         op != Opcode::kNop;
+}
 
 }  // namespace twochains::vm

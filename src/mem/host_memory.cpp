@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 #include "common/bitops.hpp"
 #include "common/strfmt.hpp"
@@ -23,19 +24,17 @@ HostMemory::HostMemory(int host_id, std::uint64_t size, std::uint32_t domains)
   // boundaries always fall on page boundaries for any @p domains.
   const std::uint32_t n = std::max<std::uint32_t>(domains, 1);
   domain_span_ = AlignUp(CeilDiv(size, n), kPageSize);
-  arena_.resize(domain_span_ * n);
-  page_perms_.assign(arena_.size() / kPageSize, Perm::kNone);
+  size_ = domain_span_ * n;
+  // calloc rather than a zero-filled buffer: large blocks come straight
+  // from the kernel already zero, so untouched pages cost nothing.
+  arena_.reset(static_cast<std::uint8_t*>(std::calloc(size_ ? size_ : 1, 1)));
+  if (!arena_) throw std::bad_alloc();
+  page_perms_.assign(size_ / kPageSize, Perm::kNone);
   domains_.resize(n);
   for (std::uint32_t d = 0; d < n; ++d) {
     domains_[d].bump = base_ + static_cast<std::uint64_t>(d) * domain_span_;
     domains_[d].limit = domains_[d].bump + domain_span_;
   }
-}
-
-bool HostMemory::Contains(VirtAddr addr, std::uint64_t size) const noexcept {
-  if (addr < base_) return false;
-  const std::uint64_t off = addr - base_;
-  return off <= arena_.size() && size <= arena_.size() - off;
 }
 
 VirtAddr HostMemory::CarveFrom(Domain& domain, std::uint64_t page_span,
@@ -170,13 +169,13 @@ Status HostMemory::CheckPerms(VirtAddr addr, std::uint64_t size,
 
 Status HostMemory::Read(VirtAddr addr, std::span<std::uint8_t> out) const {
   TC_RETURN_IF_ERROR(CheckPerms(addr, out.size(), Perm::kRead));
-  std::memcpy(out.data(), arena_.data() + OffsetOf(addr), out.size());
+  std::memcpy(out.data(), arena_.get() + OffsetOf(addr), out.size());
   return Status::Ok();
 }
 
 Status HostMemory::Write(VirtAddr addr, std::span<const std::uint8_t> data) {
   TC_RETURN_IF_ERROR(CheckPerms(addr, data.size(), Perm::kWrite));
-  std::memcpy(arena_.data() + OffsetOf(addr), data.data(), data.size());
+  std::memcpy(arena_.get() + OffsetOf(addr), data.data(), data.size());
   return Status::Ok();
 }
 
@@ -224,7 +223,7 @@ Status HostMemory::StoreU64(VirtAddr a, std::uint64_t v) {
 
 Status HostMemory::DmaRead(VirtAddr addr, std::span<std::uint8_t> out) const {
   if (!Contains(addr, out.size())) return OutOfRange("DMA read outside arena");
-  std::memcpy(out.data(), arena_.data() + OffsetOf(addr), out.size());
+  std::memcpy(out.data(), arena_.get() + OffsetOf(addr), out.size());
   return Status::Ok();
 }
 
@@ -232,20 +231,20 @@ Status HostMemory::DmaWrite(VirtAddr addr, std::span<const std::uint8_t> data) {
   if (!Contains(addr, data.size())) {
     return OutOfRange("DMA write outside arena");
   }
-  std::memcpy(arena_.data() + OffsetOf(addr), data.data(), data.size());
+  std::memcpy(arena_.get() + OffsetOf(addr), data.data(), data.size());
   return Status::Ok();
 }
 
 StatusOr<std::span<std::uint8_t>> HostMemory::RawSpan(VirtAddr addr,
                                                       std::uint64_t size) {
   if (!Contains(addr, size)) return OutOfRange("raw span outside arena");
-  return std::span<std::uint8_t>(arena_.data() + OffsetOf(addr), size);
+  return std::span<std::uint8_t>(arena_.get() + OffsetOf(addr), size);
 }
 
 StatusOr<std::span<const std::uint8_t>> HostMemory::RawSpan(
     VirtAddr addr, std::uint64_t size) const {
   if (!Contains(addr, size)) return OutOfRange("raw span outside arena");
-  return std::span<const std::uint8_t>(arena_.data() + OffsetOf(addr), size);
+  return std::span<const std::uint8_t>(arena_.get() + OffsetOf(addr), size);
 }
 
 }  // namespace twochains::mem

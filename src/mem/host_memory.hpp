@@ -10,6 +10,10 @@
 // without NUMA is the 1-domain special case and behaves exactly like the
 // old flat arena.
 //
+// The arena is lazily zeroed: it comes from calloc, so the kernel maps
+// zero pages on first touch and a host's resident memory is the pages its
+// run actually touched, not the arena size.
+//
 // Two access planes exist on purpose:
 //   * CPU accesses (Read/Write/Load*/Store*) enforce page permissions —
 //     these model loads/stores issued by jam code and the runtime, and are
@@ -22,7 +26,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -51,7 +57,7 @@ class HostMemory {
   /// First virtual address of the arena (HostBase(host_id)).
   VirtAddr base() const noexcept { return base_; }
   /// Total arena bytes (possibly rounded up from the constructor size).
-  std::uint64_t size() const noexcept { return arena_.size(); }
+  std::uint64_t size() const noexcept { return size_; }
   /// Number of memory domains (NUMA nodes) the arena is split into.
   std::uint32_t domains() const noexcept {
     return static_cast<std::uint32_t>(domains_.size());
@@ -91,7 +97,11 @@ class HostMemory {
   StatusOr<Perm> PagePerms(VirtAddr addr) const;
 
   /// True when [addr, addr+size) lies inside the arena.
-  bool Contains(VirtAddr addr, std::uint64_t size) const noexcept;
+  bool Contains(VirtAddr addr, std::uint64_t size) const noexcept {
+    if (addr < base_) return false;
+    const std::uint64_t off = addr - base_;
+    return off <= size_ && size <= size_ - off;
+  }
 
   // --- CPU plane (permission checked) ---------------------------------
 
@@ -123,15 +133,43 @@ class HostMemory {
   Status DmaWrite(VirtAddr addr, std::span<const std::uint8_t> data);
 
   /// Borrow a mutable view of arena bytes (internal plumbing for the
-  /// interpreter's hot path; bounds checked, no permission check).
+  /// runtime; bounds checked, no permission check).
   StatusOr<std::span<std::uint8_t>> RawSpan(VirtAddr addr, std::uint64_t size);
   StatusOr<std::span<const std::uint8_t>> RawSpan(VirtAddr addr,
                                                   std::uint64_t size) const;
+
+  // --- Inline fast paths (the interpreter's per-instruction plumbing) ----
+  // Each returns nullptr instead of a Status; the caller then takes the
+  // Status-returning path above, which reports the exact fault.
+
+  /// Arena bytes of [addr, addr+size) when the range lies inside the
+  /// arena; no permission check (RawSpan without the StatusOr).
+  const std::uint8_t* RawBytes(VirtAddr addr,
+                               std::uint64_t size) const noexcept {
+    return Contains(addr, size) ? arena_.get() + OffsetOf(addr) : nullptr;
+  }
+
+  /// Arena bytes of [addr, addr+size) when the range lies inside the arena,
+  /// within one page, and that page carries @p need: the CPU plane's
+  /// permission check for a scalar access, without building a Status.
+  /// @p size must be at least 1.
+  std::uint8_t* PageBytes(VirtAddr addr, std::uint64_t size,
+                          Perm need) noexcept {
+    if (!Contains(addr, size)) return nullptr;
+    const std::uint64_t off = OffsetOf(addr);
+    if (off % kPageSize + size > kPageSize) return nullptr;
+    if (!HasPerm(page_perms_[off / kPageSize], need)) return nullptr;
+    return arena_.get() + off;
+  }
 
   /// Bytes currently allocated (for leak checks in tests).
   std::uint64_t allocated_bytes() const noexcept { return allocated_bytes_; }
 
  private:
+  struct FreeDeleter {
+    void operator()(std::uint8_t* p) const noexcept { std::free(p); }
+  };
+
   struct Allocation {
     std::uint64_t size;        // requested size
     std::uint64_t page_span;   // bytes of whole pages reserved
@@ -155,7 +193,8 @@ class HostMemory {
 
   int host_id_;
   VirtAddr base_;
-  std::vector<std::uint8_t> arena_;
+  std::unique_ptr<std::uint8_t[], FreeDeleter> arena_;  // calloc: lazily zeroed
+  std::uint64_t size_ = 0;
   std::vector<Perm> page_perms_;             // one entry per page
   std::map<VirtAddr, Allocation> allocs_;    // live allocations by start VA
   std::vector<Domain> domains_;              // per-domain allocator state

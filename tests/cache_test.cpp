@@ -3,6 +3,7 @@
 // machinery behind Figures 9-12 of the paper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -96,6 +97,36 @@ TEST(CacheLevelTest, PopulationNeverExceedsCapacity) {
 
 // Property: after inserting N distinct lines mapping to one set of a
 // W-way cache, exactly the last W survive, in LRU order.
+TEST(CacheLevelTest, LookupMatchesAReferenceLru) {
+  // Lookup answers an MRU-way hit inline and searches the other ways out
+  // of line; both must keep every set in exact LRU order. The reference
+  // is one most-recent-first list per set.
+  constexpr std::uint32_t kWays = 4;
+  CacheLevel c(TinyLevel(KiB(2), kWays, 1), kLine);  // 8 sets
+  std::vector<std::vector<std::uint64_t>> ref(c.sets());
+  Xoshiro256 rng(0x1F0);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t line = rng.NextBelow(64);  // 2x capacity
+    auto& set = ref[line % c.sets()];
+    const auto it = std::find(set.begin(), set.end(), line);
+    const bool present = it != set.end();
+    if (present) set.erase(it);
+    if (rng.NextBelow(2) == 0) {
+      c.Insert(line * kLine);
+    } else {
+      ASSERT_EQ(c.Lookup(line * kLine), present) << "step " << i;
+      if (!present) continue;
+    }
+    set.insert(set.begin(), line);
+    if (set.size() > kWays) set.pop_back();
+  }
+  for (std::uint64_t line = 0; line < 64; ++line) {
+    const auto& set = ref[line % c.sets()];
+    EXPECT_EQ(c.Probe(line * kLine),
+              std::find(set.begin(), set.end(), line) != set.end());
+  }
+}
+
 class CacheLevelPropertyTest : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(CacheLevelPropertyTest, SetKeepsMostRecentWays) {
@@ -303,6 +334,51 @@ TEST(HierarchyTest, MultiLineAccessChargesPerLine) {
   h.ResetStats();
   h.Access(0, 0x60020, 64, AccessKind::kLoad);  // crosses 2 lines
   EXPECT_EQ(h.stats().TotalAccesses(), 2u);
+}
+
+TEST(HierarchyTest, AccessMatchesThePerLineWalk) {
+  // Access returns a single-line L1 hit inline. A seeded stream of mixed
+  // widths, cores and kinds must cost the same, count the same, and leave
+  // the same lines at every level as the plain per-line walk; after this
+  // many evictions, equal contents pin the LRU order too.
+  HierarchyConfig cfg = SmallHierarchy();
+  cfg.prefetch.enabled = true;
+  CacheHierarchy fast(cfg);
+  CacheHierarchy walk(cfg);
+  constexpr mem::VirtAddr kBase = 0x40000;
+  constexpr std::uint64_t kSpan = KiB(48);  // past L2, inside the LLC
+  Xoshiro256 rng(0xACCE55);
+  for (int i = 0; i < 50000; ++i) {
+    const auto core = static_cast<std::uint32_t>(rng.NextBelow(cfg.cores));
+    const mem::VirtAddr addr = kBase + rng.NextBelow(kSpan);
+    const std::uint64_t size = rng.NextBelow(8) == 0
+                                   ? 1 + rng.NextBelow(200)
+                                   : 1ull << rng.NextBelow(4);
+    const auto kind = static_cast<AccessKind>(rng.NextBelow(3));
+    Cycles expected = 0;
+    for (mem::VirtAddr a = addr & ~(kLine - 1); a < addr + size; a += kLine) {
+      expected += walk.AccessLine(core, a, kind);
+    }
+    ASSERT_EQ(fast.Access(core, addr, size, kind), expected) << "step " << i;
+  }
+  const HierarchyStats& f = fast.stats();
+  const HierarchyStats& w = walk.stats();
+  EXPECT_EQ(f.l1_hits, w.l1_hits);
+  EXPECT_EQ(f.l2_hits, w.l2_hits);
+  EXPECT_EQ(f.l3_hits, w.l3_hits);
+  EXPECT_EQ(f.llc_hits, w.llc_hits);
+  EXPECT_EQ(f.prefetch_covered, w.prefetch_covered);
+  EXPECT_EQ(f.dram_accesses, w.dram_accesses);
+  EXPECT_GT(f.l1_hits, 0u);
+  EXPECT_GT(f.dram_accesses, 0u);
+  for (mem::VirtAddr a = kBase; a < kBase + kSpan + KiB(1); a += kLine) {
+    for (std::uint32_t core = 0; core < cfg.cores; ++core) {
+      ASSERT_EQ(fast.ProbeL1(core, a), walk.ProbeL1(core, a)) << a;
+      ASSERT_EQ(fast.ProbeL2(core, a), walk.ProbeL2(core, a)) << a;
+      ASSERT_EQ(fast.ProbeL3(core, a), walk.ProbeL3(core, a)) << a;
+    }
+    ASSERT_EQ(fast.ProbeLLC(a), walk.ProbeLLC(a)) << a;
+  }
 }
 
 TEST(HierarchyTest, ZeroSizeAccessFree) {

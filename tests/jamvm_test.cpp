@@ -9,6 +9,7 @@
 
 #include "cache/hierarchy.hpp"
 #include "common/rng.hpp"
+#include "common/strfmt.hpp"
 #include "common/units.hpp"
 #include "jamvm/assembler.hpp"
 #include "jamvm/disassembler.hpp"
@@ -995,6 +996,139 @@ TEST_F(InterpreterTest, ConfineBranchCyclesAreCharged) {
   const auto priced = Run(entry, {}, nullptr, cfg);
   ASSERT_TRUE(priced.status.ok()) << priced.status;
   EXPECT_EQ(priced.cycles - cheap.cycles, 17u * 100u);
+}
+
+// ------------------------------------------- inline fast path vs. Status
+// A legal access within one page runs inline; everything else takes
+// HostMemory's Status path. These pin the boundary cases to the exact
+// faults that path reports.
+
+/// @p message decorated the way Execute reports a fault.
+std::string AtPc(const std::string& message, mem::VirtAddr pc,
+                 std::uint64_t instructions) {
+  return StrFormat("%s (pc=0x%llx, #%llu)", message.c_str(),
+                   static_cast<unsigned long long>(pc),
+                   static_cast<unsigned long long>(instructions));
+}
+
+std::string Hex(mem::VirtAddr addr) {
+  return StrFormat("0x%llx", static_cast<unsigned long long>(addr));
+}
+
+TEST_F(InterpreterTest, PageStraddlingAccessesMatchTheStatusPath) {
+  const auto buf = mem_.Allocate(2 * mem::kPageSize, mem::kPageSize,
+                                 mem::Perm::kRW, "buf");
+  ASSERT_TRUE(buf.ok());
+  const mem::VirtAddr straddle = *buf + mem::kPageSize - 4;
+  const mem::VirtAddr second = *buf + mem::kPageSize;
+  const auto store = LoadRaw("f: std a1, [a0]\n ret");
+  const auto load = LoadRaw("f: ldd a0, [a0]\n ret");
+  constexpr std::uint64_t kValue = 0x1122334455667788ull;
+
+  // Both pages legal: the straddling access is served, not faulted.
+  ASSERT_TRUE(Run(store, {straddle, kValue}).status.ok());
+  const auto loaded = Run(load, {straddle});
+  ASSERT_TRUE(loaded.status.ok()) << loaded.status;
+  EXPECT_EQ(loaded.return_value, kValue);
+
+  // Second page read-only: the store faults and writes neither page.
+  ASSERT_TRUE(mem_.Protect(second, mem::kPageSize, mem::Perm::kRead).ok());
+  const auto denied_store = Run(store, {straddle, 0});
+  EXPECT_EQ(denied_store.status.code(), StatusCode::kPermissionDenied);
+  EXPECT_EQ(denied_store.status.message(),
+            AtPc("page " + Hex(second) + " is r--, need -w-", store, 1));
+  EXPECT_EQ(Run(load, {straddle}).return_value, kValue);
+
+  // Second page inaccessible: the load faults the same way.
+  ASSERT_TRUE(mem_.Protect(second, mem::kPageSize, mem::Perm::kNone).ok());
+  const auto denied_load = Run(load, {straddle});
+  EXPECT_EQ(denied_load.status.code(), StatusCode::kPermissionDenied);
+  EXPECT_EQ(denied_load.status.message(),
+            AtPc("page " + Hex(second) + " is ---, need r--", load, 1));
+}
+
+TEST_F(InterpreterTest, LastArenaBytesReachableAndOnePastIsOutOfRange) {
+  const mem::VirtAddr end = mem_.base() + mem_.size();
+  ASSERT_TRUE(
+      mem_.Protect(end - mem::kPageSize, mem::kPageSize, mem::Perm::kRW).ok());
+  const auto store = LoadRaw("f: std a1, [a0]\n ret");
+  const auto load = LoadRaw("f: ldd a0, [a0]\n ret");
+  const auto load_byte = LoadRaw("f: ldbu a0, [a0]\n ret");
+
+  const auto untouched = Run(load, {end - 8});
+  ASSERT_TRUE(untouched.status.ok()) << untouched.status;
+  EXPECT_EQ(untouched.return_value, 0u);  // the arena starts zeroed
+  ASSERT_TRUE(Run(store, {end - 8, 0xA5A5A5A5A5A5A5A5ull}).status.ok());
+  EXPECT_EQ(Run(load, {end - 8}).return_value, 0xA5A5A5A5A5A5A5A5ull);
+  EXPECT_EQ(Run(load_byte, {end - 1}).return_value, 0xA5u);
+
+  const auto past_load = Run(load, {end - 7});
+  EXPECT_EQ(past_load.status.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(past_load.status.message(),
+            AtPc("access [" + Hex(end - 7) + ",+8) outside host 0 arena",
+                 load, 1));
+  const auto past_store = Run(store, {end - 7, 0});
+  EXPECT_EQ(past_store.status.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(past_store.status.message(),
+            AtPc("access [" + Hex(end - 7) + ",+8) outside host 0 arena",
+                 store, 1));
+  const auto past_byte = Run(load_byte, {end});
+  EXPECT_EQ(past_byte.status.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(past_byte.status.message(),
+            AtPc("access [" + Hex(end) + ",+1) outside host 0 arena",
+                 load_byte, 1));
+}
+
+TEST_F(InterpreterTest, FetchRunningOffTheArenaEndFails) {
+  // A nop in the arena's last 8 bytes: the next fetch lies past the end.
+  const mem::VirtAddr end = mem_.base() + mem_.size();
+  ASSERT_TRUE(
+      mem_.Protect(end - mem::kPageSize, mem::kPageSize, mem::Perm::kRWX).ok());
+  const auto nop = Assemble("f: nop");
+  ASSERT_TRUE(nop.ok()) << nop.status();
+  ASSERT_TRUE(mem_.DmaWrite(end - kInstrBytes, nop->text).ok());
+
+  // With W^X enforcement the exec-permission check reports it...
+  const auto checked = Run(end - kInstrBytes, {});
+  EXPECT_EQ(checked.status.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(checked.status.message(),
+            AtPc("access [" + Hex(end) + ",+8) outside host 0 arena", end, 1));
+  // ...and without it, the fetch itself does.
+  ExecConfig cfg;
+  cfg.enforce_exec_permission = false;
+  const auto unchecked = Run(end - kInstrBytes, {}, nullptr, cfg);
+  EXPECT_EQ(unchecked.status.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(unchecked.status.message(),
+            AtPc("raw span outside arena", end, 1));
+}
+
+TEST_F(InterpreterTest, PatchedCodeSlotRunsTheNewInstruction) {
+  // Simulated mailboxes are RWX, so jam code may store over its own text.
+  // The slot runs once as assembled (movi a1, 7), the jam stores the
+  // encoding of movi a1, 42 over it, and the slot runs again: the
+  // interpreter must decode the bytes now in memory, so it never keeps a
+  // decoded copy that such a store would leave stale.
+  std::uint8_t encoded[kInstrBytes] = {};
+  Encode(Instr{Opcode::kMovi, kA0 + 1, 0, 0, 42}, encoded);
+  std::uint64_t word = 0;
+  std::memcpy(&word, encoded, sizeof(word));
+  const auto entry = LoadRaw(StrFormat(R"(
+    f:
+      lea t0, slot
+      li t1, 0x%llx
+      mov a0, zr
+      movi t2, 2
+    slot:
+      movi a1, 7
+      add a0, a0, a1
+      std t1, [t0]
+      addi t2, t2, -1
+      bne t2, zr, slot
+      ret
+  )", static_cast<unsigned long long>(word)));
+  const auto r = Run(entry, {});
+  ASSERT_TRUE(r.status.ok()) << r.status;
+  EXPECT_EQ(r.return_value, 7u + 42u);
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 // access planes, and the RDMA region/rkey registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "common/units.hpp"
 #include "mem/address.hpp"
@@ -218,6 +220,24 @@ TEST_F(DomainMemoryTest, NonPowerOfTwoDomainCountKeepsSlicesPageAligned) {
     auto a = mem.Allocate(KiB(4), 64, Perm::kRW, "page", d);
     ASSERT_TRUE(a.ok()) << "domain " << d;
     EXPECT_EQ(mem.DomainOf(*a), d);
+  }
+}
+
+TEST_F(DomainMemoryTest, FreshArenaReadsZeroAtEveryDomainEdge) {
+  // The arena is lazily zeroed, never filled at construction; the first
+  // and last page of every domain slice must still read as zeros.
+  HostMemory mem(3, MiB(3) + 100, 3);
+  std::vector<std::uint8_t> page(kPageSize);
+  for (DomainId d = 0; d < mem.domains(); ++d) {
+    const VirtAddr first = mem.base() + d * mem.domain_span();
+    const VirtAddr last = first + mem.domain_span() - kPageSize;
+    for (const VirtAddr p : {first, last}) {
+      page.assign(kPageSize, 0xFF);
+      ASSERT_TRUE(mem.DmaRead(p, page).ok());
+      EXPECT_EQ(std::count(page.begin(), page.end(), 0),
+                static_cast<std::ptrdiff_t>(kPageSize))
+          << "domain " << d << " page 0x" << std::hex << p;
+    }
   }
 }
 

@@ -3,6 +3,8 @@
 // package serialization round trips.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "jelf/got_rewriter.hpp"
 #include "pkg/package.hpp"
 
@@ -142,6 +144,35 @@ TEST_F(BuiltPackageTest, InstallRegistry) {
   EXPECT_EQ(loaded->name, "demo");
   EXPECT_EQ(registry.Load("nope").status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(registry.Blob("demo").ok());
+}
+
+// Zero-initialised globals assemble to `.space` directives along all three
+// codegen paths: a padded string, a partly initialised list, and a plain
+// array (16 MiB here, the size of ried_kvstore's heap).
+constexpr const char* kRiedZeroFill = R"(
+char tag[13] = "zero";
+long primes[40] = {2, 3, 5, 7};
+char heap[16777216];
+long ried_fill(void) { return 0; }
+long ried_fill_init(void) { return 0; }
+long fill_probe(long i) { return heap[i] + primes[i % 40] + tag[i % 13]; }
+)";
+
+std::uint64_t Fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ull;
+  return h;
+}
+
+TEST(PackageGoldenTest, ZeroFilledGlobalsMatchGoldenBytes) {
+  PackageBuilder builder;
+  ASSERT_TRUE(builder.AddSourceFile("ried_fill.rdc", kRiedZeroFill).ok());
+  auto pkg = builder.Build("fill");
+  ASSERT_TRUE(pkg.ok()) << pkg.status();
+  const std::vector<std::uint8_t> bytes = SerializePackage(*pkg);
+  // Golden copy of the serialized package: its size and FNV-1a digest.
+  EXPECT_EQ(bytes.size(), 16778599u);
+  EXPECT_EQ(Fnv1a(bytes), 0xbeb181c15e4a224aull);
 }
 
 TEST(PackageBuilderErrorsTest, MissingEntrySymbol) {

@@ -196,10 +196,14 @@ inline FabricOptions MakePoolOptions(const PoolTopology& topo) {
   // The cache knob applies fabric-wide: spokes need it to *send* by-handle,
   // the hub needs it to install and serve (and to NAK what it lacks).
   options.runtime.jam_cache = topo.jam_cache;
-  // Thousands of short fabrics get built per suite; a compact arena keeps
-  // per-run construction cheap. The hub's mailbox slices grow with
-  // spokes x banks x mailboxes, so that footprint rides on top of the
-  // base (libraries + working set) instead of squeezing it.
+  // Thousands of short fabrics get built per suite, and every host's
+  // package load writes the bench ried's 16 MiB zero-initialised heap. A
+  // compact arena lets the allocator recycle warm pages from one fabric
+  // to the next; a fresh default-size arena faults all of them in again
+  // (steal_test 38 s vs 61 s on a 4-vCPU VM, fingerprints identical). The
+  // hub's mailbox slices grow with spokes x banks x mailboxes, so that
+  // footprint rides on top of the base (libraries + working set) instead
+  // of squeezing it.
   options.host.memory_bytes =
       MiB(24) + static_cast<std::uint64_t>(topo.spokes) * topo.banks *
                     topo.mailboxes_per_bank * topo.mailbox_slot_bytes;
