@@ -189,7 +189,7 @@ StealPoint RunStealPoint(std::uint32_t cores, bool skewed, bool steal) {
   steal_config.enabled = steal;
   steal_config.threshold = 2;
   steal_config.hysteresis = 1;
-  if (steal) options.WithStealing(steal_config);
+  options.runtime_overrides[0].steal = steal_config;
   core::Fabric fabric(options);
   auto package = BuildBenchPackage();
   if (!package.ok() || !fabric.LoadPackage(*package).ok()) {
@@ -325,151 +325,6 @@ int StealMain() {
       "mailbox leak)",
       [&] {
         for (const StealPoint& p : points) {
-          std::uint64_t executed = 0;
-          for (const auto& s : p.result.per_sender) executed += s.messages;
-          if (executed != p.expected_messages) return false;
-        }
-        return true;
-      }());
-  return FinishChecks(ok);
-}
-
-// -------------------------------------------------------- flow biasing
-
-struct BiasPoint {
-  bool stressed = false;
-  bool bias = false;
-  IncastResult result;
-  std::uint64_t expected_messages = 0;
-  std::uint64_t biased_sends = 0;   ///< summed over the spokes
-  std::uint64_t fc_waits = 0;       ///< summed over the spokes
-};
-
-/// Receiver-pool-aware flow control (RuntimeConfig::flow_bias): each
-/// sender either round-robins its banks blindly or prefers banks whose
-/// owning receiver core reported idle in the last flag return. Under a
-/// clean saturated incast the knob is nearly inert *by design*: the hub
-/// serves bank heads earliest-delivered-first, which equalizes per-bank
-/// flag-return rates, so the strict rotation is already in phase with
-/// the drain. The hint binds when a pool core actually *stalls* — the
-/// co-located-interference regime of Figs. 11/12: while a preempted core
-/// sits on its banks' flags, its siblings keep returning theirs with the
-/// idle bit set, and biased senders route new fills around the stall.
-BiasPoint RunBiasPoint(bool stressed, bool bias) {
-  constexpr std::uint32_t kCores = 4;
-  core::FabricOptions options =
-      PaperFabric(kSenders + 1, core::Topology::kStar, 0);
-  options.runtime.banks = 2;
-  // Shallow banks: flow control binds often enough that the bank pick at
-  // each boundary actually matters.
-  options.runtime.mailboxes_per_bank = 4;
-  options.runtime.flow_bias = bias;
-  options.host_overrides.assign(kSenders + 1, options.host);
-  options.host_overrides[0].cache.cores =
-      std::max(options.host.cache.cores, kCores + 1);
-  options.runtime_overrides.assign(kSenders + 1, options.runtime);
-  options.runtime_overrides[0].receiver_cores = kCores;
-  options.runtime_overrides[0].sender_core = kCores;
-  core::Fabric fabric(options);
-  auto package = BuildBenchPackage();
-  if (!package.ok() || !fabric.LoadPackage(*package).ok()) {
-    std::fprintf(stderr, "fabric setup failed\n");
-    std::abort();
-  }
-  if (stressed) {
-    // A heavily interfered hub (the fig12 stress regime, preemption
-    // turned up): pool cores lose the CPU for tens of microseconds at a
-    // time, freezing their banks' flag returns.
-    StressConfig stress;
-    stress.preempt_probability = 0.03;
-    stress.preempt_scale_us = 15.0;
-    ApplyStress(fabric, stress);
-  }
-
-  IncastConfig config;
-  config.jam = "ssum";
-  config.mode = core::Invoke::kInjected;
-  config.usr_bytes = 1024;
-  config.iterations_per_sender = 150;
-  config.args = [](std::uint64_t iter) {
-    return std::vector<std::uint64_t>{iter & 127};
-  };
-
-  std::vector<std::uint32_t> senders;
-  for (std::uint32_t s = 1; s <= kSenders; ++s) senders.push_back(s);
-  BiasPoint point;
-  point.stressed = stressed;
-  point.bias = bias;
-  point.expected_messages =
-      static_cast<std::uint64_t>(kSenders) * config.iterations_per_sender;
-  point.result = MustOk(RunIncastRate(fabric, 0, senders, config),
-                        "bias incast run");
-  for (std::uint32_t s = 1; s <= kSenders; ++s) {
-    point.biased_sends += fabric.runtime(s).stats().biased_sends;
-  }
-  for (const auto& s : point.result.per_sender) {
-    point.fc_waits += s.flow_control_waits;
-  }
-  return point;
-}
-
-int BiasMain() {
-  Banner("fig16 --bias",
-         "receiver-pool-aware flow control: bias off vs on, 4-core hub");
-  std::printf("Server-Side Sum, 1 KiB payload, 2 banks of 4, stealing "
-              "off, clean vs preemption-stressed hub\n");
-
-  std::vector<BiasPoint> points;
-  for (const bool stressed : {false, true}) {
-    for (const bool bias : {false, true}) {
-      points.push_back(RunBiasPoint(stressed, bias));
-    }
-  }
-
-  Table table({"hub", "bias", "agg Kmsg/s", "on/off", "p99 us",
-               "fc waits", "biased sends"});
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const BiasPoint& p = points[i];
-    const double base_rate =
-        points[i & ~std::size_t{1}].result.aggregate_messages_per_second;
-    table.AddRow(
-        {p.stressed ? "stressed" : "clean", p.bias ? "on" : "off",
-         FmtF(p.result.aggregate_messages_per_second / 1e3),
-         FmtF(p.result.aggregate_messages_per_second / base_rate, "%.2fx"),
-         FmtUs(p.result.latency.Percentile(0.99)), FmtU64(p.fc_waits),
-         FmtU64(p.biased_sends)});
-  }
-  table.Print();
-
-  auto at = [&](bool stressed, bool bias) -> const BiasPoint& {
-    for (const BiasPoint& p : points) {
-      if (p.stressed == stressed && p.bias == bias) return p;
-    }
-    std::abort();
-  };
-
-  bool ok = true;
-  ok &= ShapeCheck(
-      "the bias knob diverts sends around a stalled pool core",
-      at(true, true).biased_sends > 0);
-  ok &= ShapeCheck(
-      "biasing lifts the stressed-hub rate >= 5% (stalled cores no "
-      "longer gate their siblings' banks)",
-      at(true, true).result.aggregate_messages_per_second >=
-          1.05 * at(true, false).result.aggregate_messages_per_second);
-  ok &= ShapeCheck(
-      "biased senders park on flow control no more often under stress",
-      at(true, true).fc_waits <= at(true, false).fc_waits);
-  ok &= ShapeCheck(
-      "clean hub: biasing does not regress the rate by more than 2% "
-      "(fair head-serving keeps rotation in phase, knob near-inert)",
-      at(false, true).result.aggregate_messages_per_second >=
-          0.98 * at(false, false).result.aggregate_messages_per_second);
-  ok &= ShapeCheck(
-      "every message was executed with and without biasing (no mailbox "
-      "leak)",
-      [&] {
-        for (const BiasPoint& p : points) {
           std::uint64_t executed = 0;
           for (const auto& s : p.result.per_sender) executed += s.messages;
           if (executed != p.expected_messages) return false;
@@ -644,12 +499,10 @@ int TreeMain() {
 int Main(int argc, char** argv) {
   const bool base_only = argc > 1 && std::strcmp(argv[1], "--base") == 0;
   const bool steal_only = argc > 1 && std::strcmp(argv[1], "--steal") == 0;
-  const bool bias_only = argc > 1 && std::strcmp(argv[1], "--bias") == 0;
   if (HasFlag(argc, argv, "--tree")) return TreeMain();
   int rc = 0;
-  if (!steal_only && !bias_only) rc |= BaseMain();
-  if (!base_only && !bias_only) rc |= StealMain();
-  if (!base_only && !steal_only) rc |= BiasMain();
+  if (!steal_only) rc |= BaseMain();
+  if (!base_only) rc |= StealMain();
   return rc;
 }
 

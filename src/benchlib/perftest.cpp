@@ -23,8 +23,9 @@ StatusOr<PingPongResult> RunAmPingPong(core::Testbed& testbed,
   core::Runtime& initiator = testbed.runtime(0);
   core::Runtime& responder = testbed.runtime(1);
   const ArgsFn args_fn = config.args ? config.args : DefaultArgs;
-  const std::uint16_t flags =
-      config.no_execute ? core::kFlagNoExecute : std::uint16_t{0};
+  const std::uint16_t flags = config.no_execute
+                                  ? std::uint16_t{core::kFlagNoExecute}
+                                  : std::uint16_t{0};
   const std::vector<std::uint8_t> usr(config.usr_bytes, 0x5A);
 
   PingPongResult result;
@@ -88,8 +89,9 @@ StatusOr<RateResult> RunAmInjectionRate(core::Testbed& testbed,
   core::Runtime& sender = testbed.runtime(0);
   core::Runtime& receiver = testbed.runtime(1);
   const ArgsFn args_fn = config.args ? config.args : DefaultArgs;
-  const std::uint16_t flags =
-      config.no_execute ? core::kFlagNoExecute : std::uint16_t{0};
+  const std::uint16_t flags = config.no_execute
+                                  ? std::uint16_t{core::kFlagNoExecute}
+                                  : std::uint16_t{0};
   const std::vector<std::uint8_t> usr(config.usr_bytes, 0xA5);
 
   const std::uint64_t total = config.iterations;

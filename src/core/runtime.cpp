@@ -237,7 +237,6 @@ StatusOr<PeerId> Runtime::AttachPeer(Runtime& remote) {
     TC_RETURN_IF_ERROR(memory.StoreU64(peer.flag_base + 8ull * b, 1));
   }
   peer.bank_open.assign(config_.banks, 1);
-  peer.bank_owner_idle.assign(config_.banks, 1);
 
   // Send staging ring toward this peer (one slot per mailbox), packed by
   // the sender core — its domain.
@@ -485,21 +484,6 @@ std::uint32_t Runtime::DomainOfPoolCore(
   return host_.caches().config().DomainOfCore(pool_[pool_index].core_id);
 }
 
-std::uint32_t Runtime::PickSendBank(const PeerState& peer) const noexcept {
-  // The idle-owner hint takes priority over rotation position: the first
-  // idle-owner open bank wins even past an earlier open-but-busy one.
-  // Rotation order (from the round-robin target) only decides among
-  // equally-idle banks, keeping the pick deterministic.
-  std::uint32_t first_open = config_.banks;  // sentinel: none open
-  for (std::uint32_t i = 0; i < config_.banks; ++i) {
-    const std::uint32_t b = (peer.send_bank + i) % config_.banks;
-    if (peer.bank_open[b] == 0) continue;
-    if (peer.bank_owner_idle[b] != 0) return b;
-    if (first_open == config_.banks) first_open = b;
-  }
-  return first_open == config_.banks ? peer.send_bank : first_open;
-}
-
 bool Runtime::HasFreeSlot(PeerId peer) const {
   if (peer >= peers_.size()) return false;
   const PeerState& p = peers_[peer];
@@ -507,12 +491,9 @@ bool Runtime::HasFreeSlot(PeerId peer) const {
   // (mid-bank fills were admitted when their bank opened).
   if (p.send_in_bank == 0 && !AdaptiveAdmits(p)) return false;
   // Mid-bank the current bank is open by construction (it only closes when
-  // its last slot is posted). At a bank boundary the biased sender may
-  // start any open bank; the strict round-robin sender only the next one.
-  if (p.send_in_bank > 0 || !config_.flow_bias) {
-    return p.bank_open[p.send_bank] != 0;
-  }
-  return p.bank_open[PickSendBank(p)] != 0;
+  // its last slot is posted); at a bank boundary only the next bank in
+  // strict rotation may start.
+  return p.bank_open[p.send_bank] != 0;
 }
 
 void Runtime::NotifyWhenSlotFree(PeerId peer, std::function<void()> cb) {
@@ -538,12 +519,9 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
   PeerStats& pstats = stats_.per_peer[peer_id];
   TC_ASSIGN_OR_RETURN(const ElementInfo* elem, FindElement(name));
 
-  // Bank choice: strict round-robin fills send_bank; with flow_bias a
-  // bank boundary may divert to an open bank whose owning receiver core
-  // reported idle (or to any open bank ahead of a still-closed target).
+  // Bank choice: strict round-robin fills send_bank.
   const std::uint32_t in_bank = peer.send_in_bank;
-  std::uint32_t bank = peer.send_bank;
-  if (in_bank == 0 && config_.flow_bias) bank = PickSendBank(peer);
+  const std::uint32_t bank = peer.send_bank;
   if (peer.bank_open[bank] == 0) {
     ++stats_.send_stalls;
     ++pstats.send_stalls;
@@ -724,16 +702,9 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
   put_receipt.sender_overhead = proto_overhead;
 
   // Flow control: after filling a bank, close it until the flag returns.
-  // Commit the bank pick (a biased divert becomes the new rotation point
-  // so the fill stays sequential within the bank).
-  if (bank != peer.send_bank) {
-    ++stats_.biased_sends;
-    peer.send_bank = bank;
-  }
   ++peer.send_in_bank;
   if (peer.send_in_bank == config_.mailboxes_per_bank) {
     peer.bank_open[bank] = 0;
-    peer.bank_owner_idle[bank] = 0;  // hint refreshes with the next flag
     // The flag-return RTT sample starts at bank close; it covers the last
     // frame's flight plus the receiver's drain — the congestion signal
     // the adaptive window reacts to.
@@ -816,11 +787,10 @@ void Runtime::OnBankFlag(PeerId peer, std::uint32_t bank) {
   if (peer >= peers_.size() || bank >= config_.banks) return;
   PeerState& p = peers_[peer];
   // Two flag-word shapes share this reverse channel (see ReturnBankFlag):
-  // bit 0 set is the real bank-open flag (full drain; bit 1 is the idle
-  // hint for the flow-bias pick), bit 0 clear is a NAK-only push — the
-  // receiver is mid-bank, but a by-handle frame missed its cache and must
-  // not wait for the drain to learn it. Bits [32, 64) carry the per-slot
-  // NAK mask in both shapes.
+  // bit 0 set is the real bank-open flag (full drain), bit 0 clear is a
+  // NAK-only push — the receiver is mid-bank, but a by-handle frame missed
+  // its cache and must not wait for the drain to learn it. Bits [32, 64)
+  // carry the per-slot NAK mask in both shapes.
   const auto word = host_.memory().LoadU64(p.flag_base + 8ull * bank);
   const bool open = !word.ok() || (*word & 1) != 0;
   if (config_.jam_cache.enabled) {
@@ -841,7 +811,6 @@ void Runtime::OnBankFlag(PeerId peer, std::uint32_t bank) {
   if (ece) ++stats_.ecn_echoes_seen;
   if (config_.adaptive.enabled) AdaptiveOnFlag(p, bank, ece);
   p.bank_open[bank] = 1;
-  p.bank_owner_idle[bank] = (word.ok() && (*word & 2) != 0) ? 1 : 0;
   if (!p.slot_waiters.empty()) {
     auto waiters = std::move(p.slot_waiters);
     p.slot_waiters.clear();
@@ -1974,17 +1943,7 @@ void Runtime::CompleteFrame(const ReadyFrame& frame,
           FinishQuiesce(frame.pool);
         }
         if (bank_drained) {
-          // Flag return carries the flow-bias hint: is the core that owns
-          // this bank — the *current* home, post any re-shard — out of
-          // ready work? Evaluated after this frame left the ledger and
-          // this pool member went idle, so the hint reflects the state
-          // the *next* fill of the bank will meet — O(1) off the backlog
-          // ledger, no (peer, bank) sweep on the drain path.
-          const std::uint32_t owner = p.bank_home[bank];
-          const bool owner_idle =
-              pool_[owner].state == PoolCoreState::kActive &&
-              !pool_[owner].processing && claim_backlog_[owner] == 0;
-          Status st = ReturnBankFlag(frame.peer, bank, owner_idle);
+          Status st = ReturnBankFlag(frame.peer, bank);
           if (!st.ok()) TC_WARN << "flag return failed: " << st;
         } else if (msg.cache_miss) {
           // A jam-cache miss mid-bank cannot wait for the drain flag —
@@ -2034,19 +1993,17 @@ std::uint32_t Runtime::ClosedSendBanks(PeerId peer) const noexcept {
   return closed;
 }
 
-Status Runtime::ReturnBankFlag(PeerId peer_id, std::uint32_t bank,
-                               bool owner_idle) {
+Status Runtime::ReturnBankFlag(PeerId peer_id, std::uint32_t bank) {
   if (peer_id >= peers_.size()) return FailedPrecondition("not wired");
   PeerState& peer = peers_[peer_id];
   Runtime* peer_rt = peer.runtime;
   const PeerId our_id_at_peer = peer.remote_id;
   ++stats_.bank_flags_returned;
   ++stats_.per_peer[peer_id].bank_flags_returned;
-  // Bit 0 opens the bank; bit 1 is the idle hint the sender's flow-bias
-  // pick reads: "the core that owns this bank had nothing left to drain".
-  // Bits [32, 64) carry the per-slot jam-cache NAK mask: "these by-handle
-  // frames named content I do not have — resend them full-body".
-  std::uint64_t flag_word = 1ull | (owner_idle ? 2ull : 0ull);
+  // Bit 0 opens the bank; bit 1 is unused. Bits [32, 64) carry the
+  // per-slot jam-cache NAK mask: "these by-handle frames named content I
+  // do not have — resend them full-body".
+  std::uint64_t flag_word = 1ull;
   // Bit 2 echoes a switch ECN mark home (ECE): a frame of this bank
   // arrived marked since the last return. Echoed exactly once — the
   // accumulator clears here — so the fabric-wide echo ledger reconciles.

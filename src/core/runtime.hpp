@@ -272,12 +272,6 @@ struct RuntimeConfig {
   /// driven by ECN echoes in returned bank-flag words (see
   /// AdaptiveBankConfig). Off = the paper's fixed-bank protocol.
   AdaptiveBankConfig adaptive{};
-  /// Receiver-pool-aware flow control: at each bank boundary the sender
-  /// prefers, in rotation order from the round-robin target, an open bank
-  /// whose owning receiver core reported itself idle in its last flag
-  /// return — and falls back to any open bank before stalling. Off =
-  /// strict bank round-robin (the paper's protocol).
-  bool flow_bias = false;
   /// Verification / GOT-installation / page-permission hardening modes
   /// (§V of the paper); see core/security.hpp.
   SecurityPolicy security{};
@@ -375,9 +369,6 @@ struct RuntimeStats {
   // flat placement with domain_aware_placement off.
   std::uint64_t frames_drained_remote = 0; ///< frames executed off the bank's home domain
   std::uint64_t remote_drain_cycles = 0;   ///< cross-domain penalty cycles those drains paid
-  /// Sends whose bank pick diverged from strict round-robin because
-  /// flow_bias steered them toward an idle receiver core's bank.
-  std::uint64_t biased_sends = 0;
   // Adaptive bank flow control (see AdaptiveBankConfig). ECN ledger the
   // switch harness reconciles at quiescence: every mark delivered into
   // this runtime's frames is echoed home exactly once, so across a fabric
@@ -754,9 +745,6 @@ class Runtime {
     mem::VirtAddr flag_base = 0;   ///< own memory; the peer sets these words
     mem::RKey flag_rkey_own;
     std::vector<std::uint8_t> bank_open;  ///< local mirror of flag words
-    /// Idle hint carried home with each bank flag: 1 when the receiver
-    /// core owning the bank had nothing left to drain at return time.
-    std::vector<std::uint8_t> bank_owner_idle;
     std::uint32_t send_bank = 0;     ///< bank currently being filled
     std::uint32_t send_in_bank = 0;  ///< next slot within send_bank
     std::vector<std::function<void()>> slot_waiters;
@@ -941,13 +929,8 @@ class Runtime {
   /// paid (delta of the hierarchy's ledger across ProcessFrame).
   void CompleteFrame(const ReadyFrame& frame, const ReceivedMessage& msg,
                      Cycles cycles, std::uint64_t remote_penalty_cycles);
-  /// Returns @p bank's flag to @p peer; @p owner_idle rides along as the
-  /// flow-bias hint (the receiving sender mirrors it per bank).
-  Status ReturnBankFlag(PeerId peer, std::uint32_t bank, bool owner_idle);
-  /// flow_bias bank pick at a bank boundary: the first open bank with an
-  /// idle-owner hint in rotation order from the round-robin target, else
-  /// the first open bank, else the round-robin target (to stall against).
-  std::uint32_t PickSendBank(const PeerState& peer) const noexcept;
+  /// Returns @p bank's flag to @p peer.
+  Status ReturnBankFlag(PeerId peer, std::uint32_t bank);
   /// The memory domain of pool member @p pool_index's core.
   std::uint32_t DomainOfPoolCore(std::uint32_t pool_index) const noexcept;
 
@@ -1034,8 +1017,8 @@ class Runtime {
   bool stealing_active_ = false;
   /// Ready-frame backlog per pool member over the banks it claims —
   /// maintained on delivery, completion, and claim handoff, so TrySteal's
-  /// victim pick and the flag-return idle hint are O(1)/O(pool) instead
-  /// of a (peer, bank) sweep. Invariant while stealing is active:
+  /// victim pick is O(pool) instead of a (peer, bank) sweep. Invariant
+  /// while stealing is active:
   /// claim_backlog_[j] == sum of bank_ready over banks with claim j
   /// (without stealing, claims never move, so the sum runs over j's
   /// homed banks). Always allocated (one entry per pool member).

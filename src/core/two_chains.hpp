@@ -50,12 +50,6 @@ struct TestbedOptions {
     runtime.wait.mode = mode;
     return *this;
   }
-  /// Receiver pool width on both hosts (cores receiver_core..+n-1 each run
-  /// their own wait/link/execute loop over the banks sharded to them).
-  TestbedOptions& WithReceiverCores(std::uint32_t n) {
-    runtime.receiver_cores = n;
-    return *this;
-  }
   /// Arms receiver-pool work stealing on both hosts (a no-op until the
   /// pool is widened past one core, see RuntimeConfig::steal).
   TestbedOptions& WithStealing(const StealConfig& steal) {
@@ -67,12 +61,6 @@ struct TestbedOptions {
   TestbedOptions& WithDomains(std::uint32_t domains) {
     host0.cache.domains = domains;
     host1.cache.domains = domains;
-    return *this;
-  }
-  /// Receiver-pool-aware flow control on both hosts' senders (see
-  /// RuntimeConfig::flow_bias).
-  TestbedOptions& WithFlowBias(bool on) {
-    runtime.flow_bias = on;
     return *this;
   }
   TestbedOptions& WithSecurity(const SecurityPolicy& policy) {

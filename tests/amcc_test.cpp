@@ -511,7 +511,7 @@ INSTANTIATE_TEST_SUITE_P(
         ExprCase{"1 << 10 >> 3", 1 << 10 >> 3},
         ExprCase{"-13 / 4", -13 / 4},
         ExprCase{"-13 % 4", -13 % 4},
-        ExprCase{"5 > 3 && 2 < 1 || 7 == 7", 5 > 3 && 2 < 1 || 7 == 7},
+        ExprCase{"5 > 3 && 2 < 1 || 7 == 7", (5 > 3 && 2 < 1) || 7 == 7},
         ExprCase{"~(1 << 4) & 0xFF", ~(1 << 4) & 0xFF},
         ExprCase{"100 % 7 * 3 + 2", 100 % 7 * 3 + 2},
         ExprCase{"(1 + 2) * (3 + 4) % 5", (1 + 2) * (3 + 4) % 5},

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <vector>
 
 #include "benchlib/workloads.hpp"
@@ -802,18 +803,18 @@ TEST_F(TwoChainsTest, SingleDomainReportsNoRemoteDrains) {
   EXPECT_EQ(testbed_->runtime(1).stats().remote_drain_cycles, 0u);
 }
 
-// --------------------------------------------------- flow-control bias
+// ------------------------------------------------- strict bank rotation
 
-TEST_F(TwoChainsTest, FlowBiasRoutesAroundAStalledPoolCore) {
+TEST_F(TwoChainsTest, StrictBankRotationWaitsOutAStalledPoolCore) {
   TestbedOptions options = Options();  // 2 banks x 4 slots
   options.runtime.receiver_cores = 2;
   options.runtime.sender_core = 2;
-  options.runtime.flow_bias = true;
   SetUpTestbed(options);
 
   // Stall the first frame's pool core for a long stretch: bank 0 freezes
-  // mid-drain while bank 1 keeps cycling. The biased sender must divert
-  // bank-boundary picks to bank 1 instead of parking on bank 0's flag.
+  // mid-drain while bank 1's core sits idle. The sender must still fill
+  // banks in strict rotation, parking on bank 0's flag rather than
+  // skipping ahead to the idle core's bank.
   Runtime& rx = testbed_->runtime(1);
   bool stalled = false;
   rx.SetPreemptionHook([&stalled]() -> PicoTime {
@@ -823,8 +824,10 @@ TEST_F(TwoChainsTest, FlowBiasRoutesAroundAStalledPoolCore) {
   });
 
   const int total = 32;
-  int executed = 0;
-  rx.SetOnExecuted([&](const ReceivedMessage&) { ++executed; });
+  std::map<std::uint32_t, std::uint32_t> slot_by_sn;
+  rx.SetOnExecuted([&](const ReceivedMessage& msg) {
+    slot_by_sn[msg.sn] = msg.slot;
+  });
   std::vector<std::uint8_t> usr(8, 1);
   int sent = 0;
   PumpLoop<> pump;
@@ -842,23 +845,15 @@ TEST_F(TwoChainsTest, FlowBiasRoutesAroundAStalledPoolCore) {
     }
   });
   pump();
-  testbed_->RunUntil([&] { return executed == total; });
-  EXPECT_EQ(executed, total);
-  EXPECT_GT(testbed_->runtime(0).stats().biased_sends, 0u);
-  EXPECT_EQ(rx.InFlightFrames(), 0u);
-}
-
-TEST_F(TwoChainsTest, FlowBiasOffNeverDiverts) {
-  TestbedOptions options = Options();
-  options.runtime.receiver_cores = 2;
-  options.runtime.sender_core = 2;
-  SetUpTestbed(options);  // flow_bias defaults off
-  std::vector<std::uint8_t> usr(8, 1);
-  for (int i = 0; i < 24; ++i) {
-    auto msg = SendAndRun("nop", Invoke::kInjected, {1}, usr);
-    ASSERT_TRUE(msg.ok()) << msg.status();
+  testbed_->RunUntil([&] { return slot_by_sn.size() == total; });
+  ASSERT_EQ(slot_by_sn.size(), static_cast<std::size_t>(total));
+  // The i-th send lands in slot i mod (banks x slots), stall or not.
+  std::uint32_t i = 0;
+  for (const auto& [sn, slot] : slot_by_sn) {
+    EXPECT_EQ(slot, i % 8) << "sn " << sn;
+    ++i;
   }
-  EXPECT_EQ(testbed_->runtime(0).stats().biased_sends, 0u);
+  EXPECT_EQ(rx.InFlightFrames(), 0u);
 }
 
 }  // namespace

@@ -110,8 +110,7 @@ std::string Fingerprint(Fabric& fabric) {
     const RuntimeStats& s = fabric.runtime(h).stats();
     out += StrFormat(
         "host%u sent=%llu exec=%llu deliv=%llu bytes=%llu flags=%llu "
-        "stalls=%llu rej=%llu waits=%llu remote=%llu remotecy=%llu "
-        "biased=%llu\n",
+        "stalls=%llu rej=%llu waits=%llu remote=%llu remotecy=%llu\n",
         h, static_cast<unsigned long long>(s.messages_sent),
         static_cast<unsigned long long>(s.messages_executed),
         static_cast<unsigned long long>(s.messages_delivered),
@@ -121,8 +120,7 @@ std::string Fingerprint(Fabric& fabric) {
         static_cast<unsigned long long>(s.security_rejections),
         static_cast<unsigned long long>(s.wait_episodes),
         static_cast<unsigned long long>(s.frames_drained_remote),
-        static_cast<unsigned long long>(s.remote_drain_cycles),
-        static_cast<unsigned long long>(s.biased_sends));
+        static_cast<unsigned long long>(s.remote_drain_cycles));
     for (std::size_t p = 0; p < s.per_peer.size(); ++p) {
       const PeerStats& ps = s.per_peer[p];
       out += StrFormat(

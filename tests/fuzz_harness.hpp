@@ -135,9 +135,10 @@ inline void ExtremeImm(Xoshiro256& rng, std::vector<std::uint8_t>& code) {
     return;
   }
   const std::int32_t size = static_cast<std::int32_t>(code.size());
+  const std::int32_t instr = static_cast<std::int32_t>(vm::kInstrBytes);
   const std::int32_t extremes[] = {
       INT32_MIN, INT32_MAX,         -size,      size,
-      size - vm::kInstrBytes,       -16,        -8,
+      size - instr,                 -16,        -8,
       0,                            8,
   };
   decoded->imm = extremes[rng.NextBelow(std::size(extremes))];

@@ -222,7 +222,9 @@ TEST_F(JamlibTest, TopkDifferentialKeepsLargestDescending) {
   ASSERT_EQ(kept.size(), kTopK);
   for (std::uint64_t i = 0; i < kTopK; ++i) {
     ASSERT_EQ(static_cast<std::int64_t>(Peek("topk_vals", i)), kept[i]);
-    if (i > 0) EXPECT_GE(kept[i - 1], kept[i]);  // descending order held
+    if (i > 0) {
+      EXPECT_GE(kept[i - 1], kept[i]);  // descending order held
+    }
   }
 }
 

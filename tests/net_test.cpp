@@ -110,16 +110,16 @@ TEST_F(NetTest, LargerMessagesTakeLonger) {
   {
     const std::vector<std::uint8_t> p(64, 1);
     const mem::VirtAddr src = MakeSource(host0_, p);
-    nic0_.PostPut(src, dst, p.size(), rkey, false,
-                  [&](const PutCompletion& c) { t_small = c.delivered_at; });
+    auto on_done = [&](const PutCompletion& c) { t_small = c.delivered_at; };
+    ASSERT_TRUE(nic0_.PostPut(src, dst, p.size(), rkey, false, on_done).ok());
     engine_.Run();
   }
   {
     const std::vector<std::uint8_t> p(KiB(32), 2);
     const mem::VirtAddr src = MakeSource(host0_, p);
     const PicoTime before = engine_.Now();
-    nic0_.PostPut(src, dst, p.size(), rkey, false,
-                  [&](const PutCompletion& c) { t_large = c.delivered_at; });
+    auto on_done = [&](const PutCompletion& c) { t_large = c.delivered_at; };
+    ASSERT_TRUE(nic0_.PostPut(src, dst, p.size(), rkey, false, on_done).ok());
     engine_.Run();
     t_large -= before;
   }
@@ -153,8 +153,10 @@ TEST_F(NetTest, PutBeyondRegionRejected) {
   const std::vector<std::uint8_t> payload(256, 7);
   const mem::VirtAddr src = MakeSource(host0_, payload);
   Status seen;
-  nic0_.PostPut(src, dst, payload.size(), rkey, false,
-                [&](const PutCompletion& c) { seen = c.status; });
+  ASSERT_TRUE(nic0_
+                  .PostPut(src, dst, payload.size(), rkey, false,
+                           [&](const PutCompletion& c) { seen = c.status; })
+                  .ok());
   engine_.Run();
   EXPECT_EQ(seen.code(), StatusCode::kPermissionDenied);
 }
@@ -172,7 +174,7 @@ TEST_F(NetTest, SnapshotSemanticsProtectInFlightData) {
   auto [dst, rkey] = MakeTarget(host1_, 64);
   const std::vector<std::uint8_t> payload = {0x11, 0x22};
   const mem::VirtAddr src = MakeSource(host0_, payload);
-  nic0_.PostPut(src, dst, 2, rkey);
+  ASSERT_TRUE(nic0_.PostPut(src, dst, 2, rkey).ok());
   ASSERT_TRUE(host0_.memory().StoreU8(src, 0xFF).ok());
   engine_.Run();
   EXPECT_EQ(host1_.memory().LoadU8(dst).value(), 0x11);
@@ -184,8 +186,8 @@ TEST_F(NetTest, OrderedDeliveryPreservesPostOrder) {
   for (int i = 0; i < 8; ++i) {
     const std::vector<std::uint8_t> p(64 + 512 * (7 - i), 0);  // varied sizes
     const mem::VirtAddr src = MakeSource(host0_, p);
-    nic0_.PostPut(src, dst, p.size(), rkey, false,
-                  [&order, i](const PutCompletion&) { order.push_back(i); });
+    auto on_done = [&order, i](const PutCompletion&) { order.push_back(i); };
+    ASSERT_TRUE(nic0_.PostPut(src, dst, p.size(), rkey, false, on_done).ok());
   }
   engine_.Run();
   for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
@@ -195,7 +197,7 @@ TEST_F(NetTest, StashingDeliversIntoLLC) {
   auto [dst, rkey] = MakeTarget(host1_, 4096);
   const std::vector<std::uint8_t> payload(512, 0x33);
   const mem::VirtAddr src = MakeSource(host0_, payload);
-  nic0_.PostPut(src, dst, payload.size(), rkey);
+  ASSERT_TRUE(nic0_.PostPut(src, dst, payload.size(), rkey).ok());
   engine_.Run();
   EXPECT_TRUE(host1_.caches().ProbeLLC(dst));
   EXPECT_EQ(host1_.caches().stats().stash_lines, 8u);
@@ -208,7 +210,7 @@ TEST_F(NetTest, NonStashingDeliversToDram) {
   host1_.caches().AccessLine(0, dst, cache::AccessKind::kLoad);
   const std::vector<std::uint8_t> payload(64, 0x44);
   const mem::VirtAddr src = MakeSource(host0_, payload);
-  nic0_.PostPut(src, dst, payload.size(), rkey);
+  ASSERT_TRUE(nic0_.PostPut(src, dst, payload.size(), rkey).ok());
   engine_.Run();
   EXPECT_FALSE(host1_.caches().ProbeLLC(dst));
   EXPECT_FALSE(host1_.caches().ProbeL1(0, dst));
@@ -223,10 +225,10 @@ TEST_F(NetTest, BackToBackPutsPipelineOnTheWire) {
   for (int i = 0; i < 2; ++i) {
     const std::vector<std::uint8_t> p(size, static_cast<std::uint8_t>(i));
     const mem::VirtAddr src = MakeSource(host0_, p);
-    nic0_.PostPut(src, dst, size, rkey, false,
-                  [&](const PutCompletion& c) {
-                    times.push_back(c.delivered_at);
-                  });
+    auto on_done = [&](const PutCompletion& c) {
+      times.push_back(c.delivered_at);
+    };
+    ASSERT_TRUE(nic0_.PostPut(src, dst, size, rkey, false, on_done).ok());
   }
   engine_.Run();
   ASSERT_EQ(times.size(), 2u);
@@ -252,9 +254,10 @@ TEST_F(NetTest, UnorderedModeCanReorderButFenceRestoresOrder) {
   // deterministic for a fixed NIC rng seed).
   std::vector<int> order;
   for (int i = 0; i < 16; ++i) {
-    a.PostInlinePut(static_cast<std::uint64_t>(i), *dst + 8u * i, *rkey,
-                    /*fence=*/false,
-                    [&order, i](const PutCompletion&) { order.push_back(i); });
+    auto on_done = [&order, i](const PutCompletion&) { order.push_back(i); };
+    ASSERT_TRUE(a.PostInlinePut(static_cast<std::uint64_t>(i), *dst + 8u * i,
+                                *rkey, /*fence=*/false, on_done)
+                    .ok());
   }
   eng.Run();
   bool inverted = false;
@@ -266,12 +269,14 @@ TEST_F(NetTest, UnorderedModeCanReorderButFenceRestoresOrder) {
   // A fenced signal put must land after all prior deliveries.
   std::vector<int> order2;
   for (int i = 0; i < 8; ++i) {
-    a.PostInlinePut(static_cast<std::uint64_t>(i), *dst + 8u * i, *rkey,
-                    false,
-                    [&order2, i](const PutCompletion&) { order2.push_back(i); });
+    auto on_done = [&order2, i](const PutCompletion&) { order2.push_back(i); };
+    ASSERT_TRUE(a.PostInlinePut(static_cast<std::uint64_t>(i), *dst + 8u * i,
+                                *rkey, false, on_done)
+                    .ok());
   }
-  a.PostInlinePut(99, *dst + 256, *rkey, /*fence=*/true,
-                  [&order2](const PutCompletion&) { order2.push_back(99); });
+  auto on_fenced = [&order2](const PutCompletion&) { order2.push_back(99); };
+  ASSERT_TRUE(
+      a.PostInlinePut(99, *dst + 256, *rkey, /*fence=*/true, on_fenced).ok());
   eng.Run();
   ASSERT_FALSE(order2.empty());
   EXPECT_EQ(order2.back(), 99);

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Docs-consistency gate: every configuration field of RuntimeConfig,
 # StealConfig (its nested steal block), and cache::HierarchyConfig must
-# be documented in docs/TUNING.md. Fails (listing the missing names)
-# when a field is added to the structs without a docs entry, so the
-# tuning page can never silently rot. Pure grep/sed — no build needed,
-# POSIX awk suffices.
+# be documented in docs/TUNING.md, and every knob row there must name a
+# field that still exists. Fails (listing the missing or stale names)
+# when a field is added without a docs entry or deleted with its row
+# left behind, so the tuning page can never silently rot. Pure
+# grep/sed — no build needed, POSIX awk suffices.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,16 +36,26 @@ sections_matching() { # heading_regex [exclude_regex]
   ' "$TUNING"
 }
 
+# Backticked names in the first column of every table row on stdin
+# (header and separator rows have none), each stripped of a dotted
+# `steal.`-style prefix.
+row_names() {
+  awk -F'|' '/^\|/ { print $2 }' | { grep -o '`[^`]*`' || true; } |
+    tr -d '`' | sed -E 's/^[a-z_]+\.//'
+}
+
 check() { # struct_name file heading_regex [exclude_regex]
   local missing=""
   local found=0
-  local sections
+  local stale=0
+  local sections fields
   sections="$(sections_matching "$3" "${4:-}")"
   if [ -z "$sections" ]; then
     echo "FAIL: no section matching '$3' in $TUNING"
     fail=1
     return
   fi
+  fields="$(fields_of "$1" "$2")"
   while read -r field; do
     [ -z "$field" ] && continue
     found=$((found + 1))
@@ -52,15 +63,26 @@ check() { # struct_name file heading_regex [exclude_regex]
     if ! printf '%s' "$sections" | grep -Eq "\`([a-z_]+\.)?$field\`"; then
       missing="$missing $field"
     fi
-  done < <(fields_of "$1" "$2")
+  done <<< "$fields"
+  # Reverse direction: a row whose knob is no longer a field is stale.
+  while read -r name; do
+    [ -z "$name" ] && continue
+    if ! grep -qxF "$name" <<< "$fields"; then
+      echo "STALE: $1 row '$name'"
+      stale=1
+    fi
+  done < <(printf '%s\n' "$sections" | row_names)
   if [ "$found" -eq 0 ]; then
     echo "FAIL: extracted no fields from struct $1 in $2 (script rot?)"
     fail=1
   elif [ -n "$missing" ]; then
     echo "FAIL: $1 fields missing from $TUNING:$missing"
     fail=1
+  elif [ "$stale" -ne 0 ]; then
+    echo "FAIL: $1 rows in $TUNING name deleted fields"
+    fail=1
   else
-    echo "OK: all $found $1 fields documented in $TUNING"
+    echo "OK: all $found $1 fields documented in $TUNING, no stale rows"
   fi
 }
 
