@@ -20,7 +20,7 @@
 #include <cstdio>
 #include <thread>
 
-#include "common/pump.hpp"
+#include "benchlib/send_loop.hpp"
 #include "core/fabric.hpp"
 #include "fig_common.hpp"
 #include "sim/engine.hpp"
@@ -82,6 +82,11 @@ RateRow EngineChainRate(const char* name, std::uint64_t chains,
   return row;
 }
 
+/// The fabric rows' message: an injected Server-Side Sum over 64 B.
+FlowMessage SsumMessage(std::uint64_t) {
+  return {.jam = "ssum", .args = {64}, .usr = std::vector<std::uint8_t>(64, 7)};
+}
+
 /// The full stack as an event generator: wall-clock events/sec while the
 /// paper testbed streams injected Server-Side Sums (every NIC hop, cache
 /// access, and receiver wakeup is an engine event).
@@ -112,52 +117,20 @@ RateRow FabricRingRate(std::uint32_t lanes, std::uint32_t hosts,
   options.topology = core::Topology::kFullMesh;
   options.engine.lanes = lanes;
   core::Fabric fabric(options);
-  const pkg::Package package = MustOk(BuildBenchPackage(), "bench package");
-  const Status loaded = fabric.LoadPackage(package);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "package load failed: %s\n",
-                 loaded.ToString().c_str());
-    std::abort();
-  }
-
-  struct Sender {
-    core::PeerId to = core::kInvalidPeer;
-    std::uint32_t sent = 0;
-  };
-  auto senders = std::make_shared<std::vector<Sender>>(hosts);
-  for (std::uint32_t h = 0; h < hosts; ++h) {
-    (*senders)[h].to = MustOk(fabric.PeerIdFor(h, (h + 1) % hosts), "peer");
-  }
-  const std::vector<std::uint64_t> args = {64};
-  const std::vector<std::uint8_t> usr(64, 7);
-
-  PumpLoop<std::uint32_t> pump;
-  pump.Set([senders, &fabric, &args, &usr, msgs_per_host,
-            resume = pump.Handle()](std::uint32_t h) {
-    Sender& sender = (*senders)[h];
-    core::Runtime& rt = fabric.runtime(h);
-    if (sender.sent >= msgs_per_host) return;
-    if (!rt.HasFreeSlot(sender.to)) {
-      rt.NotifyWhenSlotFree(sender.to, [resume, h] { resume(h); });
-      return;
-    }
-    auto receipt =
-        rt.Send(sender.to, "ssum", core::Invoke::kInjected, args, usr);
-    if (!receipt.ok()) {
-      std::fprintf(stderr, "send failed: %s\n",
-                   receipt.status().ToString().c_str());
-      std::abort();
-    }
-    ++sender.sent;
-    // Homed to the sender's lane: the pump mutates that host's runtime.
-    fabric.engine().ScheduleAfterOn(h, receipt->sender_cost,
-                                    [resume, h] { resume(h); }, "ring.send");
-  });
+  LoadBenchPackage(fabric);
 
   const auto start = std::chrono::steady_clock::now();
   const std::uint64_t before = fabric.engine().EventsProcessed();
-  for (std::uint32_t h = 0; h < hosts; ++h) pump(h);
+  std::vector<SendFlow> flows;
+  for (std::uint32_t h = 0; h < hosts; ++h) {
+    flows.push_back({.src = h,
+                     .dst = (h + 1) % hosts,
+                     .count = msgs_per_host,
+                     .next = SsumMessage});
+  }
+  const SendLoops loops(fabric, std::move(flows));
   fabric.Run();
+  MustOk(loops.status(), "ring stream");
 
   RateRow row;
   row.name = StrFormat("fabric ring 8-host (lanes=%u)", lanes);
@@ -181,51 +154,18 @@ RateRow TreeIncastRate(std::uint32_t spokes, std::uint32_t msgs_per_spoke) {
   options.tree.tiers = 2;
   options.tree.oversub = 2.0;
   core::Fabric fabric(options);
-  const pkg::Package package = MustOk(BuildBenchPackage(), "bench package");
-  const Status loaded = fabric.LoadPackage(package);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "package load failed: %s\n",
-                 loaded.ToString().c_str());
-    std::abort();
-  }
-
-  struct Sender {
-    core::PeerId to = core::kInvalidPeer;
-    std::uint32_t sent = 0;
-  };
-  auto senders = std::make_shared<std::vector<Sender>>(spokes);
-  for (std::uint32_t s = 0; s < spokes; ++s) {
-    (*senders)[s].to = MustOk(fabric.PeerIdFor(s + 1, 0), "peer");
-  }
-  const std::vector<std::uint64_t> args = {64};
-  const std::vector<std::uint8_t> usr(64, 7);
-
-  PumpLoop<std::uint32_t> pump;
-  pump.Set([senders, &fabric, &args, &usr, msgs_per_spoke,
-            resume = pump.Handle()](std::uint32_t s) {
-    Sender& sender = (*senders)[s];
-    core::Runtime& rt = fabric.runtime(s + 1);
-    if (sender.sent >= msgs_per_spoke) return;
-    if (!rt.HasFreeSlot(sender.to)) {
-      rt.NotifyWhenSlotFree(sender.to, [resume, s] { resume(s); });
-      return;
-    }
-    auto receipt =
-        rt.Send(sender.to, "ssum", core::Invoke::kInjected, args, usr);
-    if (!receipt.ok()) {
-      std::fprintf(stderr, "send failed: %s\n",
-                   receipt.status().ToString().c_str());
-      std::abort();
-    }
-    ++sender.sent;
-    fabric.engine().ScheduleAfterOn(s + 1, receipt->sender_cost,
-                                    [resume, s] { resume(s); }, "tree.send");
-  });
+  LoadBenchPackage(fabric);
 
   const auto start = std::chrono::steady_clock::now();
   const std::uint64_t before = fabric.engine().EventsProcessed();
-  for (std::uint32_t s = 0; s < spokes; ++s) pump(s);
+  std::vector<SendFlow> flows;
+  for (std::uint32_t s = 1; s <= spokes; ++s) {
+    flows.push_back(
+        {.src = s, .dst = 0, .count = msgs_per_spoke, .next = SsumMessage});
+  }
+  const SendLoops loops(fabric, std::move(flows));
   fabric.Run();
+  MustOk(loops.status(), "tree stream");
 
   RateRow row;
   row.name = StrFormat("tree incast %u-spoke (2-tier switched)", spokes);

@@ -71,7 +71,7 @@ RelinkSample MeasureRelink(core::Testbed& testbed,
 
 int main() {
   Banner("Ablation", "GOT rewrite + dual-variant package build");
-  auto package = MustOk(BuildBenchPackage(), "package build");
+  const pkg::Package& package = BenchPackage();
 
   Table table({"jam", "code+rodata(B)", "GOT slots", "rewritten",
                "1-int inj frame(B)"});

@@ -133,11 +133,7 @@ CurvePoint RunCurvePoint(const Mode& mode, std::uint32_t cores) {
   options.runtime_overrides[0].receiver_cores = cores;
   options.runtime_overrides[0].sender_core = cores;
   core::Fabric fabric(options);
-  auto package = BuildBenchPackage();
-  if (!package.ok() || !fabric.LoadPackage(*package).ok()) {
-    std::fprintf(stderr, "fabric setup failed\n");
-    std::abort();
-  }
+  LoadBenchPackage(fabric);
 
   IncastConfig config;
   config.jam = "iput";

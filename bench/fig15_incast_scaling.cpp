@@ -35,17 +35,7 @@ struct TreePoint {
 TreePoint RunTreePoint(std::uint32_t n, bool adaptive,
                        std::uint32_t iterations) {
   core::Fabric fabric(TreeBenchFabric(n, adaptive));
-  auto package = BuildBenchPackage();
-  if (!package.ok()) {
-    std::fprintf(stderr, "package build failed: %s\n",
-                 package.status().ToString().c_str());
-    std::abort();
-  }
-  if (Status st = fabric.LoadPackage(*package); !st.ok()) {
-    std::fprintf(stderr, "package load failed: %s\n",
-                 st.ToString().c_str());
-    std::abort();
-  }
+  LoadBenchPackage(fabric);
 
   IncastConfig config;
   config.jam = "iput";
@@ -198,11 +188,7 @@ int Main(int argc, char** argv) {
   for (const std::uint32_t n : kSenderCounts) {
     // Star fabric: hub 0 is the incast receiver, spokes 1..n send.
     core::Fabric fabric(PaperFabric(n + 1, core::Topology::kStar, 0));
-    auto package = BuildBenchPackage();
-    if (!package.ok() || !fabric.LoadPackage(*package).ok()) {
-      std::fprintf(stderr, "fabric setup failed\n");
-      std::abort();
-    }
+    LoadBenchPackage(fabric);
 
     IncastConfig config;
     config.jam = "iput";

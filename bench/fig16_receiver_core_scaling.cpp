@@ -54,11 +54,7 @@ int BaseMain() {
     // The hub only receives; keep its (unused) sender core off the pool.
     options.runtime_overrides[0].sender_core = cores;
     core::Fabric fabric(options);
-    auto package = BuildBenchPackage();
-    if (!package.ok() || !fabric.LoadPackage(*package).ok()) {
-      std::fprintf(stderr, "fabric setup failed\n");
-      std::abort();
-    }
+    LoadBenchPackage(fabric);
 
     IncastConfig config;
     config.jam = "iput";
@@ -191,11 +187,7 @@ StealPoint RunStealPoint(std::uint32_t cores, bool skewed, bool steal) {
   steal_config.hysteresis = 1;
   options.runtime_overrides[0].steal = steal_config;
   core::Fabric fabric(options);
-  auto package = BuildBenchPackage();
-  if (!package.ok() || !fabric.LoadPackage(*package).ok()) {
-    std::fprintf(stderr, "fabric setup failed\n");
-    std::abort();
-  }
+  LoadBenchPackage(fabric);
 
   // Server-Side Sum over a 1 KiB payload: execution-bound frames, so the
   // hub pool — not the wire — is the bottleneck and imbalance shows up as
@@ -351,17 +343,7 @@ struct TreePoint {
 TreePoint RunTreePoint(std::uint32_t senders, std::uint32_t cores,
                        bool adaptive, std::uint32_t iterations) {
   core::Fabric fabric(TreeBenchFabric(senders, adaptive, cores));
-  auto package = BuildBenchPackage();
-  if (!package.ok()) {
-    std::fprintf(stderr, "package build failed: %s\n",
-                 package.status().ToString().c_str());
-    std::abort();
-  }
-  if (Status st = fabric.LoadPackage(*package); !st.ok()) {
-    std::fprintf(stderr, "package load failed: %s\n",
-                 st.ToString().c_str());
-    std::abort();
-  }
+  LoadBenchPackage(fabric);
 
   IncastConfig config;
   config.jam = "iput";

@@ -77,11 +77,7 @@ Cell RunCell(bool placement, bool steal) {
     options.runtime_overrides[0].steal = steal_config;
   }
   core::Fabric fabric(options);
-  auto package = BuildBenchPackage();
-  if (!package.ok() || !fabric.LoadPackage(*package).ok()) {
-    std::fprintf(stderr, "fabric setup failed\n");
-    std::abort();
-  }
+  LoadBenchPackage(fabric);
 
   IncastConfig config;
   config.jam = "ssum";
@@ -142,11 +138,7 @@ StealCell RunStealCell(bool domain_aware) {
   steal.domain_aware = domain_aware;
   options.runtime_overrides[0].steal = steal;
   core::Fabric fabric(options);
-  auto package = BuildBenchPackage();
-  if (!package.ok() || !fabric.LoadPackage(*package).ok()) {
-    std::fprintf(stderr, "fabric setup failed\n");
-    std::abort();
-  }
+  LoadBenchPackage(fabric);
 
   IncastConfig config;
   config.jam = "ssum";

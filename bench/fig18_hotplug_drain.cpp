@@ -28,8 +28,9 @@
 // bank flag home); and the hotplug ledger reconciles (banks out == banks
 // back, stranded backlog == frames_drained_during_quiesce).
 #include <cstring>
+#include <limits>
 
-#include "common/pump.hpp"
+#include "benchlib/send_loop.hpp"
 #include "fig_common.hpp"
 
 namespace twochains::bench {
@@ -76,37 +77,36 @@ HotplugResult RunHotplug(std::uint32_t pool_cores) {
   options.runtime_overrides[0].receiver_cores = pool_cores;
   options.runtime_overrides[0].sender_core = pool_cores;
   core::Fabric fabric(options);
-  auto package = BuildBenchPackage();
-  if (!package.ok() || !fabric.LoadPackage(*package).ok()) {
-    std::fprintf(stderr, "fabric setup failed\n");
-    std::abort();
-  }
+  LoadBenchPackage(fabric);
   core::Runtime& hub = fabric.runtime(0);
 
   HotplugResult r;
   r.pool = pool_cores;
 
   // Skewed offered load: even-indexed senders (hub peers 0, 2, 4, 6) push
-  // flat out; odd ones are paced by kLightGap per message.
-  struct Sender {
-    core::PeerId to_hub = core::kInvalidPeer;
-    std::uint64_t sent = 0;
-    bool hot = false;
-  };
-  std::vector<Sender> senders(kSenders);
+  // flat out; odd ones are paced by kLightGap per message. All of them
+  // keep sending until the hub has executed kMeasuredCompletions.
+  const std::vector<std::uint8_t> usr(1024, 0xC3);
+  std::vector<SendFlow> flows;
   for (std::uint32_t s = 0; s < kSenders; ++s) {
-    senders[s].hot = (s % 2 == 0);
-    senders[s].to_hub = MustOk(fabric.PeerIdFor(s + 1, 0), "peer lookup");
+    flows.push_back({.src = s + 1,
+                     .dst = 0,
+                     .count = std::numeric_limits<std::uint64_t>::max(),
+                     .next =
+                         [&usr](std::uint64_t n) {
+                           return FlowMessage{
+                               .jam = "ssum", .args = {n & 127}, .usr = usr};
+                         },
+                     .gap = s % 2 == 0 ? PicoTime{0} : kLightGap});
   }
-  bool stop_sending = false;
-  std::uint64_t total_sent = 0;
+  SendLoops loops(fabric, std::move(flows));
 
   const std::uint64_t quiesce_after = kMeasuredCompletions / 3;
   const std::uint64_t revive_after = (2 * kMeasuredCompletions) / 3;
   hub.SetOnExecuted([&](const core::ReceivedMessage& msg) {
     ++r.executed;
     r.completions.push_back(msg.completed_at);
-    if (r.executed == kMeasuredCompletions) stop_sending = true;
+    if (r.executed == kMeasuredCompletions) loops.Stop();
     if (r.executed == quiesce_after) {
       fabric.engine().ScheduleAfter(0, [&] {
         r.quiesced_at = fabric.engine().Now();
@@ -125,36 +125,10 @@ HotplugResult RunHotplug(std::uint32_t pool_cores) {
       }, "fig18.revive");
     }
   });
-
-  const std::vector<std::uint8_t> usr(1024, 0xC3);
-  PumpLoop<std::uint32_t> pump;
-  pump.Set([&, resume = pump.Handle()](std::uint32_t s) {
-    Sender& sender = senders[s];
-    core::Runtime& rt = fabric.runtime(s + 1);
-    if (stop_sending) return;
-    if (!rt.HasFreeSlot(sender.to_hub)) {
-      rt.NotifyWhenSlotFree(sender.to_hub, [resume, s] { resume(s); });
-      return;
-    }
-    const std::vector<std::uint64_t> args = {sender.sent & 127};
-    auto receipt = rt.Send(sender.to_hub, "ssum", core::Invoke::kInjected,
-                           args, usr);
-    if (!receipt.ok()) {
-      std::fprintf(stderr, "send failed: %s\n",
-                   receipt.status().ToString().c_str());
-      std::abort();
-    }
-    ++sender.sent;
-    ++total_sent;
-    fabric.engine().ScheduleAfter(
-        receipt->sender_cost + (sender.hot ? 0 : kLightGap),
-        [resume, s] { resume(s); }, "fig18.send");
-  });
-  for (std::uint32_t s = 0; s < kSenders; ++s) pump(s);
   fabric.Run();
   hub.SetOnExecuted(nullptr);
+  MustOk(loops.status(), "send loops");
 
-  r.total = total_sent;
   r.drained_at = fabric.engine().Now();
   r.banks_resharded = hub.stats().banks_resharded;
   r.frames_drained_during_quiesce =
@@ -162,8 +136,9 @@ HotplugResult RunHotplug(std::uint32_t pool_cores) {
   r.in_flight_at_end = hub.InFlightFrames();
   r.pending_rehomes_at_end = hub.PendingRehomes();
   for (std::uint32_t s = 0; s < kSenders; ++s) {
-    r.closed_send_banks +=
-        fabric.runtime(s + 1).ClosedSendBanks(senders[s].to_hub);
+    r.total += loops.sent(s);
+    r.closed_send_banks += fabric.runtime(s + 1).ClosedSendBanks(
+        MustOk(fabric.PeerIdFor(s + 1, 0), "peer lookup"));
   }
 
   // Phase rates off the completion timeline, windowed by completion

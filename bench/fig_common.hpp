@@ -17,21 +17,39 @@
 
 namespace twochains::bench {
 
+/// Aborts the process (non-zero) on harness errors; shape-check failures
+/// only print FAIL so the whole bench suite always runs to completion.
+inline void MustOk(const Status& status, const char* what) {
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s failed: %s\n", what, status.ToString().c_str());
+    std::abort();
+  }
+}
+
+template <typename T>
+inline T MustOk(StatusOr<T> value, const char* what) {
+  MustOk(value.status(), what);
+  return std::move(value).value();
+}
+
+/// The benchmark package, compiled once per process: the build is
+/// deterministic, so every testbed and fabric can load the same image.
+inline const pkg::Package& BenchPackage() {
+  static const pkg::Package package =
+      MustOk(BuildBenchPackage(), "package build");
+  return package;
+}
+
+/// Loads the benchmark package on every host of @p fabric.
+inline void LoadBenchPackage(core::Fabric& fabric) {
+  MustOk(fabric.LoadPackage(BenchPackage()), "package load");
+}
+
 /// A fresh paper-testbed with the benchmark package loaded.
 inline std::unique_ptr<core::Testbed> MakeBenchTestbed(
     core::TestbedOptions options = PaperTestbed()) {
   auto testbed = std::make_unique<core::Testbed>(options);
-  auto package = BuildBenchPackage();
-  if (!package.ok()) {
-    std::fprintf(stderr, "package build failed: %s\n",
-                 package.status().ToString().c_str());
-    std::abort();
-  }
-  Status st = testbed->LoadPackage(*package);
-  if (!st.ok()) {
-    std::fprintf(stderr, "package load failed: %s\n", st.ToString().c_str());
-    std::abort();
-  }
+  LoadBenchPackage(testbed->fabric());
   return testbed;
 }
 
@@ -138,18 +156,6 @@ inline AmConfig SsumConfig(std::uint64_t usr_bytes, core::Invoke mode) {
   config.warmup = config.iterations / 5;
   config.args = [](std::uint64_t) { return std::vector<std::uint64_t>{}; };
   return config;
-}
-
-/// Aborts the process (non-zero) on harness errors; shape-check failures
-/// only print FAIL so the whole bench suite always runs to completion.
-template <typename T>
-inline T MustOk(StatusOr<T> value, const char* what) {
-  if (!value.ok()) {
-    std::fprintf(stderr, "%s failed: %s\n", what,
-                 value.status().ToString().c_str());
-    std::abort();
-  }
-  return std::move(value).value();
 }
 
 inline int FinishChecks(bool all_ok) {

@@ -16,7 +16,7 @@
 #include <set>
 #include <vector>
 
-#include "common/pump.hpp"
+#include "benchlib/send_loop.hpp"
 #include "common/rng.hpp"
 #include "core/two_chains.hpp"
 
@@ -92,35 +92,28 @@ int main() {
   }
 
   // Scatter: push edges through flow control as fast as banks allow.
-  std::size_t sent = 0;
   int executed = 0;
   int failures = 0;
   testbed.runtime(1).SetOnExecuted([&](const two_chains::ReceivedMessage& m) {
     ++executed;
     if (static_cast<std::int64_t>(m.return_value) < 0) ++failures;
   });
-  PumpLoop<> pump;
-  pump.Set([&, resume = pump.Handle()] {
-    while (sent < edges.size()) {
-      if (!testbed.runtime(0).HasFreeSlot()) {
-        testbed.runtime(0).NotifyWhenSlotFree(resume);
-        return;
-      }
-      const std::vector<std::uint64_t> args = {
-          static_cast<std::uint64_t>(edges[sent].first),
-          static_cast<std::uint64_t>(edges[sent].second)};
-      auto receipt = testbed.runtime(0).Send(
-          "add_edge", two_chains::Invoke::kInjected, args, {});
-      if (!receipt.ok()) {
-        std::fprintf(stderr, "send: %s\n",
-                     receipt.status().ToString().c_str());
-        return;
-      }
-      ++sent;
-    }
-  });
-  pump();
+  const bench::SendLoops scatter(
+      testbed.fabric(),
+      {{.src = 0,
+        .dst = 1,
+        .count = edges.size(),
+        .next = [&edges](std::uint64_t n) {
+          return bench::FlowMessage{
+              .jam = "add_edge",
+              .args = {static_cast<std::uint64_t>(edges[n].first),
+                       static_cast<std::uint64_t>(edges[n].second)}};
+        }}});
   testbed.RunUntil([&] { return executed == kEdges; });
+  if (!scatter.status().ok()) {
+    std::fprintf(stderr, "send: %s\n", scatter.status().ToString().c_str());
+    return 1;
+  }
 
   std::printf("scattered %d edges; %d handler executions, %d row-capacity "
               "rejections\n", kEdges, executed, failures);

@@ -17,7 +17,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "common/pump.hpp"
+#include "benchlib/send_loop.hpp"
 #include "core/two_chains.hpp"
 #include "pkg/package.hpp"
 
@@ -82,26 +82,20 @@ RunResult RunOnce(bool pinned) {
 
   std::vector<std::uint8_t> usr(1024, 0);
   for (std::size_t i = 0; i < usr.size(); i += 8) usr[i] = 1;
-  int sent = 0;
-  PumpLoop<> pump;
-  pump.Set([&, resume = pump.Handle()] {
-    while (sent < total) {
-      if (!testbed.runtime(0).HasFreeSlot()) {
-        testbed.runtime(0).NotifyWhenSlotFree(resume);
-        return;
-      }
-      auto receipt =
-          testbed.runtime(0).Send("fold", core::Invoke::kInjected, {}, usr);
-      if (!receipt.ok()) {
-        std::fprintf(stderr, "send failed: %s\n",
-                     receipt.status().ToString().c_str());
-        std::exit(1);
-      }
-      ++sent;
-    }
-  });
-  pump();
+  const bench::SendLoops sender(
+      testbed.fabric(),
+      {{.src = 0,
+        .dst = 1,
+        .count = total,
+        .next = [&usr](std::uint64_t) {
+          return bench::FlowMessage{.jam = "fold", .usr = usr};
+        }}});
   testbed.RunUntil([&] { return executed >= total; });
+  if (!sender.status().ok()) {
+    std::fprintf(stderr, "send failed: %s\n",
+                 sender.status().ToString().c_str());
+    std::exit(1);
+  }
   if (executed < total) {
     std::fprintf(stderr, "run stalled at %d/%d\n", executed, total);
     std::exit(1);

@@ -1,8 +1,11 @@
 #include "benchlib/perftest.hpp"
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 
+#include "benchlib/send_loop.hpp"
 #include "common/pump.hpp"
 #include "common/strfmt.hpp"
 #include "cpu/spinwait.hpp"
@@ -86,7 +89,6 @@ StatusOr<PingPongResult> RunAmPingPong(core::Testbed& testbed,
 
 StatusOr<RateResult> RunAmInjectionRate(core::Testbed& testbed,
                                         const AmConfig& config) {
-  core::Runtime& sender = testbed.runtime(0);
   core::Runtime& receiver = testbed.runtime(1);
   const ArgsFn args_fn = config.args ? config.args : DefaultArgs;
   const std::uint16_t flags = config.no_execute
@@ -98,39 +100,27 @@ StatusOr<RateResult> RunAmInjectionRate(core::Testbed& testbed,
   RateResult result;
   result.messages = total;
 
-  std::uint64_t sent = 0;
+  std::optional<PicoTime> first_send;
   std::uint64_t completed = 0;
-  PicoTime first_send = 0;
   PicoTime last_complete = 0;
-  bool started = false;
   bool done = false;
-  Status failure;
 
-  PumpLoop<> send_loop;
-  send_loop.Set([&, resume = send_loop.Handle()]() {
-    if (sent >= total || !failure.ok()) return;
-    if (!sender.HasFreeSlot()) {
-      sender.NotifyWhenSlotFree(resume);
-      return;
-    }
-    if (!started) {
-      started = true;
-      first_send = testbed.engine().Now();
-    }
-    auto receipt =
-        sender.Send(config.jam, config.mode, args_fn(sent), usr, flags);
-    if (!receipt.ok()) {
-      failure = receipt.status();
-      testbed.engine().Stop();
-      return;
-    }
-    result.frame_len = receipt->frame_len;
-    result.wire_bytes += receipt->frame_len;
-    ++sent;
-    // The sender core is busy for sender_cost; next message after that.
-    testbed.engine().ScheduleAfter(receipt->sender_cost, resume,
-                                   "bench.send");
-  });
+  SendLoops sender(
+      testbed.fabric(),
+      {{.src = 0,
+        .dst = 1,
+        .count = total,
+        .next =
+            [&](std::uint64_t n) {
+              return FlowMessage{config.jam, config.mode, args_fn(n), usr,
+                                 flags};
+            },
+        .on_sent =
+            [&](const core::SendReceipt& receipt) {
+              if (!first_send) first_send = testbed.engine().Now();
+              result.frame_len = receipt.frame_len;
+              result.wire_bytes += receipt.frame_len;
+            }}});
 
   receiver.SetOnExecuted([&](const core::ReceivedMessage& msg) {
     ++completed;
@@ -141,13 +131,12 @@ StatusOr<RateResult> RunAmInjectionRate(core::Testbed& testbed,
     }
   });
 
-  send_loop();
-  testbed.RunUntil([&] { return done || !failure.ok(); });
-  if (!failure.ok()) return failure;
-  if (!done) return Internal("injection-rate run stalled");
+  testbed.RunUntil([&] { return done; });
   receiver.SetOnExecuted(nullptr);
+  TC_RETURN_IF_ERROR(sender.status());
+  if (!done) return Internal("injection-rate run stalled");
 
-  result.duration = last_complete - first_send;
+  result.duration = last_complete - *first_send;
   result.messages_per_second = MessagesPerSecond(total, result.duration);
   result.megabytes_per_second =
       MegabytesPerSecond(result.wire_bytes, result.duration);
@@ -155,64 +144,41 @@ StatusOr<RateResult> RunAmInjectionRate(core::Testbed& testbed,
   return result;
 }
 
-namespace {
-
-/// Shared run state for RunIncastRate. Heap-allocated and captured by
-/// shared_ptr in every pump/waiter callback, so events or slot-waiters
-/// that outlive the call (e.g. after an early Stop()) stay harmless.
-struct IncastCtx {
-  struct Sender {
-    core::Runtime* runtime = nullptr;
-    core::PeerId to_receiver = core::kInvalidPeer;  // on the sender
-    std::uint64_t target = 0;  ///< messages this sender pushes (skew-aware)
-    std::uint32_t weight = 1;
-    std::uint64_t sent = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t flow_control_waits = 0;
-    std::map<std::uint32_t, PicoTime> send_time;  // by sn (sns may be sparse)
-  };
-  std::vector<Sender> senders;
-  std::map<core::PeerId, std::size_t> by_rx_peer;  // receiver-side id -> idx
-  std::vector<std::uint8_t> usr;
-  ArgsFn args;
-  std::string jam;
-  core::Invoke mode = core::Invoke::kInjected;
-  std::uint64_t per_sender = 0;
-  std::uint64_t total = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t frame_len = 0;
-  PicoTime first_send = 0;
-  PicoTime last_complete = 0;
-  bool started = false;
-  bool done = false;
-  bool active = true;  ///< cleared when RunIncastRate returns
-  Status failure;
-  LatencySample latency;
-};
-
-}  // namespace
-
 StatusOr<IncastResult> RunIncastRate(core::Fabric& fabric,
                                      std::uint32_t receiver,
                                      const std::vector<std::uint32_t>& senders,
                                      const IncastConfig& config) {
   if (senders.empty()) return InvalidArgument("no senders");
-  core::Runtime& rx = fabric.runtime(receiver);
-
-  auto ctx = std::make_shared<IncastCtx>();
-  ctx->usr.assign(config.usr_bytes, 0xC3);
-  ctx->args = config.args ? config.args : DefaultArgs;
-  ctx->jam = config.jam;
-  ctx->mode = config.mode;
   if (!config.sender_weights.empty() &&
       config.sender_weights.size() != senders.size()) {
     return InvalidArgument(
         StrFormat("%zu sender_weights for %zu senders",
                   config.sender_weights.size(), senders.size()));
   }
-  ctx->per_sender = config.iterations_per_sender;
-  ctx->total = 0;
-  ctx->senders.resize(senders.size());
+  core::Runtime& rx = fabric.runtime(receiver);
+  const ArgsFn args_fn = config.args ? config.args : DefaultArgs;
+  const std::vector<std::uint8_t> usr(config.usr_bytes, 0xC3);
+
+  // Lane-partitioned like openloop.cpp, so a laned fabric runs race-free
+  // and identical to the scalar one: a Sender is written only by its
+  // flow's on_sent (the sender's lane), `completions` only by the
+  // receiver's hook (the receiver's lane), and sends are matched to
+  // completions after the run.
+  struct Sender {
+    std::uint32_t weight = 1;
+    std::optional<PicoTime> first_send;
+    std::uint64_t wire_bytes = 0;
+    std::map<std::uint32_t, PicoTime> send_time;  // by sn (sns may be sparse)
+  };
+  struct Completion {
+    std::size_t sender = 0;
+    std::uint32_t sn = 0;
+    PicoTime at = 0;
+  };
+  std::vector<Sender> state(senders.size());
+  std::map<core::PeerId, std::size_t> by_rx_peer;  // receiver-side id -> idx
+  std::vector<SendFlow> flows;
+  std::uint64_t total = 0;
   for (std::size_t i = 0; i < senders.size(); ++i) {
     if (senders[i] == receiver) {
       return InvalidArgument("receiver cannot also be a sender");
@@ -221,100 +187,89 @@ StatusOr<IncastResult> RunIncastRate(core::Fabric& fabric,
     // pushes nothing (and is excluded from the fairness normalization
     // below — dividing its zero rate by a zero weight would poison Jain
     // with NaN).
-    const std::uint32_t weight =
+    state[i].weight =
         config.sender_weights.empty() ? 1u : config.sender_weights[i];
-    ctx->senders[i].weight = weight;
-    ctx->senders[i].target = ctx->per_sender * weight;
-    ctx->total += ctx->senders[i].target;
-    ctx->senders[i].runtime = &fabric.runtime(senders[i]);
-    TC_ASSIGN_OR_RETURN(ctx->senders[i].to_receiver,
-                        fabric.PeerIdFor(senders[i], receiver));
     TC_ASSIGN_OR_RETURN(const core::PeerId rx_peer,
                         fabric.PeerIdFor(receiver, senders[i]));
-    if (!ctx->by_rx_peer.emplace(rx_peer, i).second) {
+    if (!by_rx_peer.emplace(rx_peer, i).second) {
       return InvalidArgument("duplicate sender host");
     }
+    flows.push_back(
+        {.src = senders[i],
+         .dst = receiver,
+         .count = std::uint64_t{config.iterations_per_sender} *
+                  state[i].weight,
+         .next =
+             [&](std::uint64_t n) {
+               return FlowMessage{config.jam, config.mode, args_fn(n), usr};
+             },
+         .on_sent =
+             [&fabric, &s = state[i]](const core::SendReceipt& receipt) {
+               const PicoTime now = fabric.engine().Now();
+               if (!s.first_send) s.first_send = now;
+               s.wire_bytes += receipt.frame_len;
+               s.send_time[receipt.sn] = now;
+             }});
+    total += flows.back().count;
   }
-  if (ctx->total == 0) {
+  if (total == 0) {
     return InvalidArgument("every sender weight is zero (nothing to send)");
   }
-  ctx->latency = LatencySample(ctx->total);
 
-  // One pump per sender, each paced by its own sender CPU and its own
-  // per-peer flow control toward the receiver.
-  std::vector<PumpLoop<>> pumps(senders.size());
-  for (std::size_t i = 0; i < senders.size(); ++i) {
-    pumps[i].Set([ctx, &fabric, i, resume = pumps[i].Handle()]() {
-      if (!ctx->active) return;
-      IncastCtx::Sender& s = ctx->senders[i];
-      if (s.sent >= s.target || !ctx->failure.ok()) return;
-      if (!s.runtime->HasFreeSlot(s.to_receiver)) {
-        ++s.flow_control_waits;
-        s.runtime->NotifyWhenSlotFree(s.to_receiver, resume);
-        return;
-      }
-      if (!ctx->started) {
-        ctx->started = true;
-        ctx->first_send = fabric.engine().Now();
-      }
-      auto receipt = s.runtime->Send(s.to_receiver, ctx->jam, ctx->mode,
-                                     ctx->args(s.sent), ctx->usr);
-      if (!receipt.ok()) {
-        ctx->failure = receipt.status();
-        fabric.engine().Stop();
-        return;
-      }
-      s.send_time[receipt->sn] = fabric.engine().Now();
-      ctx->frame_len = receipt->frame_len;
-      ++s.sent;
-      fabric.engine().ScheduleAfter(receipt->sender_cost, resume,
-                                    "incast.send");
-    });
-  }
+  // One closed loop per sender, each paced by its own sender CPU and its
+  // own per-peer flow control toward the receiver.
+  SendLoops loops(fabric, std::move(flows));
+  TC_RETURN_IF_ERROR(loops.status());
 
-  rx.SetOnExecuted([ctx, &fabric](const core::ReceivedMessage& msg) {
-    const auto it = ctx->by_rx_peer.find(msg.from);
-    if (it == ctx->by_rx_peer.end()) return;  // not one of our senders
-    IncastCtx::Sender& s = ctx->senders[it->second];
-    ++s.completed;
-    ++ctx->completed;
-    ctx->last_complete = msg.completed_at;
-    const auto sent_at = s.send_time.find(msg.sn);
-    if (sent_at != s.send_time.end()) {
-      ctx->latency.Add(msg.completed_at - sent_at->second);
-      s.send_time.erase(sent_at);
-    }
-    if (ctx->completed >= ctx->total) {
-      ctx->done = true;
+  std::vector<Completion> completions;
+  completions.reserve(total);
+  bool done = false;
+  rx.SetOnExecuted([&](const core::ReceivedMessage& msg) {
+    if (done) return;  // a laned run finishes its window past the cut
+    const auto it = by_rx_peer.find(msg.from);
+    if (it == by_rx_peer.end()) return;  // not one of our senders
+    completions.push_back({it->second, msg.sn, msg.completed_at});
+    if (completions.size() >= total) {
+      done = true;
       fabric.engine().Stop();
     }
   });
-
-  for (auto& pump : pumps) pump();
-  fabric.RunUntil([&] { return ctx->done || !ctx->failure.ok(); });
+  fabric.RunUntil([&] { return done; });
   rx.SetOnExecuted(nullptr);
-  ctx->active = false;  // defuse any still-parked pump callbacks
-  if (!ctx->failure.ok()) return ctx->failure;
-  if (!ctx->done) return Internal("incast run stalled (flow control deadlock?)");
+  TC_RETURN_IF_ERROR(loops.status());
+  if (!done) return Internal("incast run stalled (flow control deadlock?)");
 
   IncastResult result;
-  result.frame_len = ctx->frame_len;
-  result.latency = std::move(ctx->latency);
-  result.duration = ctx->last_complete - ctx->first_send;
+  result.latency = LatencySample(total);
+  std::vector<std::uint64_t> completed(senders.size(), 0);
+  for (const Completion& c : completions) {
+    ++completed[c.sender];
+    auto& send_time = state[c.sender].send_time;
+    const auto sent_at = send_time.find(c.sn);
+    if (sent_at != send_time.end()) {
+      result.latency.Add(c.at - sent_at->second);
+      send_time.erase(sent_at);
+    }
+  }
+  PicoTime first_send = completions.back().at;  // every send precedes it
+  for (const Sender& s : state) {
+    if (s.first_send) first_send = std::min(first_send, *s.first_send);
+    result.wire_bytes += s.wire_bytes;
+  }
+  result.duration = completions.back().at - first_send;
   result.aggregate_messages_per_second =
-      MessagesPerSecond(ctx->total, result.duration);
+      MessagesPerSecond(total, result.duration);
   result.aggregate_megabytes_per_second =
-      MegabytesPerSecond(ctx->total * result.frame_len, result.duration);
+      MegabytesPerSecond(result.wire_bytes, result.duration);
 
   double sum = 0, sum_sq = 0;
   std::size_t participants = 0;
   for (std::size_t i = 0; i < senders.size(); ++i) {
     IncastSenderResult sr;
     sr.host = senders[i];
-    sr.messages = ctx->senders[i].completed;
-    sr.messages_per_second =
-        MessagesPerSecond(ctx->senders[i].completed, result.duration);
-    sr.flow_control_waits = ctx->senders[i].flow_control_waits;
+    sr.messages = completed[i];
+    sr.messages_per_second = MessagesPerSecond(completed[i], result.duration);
+    sr.flow_control_waits = loops.flow_control_waits(i);
     // Under a skewed load, fairness is per *offered* load: normalize each
     // sender's rate by its weight so Jain still reads 1.0 when everyone
     // completes in proportion to what they pushed. Weight-0 (silent)
@@ -322,9 +277,8 @@ StatusOr<IncastResult> RunIncastRate(core::Fabric& fabric,
     // the denominator — dividing by their zero weight would yield
     // inf/NaN, and counting them as a zero share would misread a fully
     // fair run as unfair.
-    if (ctx->senders[i].weight > 0) {
-      const double normalized =
-          sr.messages_per_second / ctx->senders[i].weight;
+    if (state[i].weight > 0) {
+      const double normalized = sr.messages_per_second / state[i].weight;
       sum += normalized;
       sum_sq += normalized * normalized;
       ++participants;

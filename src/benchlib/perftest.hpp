@@ -89,7 +89,7 @@ struct IncastSenderResult {
   std::uint32_t host = 0;                 ///< fabric host index
   std::uint64_t messages = 0;
   double messages_per_second = 0;
-  /// Times this sender's pump had to park on NotifyWhenSlotFree (its bank
+  /// Times this sender had to park on NotifyWhenSlotFree (its bank
   /// flags toward the receiver were all out).
   std::uint64_t flow_control_waits = 0;
 };
@@ -103,7 +103,9 @@ struct IncastResult {
   /// Send-to-completion latency across all messages (p99 = the incast tail).
   LatencySample latency;
   PicoTime duration = 0;
-  std::uint64_t frame_len = 0;
+  /// Total frame bytes the senders put on the wire (sum of receipt
+  /// frame_len over every send), as in RateResult.
+  std::uint64_t wire_bytes = 0;
 };
 
 /// N senders inject into one receiver, each paced only by its own per-peer

@@ -1,6 +1,7 @@
-// Self-rescheduling callback loops ("pumps") for benches, examples, and
-// tests: a message pump parks itself on a flow-control waiter or a
-// scheduled event and re-enters when poked.
+// Self-rescheduling callback loops ("pumps"): a pump parks itself on a
+// flow-control waiter or a scheduled event and re-enters when poked.
+// Closed-loop Runtime::Send senders use bench::SendLoops
+// (benchlib/send_loop.hpp), which follows the same weak-handle rule.
 //
 // The naive idiom —
 //   auto pump = std::make_shared<std::function<void()>>();

@@ -7,8 +7,8 @@
 #include <map>
 #include <vector>
 
+#include "benchlib/send_loop.hpp"
 #include "benchlib/workloads.hpp"
-#include "common/pump.hpp"
 #include "core/frame.hpp"
 #include "core/two_chains.hpp"
 
@@ -203,6 +203,15 @@ TEST(FrameCodecTest, PreSlotPatching) {
 
 // -------------------------------------------------------------- testbed
 
+/// The n-th message of a counting stream: an injected ssum over the one
+/// word n + 1, so the returns of `total` sends add up to 1 + ... + total.
+bench::FlowMessage CountingSsum(std::uint64_t n) {
+  bench::FlowMessage msg{.jam = "ssum", .usr = std::vector<std::uint8_t>(8)};
+  const std::uint64_t v = n + 1;
+  std::memcpy(msg.usr.data(), &v, 8);
+  return msg;
+}
+
 class TwoChainsTest : public ::testing::Test {
  protected:
   static TestbedOptions Options() {
@@ -335,26 +344,11 @@ TEST_F(TwoChainsTest, ManyMessagesExerciseBankRecycling) {
     ++executed;
     sum_of_returns += msg.return_value;
   });
-  std::vector<std::uint8_t> usr(8);
-  int sent = 0;
-  // Pump sends through flow control.
-  PumpLoop<> pump;
-  pump.Set([&, resume = pump.Handle()] {
-    while (sent < total) {
-      if (!testbed_->runtime(0).HasFreeSlot()) {
-        testbed_->runtime(0).NotifyWhenSlotFree(resume);
-        return;
-      }
-      const std::uint64_t v = static_cast<std::uint64_t>(sent + 1);
-      std::memcpy(usr.data(), &v, 8);
-      auto receipt =
-          testbed_->runtime(0).Send("ssum", Invoke::kInjected, {}, usr);
-      ASSERT_TRUE(receipt.ok()) << receipt.status();
-      ++sent;
-    }
-  });
-  pump();
+  const bench::SendLoops loops(
+      testbed_->fabric(),
+      {{.src = 0, .dst = 1, .count = total, .next = CountingSsum}});
   testbed_->RunUntil([&] { return executed == total; });
+  ASSERT_TRUE(loops.status().ok()) << loops.status();
   EXPECT_EQ(executed, total);
   // sum of 1..50
   EXPECT_EQ(sum_of_returns, 50u * 51 / 2);
@@ -581,24 +575,11 @@ TEST_F(TwoChainsTest, ReceiverPoolSharesTheDrain) {
     ++executed;
     sum_of_returns += msg.return_value;
   });
-  std::vector<std::uint8_t> usr(8);
-  int sent = 0;
-  PumpLoop<> pump;
-  pump.Set([&, resume = pump.Handle()] {
-    while (sent < total) {
-      if (!testbed_->runtime(0).HasFreeSlot()) {
-        testbed_->runtime(0).NotifyWhenSlotFree(resume);
-        return;
-      }
-      const std::uint64_t v = static_cast<std::uint64_t>(sent + 1);
-      std::memcpy(usr.data(), &v, 8);
-      ASSERT_TRUE(
-          testbed_->runtime(0).Send("ssum", Invoke::kInjected, {}, usr).ok());
-      ++sent;
-    }
-  });
-  pump();
+  const bench::SendLoops loops(
+      testbed_->fabric(),
+      {{.src = 0, .dst = 1, .count = total, .next = CountingSsum}});
   testbed_->RunUntil([&] { return executed == total; });
+  ASSERT_TRUE(loops.status().ok()) << loops.status();
   EXPECT_EQ(executed, total);
   EXPECT_EQ(sum_of_returns,
             static_cast<std::uint64_t>(total) * (total + 1) / 2);
@@ -828,24 +809,18 @@ TEST_F(TwoChainsTest, StrictBankRotationWaitsOutAStalledPoolCore) {
   rx.SetOnExecuted([&](const ReceivedMessage& msg) {
     slot_by_sn[msg.sn] = msg.slot;
   });
-  std::vector<std::uint8_t> usr(8, 1);
-  int sent = 0;
-  PumpLoop<> pump;
-  pump.Set([&, resume = pump.Handle()] {
-    while (sent < total) {
-      if (!testbed_->runtime(0).HasFreeSlot()) {
-        testbed_->runtime(0).NotifyWhenSlotFree(resume);
-        return;
-      }
-      const std::vector<std::uint64_t> args = {1};
-      ASSERT_TRUE(
-          testbed_->runtime(0).Send("nop", Invoke::kInjected, args, usr)
-              .ok());
-      ++sent;
-    }
-  });
-  pump();
+  const bench::SendLoops loops(
+      testbed_->fabric(),
+      {{.src = 0,
+        .dst = 1,
+        .count = total,
+        .next = [](std::uint64_t) {
+          return bench::FlowMessage{.jam = "nop",
+                                    .args = {1},
+                                    .usr = std::vector<std::uint8_t>(8, 1)};
+        }}});
   testbed_->RunUntil([&] { return slot_by_sn.size() == total; });
+  ASSERT_TRUE(loops.status().ok()) << loops.status();
   ASSERT_EQ(slot_by_sn.size(), static_cast<std::size_t>(total));
   // The i-th send lands in slot i mod (banks x slots), stall or not.
   std::uint32_t i = 0;

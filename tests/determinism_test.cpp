@@ -11,15 +11,13 @@
 // steal-off run.
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <functional>
-#include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "benchlib/send_loop.hpp"
 #include "benchlib/workloads.hpp"
-#include "common/pump.hpp"
 #include "common/rng.hpp"
 #include "common/strfmt.hpp"
 #include "core/fabric.hpp"
@@ -54,47 +52,19 @@ FabricOptions PoolOptions(std::uint32_t receiver_cores) {
 /// ssum, varying payloads) from every spoke into the hub; returns once
 /// the engine drains.
 void RunSeededIncast(Fabric& fabric) {
-  struct Sender {
-    PeerId to_hub = kInvalidPeer;
-    std::uint32_t sent = 0;
-    Xoshiro256 rng{0};
-  };
-  auto senders = std::make_shared<std::vector<Sender>>(kSenders);
+  std::vector<bench::SendFlow> flows;
   for (std::uint32_t s = 0; s < kSenders; ++s) {
-    auto peer = fabric.PeerIdFor(s + 1, 0);
-    ASSERT_TRUE(peer.ok());
-    (*senders)[s].to_hub = *peer;
-    (*senders)[s].rng = Xoshiro256(kSeed + 7919 * s);
+    flows.push_back(
+        {.src = s + 1,
+         .dst = 0,
+         .count = kMessagesPerSender,
+         .next = [rng = Xoshiro256(kSeed + 7919 * s)](std::uint64_t) mutable {
+           return pooltest::MixedMessage(rng, 16);
+         }});
   }
-
-  PumpLoop<std::uint32_t> pump;
-  pump.Set([senders, &fabric, resume = pump.Handle()](std::uint32_t s) {
-    Sender& sender = (*senders)[s];
-    Runtime& rt = fabric.runtime(s + 1);
-    if (sender.sent >= kMessagesPerSender) return;
-    if (!rt.HasFreeSlot(sender.to_hub)) {
-      rt.NotifyWhenSlotFree(sender.to_hub, [resume, s] { resume(s); });
-      return;
-    }
-    const std::uint64_t kind = sender.rng.NextBelow(4);
-    const std::string jam = kind == 1 ? "iput" : kind == 2 ? "nop" : "ssum";
-    const Invoke mode = kind == 3 ? Invoke::kLocal : Invoke::kInjected;
-    const std::vector<std::uint64_t> args = {sender.rng.NextBelow(128)};
-    std::vector<std::uint8_t> usr(8 * (1 + sender.rng.NextBelow(16)));
-    for (std::size_t i = 0; i < usr.size(); i += 8) {
-      const std::uint64_t v = sender.rng.Next();
-      std::memcpy(usr.data() + i, &v, 8);
-    }
-    auto receipt = rt.Send(sender.to_hub, jam, mode, args, usr);
-    ASSERT_TRUE(receipt.ok()) << receipt.status();
-    ++sender.sent;
-    // Homed to the spoke's lane: the pump mutates that spoke's runtime
-    // state, which must only ever be touched from its own lane.
-    fabric.engine().ScheduleAfterOn(s + 1, receipt->sender_cost,
-                                    [resume, s] { resume(s); }, "det.send");
-  });
-  for (std::uint32_t s = 0; s < kSenders; ++s) pump(s);
+  const bench::SendLoops loops(fabric, std::move(flows));
   fabric.Run();
+  ASSERT_TRUE(loops.status().ok()) << loops.status();
 }
 
 /// Serializes everything an observer can see — engine counters, every

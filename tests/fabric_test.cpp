@@ -11,9 +11,9 @@
 #include <vector>
 
 #include "benchlib/perftest.hpp"
+#include "benchlib/send_loop.hpp"
 #include "benchlib/stress.hpp"
 #include "benchlib/workloads.hpp"
-#include "common/pump.hpp"
 #include "core/fabric.hpp"
 
 namespace twochains::core {
@@ -193,66 +193,63 @@ TEST(FabricTest, PerPeerFlowControlIsolation) {
   EXPECT_EQ(fabric->runtime(2).stats().messages_executed, 8u);
 }
 
-TEST(FabricTest, BankFlagsReturnToOwningSenderUnderInterleavedTraffic) {
-  // Two senders incast one receiver with interleaved streams, several bank
-  // cycles deep. Each sender's flow control must be replenished by its own
-  // flags (never the other sender's), and every payload must execute from
-  // the mailbox slice of the peer that sent it.
-  auto fabric = MakeLoadedFabric(SmallOptions(3, Topology::kStar, 2));
-  Runtime& receiver = fabric->runtime(2);
-  const int kPerSender = 40;  // 5 bank cycles at 2x4 slots
+constexpr int kPerSender = 40;  // 5 bank cycles at 2x4 slots
 
+/// Hosts 0 and 1 each send kPerSender ssums to host 2, interleaved, each
+/// parking on its own flow control. Sender 0's one-word payloads are odd
+/// and sender 1's even, so the receiver's per-peer counts and sums show
+/// that every payload executed from the mailbox slice of its own sender.
+void ExpectInterleavedStreamsArriveIntact(Fabric& fabric) {
+  Runtime& receiver = fabric.runtime(2);
   std::map<PeerId, std::uint64_t> sum_by_peer;
   std::map<PeerId, int> count_by_peer;
   receiver.SetOnExecuted([&](const ReceivedMessage& msg) {
     sum_by_peer[msg.from] += msg.return_value;
     ++count_by_peer[msg.from];
   });
-
   std::uint64_t expect_sum[2] = {0, 0};
-  int sent[2] = {0, 0};
-  std::vector<std::uint8_t> usr(8);
-
-  // Interleave: alternate pumps, each parking on its own flow control.
-  PumpLoop<int> pump;
-  pump.Set([&, resume = pump.Handle()](int s) {
-    Runtime& sender = fabric->runtime(s);
-    const PeerId to_rx = *fabric->PeerIdFor(s, 2);
-    while (sent[s] < kPerSender) {
-      if (!sender.HasFreeSlot(to_rx)) {
-        sender.NotifyWhenSlotFree(to_rx, [resume, s] { resume(s); });
-        return;
-      }
-      // Distinct value streams: sender 0 sends odd, sender 1 sends even.
-      const std::uint64_t v = 2 * (sent[s] + 1) + (s == 0 ? 1 : 0);
-      std::memcpy(usr.data(), &v, 8);
-      expect_sum[s] += v;
-      ASSERT_TRUE(sender.Send(to_rx, "ssum", Invoke::kInjected, {}, usr).ok());
-      ++sent[s];
-    }
-  });
-  pump(0);
-  pump(1);
-  fabric->RunUntil([&] {
-    return receiver.stats().messages_executed >=
-           static_cast<std::uint64_t>(2 * kPerSender);
+  std::vector<bench::SendFlow> flows;
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    flows.push_back({.src = s,
+                     .dst = 2,
+                     .count = kPerSender,
+                     .next = [s, &expect_sum](std::uint64_t n) {
+                       const std::uint64_t v = 2 * (n + 1) + (s == 0 ? 1 : 0);
+                       expect_sum[s] += v;
+                       bench::FlowMessage msg{
+                           .jam = "ssum", .usr = std::vector<std::uint8_t>(8)};
+                       std::memcpy(msg.usr.data(), &v, 8);
+                       return msg;
+                     }});
+  }
+  const bench::SendLoops loops(fabric, std::move(flows));
+  fabric.RunUntil([&] {
+    return receiver.stats().messages_executed >= 2u * kPerSender;
   });
   receiver.SetOnExecuted(nullptr);
+  ASSERT_TRUE(loops.status().ok()) << loops.status();
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    const PeerId from = receiver.PeerIdOf(fabric.runtime(s));
+    EXPECT_EQ(count_by_peer[from], kPerSender) << "sender " << s;
+    // No cross-talk: each sender's distinct value stream arrived intact.
+    EXPECT_EQ(sum_by_peer[from], expect_sum[s]) << "sender " << s;
+  }
+}
 
-  const PeerId from0 = *fabric->PeerIdFor(2, 0);
-  const PeerId from1 = *fabric->PeerIdFor(2, 1);
-  EXPECT_EQ(count_by_peer[from0], kPerSender);
-  EXPECT_EQ(count_by_peer[from1], kPerSender);
-  // No cross-talk: each sender's distinct value stream arrived intact.
-  EXPECT_EQ(sum_by_peer[from0], expect_sum[0]);
-  EXPECT_EQ(sum_by_peer[from1], expect_sum[1]);
+TEST(FabricTest, BankFlagsReturnToOwningSenderUnderInterleavedTraffic) {
+  // Two senders incast one receiver with interleaved streams, several bank
+  // cycles deep. Each sender's flow control must be replenished by its own
+  // flags (never the other sender's), and every payload must execute from
+  // the mailbox slice of the peer that sent it.
+  auto fabric = MakeLoadedFabric(SmallOptions(3, Topology::kStar, 2));
+  ExpectInterleavedStreamsArriveIntact(*fabric);
 
   // Flags went back to the right sender: both senders finished all 40
   // sends (10 bank closures each), and the receiver returned flags on
   // both peer slices.
-  const auto& rx_peers = receiver.stats().per_peer;
-  EXPECT_GE(rx_peers[from0].bank_flags_returned, 9u);
-  EXPECT_GE(rx_peers[from1].bank_flags_returned, 9u);
+  const auto& rx_peers = fabric->runtime(2).stats().per_peer;
+  EXPECT_GE(rx_peers[*fabric->PeerIdFor(2, 0)].bank_flags_returned, 9u);
+  EXPECT_GE(rx_peers[*fabric->PeerIdFor(2, 1)].bank_flags_returned, 9u);
   EXPECT_EQ(fabric->runtime(0).stats().per_peer[*fabric->PeerIdFor(0, 2)]
                 .messages_sent,
             static_cast<std::uint64_t>(kPerSender));
@@ -274,58 +271,15 @@ TEST(FabricTest, BankFlagsReturnToOwningSenderAcrossShardedPool) {
   auto fabric = MakeLoadedFabric(options);
   Runtime& receiver = fabric->runtime(2);
   ASSERT_EQ(receiver.receiver_pool_size(), 2u);
-  const int kPerSender = 40;  // 5 bank cycles at 2x4 slots
-
-  std::map<PeerId, std::uint64_t> sum_by_peer;
-  std::map<PeerId, int> count_by_peer;
-  receiver.SetOnExecuted([&](const ReceivedMessage& msg) {
-    sum_by_peer[msg.from] += msg.return_value;
-    ++count_by_peer[msg.from];
-  });
-
-  std::uint64_t expect_sum[2] = {0, 0};
-  int sent[2] = {0, 0};
-  std::vector<std::uint8_t> usr(8);
-
-  PumpLoop<int> pump;
-  pump.Set([&, resume = pump.Handle()](int s) {
-    Runtime& sender = fabric->runtime(s);
-    const PeerId to_rx = *fabric->PeerIdFor(s, 2);
-    while (sent[s] < kPerSender) {
-      if (!sender.HasFreeSlot(to_rx)) {
-        sender.NotifyWhenSlotFree(to_rx, [resume, s] { resume(s); });
-        return;
-      }
-      const std::uint64_t v = 2 * (sent[s] + 1) + (s == 0 ? 1 : 0);
-      std::memcpy(usr.data(), &v, 8);
-      expect_sum[s] += v;
-      ASSERT_TRUE(sender.Send(to_rx, "ssum", Invoke::kInjected, {}, usr).ok());
-      ++sent[s];
-    }
-  });
-  pump(0);
-  pump(1);
-  fabric->RunUntil([&] {
-    return receiver.stats().messages_executed >=
-           static_cast<std::uint64_t>(2 * kPerSender);
-  });
-  receiver.SetOnExecuted(nullptr);
-
-  const PeerId from0 = *fabric->PeerIdFor(2, 0);
-  const PeerId from1 = *fabric->PeerIdFor(2, 1);
-  EXPECT_EQ(count_by_peer[from0], kPerSender);
-  EXPECT_EQ(count_by_peer[from1], kPerSender);
-  // No cross-talk across the sharded banks.
-  EXPECT_EQ(sum_by_peer[from0], expect_sum[0]);
-  EXPECT_EQ(sum_by_peer[from1], expect_sum[1]);
+  ExpectInterleavedStreamsArriveIntact(*fabric);
 
   // Both pool cores took part in the drain, and every bank flag went
   // home: both senders completed all 40 sends (10 bank closures each).
   EXPECT_GT(receiver.receiver_cpu(0).counters().messages_handled, 0u);
   EXPECT_GT(receiver.receiver_cpu(1).counters().messages_handled, 0u);
   const auto& rx_peers = receiver.stats().per_peer;
-  EXPECT_GE(rx_peers[from0].bank_flags_returned, 9u);
-  EXPECT_GE(rx_peers[from1].bank_flags_returned, 9u);
+  EXPECT_GE(rx_peers[*fabric->PeerIdFor(2, 0)].bank_flags_returned, 9u);
+  EXPECT_GE(rx_peers[*fabric->PeerIdFor(2, 1)].bank_flags_returned, 9u);
   fabric->Run();  // drain the trailing flag puts
   EXPECT_EQ(receiver.InFlightFrames(), 0u);
   for (int s = 0; s < 2; ++s) {
@@ -342,6 +296,24 @@ TEST(FabricTest, SendToUnwiredPeerFails) {
   auto r = fabric->runtime(0).Send(5, "ssum", Invoke::kInjected, {}, usr);
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_FALSE(fabric->runtime(0).HasFreeSlot(5));
+}
+
+TEST(FabricTest, FlowBetweenUnconnectedHostsFails) {
+  // Star spokes share no cable. A slot waiter parked toward a peer that
+  // was never wired would never fire, so the flow must fail up front
+  // instead of stalling the run.
+  auto fabric = MakeLoadedFabric(SmallOptions(3, Topology::kStar, 0));
+  const bench::SendLoops loops(
+      *fabric, {{.src = 1,
+                 .dst = 2,
+                 .count = 64,
+                 .next = [](std::uint64_t) {
+                   return bench::FlowMessage{.jam = "nop"};
+                 }}});
+  fabric->Run();
+  EXPECT_EQ(loops.status().code(), StatusCode::kNotFound) << loops.status();
+  EXPECT_EQ(loops.sent(0), 0u);
+  EXPECT_EQ(fabric->runtime(1).stats().messages_sent, 0u);
 }
 
 TEST(FabricTest, ConnectRejectsDuplicateAndSelf) {
@@ -547,6 +519,40 @@ TEST(FabricTest, AllZeroWeightIncastIsRejected) {
   config.sender_weights = {0, 0};
   auto result = bench::RunIncastRate(*fabric, 0, {1, 2}, config);
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+// RunIncastRate on a lane-sharded fabric: each sender's loop runs on its
+// own lane and the hub's completion hook on the hub's, so the run must be
+// race-free and give the single-lane result.
+TEST(FabricTest, LanedIncastMatchesScalar) {
+  const auto run = [](std::uint32_t lanes) {
+    FabricOptions options = SmallOptions(5, Topology::kStar, 0);
+    options.engine.lanes = lanes;
+    auto fabric = MakeLoadedFabric(options);
+    bench::IncastConfig config;
+    config.jam = "ssum";
+    config.iterations_per_sender = 400;
+    return bench::RunIncastRate(*fabric, 0, {1, 2, 3, 4}, config);
+  };
+  const auto scalar = run(1);
+  const auto laned = run(4);
+  ASSERT_TRUE(scalar.ok()) << scalar.status();
+  ASSERT_TRUE(laned.ok()) << laned.status();
+  EXPECT_EQ(laned->duration, scalar->duration);
+  EXPECT_EQ(laned->latency.Median(), scalar->latency.Median());
+  EXPECT_EQ(laned->latency.Percentile(0.99), scalar->latency.Percentile(0.99));
+  ASSERT_EQ(laned->per_sender.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(scalar->per_sender[i].messages, 400u) << "sender " << i;
+    EXPECT_EQ(laned->per_sender[i].messages, scalar->per_sender[i].messages)
+        << "sender " << i;
+    // Every sender filled its banks and parked, so the resume-from-waiter
+    // path ran on every lane.
+    EXPECT_GT(scalar->per_sender[i].flow_control_waits, 0u) << "sender " << i;
+    EXPECT_EQ(laned->per_sender[i].flow_control_waits,
+              scalar->per_sender[i].flow_control_waits)
+        << "sender " << i;
+  }
 }
 
 // Regression: ApplyStress boosts every runtime's wait-loop steal

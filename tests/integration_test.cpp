@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "benchlib/perftest.hpp"
+#include "benchlib/send_loop.hpp"
 #include "benchlib/stress.hpp"
 #include "benchlib/workloads.hpp"
-#include "common/pump.hpp"
 #include "common/rng.hpp"
 #include "core/two_chains.hpp"
 
@@ -178,22 +178,17 @@ TEST(FlowControlInvariantTest, NoFrameIsEverLostOrReordered) {
   std::vector<std::uint32_t> sns;
   testbed->runtime(1).SetOnExecuted(
       [&](const ReceivedMessage& msg) { sns.push_back(msg.sn); });
-  std::vector<std::uint8_t> usr(8, 1);
-  int sent = 0;
-  PumpLoop<> pump;
-  pump.Set([&, resume = pump.Handle()] {
-    while (sent < total) {
-      if (!testbed->runtime(0).HasFreeSlot()) {
-        testbed->runtime(0).NotifyWhenSlotFree(resume);
-        return;
-      }
-      ASSERT_TRUE(
-          testbed->runtime(0).Send("nop", Invoke::kInjected, {}, usr).ok());
-      ++sent;
-    }
-  });
-  pump();
+  const bench::SendLoops loops(
+      testbed->fabric(),
+      {{.src = 0,
+        .dst = 1,
+        .count = total,
+        .next = [](std::uint64_t) {
+          return bench::FlowMessage{.jam = "nop",
+                                    .usr = std::vector<std::uint8_t>(8, 1)};
+        }}});
   testbed->RunUntil([&] { return sns.size() == total; });
+  ASSERT_TRUE(loops.status().ok()) << loops.status();
   ASSERT_EQ(sns.size(), static_cast<std::size_t>(total));
   for (int i = 0; i < total; ++i) {
     EXPECT_EQ(sns[static_cast<std::size_t>(i)], static_cast<std::uint32_t>(i + 1));

@@ -24,8 +24,8 @@
 #include <utility>
 #include <vector>
 
+#include "benchlib/send_loop.hpp"
 #include "benchlib/workloads.hpp"
-#include "common/pump.hpp"
 #include "common/rng.hpp"
 #include "common/strfmt.hpp"
 #include "core/fabric.hpp"
@@ -328,6 +328,24 @@ inline std::string PoolFingerprint(Fabric& fabric) {
   return out;
 }
 
+/// One message of the seeded mixed workload: an injected ssum, iput or
+/// nop, or a local ssum, with a random key and 1..@p max_words random
+/// payload words, all drawn from @p rng in a fixed order.
+inline bench::FlowMessage MixedMessage(Xoshiro256& rng,
+                                       std::uint64_t max_words) {
+  bench::FlowMessage msg;
+  const std::uint64_t kind = rng.NextBelow(4);
+  msg.jam = kind == 1 ? "iput" : kind == 2 ? "nop" : "ssum";
+  msg.mode = kind == 3 ? Invoke::kLocal : Invoke::kInjected;
+  msg.args = {rng.NextBelow(128)};
+  msg.usr.resize(8 * (1 + rng.NextBelow(max_words)));
+  for (std::size_t i = 0; i < msg.usr.size(); i += 8) {
+    const std::uint64_t v = rng.Next();
+    std::memcpy(msg.usr.data() + i, &v, 8);
+  }
+  return msg;
+}
+
 /// Drives the seeded mixed workload (injected ssum/iput/nop plus local
 /// ssum, varying payloads) from every spoke into the hub, observing the
 /// scheduler through the hub's SetOnExecuted hook, and returns the run's
@@ -355,7 +373,7 @@ inline PoolRunResult RunPoolIncast(const PoolTopology& topo,
   hub.SetOnExecuted([&](const ReceivedMessage& msg) {
     // A by-handle cache miss completes (drains, returns its flag) without
     // executing; its full-body resend — a fresh sn — executes instead, so
-    // only actual executions count against the pump's send total.
+    // only actual executions count against the send loops' total.
     if (msg.cache_miss) ++result.miss_completions;
     if (!msg.cache_miss) ++result.executed;
     if (msg.pool < result.executed_per_core.size()) {
@@ -390,73 +408,44 @@ inline PoolRunResult RunPoolIncast(const PoolTopology& topo,
     }
   });
 
-  // One seeded pump per spoke, paced by flow control and the sender CPU.
-  struct Sender {
-    PeerId to_hub = kInvalidPeer;
-    std::uint32_t sent = 0;
-    std::uint32_t total = 0;
-    Xoshiro256 rng{0};
-  };
-  auto senders = std::make_shared<std::vector<Sender>>(topo.spokes);
+  // One seeded closed loop per spoke, paced by flow control and the
+  // sender CPU.
+  std::vector<bench::SendFlow> flows;
   for (std::uint32_t s = 0; s < topo.spokes; ++s) {
-    auto peer = fabric.PeerIdFor(s + 1, 0);
-    if (!peer.ok()) {
-      ADD_FAILURE() << "peer lookup failed: " << peer.status();
-      return result;
-    }
-    (*senders)[s].to_hub = *peer;
-    (*senders)[s].total = topo.messages_per_spoke[s];
-    (*senders)[s].rng =
-        Xoshiro256(topo.identical_streams ? topo.seed : topo.seed + 7919 * s);
+    const std::uint64_t seed =
+        topo.identical_streams ? topo.seed : topo.seed + 7919 * s;
+    flows.push_back({.src = s + 1,
+                     .dst = 0,
+                     .count = topo.messages_per_spoke[s],
+                     .next = [rng = Xoshiro256(seed)](std::uint64_t) mutable {
+                       return MixedMessage(rng, 8);
+                     }});
+  }
+  const bench::SendLoops loops(fabric, std::move(flows));
+  fabric.Run();
+  hub.SetOnExecuted(nullptr);
+  if (const Status st = loops.status(); !st.ok()) {
+    ADD_FAILURE() << "send loop failed: " << st << " [" << topo.Describe()
+                  << "]";
+    return result;
   }
 
-  PumpLoop<std::uint32_t> pump;
-  pump.Set([senders, &fabric, resume = pump.Handle()](std::uint32_t s) {
-    Sender& sender = (*senders)[s];
-    Runtime& rt = fabric.runtime(s + 1);
-    if (sender.sent >= sender.total) return;
-    if (!rt.HasFreeSlot(sender.to_hub)) {
-      rt.NotifyWhenSlotFree(sender.to_hub, [resume, s] { resume(s); });
-      return;
-    }
-    const std::uint64_t kind = sender.rng.NextBelow(4);
-    const std::string jam = kind == 1 ? "iput" : kind == 2 ? "nop" : "ssum";
-    const Invoke mode = kind == 3 ? Invoke::kLocal : Invoke::kInjected;
-    const std::vector<std::uint64_t> args = {sender.rng.NextBelow(128)};
-    std::vector<std::uint8_t> usr(8 * (1 + sender.rng.NextBelow(8)));
-    for (std::size_t i = 0; i < usr.size(); i += 8) {
-      const std::uint64_t v = sender.rng.Next();
-      std::memcpy(usr.data() + i, &v, 8);
-    }
-    auto receipt = rt.Send(sender.to_hub, jam, mode, args, usr);
-    ASSERT_TRUE(receipt.ok()) << receipt.status();
-    ++sender.sent;
-    // Homed to the spoke's lane: the pump mutates that spoke's runtime
-    // state, which must only ever be touched from its own lane.
-    fabric.engine().ScheduleAfterOn(s + 1, receipt->sender_cost,
-                                    [resume, s] { resume(s); }, "pool.send");
-  });
-  for (std::uint32_t s = 0; s < topo.spokes; ++s) pump(s);
-  fabric.Run();
-
-  hub.SetOnExecuted(nullptr);
   for (std::uint32_t s = 0; s < topo.spokes; ++s) {
-    result.sent += (*senders)[s].sent;
-    const JamCacheStats& js = fabric.runtime(s + 1).jam_cache_stats();
+    Runtime& spoke = fabric.runtime(s + 1);
+    const PeerId to_hub = spoke.PeerIdOf(hub);
+    result.sent += loops.sent(s);
+    const JamCacheStats& js = spoke.jam_cache_stats();
     result.spoke_by_handle_sends += js.by_handle_sends;
     result.spoke_naks_received += js.naks_received;
     result.spoke_resends += js.resends;
     // Each full group of mailboxes_per_bank sends to the hub closes one
     // bank, whose flag must come back by drain. NAK-triggered resends are
-    // extra sends the pump never saw, so they count toward bank fills.
+    // extra sends the loop never saw, so they count toward bank fills.
     result.expected_flag_returns +=
-        ((*senders)[s].sent + js.resends) / in_bank_slots;
-    result.closed_send_banks +=
-        fabric.runtime(s + 1).ClosedSendBanks((*senders)[s].to_hub);
-    result.window_min_milli.push_back(
-        fabric.runtime(s + 1).AdaptiveWindowMinMilli((*senders)[s].to_hub));
-    result.window_max_milli.push_back(
-        fabric.runtime(s + 1).AdaptiveWindowMaxMilli((*senders)[s].to_hub));
+        (loops.sent(s) + js.resends) / in_bank_slots;
+    result.closed_send_banks += spoke.ClosedSendBanks(to_hub);
+    result.window_min_milli.push_back(spoke.AdaptiveWindowMinMilli(to_hub));
+    result.window_max_milli.push_back(spoke.AdaptiveWindowMaxMilli(to_hub));
   }
   for (std::uint32_t i = 0; i < fabric.switch_count(); ++i) {
     net::Switch& sw = fabric.sw(i);

@@ -9,13 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <functional>
-#include <memory>
+#include <utility>
 #include <vector>
 
+#include "benchlib/send_loop.hpp"
 #include "benchlib/stress.hpp"
 #include "benchlib/workloads.hpp"
-#include "common/pump.hpp"
 #include "common/rng.hpp"
 #include "core/fabric.hpp"
 
@@ -51,39 +50,26 @@ FabricOptions SoakOptions(bool stashing, bool stealing) {
   return options;
 }
 
-/// One seeded traffic pump: @p total mixed messages from @p rt to @p peer,
-/// paced by flow control and the sender CPU. The caller owns @p pump and
-/// must keep it alive while the engine runs.
-void StartPump(Fabric& fabric, Runtime& rt, PeerId peer, std::uint32_t total,
-               std::uint64_t seed, PumpLoop<>& pump) {
-  struct PumpState {
-    std::uint32_t sent = 0;
-    Xoshiro256 rng;
-    explicit PumpState(std::uint64_t s) : rng(s) {}
-  };
-  auto state = std::make_shared<PumpState>(seed);
-  pump.Set([state, &fabric, &rt, peer, total, resume = pump.Handle()]() {
-    if (state->sent >= total) return;
-    if (!rt.HasFreeSlot(peer)) {
-      rt.NotifyWhenSlotFree(peer, resume);
-      return;
-    }
-    const std::uint64_t kind = state->rng.NextBelow(3);
-    const std::string jam = kind == 0 ? "iput" : "ssum";
-    const Invoke mode = kind == 2 ? Invoke::kLocal : Invoke::kInjected;
-    const std::vector<std::uint64_t> args = {state->rng.NextBelow(128)};
-    std::vector<std::uint8_t> usr(8 * (1 + state->rng.NextBelow(8)));
-    for (std::size_t i = 0; i < usr.size(); i += 8) {
-      const std::uint64_t v = state->rng.Next();
-      std::memcpy(usr.data() + i, &v, 8);
-    }
-    auto receipt = rt.Send(peer, jam, mode, args, usr);
-    ASSERT_TRUE(receipt.ok()) << receipt.status();
-    ++state->sent;
-    fabric.engine().ScheduleAfter(receipt->sender_cost, resume,
-                                  "soak.send");
-  });
-  pump();
+/// One seeded traffic flow: @p total mixed messages from host @p src to
+/// host @p dst, paced by flow control and the sender CPU.
+bench::SendFlow SoakFlow(std::uint32_t src, std::uint32_t dst,
+                         std::uint32_t total, std::uint64_t seed) {
+  return {.src = src,
+          .dst = dst,
+          .count = total,
+          .next = [rng = Xoshiro256(seed)](std::uint64_t) mutable {
+            bench::FlowMessage msg;
+            const std::uint64_t kind = rng.NextBelow(3);
+            msg.jam = kind == 0 ? "iput" : "ssum";
+            msg.mode = kind == 2 ? Invoke::kLocal : Invoke::kInjected;
+            msg.args = {rng.NextBelow(128)};
+            msg.usr.resize(8 * (1 + rng.NextBelow(8)));
+            for (std::size_t i = 0; i < msg.usr.size(); i += 8) {
+              const std::uint64_t v = rng.Next();
+              std::memcpy(msg.usr.data() + i, &v, 8);
+            }
+            return msg;
+          }};
 }
 
 void RunSoak(bool stashing, bool stealing = false) {
@@ -101,15 +87,15 @@ void RunSoak(bool stashing, bool stealing = false) {
   std::vector<std::uint32_t> to_hub(kSpokes + 1, kToHubPerSpoke);
   if (stealing) to_hub[1] = 3 * kToHubPerSpoke;
 
-  std::vector<PumpLoop<>> pumps(2 * kSpokes);
+  std::vector<bench::SendFlow> flows;
   for (std::uint32_t s = 1; s <= kSpokes; ++s) {
-    StartPump(fabric, fabric.runtime(s), *fabric.PeerIdFor(s, 0),
-              to_hub[s], kSeed + 13 * s, pumps[2 * (s - 1)]);
-    StartPump(fabric, fabric.runtime(0), *fabric.PeerIdFor(0, s),
-              kFromHubPerSpoke, kSeed + 131 * s, pumps[2 * (s - 1) + 1]);
+    flows.push_back(SoakFlow(s, 0, to_hub[s], kSeed + 13 * s));
+    flows.push_back(SoakFlow(0, s, kFromHubPerSpoke, kSeed + 131 * s));
   }
+  const bench::SendLoops loops(fabric, std::move(flows));
   fabric.Run();
   bench::ClearStress(fabric);
+  ASSERT_TRUE(loops.status().ok()) << loops.status();
 
   // Every message sent was delivered and executed.
   std::uint64_t hub_expect = 0;
