@@ -91,15 +91,15 @@ FlowMessage SsumMessage(std::uint64_t) {
 /// paper testbed streams injected Server-Side Sums (every NIC hop, cache
 /// access, and receiver wakeup is an engine event).
 RateRow FullStackRate() {
-  auto testbed = MakeBenchTestbed();
+  auto fabric = MakeBenchFabric();
   AmConfig config = SsumConfig(64, core::Invoke::kInjected);
   config.iterations = 2000;
 
   const auto start = std::chrono::steady_clock::now();
-  const std::uint64_t before = testbed->engine().EventsProcessed();
-  MustOk(RunAmInjectionRate(*testbed, config), "full-stack stream");
+  const std::uint64_t before = fabric->engine().EventsProcessed();
+  MustOk(RunAmInjectionRate(*fabric, config), "full-stack stream");
   RateRow row{"full stack (ssum stream)"};
-  row.events = testbed->engine().EventsProcessed() - before;
+  row.events = fabric->engine().EventsProcessed() - before;
   row.seconds = WallSeconds(start);
   row.events_per_second = static_cast<double>(row.events) / row.seconds;
   return row;

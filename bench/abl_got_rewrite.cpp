@@ -26,11 +26,11 @@ struct RelinkSample {
   std::uint64_t misses = 0;
 };
 
-RelinkSample MeasureRelink(core::Testbed& testbed,
+RelinkSample MeasureRelink(core::Fabric& fabric,
                            const core::JamCacheConfig& cache,
                            const std::string& jam) {
-  core::Runtime& sender = testbed.runtime(0);
-  core::Runtime& receiver = testbed.runtime(1);
+  core::Runtime& sender = fabric.runtime(0);
+  core::Runtime& receiver = fabric.runtime(1);
   const std::vector<std::uint64_t> args = {0};
   const std::vector<std::uint8_t> usr(8, 0x11);
 
@@ -41,7 +41,7 @@ RelinkSample MeasureRelink(core::Testbed& testbed,
     });
     auto receipt =
         MustOk(sender.Send(jam, core::Invoke::kInjected, args, usr), "send");
-    testbed.RunUntil([&] { return done; });
+    fabric.RunUntil([&] { return done; });
     receiver.SetOnExecuted(nullptr);
     return receipt;
   };
@@ -106,13 +106,13 @@ int main() {
   // receiver-built GOT + W^X page flips — the per-arrival work the
   // security modes add to every full-body frame).
   const core::JamCacheConfig cache = HotJamCache();
-  auto base_bed = MakeBenchTestbed(PaperTestbed().WithJamCache(cache));
-  core::SecurityPolicy hardened;
-  hardened.verify_injected_code = true;
-  hardened.receiver_installs_got = true;
-  hardened.split_code_data_pages = true;
-  auto hard_bed = MakeBenchTestbed(
-      PaperTestbed().WithJamCache(cache).WithSecurity(hardened));
+  core::FabricOptions options = PaperFabric();
+  options.runtime.jam_cache = cache;
+  auto base_bed = MakeBenchFabric(options);
+  options.runtime.security.verify_injected_code = true;
+  options.runtime.security.receiver_installs_got = true;
+  options.runtime.security.split_code_data_pages = true;
+  auto hard_bed = MakeBenchFabric(options);
 
   Table relink({"jam", "full(B)", "by-handle(B)", "cold(cyc)", "cached(cyc)",
                 "hardened cold(cyc)", "hardened gain"});

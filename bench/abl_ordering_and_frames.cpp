@@ -7,12 +7,12 @@ using namespace twochains::bench;
 
 namespace {
 
-double MedianUs(core::TestbedOptions options, std::uint64_t n_ints) {
-  auto testbed = MakeBenchTestbed(options);
+double MedianUs(const core::FabricOptions& options, std::uint64_t n_ints) {
+  auto fabric = MakeBenchFabric(options);
   AmConfig config = IputConfig(n_ints, core::Invoke::kInjected);
   config.iterations = 800;
   config.warmup = 100;
-  const auto result = MustOk(RunAmPingPong(*testbed, config), "pingpong");
+  const auto result = MustOk(RunAmPingPong(*fabric, config), "pingpong");
   return ToMicroseconds(result.one_way.Median());
 }
 
@@ -22,13 +22,13 @@ int main() {
   Banner("Ablation", "delivery ordering and frame-size modes");
   Table table({"configuration", "16 ints(us)", "1024 ints(us)"});
 
-  auto ordered = PaperTestbed();  // the paper's testbed guarantees ordering
+  auto ordered = PaperFabric();  // the paper's testbed guarantees ordering
 
-  auto fenced = PaperTestbed();
+  auto fenced = PaperFabric();
   fenced.nic.enforce_write_ordering = false;
   fenced.runtime.separate_signal_put = true;
 
-  auto variable = PaperTestbed();
+  auto variable = PaperFabric();
   variable.runtime.fixed_size_frames = false;
 
   const double ord16 = MedianUs(ordered, 16);

@@ -74,12 +74,13 @@ std::vector<Mode> ModeTable() {
 // --------------------------------------------------------------- latency
 
 double MedianUs(const core::SecurityPolicy& policy, std::uint64_t usr_bytes) {
-  auto options = PaperTestbed().WithSecurity(policy);
-  auto testbed = MakeBenchTestbed(options);
+  core::FabricOptions options = PaperFabric();
+  options.runtime.security = policy;
+  auto fabric = MakeBenchFabric(options);
   AmConfig config = IputConfig(usr_bytes / 4, core::Invoke::kInjected);
   config.iterations = 600;
   config.warmup = 100;
-  const auto result = MustOk(RunAmPingPong(*testbed, config), "pingpong");
+  const auto result = MustOk(RunAmPingPong(*fabric, config), "pingpong");
   return ToMicroseconds(result.one_way.Median());
 }
 

@@ -17,14 +17,14 @@ int main() {
   double worst_penalty = 0.0;
   for (std::uint64_t size = 256; size <= 32768; size *= 2) {
     // Fresh testbeds per size keep cache state comparable across points.
-    auto data_bed = MakeBenchTestbed();
+    auto data_bed = MakeBenchFabric();
     RawPutConfig raw;
     raw.size = size;
     raw.iterations = IterationsFor(size);
     raw.warmup = raw.iterations / 5;
     const auto data = MustOk(RunRawPutPingPong(*data_bed, raw), "data put");
 
-    auto am_bed = MakeBenchTestbed();
+    auto am_bed = MakeBenchFabric();
     AmConfig am = SsumConfig(UsrBytesForLocalFrame(size), core::Invoke::kLocal);
     am.no_execute = true;  // the paper's without-execution configuration
     const auto am_result = MustOk(RunAmPingPong(*am_bed, am), "AM put");

@@ -28,13 +28,15 @@ int RunHot() {
   bool bytes_drop = true;
   bool all_hits = true;
   double min_abs_saved = 1e18, max_abs_saved = 0;
+  core::FabricOptions hot_options = PaperFabric();
+  hot_options.runtime.jam_cache = HotJamCache();
   for (std::uint64_t size = 256; size <= 32768; size *= 2) {
-    auto cold_bed = MakeBenchTestbed();
+    auto cold_bed = MakeBenchFabric();
     const auto cold = MustOk(
         RunAmInjectionRate(*cold_bed,
                            SsumConfig(size, core::Invoke::kInjected)),
         "cold stream");
-    auto hot_bed = MakeBenchTestbed(PaperTestbed().WithJamCache(HotJamCache()));
+    auto hot_bed = MakeBenchFabric(hot_options);
     const auto hot = MustOk(
         RunAmInjectionRate(*hot_bed,
                            SsumConfig(size, core::Invoke::kInjected)),
@@ -81,13 +83,13 @@ int main(int argc, char** argv) {
   double min_ratio = 1e9, max_ratio = 0;
   double first_ratio = 0, last_ratio = 0;
   for (std::uint64_t size = 256; size <= 32768; size *= 2) {
-    auto data_bed = MakeBenchTestbed();
+    auto data_bed = MakeBenchFabric();
     RawPutConfig raw;
     raw.size = size;
     raw.iterations = 2 * IterationsFor(size);
     const auto data = MustOk(RunRawPutStream(*data_bed, raw), "data stream");
 
-    auto am_bed = MakeBenchTestbed();
+    auto am_bed = MakeBenchFabric();
     AmConfig am = SsumConfig(UsrBytesForLocalFrame(size), core::Invoke::kLocal);
     am.no_execute = true;
     am.iterations = 2 * IterationsFor(size);

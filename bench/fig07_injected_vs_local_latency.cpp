@@ -19,11 +19,11 @@ int main() {
   double small_reduction = 0, large_reduction = 0;
   std::uint64_t injected_code_bytes = 0;
   for (std::uint64_t n = 1; n <= 16384; n *= 2) {
-    auto local_bed = MakeBenchTestbed();
+    auto local_bed = MakeBenchFabric();
     const auto local = MustOk(
         RunAmPingPong(*local_bed, IputConfig(n, core::Invoke::kLocal)),
         "local");
-    auto injected_bed = MakeBenchTestbed();
+    auto injected_bed = MakeBenchFabric();
     const auto injected = MustOk(
         RunAmPingPong(*injected_bed, IputConfig(n, core::Invoke::kInjected)),
         "injected");

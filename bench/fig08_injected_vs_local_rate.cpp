@@ -24,12 +24,14 @@ int RunHot() {
   bool bytes_drop = true;
   bool all_hits = true;
   double small_speedup = 0;
+  core::FabricOptions hot_options = PaperFabric();
+  hot_options.runtime.jam_cache = HotJamCache();
   for (std::uint64_t n = 1; n <= 16384; n *= 2) {
-    auto cold_bed = MakeBenchTestbed();
+    auto cold_bed = MakeBenchFabric();
     const auto cold = MustOk(
         RunAmInjectionRate(*cold_bed, IputConfig(n, core::Invoke::kInjected)),
         "cold");
-    auto hot_bed = MakeBenchTestbed(PaperTestbed().WithJamCache(HotJamCache()));
+    auto hot_bed = MakeBenchFabric(hot_options);
     const auto hot = MustOk(
         RunAmInjectionRate(*hot_bed, IputConfig(n, core::Invoke::kInjected)),
         "hot");
@@ -75,11 +77,11 @@ int main(int argc, char** argv) {
   bool ok = true;
   double small_change = 0, large_change = 0;
   for (std::uint64_t n = 1; n <= 16384; n *= 2) {
-    auto local_bed = MakeBenchTestbed();
+    auto local_bed = MakeBenchFabric();
     const auto local = MustOk(
         RunAmInjectionRate(*local_bed, IputConfig(n, core::Invoke::kLocal)),
         "local");
-    auto injected_bed = MakeBenchTestbed();
+    auto injected_bed = MakeBenchFabric();
     const auto injected = MustOk(
         RunAmInjectionRate(*injected_bed,
                            IputConfig(n, core::Invoke::kInjected)),

@@ -15,12 +15,14 @@ int main() {
 
   bool ok = true;
   double max_reduction = 0, last_reduction = 0;
+  core::FabricOptions nonstash_options = PaperFabric();
+  nonstash_options.nic.stash_to_llc = false;
   for (std::uint64_t n = 1; n <= 8192; n *= 2) {
-    auto stash_bed = MakeBenchTestbed(PaperTestbed().WithStashing(true));
+    auto stash_bed = MakeBenchFabric();
     const auto stash = MustOk(
         RunAmPingPong(*stash_bed, IputConfig(n, core::Invoke::kInjected)),
         "stash");
-    auto nonstash_bed = MakeBenchTestbed(PaperTestbed().WithStashing(false));
+    auto nonstash_bed = MakeBenchFabric(nonstash_options);
     const auto nonstash = MustOk(
         RunAmPingPong(*nonstash_bed, IputConfig(n, core::Invoke::kInjected)),
         "nonstash");

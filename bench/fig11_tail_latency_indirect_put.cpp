@@ -20,16 +20,18 @@ int main() {
   double best_tail_ratio = 0;
   double worst_stash_spread = 0;
   int stash_tail_wins = 0, points = 0;
+  core::FabricOptions nonstash_options = PaperFabric();
+  nonstash_options.nic.stash_to_llc = false;
   for (std::uint64_t n = 1; n <= 1024; n *= 2) {
     AmConfig config = IputConfig(n, core::Invoke::kInjected);
     config.iterations = 2500;  // tail sampling needs depth
     config.warmup = 250;
 
-    auto stash_bed = MakeBenchTestbed(PaperTestbed().WithStashing(true));
+    auto stash_bed = MakeBenchFabric();
     ApplyStress(*stash_bed, StressConfig{});
     const auto stash = MustOk(RunAmPingPong(*stash_bed, config), "stash");
 
-    auto nonstash_bed = MakeBenchTestbed(PaperTestbed().WithStashing(false));
+    auto nonstash_bed = MakeBenchFabric(nonstash_options);
     ApplyStress(*nonstash_bed, StressConfig{});
     const auto nonstash =
         MustOk(RunAmPingPong(*nonstash_bed, config), "nonstash");

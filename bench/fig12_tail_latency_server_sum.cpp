@@ -20,16 +20,18 @@ int main() {
   bool ok = true;
   int stash_tail_wins = 0, points = 0;
   double spread_at_2k_and_up = 0;
+  core::FabricOptions nonstash_options = PaperFabric();
+  nonstash_options.nic.stash_to_llc = false;
   for (std::uint64_t size = 512; size <= 32768; size *= 2) {
     AmConfig config = SsumConfig(size, core::Invoke::kInjected);
     config.iterations = size <= 4096 ? 2500 : 1200;
     config.warmup = 250;
 
-    auto stash_bed = MakeBenchTestbed(PaperTestbed().WithStashing(true));
+    auto stash_bed = MakeBenchFabric();
     ApplyStress(*stash_bed, StressConfig{});
     const auto stash = MustOk(RunAmPingPong(*stash_bed, config), "stash");
 
-    auto nonstash_bed = MakeBenchTestbed(PaperTestbed().WithStashing(false));
+    auto nonstash_bed = MakeBenchFabric(nonstash_options);
     ApplyStress(*nonstash_bed, StressConfig{});
     const auto nonstash =
         MustOk(RunAmPingPong(*nonstash_bed, config), "nonstash");

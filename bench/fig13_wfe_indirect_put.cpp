@@ -18,14 +18,14 @@ int main() {
   bool ok = true;
   double worst_penalty = 0;
   double min_ratio = 1e9, max_ratio = 0;
+  core::FabricOptions wfe_options = PaperFabric();
+  wfe_options.runtime.wait.mode = cpu::WaitMode::kWfe;
   for (std::uint64_t n = 1; n <= 1024; n *= 2) {
-    auto poll_bed =
-        MakeBenchTestbed(PaperTestbed().WithWaitMode(cpu::WaitMode::kPoll));
+    auto poll_bed = MakeBenchFabric();
     const auto poll = MustOk(
         RunAmPingPong(*poll_bed, IputConfig(n, core::Invoke::kInjected)),
         "poll");
-    auto wfe_bed =
-        MakeBenchTestbed(PaperTestbed().WithWaitMode(cpu::WaitMode::kWfe));
+    auto wfe_bed = MakeBenchFabric(wfe_options);
     const auto wfe = MustOk(
         RunAmPingPong(*wfe_bed, IputConfig(n, core::Invoke::kInjected)),
         "wfe");

@@ -17,14 +17,14 @@ int main() {
   bool ok = true;
   double worst_penalty = 0;
   double small_ratio = 0, large_ratio = 0;
+  core::FabricOptions wfe_options = PaperFabric();
+  wfe_options.runtime.wait.mode = cpu::WaitMode::kWfe;
   for (std::uint64_t size = 512; size <= 32768; size *= 2) {
-    auto poll_bed =
-        MakeBenchTestbed(PaperTestbed().WithWaitMode(cpu::WaitMode::kPoll));
+    auto poll_bed = MakeBenchFabric();
     const auto poll = MustOk(
         RunAmPingPong(*poll_bed, SsumConfig(size, core::Invoke::kInjected)),
         "poll");
-    auto wfe_bed =
-        MakeBenchTestbed(PaperTestbed().WithWaitMode(cpu::WaitMode::kWfe));
+    auto wfe_bed = MakeBenchFabric(wfe_options);
     const auto wfe = MustOk(
         RunAmPingPong(*wfe_bed, SsumConfig(size, core::Invoke::kInjected)),
         "wfe");

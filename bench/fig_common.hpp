@@ -13,7 +13,7 @@
 #include "benchlib/table.hpp"
 #include "benchlib/testbed_defaults.hpp"
 #include "benchlib/workloads.hpp"
-#include "core/two_chains.hpp"
+#include "core/fabric.hpp"
 
 namespace twochains::bench {
 
@@ -33,7 +33,7 @@ inline T MustOk(StatusOr<T> value, const char* what) {
 }
 
 /// The benchmark package, compiled once per process: the build is
-/// deterministic, so every testbed and fabric can load the same image.
+/// deterministic, so every fabric can load the same image.
 inline const pkg::Package& BenchPackage() {
   static const pkg::Package package =
       MustOk(BuildBenchPackage(), "package build");
@@ -45,12 +45,13 @@ inline void LoadBenchPackage(core::Fabric& fabric) {
   MustOk(fabric.LoadPackage(BenchPackage()), "package load");
 }
 
-/// A fresh paper-testbed with the benchmark package loaded.
-inline std::unique_ptr<core::Testbed> MakeBenchTestbed(
-    core::TestbedOptions options = PaperTestbed()) {
-  auto testbed = std::make_unique<core::Testbed>(options);
-  LoadBenchPackage(testbed->fabric());
-  return testbed;
+/// A fresh fabric (by default the paper's testbed) with the benchmark
+/// package loaded.
+inline std::unique_ptr<core::Fabric> MakeBenchFabric(
+    core::FabricOptions options = PaperFabric()) {
+  auto fabric = std::make_unique<core::Fabric>(std::move(options));
+  LoadBenchPackage(*fabric);
+  return fabric;
 }
 
 /// Jam-cache parameterization for the `--hot` bench variants: capacity
@@ -75,23 +76,15 @@ inline core::JamCacheConfig HotJamCache() {
 inline core::FabricOptions TreeBenchFabric(std::uint32_t senders,
                                            bool adaptive,
                                            std::uint32_t hub_pool_cores = 1) {
-  const core::TestbedOptions paper = PaperTestbed();
-  core::FabricOptions options;
-  options.hosts = senders + 1;
-  options.topology = core::Topology::kTree;
-  options.hub = 0;
+  core::FabricOptions options = PaperFabric(senders + 1, core::Topology::kTree);
   options.tree.arity = 8;
   options.tree.tiers = 2;
   options.tree.oversub = 4.0;
   options.switches.buffer_bytes = KiB(64);
   options.switches.ecn_threshold_bytes = KiB(8);
-  options.nic = paper.nic;
-  options.protocol = paper.protocol;
-  options.runtime = paper.runtime;
   options.runtime.mailboxes_per_bank = 8;
   options.runtime.mailbox_slot_bytes = KiB(4);
   options.runtime.adaptive.enabled = adaptive;
-  options.host = paper.host0;
   options.host.memory_bytes = MiB(24);
   options.host_overrides.assign(options.hosts, options.host);
   options.host_overrides[0].memory_bytes =

@@ -18,7 +18,7 @@
 
 #include "benchlib/send_loop.hpp"
 #include "common/rng.hpp"
-#include "core/two_chains.hpp"
+#include "core/fabric.hpp"
 
 namespace {
 
@@ -70,8 +70,8 @@ int main() {
       !builder.AddSourceFile("jam_add_edge.amc", kJamAddEdge).ok()) {
     return 1;
   }
-  two_chains::Testbed testbed;
-  Status st = testbed.BuildAndLoad(builder, "graph");
+  core::Fabric fabric;
+  Status st = fabric.BuildAndLoad(builder, "graph");
   if (!st.ok()) {
     std::fprintf(stderr, "setup failed: %s\n", st.ToString().c_str());
     return 1;
@@ -94,12 +94,12 @@ int main() {
   // Scatter: push edges through flow control as fast as banks allow.
   int executed = 0;
   int failures = 0;
-  testbed.runtime(1).SetOnExecuted([&](const two_chains::ReceivedMessage& m) {
+  fabric.runtime(1).SetOnExecuted([&](const core::ReceivedMessage& m) {
     ++executed;
     if (static_cast<std::int64_t>(m.return_value) < 0) ++failures;
   });
   const bench::SendLoops scatter(
-      testbed.fabric(),
+      fabric,
       {{.src = 0,
         .dst = 1,
         .count = edges.size(),
@@ -109,7 +109,7 @@ int main() {
               .args = {static_cast<std::uint64_t>(edges[n].first),
                        static_cast<std::uint64_t>(edges[n].second)}};
         }}});
-  testbed.RunUntil([&] { return executed == kEdges; });
+  fabric.RunUntil([&] { return executed == kEdges; });
   if (!scatter.status().ok()) {
     std::fprintf(stderr, "send: %s\n", scatter.status().ToString().c_str());
     return 1;
@@ -118,12 +118,12 @@ int main() {
   std::printf("scattered %d edges; %d handler executions, %d row-capacity "
               "rejections\n", kEdges, executed, failures);
   std::printf("simulated time: %.1f us; receiver handled %llu messages\n",
-              ToMicroseconds(testbed.engine().Now()),
+              ToMicroseconds(fabric.engine().Now()),
               static_cast<unsigned long long>(
-                  testbed.runtime(1).stats().messages_executed));
+                  fabric.runtime(1).stats().messages_executed));
 
   // Verify the remote adjacency store against the host-side model.
-  auto& remote = testbed.runtime(1);
+  auto& remote = fabric.runtime(1);
   int verified_vertices = 0;
   for (const auto& [src, neighbors] : expect) {
     // Find the vertex slot by probing like the jam does.

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "benchlib/send_loop.hpp"
-#include "core/two_chains.hpp"
+#include "core/fabric.hpp"
 #include "pkg/package.hpp"
 
 namespace {
@@ -60,7 +60,7 @@ RunResult RunOnce(bool pinned) {
     std::exit(1);
   }
 
-  core::TestbedOptions options;
+  core::FabricOptions options;
   options.runtime.banks = 2;
   options.runtime.mailboxes_per_bank = 4;
   options.runtime.mailbox_slot_bytes = KiB(64);
@@ -68,29 +68,29 @@ RunResult RunOnce(bool pinned) {
   options.runtime.receiver_cores = 2;  // ... and core 2 (domain 1)
   options.runtime.sender_core = 3;
   options.runtime.domain_aware_placement = pinned;
-  options.WithDomains(2);
-  core::Testbed testbed(options);
-  if (!testbed.BuildAndLoad(builder, "numa_pinning").ok()) {
+  options.host.cache.domains = 2;
+  core::Fabric fabric(options);
+  if (!fabric.BuildAndLoad(builder, "numa_pinning").ok()) {
     std::fprintf(stderr, "setup failed\n");
     std::exit(1);
   }
 
   const int total = 64;
   int executed = 0;
-  testbed.runtime(1).SetOnExecuted(
+  fabric.runtime(1).SetOnExecuted(
       [&](const core::ReceivedMessage& msg) { executed += msg.executed; });
 
   std::vector<std::uint8_t> usr(1024, 0);
   for (std::size_t i = 0; i < usr.size(); i += 8) usr[i] = 1;
   const bench::SendLoops sender(
-      testbed.fabric(),
+      fabric,
       {{.src = 0,
         .dst = 1,
         .count = total,
         .next = [&usr](std::uint64_t) {
           return bench::FlowMessage{.jam = "fold", .usr = usr};
         }}});
-  testbed.RunUntil([&] { return executed >= total; });
+  fabric.RunUntil([&] { return executed >= total; });
   if (!sender.status().ok()) {
     std::fprintf(stderr, "send failed: %s\n",
                  sender.status().ToString().c_str());
@@ -102,9 +102,9 @@ RunResult RunOnce(bool pinned) {
   }
 
   RunResult result;
-  result.duration = testbed.engine().Now();
-  result.frames_remote = testbed.runtime(1).stats().frames_drained_remote;
-  result.remote_cycles = testbed.runtime(1).stats().remote_drain_cycles;
+  result.duration = fabric.engine().Now();
+  result.frames_remote = fabric.runtime(1).stats().frames_drained_remote;
+  result.remote_cycles = fabric.runtime(1).stats().remote_drain_cycles;
   return result;
 }
 

@@ -13,7 +13,7 @@
 // Build & run:  ./build/examples/overloading
 #include <cstdio>
 
-#include "core/two_chains.hpp"
+#include "core/fabric.hpp"
 
 namespace {
 
@@ -55,9 +55,9 @@ int main() {
     return 1;
   }
 
-  two_chains::Testbed testbed;
+  core::Fabric fabric;
   // Host 0 doubles; host 1 squares. Same element names, same jam source.
-  Status st = testbed.LoadPackages(*doubler, *squarer);
+  Status st = fabric.LoadPackages({&*doubler, &*squarer});
   if (!st.ok()) {
     std::fprintf(stderr, "setup failed: %s\n", st.ToString().c_str());
     return 1;
@@ -67,21 +67,21 @@ int main() {
     const int to = 1 - from;
     std::uint64_t result = 0;
     bool done = false;
-    testbed.runtime(to).SetOnExecuted(
-        [&](const two_chains::ReceivedMessage& m) {
+    fabric.runtime(to).SetOnExecuted(
+        [&](const core::ReceivedMessage& m) {
           result = m.return_value;
           done = true;
         });
     const std::vector<std::uint64_t> args = {x};
-    auto receipt = testbed.runtime(from).Send(
-        "apply", two_chains::Invoke::kInjected, args, {});
+    auto receipt = fabric.runtime(from).Send(
+        "apply", core::Invoke::kInjected, args, {});
     if (!receipt.ok()) {
       std::fprintf(stderr, "send failed: %s\n",
                    receipt.status().ToString().c_str());
       std::exit(1);
     }
-    testbed.RunUntil([&] { return done; });
-    testbed.runtime(to).SetOnExecuted(nullptr);
+    fabric.RunUntil([&] { return done; });
+    fabric.runtime(to).SetOnExecuted(nullptr);
     return result;
   };
 

@@ -14,7 +14,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "core/two_chains.hpp"
+#include "core/fabric.hpp"
 
 namespace {
 
@@ -65,8 +65,8 @@ int main() {
   }
 
   // ---- 3. two-host testbed -------------------------------------------
-  two_chains::Testbed testbed;
-  Status st = testbed.BuildAndLoad(builder, "quickstart");
+  core::Fabric fabric;
+  Status st = fabric.BuildAndLoad(builder, "quickstart");
   if (!st.ok()) {
     std::fprintf(stderr, "setup failed: %s\n", st.ToString().c_str());
     return 1;
@@ -81,7 +81,7 @@ int main() {
   }
 
   bool done = false;
-  testbed.runtime(1).SetOnExecuted([&](const two_chains::ReceivedMessage& m) {
+  fabric.runtime(1).SetOnExecuted([&](const core::ReceivedMessage& m) {
     std::printf("host1 executed jam (sn=%u): return value = %llu, "
                 "%llu interpreted instructions\n",
                 m.sn, static_cast<unsigned long long>(m.return_value),
@@ -89,8 +89,8 @@ int main() {
     done = true;
   });
 
-  auto receipt = testbed.runtime(0).Send("hello", two_chains::Invoke::kInjected,
-                                         args, payload);
+  auto receipt =
+      fabric.runtime(0).Send("hello", core::Invoke::kInjected, args, payload);
   if (!receipt.ok()) {
     std::fprintf(stderr, "send failed: %s\n",
                  receipt.status().ToString().c_str());
@@ -100,14 +100,14 @@ int main() {
               "message)\n",
               static_cast<unsigned long long>(receipt->frame_len));
 
-  testbed.RunUntil([&] { return done; });
+  fabric.RunUntil([&] { return done; });
 
   // Output produced by natives *on the receiving host*:
   std::printf("host1 print output: %s",
-              testbed.runtime(1).print_output().c_str());
+              fabric.runtime(1).print_output().c_str());
   std::printf("host1 'hits' counter: %llu\n",
               static_cast<unsigned long long>(
-                  testbed.runtime(1).PeekU64("hits").value()));
+                  fabric.runtime(1).PeekU64("hits").value()));
   std::printf("quickstart OK\n");
   return 0;
 }

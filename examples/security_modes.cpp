@@ -10,7 +10,7 @@
 
 #include "benchlib/perftest.hpp"
 #include "benchlib/workloads.hpp"
-#include "core/two_chains.hpp"
+#include "core/fabric.hpp"
 #include "jamvm/assembler.hpp"
 #include "jelf/linker.hpp"
 
@@ -19,11 +19,11 @@ using namespace twochains;
 namespace {
 
 double MedianLatencyUs(const core::SecurityPolicy& policy) {
-  core::TestbedOptions options;
+  core::FabricOptions options;
   options.runtime.security = policy;
-  core::Testbed testbed(options);
+  core::Fabric fabric(options);
   auto package = bench::BuildBenchPackage();
-  if (!package.ok() || !testbed.LoadPackage(*package).ok()) {
+  if (!package.ok() || !fabric.LoadPackage(*package).ok()) {
     std::fprintf(stderr, "setup failed\n");
     std::exit(1);
   }
@@ -36,7 +36,7 @@ double MedianLatencyUs(const core::SecurityPolicy& policy) {
   config.args = [](std::uint64_t iter) {
     return std::vector<std::uint64_t>{iter & 63};
   };
-  auto result = bench::RunAmPingPong(testbed, config);
+  auto result = bench::RunAmPingPong(fabric, config);
   if (!result.ok()) {
     std::fprintf(stderr, "run failed: %s\n",
                  result.status().ToString().c_str());
@@ -83,15 +83,15 @@ int main() {
 
   // ---- hardware-level rejections --------------------------------------
   std::printf("\nhardware-level protections:\n");
-  core::Testbed testbed;
+  core::Fabric fabric;
   auto package = bench::BuildBenchPackage();
-  if (!package.ok() || !testbed.LoadPackage(*package).ok()) return 1;
+  if (!package.ok() || !fabric.LoadPackage(*package).ok()) return 1;
 
   // 1. An RDMA put with a forged rkey is rejected by the target HCA.
-  auto& attacker = testbed.host(0);
+  auto& attacker = fabric.host(0);
   auto buf = attacker.memory().Allocate(64, 64, mem::Perm::kRW, "attack");
   bool rejected = false;
-  Status post = testbed.nic(0).PostPut(
+  Status post = fabric.nic(0).PostPut(
       *buf, mem::HostBase(1) + 0x1000, 64, mem::RKey{0xDEAD}, false,
       [&](const net::PutCompletion& c) {
         rejected = !c.status.ok();
@@ -99,14 +99,14 @@ int main() {
                     c.status.ToString().c_str());
       });
   (void)post;
-  testbed.Run();
+  fabric.Run();
   if (!rejected) {
     std::fprintf(stderr, "attack was not rejected!\n");
     return 1;
   }
   std::printf("  rkey rejections counted by the target HCA: %llu\n",
               static_cast<unsigned long long>(
-                  testbed.nic(1).rkey_rejections()));
+                  fabric.nic(1).rkey_rejections()));
 
   // 2. A GOT sealed read-only refuses CPU stores (GOT-overwrite defense).
   jelf::HostNamespace ns;
@@ -122,9 +122,9 @@ int main() {
   (void)ns.Define("target", 0x1234);
   jelf::LoadOptions opts;
   opts.got_read_only = true;
-  auto lib = jelf::LoadLibrary(testbed.host(0).memory(), *image, ns, opts);
+  auto lib = jelf::LoadLibrary(fabric.host(0).memory(), *image, ns, opts);
   Status overwrite =
-      testbed.host(0).memory().StoreU64(lib->got_addr, 0xBADBAD);
+      fabric.host(0).memory().StoreU64(lib->got_addr, 0xBADBAD);
   std::printf("  GOT overwrite attempt -> %s\n",
               overwrite.ToString().c_str());
   if (overwrite.ok()) {

@@ -21,10 +21,10 @@ std::vector<std::uint64_t> DefaultArgs(std::uint64_t iter) {
 
 }  // namespace
 
-StatusOr<PingPongResult> RunAmPingPong(core::Testbed& testbed,
+StatusOr<PingPongResult> RunAmPingPong(core::Fabric& fabric,
                                        const AmConfig& config) {
-  core::Runtime& initiator = testbed.runtime(0);
-  core::Runtime& responder = testbed.runtime(1);
+  core::Runtime& initiator = fabric.runtime(0);
+  core::Runtime& responder = fabric.runtime(1);
   const ArgsFn args_fn = config.args ? config.args : DefaultArgs;
   const std::uint16_t flags = config.no_execute
                                   ? std::uint16_t{core::kFlagNoExecute}
@@ -40,12 +40,12 @@ StatusOr<PingPongResult> RunAmPingPong(core::Testbed& testbed,
   Status failure;
 
   auto send_ping = [&]() {
-    ping_start = testbed.engine().Now();
+    ping_start = fabric.engine().Now();
     auto receipt = initiator.Send(config.jam, config.mode, args_fn(iter),
                                   usr, flags);
     if (!receipt.ok()) {
       failure = receipt.status();
-      testbed.engine().Stop();
+      fabric.engine().Stop();
       return;
     }
     result.frame_len = receipt->frame_len;
@@ -58,7 +58,7 @@ StatusOr<PingPongResult> RunAmPingPong(core::Testbed& testbed,
                                   usr, flags);
     if (!receipt.ok()) {
       failure = receipt.status();
-      testbed.engine().Stop();
+      fabric.engine().Stop();
     }
   });
 
@@ -71,25 +71,26 @@ StatusOr<PingPongResult> RunAmPingPong(core::Testbed& testbed,
     ++result.messages;
     if (iter >= total) {
       done = true;
-      testbed.engine().Stop();
+      fabric.engine().Stop();
       return;
     }
     send_ping();
   });
 
   send_ping();
-  testbed.RunUntil([&] { return done || !failure.ok(); });
+  fabric.RunUntil([&] { return done || !failure.ok(); });
+  // Both hooks capture this frame's locals: clear them on every return.
+  initiator.SetOnExecuted(nullptr);
+  responder.SetOnExecuted(nullptr);
   if (!failure.ok()) return failure;
   if (!done) return Internal("ping-pong stalled (flow control deadlock?)");
   result.responder_counters = responder.ReceiverPoolCounters();
-  initiator.SetOnExecuted(nullptr);
-  responder.SetOnExecuted(nullptr);
   return result;
 }
 
-StatusOr<RateResult> RunAmInjectionRate(core::Testbed& testbed,
+StatusOr<RateResult> RunAmInjectionRate(core::Fabric& fabric,
                                         const AmConfig& config) {
-  core::Runtime& receiver = testbed.runtime(1);
+  core::Runtime& receiver = fabric.runtime(1);
   const ArgsFn args_fn = config.args ? config.args : DefaultArgs;
   const std::uint16_t flags = config.no_execute
                                   ? std::uint16_t{core::kFlagNoExecute}
@@ -106,7 +107,7 @@ StatusOr<RateResult> RunAmInjectionRate(core::Testbed& testbed,
   bool done = false;
 
   SendLoops sender(
-      testbed.fabric(),
+      fabric,
       {{.src = 0,
         .dst = 1,
         .count = total,
@@ -117,7 +118,7 @@ StatusOr<RateResult> RunAmInjectionRate(core::Testbed& testbed,
             },
         .on_sent =
             [&](const core::SendReceipt& receipt) {
-              if (!first_send) first_send = testbed.engine().Now();
+              if (!first_send) first_send = fabric.engine().Now();
               result.frame_len = receipt.frame_len;
               result.wire_bytes += receipt.frame_len;
             }}});
@@ -127,11 +128,11 @@ StatusOr<RateResult> RunAmInjectionRate(core::Testbed& testbed,
     last_complete = msg.completed_at;
     if (completed >= total) {
       done = true;
-      testbed.engine().Stop();
+      fabric.engine().Stop();
     }
   });
 
-  testbed.RunUntil([&] { return done; });
+  fabric.RunUntil([&] { return done; });
   receiver.SetOnExecuted(nullptr);
   TC_RETURN_IF_ERROR(sender.status());
   if (!done) return Internal("injection-rate run stalled");
@@ -326,14 +327,14 @@ constexpr Cycles kUcxDetectCycles = 140;
 
 }  // namespace
 
-StatusOr<PingPongResult> RunRawPutPingPong(core::Testbed& testbed,
+StatusOr<PingPongResult> RunRawPutPingPong(core::Fabric& fabric,
                                            const RawPutConfig& config) {
   // Independent buffers; does not touch the Two-Chains mailboxes.
   RawSide sides[2];
   ucxs::Worker* workers[2] = {nullptr, nullptr};
   for (int i = 0; i < 2; ++i) {
-    auto& host = testbed.host(i);
-    sides[i].runtime = &testbed.runtime(i);
+    auto& host = fabric.host(i);
+    sides[i].runtime = &fabric.runtime(i);
     TC_ASSIGN_OR_RETURN(sides[i].send_buf,
                         host.memory().Allocate(config.size + 64, 64,
                                                mem::Perm::kRW, "raw:send"));
@@ -346,8 +347,8 @@ StatusOr<PingPongResult> RunRawPutPingPong(core::Testbed& testbed,
                                       mem::RemoteAccess::kWrite, "raw:recv"));
   }
   // Endpoints: standard UCX put path.
-  ucxs::Context ctx0(testbed.engine(), testbed.host(0), testbed.nic(0));
-  ucxs::Context ctx1(testbed.engine(), testbed.host(1), testbed.nic(1));
+  ucxs::Context ctx0(fabric.engine(), fabric.host(0), fabric.nic(0));
+  ucxs::Context ctx1(fabric.engine(), fabric.host(1), fabric.nic(1));
   ucxs::Worker w0(ctx0), w1(ctx1);
   workers[0] = &w0;
   workers[1] = &w1;
@@ -356,7 +357,7 @@ StatusOr<PingPongResult> RunRawPutPingPong(core::Testbed& testbed,
   sides[1].endpoint =
       std::make_unique<ucxs::Endpoint>(*workers[1], ucxs::PutMode::kUcx);
 
-  const cpu::WaitModelConfig wait_cfg = testbed.runtime(0).config().wait;
+  const cpu::WaitModelConfig wait_cfg = fabric.runtime(0).config().wait;
   cpu::WaitModel wait(wait_cfg, kCoreClock);
 
   PingPongResult result;
@@ -371,19 +372,19 @@ StatusOr<PingPongResult> RunRawPutPingPong(core::Testbed& testbed,
   PumpLoop<int> send_from;
   send_from.Set([&, resume = send_from.Handle()](int from) {
     const int to = 1 - from;
-    if (from == 0) ping_start = testbed.engine().Now();
+    if (from == 0) ping_start = fabric.engine().Now();
     auto receipt = sides[from].endpoint->PutNbi(
         sides[from].send_buf, sides[to].recv_buf, config.size,
         sides[to].recv_rkey, false,
         [&, resume, to](const net::PutCompletion& c) {
           if (!c.status.ok()) {
             failure = c.status;
-            testbed.engine().Stop();
+            fabric.engine().Stop();
             return;
           }
           // Receiver detection: poll/WFE on the buffer tail + UCX
           // completion processing, charged to the receiving core.
-          auto& host = testbed.host(to);
+          auto& host = fabric.host(to);
           const PicoTime waited =
               c.delivered_at > sides[to].idle_since
                   ? c.delivered_at - sides[to].idle_since
@@ -398,19 +399,19 @@ StatusOr<PingPongResult> RunRawPutPingPong(core::Testbed& testbed,
               host.core(0).Charge(detect, cpu::CycleClass::kExecute);
           const PicoTime wake =
               c.delivered_at + outcome.detection_delay + busy;
-          testbed.engine().ScheduleAt(
+          fabric.engine().ScheduleAt(
               wake,
               [&, resume, to] {
-                sides[to].idle_since = testbed.engine().Now();
+                sides[to].idle_since = fabric.engine().Now();
                 if (to == 0) {
                   // pong landed back at the initiator: iteration done.
-                  const PicoTime rtt = testbed.engine().Now() - ping_start;
+                  const PicoTime rtt = fabric.engine().Now() - ping_start;
                   if (iter >= config.warmup) result.one_way.Add(rtt / 2);
                   ++iter;
                   ++result.messages;
                   if (iter >= total) {
                     done = true;
-                    testbed.engine().Stop();
+                    fabric.engine().Stop();
                     return;
                   }
                   resume(0);
@@ -422,25 +423,25 @@ StatusOr<PingPongResult> RunRawPutPingPong(core::Testbed& testbed,
         });
     if (!receipt.ok()) {
       failure = receipt.status();
-      testbed.engine().Stop();
+      fabric.engine().Stop();
     }
   });
 
-  sides[0].idle_since = sides[1].idle_since = testbed.engine().Now();
+  sides[0].idle_since = sides[1].idle_since = fabric.engine().Now();
   send_from(0);
-  testbed.RunUntil([&] { return done || !failure.ok(); });
+  fabric.RunUntil([&] { return done || !failure.ok(); });
   if (!failure.ok()) return failure;
   if (!done) return Internal("raw put ping-pong stalled");
   result.frame_len = config.size;
   result.protocol = sides[0].endpoint->SelectProtocol(config.size);
-  result.responder_counters = testbed.host(1).core(0).counters();
+  result.responder_counters = fabric.host(1).core(0).counters();
   return result;
 }
 
-StatusOr<RateResult> RunRawPutStream(core::Testbed& testbed,
+StatusOr<RateResult> RunRawPutStream(core::Fabric& fabric,
                                      const RawPutConfig& config) {
-  auto& src_host = testbed.host(0);
-  auto& dst_host = testbed.host(1);
+  auto& src_host = fabric.host(0);
+  auto& dst_host = fabric.host(1);
   TC_ASSIGN_OR_RETURN(const mem::VirtAddr src,
                       src_host.memory().Allocate(config.size + 64, 64,
                                                  mem::Perm::kRW, "raw:src"));
@@ -452,7 +453,7 @@ StatusOr<RateResult> RunRawPutStream(core::Testbed& testbed,
       dst_host.regions().RegisterRegion(dst, config.size + 64,
                                         mem::RemoteAccess::kWrite,
                                         "raw:dst"));
-  ucxs::Context ctx(testbed.engine(), src_host, testbed.nic(0));
+  ucxs::Context ctx(fabric.engine(), src_host, fabric.nic(0));
   ucxs::Worker worker(ctx);
   ucxs::Endpoint endpoint(worker, ucxs::PutMode::kUcx);
 
@@ -475,31 +476,31 @@ StatusOr<RateResult> RunRawPutStream(core::Testbed& testbed,
         [&](const net::PutCompletion& c) {
           if (!c.status.ok()) {
             failure = c.status;
-            testbed.engine().Stop();
+            fabric.engine().Stop();
             return;
           }
           // Sender-side completion processing (tracking) cost.
-          testbed.host(0).core(1).Charge(kUcxDetectCycles,
-                                         cpu::CycleClass::kExecute);
+          fabric.host(0).core(1).Charge(kUcxDetectCycles,
+                                        cpu::CycleClass::kExecute);
           ++delivered;
           last_delivery = c.delivered_at;
           if (delivered >= total) {
             done = true;
-            testbed.engine().Stop();
+            fabric.engine().Stop();
           }
         });
     if (!receipt.ok()) {
       failure = receipt.status();
-      testbed.engine().Stop();
+      fabric.engine().Stop();
       return;
     }
     ++posted;
-    testbed.engine().ScheduleAfter(receipt->sender_overhead, resume,
-                                   "raw.post");
+    fabric.engine().ScheduleAfter(receipt->sender_overhead, resume,
+                                  "raw.post");
   });
 
   post_loop();
-  testbed.RunUntil([&] { return done || !failure.ok(); });
+  fabric.RunUntil([&] { return done || !failure.ok(); });
   if (!failure.ok()) return failure;
   if (!done) return Internal("raw put stream stalled");
 

@@ -13,7 +13,6 @@
 #include "common/stats.hpp"
 #include "common/status.hpp"
 #include "core/fabric.hpp"
-#include "core/two_chains.hpp"
 #include "ucxs/ucxs.hpp"
 
 namespace twochains::bench {
@@ -40,8 +39,8 @@ struct PingPongResult {
   std::uint64_t messages = 0;
 };
 
-/// Half round-trip active-message latency (§VI-A1).
-StatusOr<PingPongResult> RunAmPingPong(core::Testbed& testbed,
+/// Half round-trip active-message latency between hosts 0 and 1 (§VI-A1).
+StatusOr<PingPongResult> RunAmPingPong(core::Fabric& fabric,
                                        const AmConfig& config);
 
 struct RateResult {
@@ -60,9 +59,10 @@ struct RateResult {
   core::JamCacheStats rx_jam{};
 };
 
-/// Injection rate with bank flow control (§VI-A2): the sender pushes as
-/// fast as its banks allow; the receiver drains and recycles.
-StatusOr<RateResult> RunAmInjectionRate(core::Testbed& testbed,
+/// Injection rate from host 0 to host 1 with bank flow control (§VI-A2):
+/// the sender pushes as fast as its banks allow; the receiver drains and
+/// recycles.
+StatusOr<RateResult> RunAmInjectionRate(core::Fabric& fabric,
                                         const AmConfig& config);
 
 // ----------------------------------------------------------------- incast
@@ -131,12 +131,12 @@ struct RawPutConfig {
 /// Raw UCX put ping-pong baseline ("Data put" in Figs. 5/6): puts through
 /// the kUcx endpoint, receiver detects by polling the trailing flag byte
 /// with the standard completion-tracking overhead.
-StatusOr<PingPongResult> RunRawPutPingPong(core::Testbed& testbed,
+StatusOr<PingPongResult> RunRawPutPingPong(core::Fabric& fabric,
                                            const RawPutConfig& config);
 
 /// Raw UCX put streaming bandwidth: window-limited pipelining with per-op
 /// completion tracking.
-StatusOr<RateResult> RunRawPutStream(core::Testbed& testbed,
+StatusOr<RateResult> RunRawPutStream(core::Fabric& fabric,
                                      const RawPutConfig& config);
 
 }  // namespace twochains::bench

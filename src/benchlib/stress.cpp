@@ -79,10 +79,6 @@ void ApplyStress(core::Fabric& fabric, const StressConfig& config) {
   }
 }
 
-void ApplyStress(core::Testbed& testbed, const StressConfig& config) {
-  ApplyStress(testbed.fabric(), config);
-}
-
 void ClearStress(core::Fabric& fabric) {
   for (std::uint32_t i = 0; i < fabric.size(); ++i) {
     fabric.host(i).caches().SetDramContentionHook(nullptr);
@@ -101,7 +97,5 @@ void ClearStress(core::Fabric& fabric) {
     StressSnapshots().erase(snapshot);
   }
 }
-
-void ClearStress(core::Testbed& testbed) { ClearStress(testbed.fabric()); }
 
 }  // namespace twochains::bench

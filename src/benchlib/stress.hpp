@@ -14,7 +14,7 @@
 
 #include <cstdint>
 
-#include "core/two_chains.hpp"
+#include "core/fabric.hpp"
 
 namespace twochains::bench {
 
@@ -49,12 +49,8 @@ struct StressConfig {
 /// apply/clear round-trips leave the fabric byte-exactly as found.
 void ApplyStress(core::Fabric& fabric, const StressConfig& config);
 
-/// Installs the interference hooks on both hosts of the testbed.
-void ApplyStress(core::Testbed& testbed, const StressConfig& config);
-
 /// Removes all interference hooks and restores the wait-loop hysteresis
 /// defaults snapshotted by the first ApplyStress (exact round-trip).
 void ClearStress(core::Fabric& fabric);
-void ClearStress(core::Testbed& testbed);
 
 }  // namespace twochains::bench

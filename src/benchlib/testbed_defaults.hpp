@@ -4,13 +4,21 @@
 #pragma once
 
 #include "core/fabric.hpp"
-#include "core/two_chains.hpp"
 
 namespace twochains::bench {
 
-/// The paper's two-server testbed with sensible benchmark mailbox shape.
-inline core::TestbedOptions PaperTestbed() {
-  core::TestbedOptions options;
+/// The paper's two-server testbed (§VI-C) with the benchmark mailbox
+/// shape. With no arguments this is the 2-host back-to-back testbed; more
+/// hosts scale the same simulated machine out to an N-host fabric (the
+/// incast / fan-out scenarios beyond the paper).
+inline core::FabricOptions PaperFabric(
+    std::uint32_t hosts = 2,
+    core::Topology topology = core::Topology::kFullMesh,
+    std::uint32_t hub = 0) {
+  core::FabricOptions options;
+  options.hosts = hosts;
+  options.topology = topology;
+  options.hub = hub;
   options.runtime.banks = 4;
   options.runtime.mailboxes_per_bank = 16;
   options.runtime.mailbox_slot_bytes = KiB(136);  // fits 128 KiB frames
@@ -18,26 +26,7 @@ inline core::TestbedOptions PaperTestbed() {
   // the same core waits on mailboxes and packs outgoing messages, so its
   // cycle counters cover both roles — what Figures 13/14 count.
   options.runtime.sender_core = 0;
-  options.host0.memory_bytes = MiB(512);
-  options.host1.memory_bytes = MiB(512);
-  return options;
-}
-
-/// The same simulated machine, scaled out to an N-host fabric (the
-/// incast / fan-out scenarios beyond the paper's two-server testbed).
-inline core::FabricOptions PaperFabric(
-    std::uint32_t hosts,
-    core::Topology topology = core::Topology::kFullMesh,
-    std::uint32_t hub = 0) {
-  const core::TestbedOptions paper = PaperTestbed();
-  core::FabricOptions options;
-  options.hosts = hosts;
-  options.topology = topology;
-  options.hub = hub;
-  options.host = paper.host0;
-  options.nic = paper.nic;
-  options.protocol = paper.protocol;
-  options.runtime = paper.runtime;
+  options.host.memory_bytes = MiB(512);
   return options;
 }
 

@@ -42,18 +42,23 @@ Fabric::Fabric(FabricOptions options)
     TC_WARN << "fabric: hosts=0 is not a fabric; building 1 host";
     options_.hosts = 1;
   }
+  // A miscounted overrides list does not say which host each entry was
+  // meant for, so it fails every load; the hosts are still built from the
+  // templates so the object stays whole.
   if (!options_.host_overrides.empty() &&
       options_.host_overrides.size() != options_.hosts) {
-    TC_WARN << "fabric: " << options_.host_overrides.size()
-            << " host_overrides for " << options_.hosts
-            << " hosts — ignoring overrides, using the host template";
+    setup_error_ = InvalidArgument(
+        StrFormat("%zu host_overrides for %u hosts",
+                  options_.host_overrides.size(), options_.hosts));
     options_.host_overrides.clear();
   }
   if (!options_.runtime_overrides.empty() &&
       options_.runtime_overrides.size() != options_.hosts) {
-    TC_WARN << "fabric: " << options_.runtime_overrides.size()
-            << " runtime_overrides for " << options_.hosts
-            << " hosts — ignoring overrides, using the runtime template";
+    if (setup_error_.ok()) {
+      setup_error_ = InvalidArgument(
+          StrFormat("%zu runtime_overrides for %u hosts",
+                    options_.runtime_overrides.size(), options_.hosts));
+    }
     options_.runtime_overrides.clear();
   }
   if (options_.hub >= options_.hosts) {
@@ -111,7 +116,7 @@ Fabric::Fabric(FabricOptions options)
   // cable's wire state) is remembered and surfaced by WireUp.
   for (const auto& [a, b] : Edges()) {
     const Status st = nodes_[a].nic->ConnectTo(*nodes_[b].nic);
-    if (!st.ok() && cabling_error_.ok()) cabling_error_ = st;
+    if (!st.ok() && setup_error_.ok()) setup_error_ = st;
   }
 
   // One virtual lane per host — always, even when running single-lane, so
@@ -224,7 +229,7 @@ StatusOr<PeerId> Fabric::PeerIdFor(std::uint32_t src,
 
 Status Fabric::WireUp() {
   if (wired_) return Status::Ok();
-  TC_RETURN_IF_ERROR(cabling_error_);
+  TC_RETURN_IF_ERROR(setup_error_);
   for (auto& node : nodes_) {
     TC_RETURN_IF_ERROR(node.runtime->Initialize());
   }

@@ -19,9 +19,9 @@
 //   fabric.runtime(3).Send(*peer, "iput", Invoke::kInjected, args, usr);
 //   fabric.Run();
 //
-// The two-host Testbed (core/two_chains.hpp) is a thin wrapper over a
-// 2-host full-mesh Fabric, so every figure bench measures the same code
-// path the N-host scenarios run.
+// The default FabricOptions (2 hosts, full mesh) is the paper's testbed
+// (§VI-C): two hosts wired back-to-back. Every figure bench runs on this
+// same class, so it measures the code path the N-host scenarios run.
 #pragma once
 
 #include <functional>
@@ -86,7 +86,7 @@ struct FabricOptions {
   /// Template for every host; host_id is overridden per host.
   net::HostConfig host{};
   /// Optional per-host overrides; when non-empty must have `hosts` entries
-  /// (a size mismatch is logged and the overrides are ignored).
+  /// (a size mismatch fails every Load* with kInvalidArgument).
   std::vector<net::HostConfig> host_overrides;
   net::NicConfig nic{};
   /// Event-engine execution config. `engine.lanes > 1` shards event
@@ -205,9 +205,10 @@ class Fabric {
   sim::Engine engine_;
   std::vector<Node> nodes_;
   std::vector<std::unique_ptr<net::Switch>> switches_;
-  /// First cabling failure (e.g. a duplicate edge): surfaced by WireUp so
-  /// a miswired fabric fails loudly instead of running on shadow state.
-  Status cabling_error_ = Status::Ok();
+  /// First set-up failure (a miscounted overrides list, or a cabling
+  /// failure such as a duplicate edge): surfaced by WireUp so a
+  /// misconfigured fabric fails loudly instead of running on shadow state.
+  Status setup_error_ = Status::Ok();
   bool wired_ = false;
 };
 

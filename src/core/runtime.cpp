@@ -310,10 +310,6 @@ StatusOr<std::pair<PeerId, PeerId>> Runtime::Connect(Runtime& a, Runtime& b) {
   return std::make_pair(id_of_b, id_of_a);
 }
 
-Status Runtime::Wire(Runtime& a, Runtime& b) {
-  return Connect(a, b).status();
-}
-
 PeerId Runtime::PeerIdOf(const Runtime& other) const noexcept {
   for (PeerId i = 0; i < peers_.size(); ++i) {
     if (peers_[i].runtime == &other) return i;

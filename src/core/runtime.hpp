@@ -395,7 +395,7 @@ struct RuntimeStats {
 
 /// The Two-Chains runtime: one per host process (see the file comment
 /// for the full model). Lifecycle: construct -> Initialize() ->
-/// Connect()/Wire() -> LoadPackage() -> SyncNamespaces() ->
+/// Connect() -> LoadPackage() -> SyncNamespaces() ->
 /// StartReceiver(); docs/RUNTIME_LIFECYCLE.md spells out the order and
 /// the hotplug protocol. All callbacks (SetOnExecuted, slot waiters) run
 /// on the simulation engine — there is no host-thread concurrency
@@ -422,9 +422,6 @@ class Runtime {
   /// `first` is b's id within a, `second` is a's id within b. Their NICs
   /// must already be cabled (net::Nic::ConnectTo).
   static StatusOr<std::pair<PeerId, PeerId>> Connect(Runtime& a, Runtime& b);
-
-  /// Back-compat two-host wireup: Connect() discarding the peer ids.
-  static Status Wire(Runtime& a, Runtime& b);
 
   /// Loads a package on this host: rieds first (with auto-init), then the
   /// Local Function library; caches injectable jam images. With

@@ -10,7 +10,7 @@
 #include "benchlib/send_loop.hpp"
 #include "benchlib/workloads.hpp"
 #include "core/frame.hpp"
-#include "core/two_chains.hpp"
+#include "core/fabric.hpp"
 
 namespace twochains::core {
 namespace {
@@ -214,19 +214,19 @@ bench::FlowMessage CountingSsum(std::uint64_t n) {
 
 class TwoChainsTest : public ::testing::Test {
  protected:
-  static TestbedOptions Options() {
-    TestbedOptions options;
+  static FabricOptions Options() {
+    FabricOptions options;
     options.runtime.banks = 2;
     options.runtime.mailboxes_per_bank = 4;
     options.runtime.mailbox_slot_bytes = KiB(64);
     return options;
   }
 
-  void SetUpTestbed(TestbedOptions options = Options()) {
-    testbed_ = std::make_unique<Testbed>(options);
+  void SetUpFabric(FabricOptions options = Options()) {
+    fabric_ = std::make_unique<Fabric>(options);
     auto pkg = bench::BuildBenchPackage();
     ASSERT_TRUE(pkg.ok()) << pkg.status();
-    ASSERT_TRUE(testbed_->LoadPackage(*pkg).ok());
+    ASSERT_TRUE(fabric_->LoadPackage(*pkg).ok());
   }
 
   /// Sends one jam and runs until it executes; returns the result.
@@ -235,24 +235,24 @@ class TwoChainsTest : public ::testing::Test {
                                        std::vector<std::uint8_t> usr,
                                        std::uint16_t flags = 0) {
     std::optional<ReceivedMessage> received;
-    testbed_->runtime(1).SetOnExecuted(
+    fabric_->runtime(1).SetOnExecuted(
         [&](const ReceivedMessage& msg) { received = msg; });
     TC_ASSIGN_OR_RETURN(const SendReceipt receipt,
-                        testbed_->runtime(0).Send(jam, mode, args, usr,
-                                                  flags));
+                        fabric_->runtime(0).Send(jam, mode, args, usr,
+                                                 flags));
     last_receipt_ = receipt;
-    testbed_->RunUntil([&] { return received.has_value(); });
-    testbed_->runtime(1).SetOnExecuted(nullptr);
+    fabric_->RunUntil([&] { return received.has_value(); });
+    fabric_->runtime(1).SetOnExecuted(nullptr);
     if (!received.has_value()) return Internal("message never executed");
     return *received;
   }
 
-  std::unique_ptr<Testbed> testbed_;
+  std::unique_ptr<Fabric> fabric_;
   SendReceipt last_receipt_;
 };
 
 TEST_F(TwoChainsTest, InjectedServerSideSum) {
-  SetUpTestbed();
+  SetUpFabric();
   // Payload: 8 longs summing to 36, like the paper's Server-Side Sum.
   std::vector<std::uint8_t> usr(64);
   std::uint64_t expect = 0;
@@ -267,12 +267,12 @@ TEST_F(TwoChainsTest, InjectedServerSideSum) {
   EXPECT_TRUE(msg->injected);
   EXPECT_EQ(msg->return_value, expect);
   // The result landed in the server-resident ried array.
-  EXPECT_EQ(testbed_->runtime(1).PeekU64("sum_results", 0).value(), expect);
-  EXPECT_EQ(testbed_->runtime(1).PeekU64("sum_cursor").value(), 1u);
+  EXPECT_EQ(fabric_->runtime(1).PeekU64("sum_results", 0).value(), expect);
+  EXPECT_EQ(fabric_->runtime(1).PeekU64("sum_cursor").value(), 1u);
 }
 
 TEST_F(TwoChainsTest, LocalServerSideSumMatchesInjected) {
-  SetUpTestbed();
+  SetUpFabric();
   std::vector<std::uint8_t> usr(32);
   std::uint64_t expect = 0;
   for (std::uint64_t i = 0; i < 4; ++i) {
@@ -289,16 +289,16 @@ TEST_F(TwoChainsTest, LocalServerSideSumMatchesInjected) {
   EXPECT_FALSE(local->injected);
   // The local frame is much smaller than the injected one (no code).
   auto local_layout =
-      testbed_->runtime(0).LayoutFor("ssum", Invoke::kLocal, 8, 32);
+      fabric_->runtime(0).LayoutFor("ssum", Invoke::kLocal, 8, 32);
   auto injected_layout =
-      testbed_->runtime(0).LayoutFor("ssum", Invoke::kInjected, 8, 32);
+      fabric_->runtime(0).LayoutFor("ssum", Invoke::kInjected, 8, 32);
   ASSERT_TRUE(local_layout.ok());
   ASSERT_TRUE(injected_layout.ok());
   EXPECT_LT(local_layout->frame_len + 512, injected_layout->frame_len);
 }
 
 TEST_F(TwoChainsTest, IndirectPutStoresPayloadAtHashedOffset) {
-  SetUpTestbed();
+  SetUpFabric();
   std::vector<std::uint8_t> usr(16);
   for (std::size_t i = 0; i < usr.size(); ++i) {
     usr[i] = static_cast<std::uint8_t>(i + 1);
@@ -310,7 +310,7 @@ TEST_F(TwoChainsTest, IndirectPutStoresPayloadAtHashedOffset) {
   EXPECT_NE(offset, static_cast<std::uint64_t>(-1));
   // Server heap holds the payload at the returned offset.
   auto heap_word =
-      testbed_->runtime(1).PeekU64("ht_heap", offset / 8);
+      fabric_->runtime(1).PeekU64("ht_heap", offset / 8);
   ASSERT_TRUE(heap_word.ok());
   std::uint64_t expect;
   std::memcpy(&expect, usr.data(), 8);
@@ -326,58 +326,58 @@ TEST_F(TwoChainsTest, IndirectPutStoresPayloadAtHashedOffset) {
 }
 
 TEST_F(TwoChainsTest, WithoutExecutionSkipsInvocation) {
-  SetUpTestbed();
+  SetUpFabric();
   std::vector<std::uint8_t> usr(64, 1);
   auto msg = SendAndRun("ssum", Invoke::kInjected, {0}, usr, kFlagNoExecute);
   ASSERT_TRUE(msg.ok()) << msg.status();
   EXPECT_FALSE(msg->executed);
   EXPECT_EQ(msg->instructions, 0u);
-  EXPECT_EQ(testbed_->runtime(1).PeekU64("sum_cursor").value(), 0u);
+  EXPECT_EQ(fabric_->runtime(1).PeekU64("sum_cursor").value(), 0u);
 }
 
 TEST_F(TwoChainsTest, ManyMessagesExerciseBankRecycling) {
-  SetUpTestbed();  // 2 banks x 4 slots
+  SetUpFabric();  // 2 banks x 4 slots
   const int total = 50;  // > 6 bank cycles
   int executed = 0;
   std::uint64_t sum_of_returns = 0;
-  testbed_->runtime(1).SetOnExecuted([&](const ReceivedMessage& msg) {
+  fabric_->runtime(1).SetOnExecuted([&](const ReceivedMessage& msg) {
     ++executed;
     sum_of_returns += msg.return_value;
   });
   const bench::SendLoops loops(
-      testbed_->fabric(),
+      *fabric_,
       {{.src = 0, .dst = 1, .count = total, .next = CountingSsum}});
-  testbed_->RunUntil([&] { return executed == total; });
+  fabric_->RunUntil([&] { return executed == total; });
   ASSERT_TRUE(loops.status().ok()) << loops.status();
   EXPECT_EQ(executed, total);
   // sum of 1..50
   EXPECT_EQ(sum_of_returns, 50u * 51 / 2);
-  EXPECT_GE(testbed_->runtime(1).stats().bank_flags_returned, 10u);
+  EXPECT_GE(fabric_->runtime(1).stats().bank_flags_returned, 10u);
 }
 
 TEST_F(TwoChainsTest, SendWithoutFreeSlotFails) {
-  SetUpTestbed();
+  SetUpFabric();
   std::vector<std::uint8_t> usr(8, 0);
   // Fill both banks without letting the receiver drain (don't run engine).
   int ok_sends = 0;
-  while (testbed_->runtime(0).HasFreeSlot()) {
-    auto r = testbed_->runtime(0).Send("ssum", Invoke::kInjected, {}, usr);
+  while (fabric_->runtime(0).HasFreeSlot()) {
+    auto r = fabric_->runtime(0).Send("ssum", Invoke::kInjected, {}, usr);
     ASSERT_TRUE(r.ok());
     ++ok_sends;
   }
   EXPECT_EQ(ok_sends, 8);  // 2 banks x 4 slots
-  auto blocked = testbed_->runtime(0).Send("ssum", Invoke::kInjected, {}, usr);
+  auto blocked = fabric_->runtime(0).Send("ssum", Invoke::kInjected, {}, usr);
   EXPECT_EQ(blocked.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST_F(TwoChainsTest, UnknownJamRejected) {
-  SetUpTestbed();
-  auto r = testbed_->runtime(0).Send("nope", Invoke::kInjected, {}, {});
+  SetUpFabric();
+  auto r = fabric_->runtime(0).Send("nope", Invoke::kInjected, {}, {});
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(TwoChainsTest, PingPongBothDirections) {
-  SetUpTestbed();
+  SetUpFabric();
   std::vector<std::uint8_t> usr(8, 2);
   // 0 -> 1
   auto there = SendAndRun("nop", Invoke::kInjected, {7}, usr);
@@ -385,18 +385,18 @@ TEST_F(TwoChainsTest, PingPongBothDirections) {
   EXPECT_EQ(there->return_value, 7u);
   // 1 -> 0
   std::optional<ReceivedMessage> received;
-  testbed_->runtime(0).SetOnExecuted(
+  fabric_->runtime(0).SetOnExecuted(
       [&](const ReceivedMessage& msg) { received = msg; });
   const std::vector<std::uint64_t> args = {9};
   ASSERT_TRUE(
-      testbed_->runtime(1).Send("nop", Invoke::kInjected, args, usr).ok());
-  testbed_->RunUntil([&] { return received.has_value(); });
+      fabric_->runtime(1).Send("nop", Invoke::kInjected, args, usr).ok());
+  fabric_->RunUntil([&] { return received.has_value(); });
   ASSERT_TRUE(received.has_value());
   EXPECT_EQ(received->return_value, 9u);
 }
 
 TEST_F(TwoChainsTest, InjectedCodeExecutesFromMailbox) {
-  SetUpTestbed();
+  SetUpFabric();
   // The executed code's instructions must be fetched from the mailbox
   // region (i.e. code really travelled): check instruction counts.
   std::vector<std::uint8_t> usr(256, 1);
@@ -408,9 +408,9 @@ TEST_F(TwoChainsTest, InjectedCodeExecutesFromMailbox) {
 // ----------------------------------------------------------- security
 
 TEST_F(TwoChainsTest, ReceiverInstalledGotMode) {
-  TestbedOptions options = Options();
+  FabricOptions options = Options();
   options.runtime.security.receiver_installs_got = true;
-  SetUpTestbed(options);
+  SetUpFabric(options);
   std::vector<std::uint8_t> usr(16, 3);
   auto msg = SendAndRun("iput", Invoke::kInjected, {42}, usr);
   ASSERT_TRUE(msg.ok()) << msg.status();
@@ -419,9 +419,9 @@ TEST_F(TwoChainsTest, ReceiverInstalledGotMode) {
 }
 
 TEST_F(TwoChainsTest, HardenedPolicyEndToEnd) {
-  TestbedOptions options = Options();
+  FabricOptions options = Options();
   options.runtime.security = SecurityPolicy::Hardened();
-  SetUpTestbed(options);
+  SetUpFabric(options);
   std::vector<std::uint8_t> usr(64);
   std::uint64_t expect = 0;
   for (std::uint64_t i = 0; i < 8; ++i) {
@@ -435,9 +435,9 @@ TEST_F(TwoChainsTest, HardenedPolicyEndToEnd) {
 }
 
 TEST_F(TwoChainsTest, VerifierModeExecutes) {
-  TestbedOptions options = Options();
+  FabricOptions options = Options();
   options.runtime.security.verify_injected_code = true;
-  SetUpTestbed(options);
+  SetUpFabric(options);
   std::vector<std::uint8_t> usr(8, 1);
   auto msg = SendAndRun("nop", Invoke::kInjected, {1}, usr);
   ASSERT_TRUE(msg.ok()) << msg.status();
@@ -445,10 +445,10 @@ TEST_F(TwoChainsTest, VerifierModeExecutes) {
 }
 
 TEST_F(TwoChainsTest, SeparateSignalPutStillDelivers) {
-  TestbedOptions options = Options();
+  FabricOptions options = Options();
   options.runtime.separate_signal_put = true;
   options.nic.enforce_write_ordering = false;  // the mode that needs it
-  SetUpTestbed(options);
+  SetUpFabric(options);
   std::vector<std::uint8_t> usr(16, 4);
   auto msg = SendAndRun("ssum", Invoke::kInjected, {0}, usr);
   ASSERT_TRUE(msg.ok()) << msg.status();
@@ -461,12 +461,12 @@ TEST_F(TwoChainsTest, SeparateSignalPutStillDelivers) {
 }
 
 TEST_F(TwoChainsTest, StatsAccumulate) {
-  SetUpTestbed();
+  SetUpFabric();
   std::vector<std::uint8_t> usr(8, 1);
   ASSERT_TRUE(SendAndRun("ssum", Invoke::kInjected, {}, usr).ok());
   ASSERT_TRUE(SendAndRun("ssum", Invoke::kLocal, {}, usr).ok());
-  const auto& tx = testbed_->runtime(0).stats();
-  const auto& rx = testbed_->runtime(1).stats();
+  const auto& tx = fabric_->runtime(0).stats();
+  const auto& rx = fabric_->runtime(1).stats();
   EXPECT_EQ(tx.messages_sent, 2u);
   EXPECT_EQ(rx.messages_executed, 2u);
   EXPECT_EQ(rx.messages_delivered, 2u);
@@ -475,10 +475,10 @@ TEST_F(TwoChainsTest, StatsAccumulate) {
 }
 
 TEST_F(TwoChainsTest, ReceiverCountersTrackWork) {
-  SetUpTestbed();
+  SetUpFabric();
   std::vector<std::uint8_t> usr(1024, 1);
   ASSERT_TRUE(SendAndRun("ssum", Invoke::kInjected, {}, usr).ok());
-  const auto& counters = testbed_->runtime(1).receiver_cpu().counters();
+  const auto& counters = fabric_->runtime(1).receiver_cpu().counters();
   EXPECT_GT(counters.Of(cpu::CycleClass::kWait), 0u);
   EXPECT_GT(counters.Of(cpu::CycleClass::kExecute), 0u);
   EXPECT_GT(counters.instructions, 0u);
@@ -525,8 +525,8 @@ TEST_F(TwoChainsTest, LoadPackagesPerHostOverloading) {
   ASSERT_TRUE(doubler.ok()) << doubler.status();
   ASSERT_TRUE(squarer.ok()) << squarer.status();
 
-  testbed_ = std::make_unique<Testbed>(Options());
-  ASSERT_TRUE(testbed_->LoadPackages(*doubler, *squarer).ok());
+  fabric_ = std::make_unique<Fabric>(Options());
+  ASSERT_TRUE(fabric_->LoadPackages({&*doubler, &*squarer}).ok());
 
   // 0 -> 1 lands on the squarer.
   auto on_squarer = SendAndRun("apply", Invoke::kInjected, {9}, {});
@@ -535,12 +535,12 @@ TEST_F(TwoChainsTest, LoadPackagesPerHostOverloading) {
 
   // 1 -> 0 lands on the doubler.
   std::optional<ReceivedMessage> received;
-  testbed_->runtime(0).SetOnExecuted(
+  fabric_->runtime(0).SetOnExecuted(
       [&](const ReceivedMessage& msg) { received = msg; });
   const std::vector<std::uint64_t> args = {9};
   ASSERT_TRUE(
-      testbed_->runtime(1).Send("apply", Invoke::kInjected, args, {}).ok());
-  testbed_->RunUntil([&] { return received.has_value(); });
+      fabric_->runtime(1).Send("apply", Invoke::kInjected, args, {}).ok());
+  fabric_->RunUntil([&] { return received.has_value(); });
   ASSERT_TRUE(received.has_value());
   EXPECT_EQ(received->return_value, 18u);
 }
@@ -548,37 +548,32 @@ TEST_F(TwoChainsTest, LoadPackagesPerHostOverloading) {
 TEST_F(TwoChainsTest, LoadPackagesCountMismatchRejected) {
   auto package = bench::BuildBenchPackage();
   ASSERT_TRUE(package.ok());
-  Testbed testbed(Options());
-  // The underlying fabric checks the per-host package count.
-  EXPECT_EQ(testbed.fabric()
-                .LoadPackages({&*package})
-                .code(),
+  Fabric fabric(Options());
+  EXPECT_EQ(fabric.LoadPackages({&*package}).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(testbed.fabric()
-                .LoadPackages({&*package, nullptr})
-                .code(),
+  EXPECT_EQ(fabric.LoadPackages({&*package, nullptr}).code(),
             StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------- receiver pooling
 
 TEST_F(TwoChainsTest, ReceiverPoolSharesTheDrain) {
-  TestbedOptions options = Options();
+  FabricOptions options = Options();
   options.runtime.receiver_cores = 2;
   options.runtime.sender_core = 2;  // keep sends off the pool cores
-  SetUpTestbed(options);
+  SetUpFabric(options);
 
   const int total = 48;  // several bank cycles over both banks
   int executed = 0;
   std::uint64_t sum_of_returns = 0;
-  testbed_->runtime(1).SetOnExecuted([&](const ReceivedMessage& msg) {
+  fabric_->runtime(1).SetOnExecuted([&](const ReceivedMessage& msg) {
     ++executed;
     sum_of_returns += msg.return_value;
   });
   const bench::SendLoops loops(
-      testbed_->fabric(),
+      *fabric_,
       {{.src = 0, .dst = 1, .count = total, .next = CountingSsum}});
-  testbed_->RunUntil([&] { return executed == total; });
+  fabric_->RunUntil([&] { return executed == total; });
   ASSERT_TRUE(loops.status().ok()) << loops.status();
   EXPECT_EQ(executed, total);
   EXPECT_EQ(sum_of_returns,
@@ -586,7 +581,7 @@ TEST_F(TwoChainsTest, ReceiverPoolSharesTheDrain) {
 
   // Both pool cores really processed messages, and their per-core
   // counters aggregate to the runtime totals.
-  Runtime& rx = testbed_->runtime(1);
+  Runtime& rx = fabric_->runtime(1);
   ASSERT_EQ(rx.receiver_pool_size(), 2u);
   std::uint64_t pool_total = 0;
   for (std::uint32_t c = 0; c < rx.receiver_pool_size(); ++c) {
@@ -600,11 +595,11 @@ TEST_F(TwoChainsTest, ReceiverPoolSharesTheDrain) {
 }
 
 TEST_F(TwoChainsTest, ReceiverPoolClampsToHostCores) {
-  TestbedOptions options = Options();
+  FabricOptions options = Options();
   options.runtime.receiver_cores = 64;  // host only has 4 cores
-  SetUpTestbed(options);
-  EXPECT_EQ(testbed_->runtime(1).receiver_pool_size(),
-            testbed_->host(1).core_count());
+  SetUpFabric(options);
+  EXPECT_EQ(fabric_->runtime(1).receiver_pool_size(),
+            fabric_->host(1).core_count());
   // A clamped pool still receives correctly.
   std::vector<std::uint8_t> usr(8, 1);
   auto msg = SendAndRun("nop", Invoke::kInjected, {5}, usr);
@@ -617,11 +612,11 @@ TEST_F(TwoChainsTest, ReceiverPoolClampsToHostCores) {
 TEST_F(TwoChainsTest, StealOnSingleCorePoolIsNoOp) {
   StealConfig steal;
   steal.enabled = true;
-  SetUpTestbed(Options().WithStealing(steal));  // receiver_cores stays 1
+  SetUpFabric(Options().WithStealing(steal));  // receiver_cores stays 1
 
   // The config survives but resolves inactive: a 1-core pool allocates no
   // steal state and never records a steal event.
-  Runtime& rx = testbed_->runtime(1);
+  Runtime& rx = fabric_->runtime(1);
   EXPECT_TRUE(rx.config().steal.enabled);
   EXPECT_FALSE(rx.stealing_active());
   ASSERT_EQ(rx.receiver_pool_size(), 1u);
@@ -644,21 +639,21 @@ TEST_F(TwoChainsTest, StealThresholdZeroClampsToOne) {
   StealConfig steal;
   steal.enabled = true;
   steal.threshold = 0;  // would flip claims with no work behind them
-  TestbedOptions options = Options();
+  FabricOptions options = Options();
   options.runtime.receiver_cores = 2;
   options.runtime.sender_core = 2;
   options.WithStealing(steal);
-  SetUpTestbed(options);
+  SetUpFabric(options);
 
-  EXPECT_TRUE(testbed_->runtime(1).stealing_active());
-  EXPECT_EQ(testbed_->runtime(1).config().steal.threshold, 1u);
+  EXPECT_TRUE(fabric_->runtime(1).stealing_active());
+  EXPECT_EQ(fabric_->runtime(1).config().steal.threshold, 1u);
   // Clamped config still drains traffic instead of spinning on claims.
   std::vector<std::uint8_t> usr(8, 7);
   for (int i = 0; i < 20; ++i) {
     auto msg = SendAndRun("ssum", Invoke::kInjected, {0}, usr);
     ASSERT_TRUE(msg.ok()) << msg.status();
   }
-  EXPECT_EQ(testbed_->runtime(1).InFlightFrames(), 0u);
+  EXPECT_EQ(fabric_->runtime(1).InFlightFrames(), 0u);
 }
 
 TEST_F(TwoChainsTest, HugeStealKnobsClampToInboundCapacity) {
@@ -666,17 +661,17 @@ TEST_F(TwoChainsTest, HugeStealKnobsClampToInboundCapacity) {
   steal.enabled = true;
   steal.threshold = ~std::uint32_t{0};
   steal.hysteresis = ~std::uint32_t{0};
-  TestbedOptions options = Options();  // 2 banks x 4 slots -> 8-slot slice
+  FabricOptions options = Options();  // 2 banks x 4 slots -> 8-slot slice
   options.runtime.receiver_cores = 2;
   options.runtime.sender_core = 2;
   options.WithStealing(steal);
-  SetUpTestbed(options);
+  SetUpFabric(options);
 
   // The config keeps what the user asked for; the value *in force* clamps
   // to the whole inbound capacity — one peer's slice on this testbed.
   // (Backlog spans every peer's slice, so the bound is peer-count-aware,
   // not a single slice.)
-  Runtime& rx = testbed_->runtime(1);
+  Runtime& rx = fabric_->runtime(1);
   const std::uint32_t capacity = rx.peer_count() * rx.config().banks *
                                  rx.config().mailboxes_per_bank;
   EXPECT_EQ(rx.config().steal.threshold, ~std::uint32_t{0});
@@ -692,11 +687,11 @@ TEST_F(TwoChainsTest, HugeStealKnobsClampToInboundCapacity) {
 // -------------------------------------------------- core-range clamping
 
 TEST_F(TwoChainsTest, SenderCoreClampsToCacheModelCores) {
-  TestbedOptions options = Options();
+  FabricOptions options = Options();
   options.runtime.sender_core = 64;  // cache model has 4 cores
-  SetUpTestbed(options);
-  EXPECT_EQ(testbed_->runtime(0).config().sender_core,
-            testbed_->host(0).core_count() - 1);
+  SetUpFabric(options);
+  EXPECT_EQ(fabric_->runtime(0).config().sender_core,
+            fabric_->host(0).core_count() - 1);
   // A clamped sender core still sends correctly.
   std::vector<std::uint8_t> usr(8, 1);
   auto msg = SendAndRun("nop", Invoke::kInjected, {3}, usr);
@@ -705,10 +700,10 @@ TEST_F(TwoChainsTest, SenderCoreClampsToCacheModelCores) {
 }
 
 TEST_F(TwoChainsTest, ReceiverCoreOutOfRangeClampsToZero) {
-  TestbedOptions options = Options();
+  FabricOptions options = Options();
   options.runtime.receiver_core = 64;  // cache model has 4 cores
-  SetUpTestbed(options);
-  EXPECT_EQ(testbed_->runtime(1).config().receiver_core, 0u);
+  SetUpFabric(options);
+  EXPECT_EQ(fabric_->runtime(1).config().receiver_core, 0u);
   std::vector<std::uint8_t> usr(8, 1);
   auto msg = SendAndRun("nop", Invoke::kInjected, {4}, usr);
   ASSERT_TRUE(msg.ok()) << msg.status();
@@ -719,8 +714,8 @@ TEST_F(TwoChainsTest, ReceiverCoreOutOfRangeClampsToZero) {
 
 /// 4-core hosts split into 2 domains ({0,1} and {2,3}) with the receiver
 /// pool spanning them: core 1 (domain 0) and core 2 (domain 1).
-TestbedOptions NumaOptions(bool placement) {
-  TestbedOptions options;
+FabricOptions NumaOptions(bool placement) {
+  FabricOptions options;
   options.runtime.banks = 2;
   options.runtime.mailboxes_per_bank = 4;
   options.runtime.mailbox_slot_bytes = KiB(64);
@@ -728,18 +723,18 @@ TestbedOptions NumaOptions(bool placement) {
   options.runtime.receiver_cores = 2;
   options.runtime.sender_core = 3;
   options.runtime.domain_aware_placement = placement;
-  options.WithDomains(2);
+  options.host.cache.domains = 2;
   return options;
 }
 
 TEST_F(TwoChainsTest, DomainPlacementKeepsAffinityDrainsLocal) {
-  SetUpTestbed(NumaOptions(/*placement=*/true));
+  SetUpFabric(NumaOptions(/*placement=*/true));
   std::vector<std::uint8_t> usr(256, 2);
   for (int i = 0; i < 24; ++i) {
     auto msg = SendAndRun("ssum", Invoke::kInjected, {0}, usr);
     ASSERT_TRUE(msg.ok()) << msg.status();
   }
-  Runtime& rx = testbed_->runtime(1);
+  Runtime& rx = fabric_->runtime(1);
   // Both pool cores drained, and every frame's bank was homed in its
   // draining core's domain.
   ASSERT_EQ(rx.receiver_pool_size(), 2u);
@@ -751,13 +746,13 @@ TEST_F(TwoChainsTest, DomainPlacementKeepsAffinityDrainsLocal) {
 }
 
 TEST_F(TwoChainsTest, FlatPlacementDrainsRemoteAndPaysThePenalty) {
-  SetUpTestbed(NumaOptions(/*placement=*/false));
+  SetUpFabric(NumaOptions(/*placement=*/false));
   std::vector<std::uint8_t> usr(256, 2);
   for (int i = 0; i < 24; ++i) {
     auto msg = SendAndRun("ssum", Invoke::kInjected, {0}, usr);
     ASSERT_TRUE(msg.ok()) << msg.status();
   }
-  Runtime& rx = testbed_->runtime(1);
+  Runtime& rx = fabric_->runtime(1);
   // Flat placement homes every bank in domain 0, so the domain-1 pool
   // core's drains are all cross-domain — and they cost real cycles.
   const std::uint64_t pool1_drained =
@@ -771,32 +766,32 @@ TEST_F(TwoChainsTest, FlatPlacementDrainsRemoteAndPaysThePenalty) {
 }
 
 TEST_F(TwoChainsTest, SingleDomainReportsNoRemoteDrains) {
-  TestbedOptions options = Options();
+  FabricOptions options = Options();
   options.runtime.receiver_cores = 2;
   options.runtime.sender_core = 2;
-  SetUpTestbed(options);  // domains = 1 (default)
+  SetUpFabric(options);  // domains = 1 (default)
   std::vector<std::uint8_t> usr(64, 5);
   for (int i = 0; i < 16; ++i) {
     auto msg = SendAndRun("ssum", Invoke::kInjected, {0}, usr);
     ASSERT_TRUE(msg.ok()) << msg.status();
   }
-  EXPECT_EQ(testbed_->runtime(1).stats().frames_drained_remote, 0u);
-  EXPECT_EQ(testbed_->runtime(1).stats().remote_drain_cycles, 0u);
+  EXPECT_EQ(fabric_->runtime(1).stats().frames_drained_remote, 0u);
+  EXPECT_EQ(fabric_->runtime(1).stats().remote_drain_cycles, 0u);
 }
 
 // ------------------------------------------------- strict bank rotation
 
 TEST_F(TwoChainsTest, StrictBankRotationWaitsOutAStalledPoolCore) {
-  TestbedOptions options = Options();  // 2 banks x 4 slots
+  FabricOptions options = Options();  // 2 banks x 4 slots
   options.runtime.receiver_cores = 2;
   options.runtime.sender_core = 2;
-  SetUpTestbed(options);
+  SetUpFabric(options);
 
   // Stall the first frame's pool core for a long stretch: bank 0 freezes
   // mid-drain while bank 1's core sits idle. The sender must still fill
   // banks in strict rotation, parking on bank 0's flag rather than
   // skipping ahead to the idle core's bank.
-  Runtime& rx = testbed_->runtime(1);
+  Runtime& rx = fabric_->runtime(1);
   bool stalled = false;
   rx.SetPreemptionHook([&stalled]() -> PicoTime {
     if (stalled) return 0;
@@ -810,7 +805,7 @@ TEST_F(TwoChainsTest, StrictBankRotationWaitsOutAStalledPoolCore) {
     slot_by_sn[msg.sn] = msg.slot;
   });
   const bench::SendLoops loops(
-      testbed_->fabric(),
+      *fabric_,
       {{.src = 0,
         .dst = 1,
         .count = total,
@@ -819,7 +814,7 @@ TEST_F(TwoChainsTest, StrictBankRotationWaitsOutAStalledPoolCore) {
                                     .args = {1},
                                     .usr = std::vector<std::uint8_t>(8, 1)};
         }}});
-  testbed_->RunUntil([&] { return slot_by_sn.size() == total; });
+  fabric_->RunUntil([&] { return slot_by_sn.size() == total; });
   ASSERT_TRUE(loops.status().ok()) << loops.status();
   ASSERT_EQ(slot_by_sn.size(), static_cast<std::size_t>(total));
   // The i-th send lands in slot i mod (banks x slots), stall or not.

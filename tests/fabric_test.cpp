@@ -337,6 +337,24 @@ TEST(FabricTest, DuplicateCableRejectedAtTheNic) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(FabricTest, MiscountedOverridesFailTheLoad) {
+  // A miscounted overrides list does not say which host each entry was
+  // meant for: every load fails instead of running the hosts on the
+  // templates.
+  auto package = bench::BuildBenchPackage();
+  ASSERT_TRUE(package.ok()) << package.status();
+  FabricOptions two_hosts = SmallOptions(3);
+  two_hosts.host_overrides.assign(2, two_hosts.host);
+  Fabric short_list(two_hosts);
+  EXPECT_EQ(short_list.LoadPackage(*package).code(),
+            StatusCode::kInvalidArgument);
+  FabricOptions four_runtimes = SmallOptions(3);
+  four_runtimes.runtime_overrides.assign(4, four_runtimes.runtime);
+  Fabric long_list(four_runtimes);
+  EXPECT_EQ(long_list.LoadPackage(*package).code(),
+            StatusCode::kInvalidArgument);
+}
+
 // ------------------------------------------------ switched-tree fabric
 
 FabricOptions TreeOptions(std::uint32_t hosts, std::uint32_t arity,
@@ -472,7 +490,7 @@ TEST(FabricTest, CleanFlagReturnsRampTheWindowBackToCeiling) {
   EXPECT_EQ(rt.AdaptiveWindowMinMilli(*peer), 2000u);
 }
 
-TEST(FabricTest, TwoHostFabricMatchesTestbedSemantics) {
+TEST(FabricTest, TwoHostFabricRunsBothDirections) {
   // The 2-host fabric is the paper's testbed: default-peer sends work and
   // both directions execute.
   auto fabric = MakeLoadedFabric(SmallOptions(2));

@@ -30,7 +30,7 @@
 
 #include "benchlib/workloads.hpp"
 #include "core/frame.hpp"
-#include "core/two_chains.hpp"
+#include "core/fabric.hpp"
 #include "fuzz_harness.hpp"
 #include "jamlib/jamlib.hpp"
 #include "jamvm/assembler.hpp"
@@ -486,8 +486,8 @@ JamCacheConfig FuzzCache() {
 
 class RuntimeFuzzTest : public ::testing::Test {
  protected:
-  static TestbedOptions Options() {
-    TestbedOptions options;
+  static FabricOptions Options() {
+    FabricOptions options;
     options.runtime.banks = 2;
     options.runtime.mailboxes_per_bank = 4;
     options.runtime.mailbox_slot_bytes = KiB(64);
@@ -496,27 +496,27 @@ class RuntimeFuzzTest : public ::testing::Test {
     options.runtime.exec.max_instructions = 2'000'000;
     SecurityPolicy policy = SecurityPolicy::Hardened();
     policy.verify_cached_invokes = true;  // the full-paranoia receiver
-    options.WithSecurity(policy);
-    options.WithJamCache(FuzzCache());
+    options.runtime.security = policy;
+    options.runtime.jam_cache = FuzzCache();
     return options;
   }
 
-  void SetUpTestbed() {
-    testbed_ = std::make_unique<Testbed>(Options());
+  void SetUpFabric() {
+    fabric_ = std::make_unique<Fabric>(Options());
     auto built = bench::BuildBenchPackage();
     ASSERT_TRUE(built.ok()) << built.status();
     pkg_ = *built;
-    const Status loaded = testbed_->LoadPackage(pkg_);
+    const Status loaded = fabric_->LoadPackage(pkg_);
     ASSERT_TRUE(loaded.ok()) << loaded;
     receiver().SetOnExecuted(
         [this](const ReceivedMessage& msg) { completions_.push_back(msg); });
   }
 
-  Runtime& sender() { return testbed_->runtime(0); }
-  Runtime& receiver() { return testbed_->runtime(1); }
+  Runtime& sender() { return fabric_->runtime(0); }
+  Runtime& receiver() { return fabric_->runtime(1); }
 
   bool WaitForCompletions(std::size_t n) {
-    return testbed_->RunUntil([&] { return completions_.size() >= n; });
+    return fabric_->RunUntil([&] { return completions_.size() >= n; });
   }
 
   StatusOr<ReceivedMessage> SendLegit(const std::string& jam,
@@ -531,7 +531,7 @@ class RuntimeFuzzTest : public ::testing::Test {
       }
       return nullptr;
     };
-    testbed_->RunUntil([&] { return executed_after() != nullptr; });
+    fabric_->RunUntil([&] { return executed_after() != nullptr; });
     const ReceivedMessage* msg = executed_after();
     if (msg == nullptr) return Internal("legit send never executed");
     return *msg;
@@ -594,13 +594,13 @@ class RuntimeFuzzTest : public ::testing::Test {
     return PackHandleFrame(spec, header, handle, args_bytes, usr);
   }
 
-  std::unique_ptr<Testbed> testbed_;
+  std::unique_ptr<Fabric> fabric_;
   pkg::Package pkg_;
   std::vector<ReceivedMessage> completions_;
 };
 
 TEST_F(RuntimeFuzzTest, GarbageFrameBatchesDrainWithoutWedging) {
-  SetUpTestbed();
+  SetUpFabric();
   Xoshiro256 rng(0xBADF00D5EEDull);
   const int rounds = std::max(4, fuzz::FuzzIterations(10000) / 256);
   std::size_t injected = 0;
@@ -635,7 +635,7 @@ TEST_F(RuntimeFuzzTest, GarbageFrameBatchesDrainWithoutWedging) {
 }
 
 TEST_F(RuntimeFuzzTest, MutatedInjectedFramesNeverEscapeOrWedge) {
-  SetUpTestbed();
+  SetUpFabric();
   const pkg::BuiltElement* ssum = pkg_.Find(pkg::ElementKind::kJam, "ssum");
   ASSERT_NE(ssum, nullptr);
   std::uint64_t expect = 0;
@@ -705,7 +705,7 @@ TEST_F(RuntimeFuzzTest, MutatedInjectedFramesNeverEscapeOrWedge) {
 }
 
 TEST_F(RuntimeFuzzTest, ForgedByHandleFramesNakButNeverSubstituteCode) {
-  SetUpTestbed();
+  SetUpFabric();
   const pkg::BuiltElement* ssum = pkg_.Find(pkg::ElementKind::kJam, "ssum");
   const pkg::BuiltElement* iput = pkg_.Find(pkg::ElementKind::kJam, "iput");
   ASSERT_NE(ssum, nullptr);
@@ -796,7 +796,7 @@ StatusOr<pkg::Package> TagPackage(long addend) {
 }
 
 TEST_F(RuntimeFuzzTest, HostilePackagesAreRejectedAtLoad) {
-  SetUpTestbed();
+  SetUpFabric();
   auto tag = TagPackage(100);
   ASSERT_TRUE(tag.ok()) << tag.status();
 

@@ -14,33 +14,33 @@
 #include "benchlib/stress.hpp"
 #include "benchlib/workloads.hpp"
 #include "common/rng.hpp"
-#include "core/two_chains.hpp"
+#include "core/fabric.hpp"
 
 namespace twochains::core {
 namespace {
 
-std::unique_ptr<Testbed> MakeLoadedTestbed(TestbedOptions options) {
+std::unique_ptr<Fabric> MakeLoadedFabric(FabricOptions options = {}) {
   options.runtime.banks = 2;
   options.runtime.mailboxes_per_bank = 4;
-  auto testbed = std::make_unique<Testbed>(options);
+  auto fabric = std::make_unique<Fabric>(std::move(options));
   auto package = bench::BuildBenchPackage();
   EXPECT_TRUE(package.ok()) << package.status();
-  EXPECT_TRUE(testbed->LoadPackage(*package).ok());
-  return testbed;
+  EXPECT_TRUE(fabric->LoadPackage(*package).ok());
+  return fabric;
 }
 
-StatusOr<ReceivedMessage> SendAndRun(Testbed& testbed, const std::string& jam,
+StatusOr<ReceivedMessage> SendAndRun(Fabric& fabric, const std::string& jam,
                                      Invoke mode,
                                      std::vector<std::uint64_t> args,
                                      std::vector<std::uint8_t> usr) {
   std::optional<ReceivedMessage> received;
-  testbed.runtime(1).SetOnExecuted(
+  fabric.runtime(1).SetOnExecuted(
       [&](const ReceivedMessage& msg) { received = msg; });
   TC_ASSIGN_OR_RETURN(const SendReceipt receipt,
-                      testbed.runtime(0).Send(jam, mode, args, usr));
+                      fabric.runtime(0).Send(jam, mode, args, usr));
   (void)receipt;
-  testbed.RunUntil([&] { return received.has_value(); });
-  testbed.runtime(1).SetOnExecuted(nullptr);
+  fabric.RunUntil([&] { return received.has_value(); });
+  fabric.runtime(1).SetOnExecuted(nullptr);
   if (!received.has_value()) return Internal("never executed");
   return *received;
 }
@@ -58,13 +58,13 @@ class ConfigMatrixTest : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(ConfigMatrixTest, SsumComputesCorrectlyInEveryConfiguration) {
   const MatrixCase param = GetParam();
-  TestbedOptions options;
+  FabricOptions options;
   options.nic.stash_to_llc = param.stash;
   options.runtime.wait.mode = param.wait;
   if (param.hardened) {
     options.runtime.security = SecurityPolicy::Hardened();
   }
-  auto testbed = MakeLoadedTestbed(options);
+  auto fabric = MakeLoadedFabric(options);
 
   Xoshiro256 rng(7);
   std::vector<std::uint8_t> usr(16 * 8);
@@ -74,11 +74,11 @@ TEST_P(ConfigMatrixTest, SsumComputesCorrectlyInEveryConfiguration) {
     std::memcpy(usr.data() + 8 * i, &v, 8);
     expect += v;
   }
-  auto msg = SendAndRun(*testbed, "ssum", param.invoke, {}, usr);
+  auto msg = SendAndRun(*fabric, "ssum", param.invoke, {}, usr);
   ASSERT_TRUE(msg.ok()) << msg.status();
   EXPECT_TRUE(msg->executed);
   EXPECT_EQ(msg->return_value, expect);
-  EXPECT_EQ(testbed->runtime(1).PeekU64("sum_results", 0).value(), expect);
+  EXPECT_EQ(fabric->runtime(1).PeekU64("sum_results", 0).value(), expect);
 }
 
 std::string MatrixName(const ::testing::TestParamInfo<MatrixCase>& info) {
@@ -107,7 +107,7 @@ INSTANTIATE_TEST_SUITE_P(
 // --------------------------------------------- randomized differentials
 
 TEST(RandomizedDifferentialTest, SsumMatchesHostOverRandomShapes) {
-  auto testbed = MakeLoadedTestbed(TestbedOptions{});
+  auto fabric = MakeLoadedFabric();
   Xoshiro256 rng(99);
   for (int round = 0; round < 12; ++round) {
     const std::uint64_t n = 1 + rng.NextBelow(96);
@@ -120,7 +120,7 @@ TEST(RandomizedDifferentialTest, SsumMatchesHostOverRandomShapes) {
     }
     const Invoke mode =
         rng.NextBernoulli(0.5) ? Invoke::kInjected : Invoke::kLocal;
-    auto msg = SendAndRun(*testbed, "ssum", mode, {}, usr);
+    auto msg = SendAndRun(*fabric, "ssum", mode, {}, usr);
     ASSERT_TRUE(msg.ok()) << msg.status() << " round " << round;
     EXPECT_EQ(msg->return_value, expect) << "round " << round;
   }
@@ -128,7 +128,7 @@ TEST(RandomizedDifferentialTest, SsumMatchesHostOverRandomShapes) {
 
 TEST(RandomizedDifferentialTest, IputMirrorsHostHashTable) {
   // Replay the jam's hash-table semantics host-side and compare offsets.
-  auto testbed = MakeLoadedTestbed(TestbedOptions{});
+  auto fabric = MakeLoadedFabric();
   Xoshiro256 rng(1234);
   struct Entry {
     long key;
@@ -142,7 +142,7 @@ TEST(RandomizedDifferentialTest, IputMirrorsHostHashTable) {
     const long key = static_cast<long>(rng.NextBelow(12));  // force reuse
     std::vector<std::uint8_t> usr(usr_bytes,
                                   static_cast<std::uint8_t>(round));
-    auto msg = SendAndRun(*testbed, "iput", Invoke::kInjected,
+    auto msg = SendAndRun(*fabric, "iput", Invoke::kInjected,
                           {static_cast<std::uint64_t>(key)}, usr);
     ASSERT_TRUE(msg.ok()) << msg.status();
 
@@ -161,7 +161,7 @@ TEST(RandomizedDifferentialTest, IputMirrorsHostHashTable) {
     // Payload visible at the offset on the receiver.
     std::uint64_t first_word;
     std::memset(&first_word, round, 8);
-    EXPECT_EQ(testbed->runtime(1)
+    EXPECT_EQ(fabric->runtime(1)
                   .PeekU64("ht_heap", msg->return_value / 8)
                   .value(),
               first_word);
@@ -173,13 +173,13 @@ TEST(RandomizedDifferentialTest, IputMirrorsHostHashTable) {
 TEST(FlowControlInvariantTest, NoFrameIsEverLostOrReordered) {
   // Fire many messages through tiny banks; sequence numbers on the
   // receiver must be gapless and ordered, regardless of stalls.
-  auto testbed = MakeLoadedTestbed(TestbedOptions{});
+  auto fabric = MakeLoadedFabric();
   const int total = 64;
   std::vector<std::uint32_t> sns;
-  testbed->runtime(1).SetOnExecuted(
+  fabric->runtime(1).SetOnExecuted(
       [&](const ReceivedMessage& msg) { sns.push_back(msg.sn); });
   const bench::SendLoops loops(
-      testbed->fabric(),
+      *fabric,
       {{.src = 0,
         .dst = 1,
         .count = total,
@@ -187,7 +187,7 @@ TEST(FlowControlInvariantTest, NoFrameIsEverLostOrReordered) {
           return bench::FlowMessage{.jam = "nop",
                                     .usr = std::vector<std::uint8_t>(8, 1)};
         }}});
-  testbed->RunUntil([&] { return sns.size() == total; });
+  fabric->RunUntil([&] { return sns.size() == total; });
   ASSERT_TRUE(loops.status().ok()) << loops.status();
   ASSERT_EQ(sns.size(), static_cast<std::size_t>(total));
   for (int i = 0; i < total; ++i) {
@@ -197,10 +197,10 @@ TEST(FlowControlInvariantTest, NoFrameIsEverLostOrReordered) {
 
 TEST(FlowControlInvariantTest, StressNoiseNeverBreaksCorrectness) {
   // Heavy interference changes timing, never results.
-  auto testbed = MakeLoadedTestbed(TestbedOptions{});
+  auto fabric = MakeLoadedFabric();
   bench::StressConfig stress;
   stress.preempt_probability = 0.2;  // extreme preemption
-  bench::ApplyStress(*testbed, stress);
+  bench::ApplyStress(*fabric, stress);
   std::vector<std::uint8_t> usr(64);
   std::uint64_t expect = 0;
   for (std::uint64_t i = 0; i < 8; ++i) {
@@ -208,7 +208,7 @@ TEST(FlowControlInvariantTest, StressNoiseNeverBreaksCorrectness) {
     expect += i;
   }
   for (int round = 0; round < 5; ++round) {
-    auto msg = SendAndRun(*testbed, "ssum", Invoke::kInjected, {}, usr);
+    auto msg = SendAndRun(*fabric, "ssum", Invoke::kInjected, {}, usr);
     ASSERT_TRUE(msg.ok()) << msg.status();
     EXPECT_EQ(msg->return_value, expect);
   }
@@ -216,9 +216,9 @@ TEST(FlowControlInvariantTest, StressNoiseNeverBreaksCorrectness) {
 
 TEST(DeterminismTest, IdenticalRunsProduceIdenticalTimings) {
   auto run_once = [] {
-    auto testbed = MakeLoadedTestbed(TestbedOptions{});
+    auto fabric = MakeLoadedFabric();
     std::vector<std::uint8_t> usr(128, 3);
-    auto msg = SendAndRun(*testbed, "iput", Invoke::kInjected, {5}, usr);
+    auto msg = SendAndRun(*fabric, "iput", Invoke::kInjected, {5}, usr);
     EXPECT_TRUE(msg.ok());
     return std::make_pair(msg->delivered_at, msg->completed_at);
   };
@@ -230,10 +230,10 @@ TEST(DeterminismTest, IdenticalRunsProduceIdenticalTimings) {
 
 TEST(DeterminismTest, StressedRunsAreSeedDeterministic) {
   auto run_once = [] {
-    auto testbed = MakeLoadedTestbed(TestbedOptions{});
-    bench::ApplyStress(*testbed, bench::StressConfig{});
+    auto fabric = MakeLoadedFabric();
+    bench::ApplyStress(*fabric, bench::StressConfig{});
     std::vector<std::uint8_t> usr(64, 1);
-    auto msg = SendAndRun(*testbed, "ssum", Invoke::kInjected, {}, usr);
+    auto msg = SendAndRun(*fabric, "ssum", Invoke::kInjected, {}, usr);
     EXPECT_TRUE(msg.ok());
     return msg->completed_at;
   };
@@ -243,14 +243,14 @@ TEST(DeterminismTest, StressedRunsAreSeedDeterministic) {
 // --------------------------------------------------- perftest harnesses
 
 TEST(PerftestTest, PingPongProducesStableSamples) {
-  auto testbed = MakeLoadedTestbed(TestbedOptions{});
+  auto fabric = MakeLoadedFabric();
   bench::AmConfig config;
   config.jam = "nop";
   config.mode = Invoke::kInjected;
   config.usr_bytes = 16;
   config.warmup = 20;
   config.iterations = 100;
-  auto result = bench::RunAmPingPong(*testbed, config);
+  auto result = bench::RunAmPingPong(*fabric, config);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->one_way.count(), 100u);
   EXPECT_GT(result->one_way.Median(), 0u);
@@ -259,9 +259,28 @@ TEST(PerftestTest, PingPongProducesStableSamples) {
   EXPECT_GT(result->frame_len, 0u);
 }
 
+TEST(PerftestTest, FailedPingPongLeavesNoHookBehind) {
+  // The driver's hooks capture its locals: a run that fails must clear
+  // them, or the next executed frame calls into the dead driver.
+  auto fabric = MakeLoadedFabric();
+  bench::AmConfig config;
+  config.jam = "no_such_jam";
+  EXPECT_FALSE(bench::RunAmPingPong(*fabric, config).ok());
+
+  const std::vector<std::uint64_t> args = {1};
+  const std::vector<std::uint8_t> usr(8, 1);
+  ASSERT_TRUE(
+      fabric->runtime(0).Send("nop", Invoke::kInjected, args, usr).ok());
+  fabric->Run();
+  EXPECT_EQ(fabric->runtime(1).stats().messages_executed, 1u);
+  EXPECT_EQ(fabric->runtime(0).stats().messages_executed, 0u);
+  EXPECT_EQ(fabric->runtime(0).stats().messages_sent, 1u);
+  EXPECT_EQ(fabric->runtime(1).stats().messages_sent, 0u);
+}
+
 TEST(PerftestTest, InjectionRateBeatsPingPongThroughput) {
   // Pipelining through banks must outperform one-at-a-time ping-pong.
-  auto bed1 = MakeLoadedTestbed(TestbedOptions{});
+  auto bed1 = MakeLoadedFabric();
   bench::AmConfig config;
   config.jam = "nop";
   config.mode = Invoke::kInjected;
@@ -273,22 +292,22 @@ TEST(PerftestTest, InjectionRateBeatsPingPongThroughput) {
   const double pingpong_rate =
       1e12 / static_cast<double>(2 * pp->one_way.Median());
 
-  auto bed2 = MakeLoadedTestbed(TestbedOptions{});
+  auto bed2 = MakeLoadedFabric();
   auto rate = bench::RunAmInjectionRate(*bed2, config);
   ASSERT_TRUE(rate.ok()) << rate.status();
   EXPECT_GT(rate->messages_per_second, pingpong_rate * 2);
 }
 
 TEST(PerftestTest, RawPutHarnessesWork) {
-  auto testbed = MakeLoadedTestbed(TestbedOptions{});
+  auto fabric = MakeLoadedFabric();
   bench::RawPutConfig config;
   config.size = 512;
   config.warmup = 20;
   config.iterations = 100;
-  auto pp = bench::RunRawPutPingPong(*testbed, config);
+  auto pp = bench::RunRawPutPingPong(*fabric, config);
   ASSERT_TRUE(pp.ok()) << pp.status();
   EXPECT_EQ(pp->one_way.count(), 100u);
-  auto stream = bench::RunRawPutStream(*testbed, config);
+  auto stream = bench::RunRawPutStream(*fabric, config);
   ASSERT_TRUE(stream.ok()) << stream.status();
   EXPECT_GT(stream->messages_per_second, 0.0);
 }

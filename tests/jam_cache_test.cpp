@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "benchlib/workloads.hpp"
-#include "core/two_chains.hpp"
+#include "core/fabric.hpp"
 #include "pool_harness.hpp"
 
 namespace twochains::core {
@@ -28,20 +28,20 @@ JamCacheConfig CacheOn(std::uint32_t capacity = 8) {
 
 class JamCacheTest : public ::testing::Test {
  protected:
-  static TestbedOptions Options(std::uint32_t capacity = 8) {
-    TestbedOptions options;
+  static FabricOptions Options(std::uint32_t capacity = 8) {
+    FabricOptions options;
     options.runtime.banks = 2;
     options.runtime.mailboxes_per_bank = 4;
     options.runtime.mailbox_slot_bytes = KiB(64);
-    options.WithJamCache(CacheOn(capacity));
+    options.runtime.jam_cache = CacheOn(capacity);
     return options;
   }
 
-  void SetUpTestbed(TestbedOptions options = Options()) {
-    testbed_ = std::make_unique<Testbed>(options);
+  void SetUpFabric(FabricOptions options = Options()) {
+    fabric_ = std::make_unique<Fabric>(options);
     auto pkg = bench::BuildBenchPackage();
     ASSERT_TRUE(pkg.ok()) << pkg.status();
-    ASSERT_TRUE(testbed_->LoadPackage(*pkg).ok());
+    ASSERT_TRUE(fabric_->LoadPackage(*pkg).ok());
   }
 
   /// Sends one jam and runs until a frame actually *executes* (a cache
@@ -50,15 +50,15 @@ class JamCacheTest : public ::testing::Test {
                                        std::vector<std::uint64_t> args,
                                        std::vector<std::uint8_t> usr) {
     std::optional<ReceivedMessage> executed;
-    testbed_->runtime(1).SetOnExecuted([&](const ReceivedMessage& msg) {
+    fabric_->runtime(1).SetOnExecuted([&](const ReceivedMessage& msg) {
       if (msg.executed) executed = msg;
     });
     TC_ASSIGN_OR_RETURN(
         const SendReceipt receipt,
-        testbed_->runtime(0).Send(jam, Invoke::kInjected, args, usr));
+        fabric_->runtime(0).Send(jam, Invoke::kInjected, args, usr));
     last_receipt_ = receipt;
-    testbed_->RunUntil([&] { return executed.has_value(); });
-    testbed_->runtime(1).SetOnExecuted(nullptr);
+    fabric_->RunUntil([&] { return executed.has_value(); });
+    fabric_->runtime(1).SetOnExecuted(nullptr);
     if (!executed.has_value()) return Internal("message never executed");
     return *executed;
   }
@@ -75,14 +75,14 @@ class JamCacheTest : public ::testing::Test {
     return usr;
   }
 
-  std::unique_ptr<Testbed> testbed_;
+  std::unique_ptr<Fabric> fabric_;
   SendReceipt last_receipt_;
 };
 
 TEST_F(JamCacheTest, SecondSendGoesByHandleAndSavesWire) {
-  SetUpTestbed();
-  Runtime& sender = testbed_->runtime(0);
-  Runtime& receiver = testbed_->runtime(1);
+  SetUpFabric();
+  Runtime& sender = fabric_->runtime(0);
+  Runtime& receiver = fabric_->runtime(1);
   std::uint64_t expect = 0;
   const std::vector<std::uint8_t> usr = SumPayload(&expect);
 
@@ -125,9 +125,9 @@ TEST_F(JamCacheTest, EvictionMissTriggersNakAndFullResend) {
   // Capacity 1: installing a second jam evicts the first, so re-invoking
   // the first by handle MUST miss, NAK, and resend full-body — the wire
   // protocol's designed degrade path, observed step by step.
-  SetUpTestbed(Options(/*capacity=*/1));
-  Runtime& sender = testbed_->runtime(0);
-  Runtime& receiver = testbed_->runtime(1);
+  SetUpFabric(Options(/*capacity=*/1));
+  Runtime& sender = fabric_->runtime(0);
+  Runtime& receiver = fabric_->runtime(1);
   std::uint64_t expect = 0;
   const std::vector<std::uint8_t> usr = SumPayload(&expect);
 
@@ -165,8 +165,8 @@ TEST_F(JamCacheTest, EvictionMissTriggersNakAndFullResend) {
 }
 
 TEST_F(JamCacheTest, CapacityOneThrashStaysCorrect) {
-  SetUpTestbed(Options(/*capacity=*/1));
-  Runtime& receiver = testbed_->runtime(1);
+  SetUpFabric(Options(/*capacity=*/1));
+  Runtime& receiver = fabric_->runtime(1);
   std::uint64_t expect = 0;
   const std::vector<std::uint8_t> usr = SumPayload(&expect);
 
@@ -185,7 +185,7 @@ TEST_F(JamCacheTest, CapacityOneThrashStaysCorrect) {
   EXPECT_EQ(receiver.PeekU64("sum_cursor").value(), 6u);
 
   const JamCacheStats& hub = receiver.jam_cache_stats();
-  const JamCacheStats& cli = testbed_->runtime(0).jam_cache_stats();
+  const JamCacheStats& cli = fabric_->runtime(0).jam_cache_stats();
   EXPECT_GT(hub.evictions, 0u);
   EXPECT_GT(hub.misses, 0u);
   EXPECT_EQ(hub.misses, hub.naks_sent);
@@ -210,12 +210,12 @@ StatusOr<pkg::Package> TagPackage(long addend) {
 }
 
 TEST_F(JamCacheTest, ReloadAndResyncInvalidateStaleImage) {
-  testbed_ = std::make_unique<Testbed>(Options());
+  fabric_ = std::make_unique<Fabric>(Options());
   auto v1 = TagPackage(100);
   ASSERT_TRUE(v1.ok()) << v1.status();
-  ASSERT_TRUE(testbed_->LoadPackage(*v1).ok());
-  Runtime& sender = testbed_->runtime(0);
-  Runtime& receiver = testbed_->runtime(1);
+  ASSERT_TRUE(fabric_->LoadPackage(*v1).ok());
+  Runtime& sender = fabric_->runtime(0);
+  Runtime& receiver = fabric_->runtime(1);
 
   // Warm the cache: install, then a by-handle hit.
   auto cold = SendAndRun("tag", {42}, {});
@@ -234,7 +234,7 @@ TEST_F(JamCacheTest, ReloadAndResyncInvalidateStaleImage) {
   ASSERT_TRUE(v2.ok()) << v2.status();
   ASSERT_TRUE(sender.LoadPackage(*v2, /*allow_reload=*/true).ok());
   ASSERT_TRUE(receiver.LoadPackage(*v2, /*allow_reload=*/true).ok());
-  ASSERT_TRUE(testbed_->fabric().SyncNamespaces().ok());
+  ASSERT_TRUE(fabric_->SyncNamespaces().ok());
   EXPECT_EQ(receiver.JamCacheSize(), 0u);
   EXPECT_GT(receiver.jam_cache_stats().invalidations, 0u);
   EXPECT_FALSE(sender.PeerHasJamHandle(kDefaultPeer, "tag"));
@@ -255,14 +255,12 @@ TEST_F(JamCacheTest, HitPathUnderHardenedSecurityModes) {
   // install, its GOTP equals the sealed receiver-built table, and its
   // pages never intersect the mailbox — hits skip the per-invoke checks
   // yet produce identical results.
-  TestbedOptions options = Options();
-  SecurityPolicy policy;
-  policy.verify_injected_code = true;
-  policy.receiver_installs_got = true;
-  policy.split_code_data_pages = true;
-  options.WithSecurity(policy);
-  SetUpTestbed(options);
-  Runtime& receiver = testbed_->runtime(1);
+  FabricOptions options = Options();
+  options.runtime.security.verify_injected_code = true;
+  options.runtime.security.receiver_installs_got = true;
+  options.runtime.security.split_code_data_pages = true;
+  SetUpFabric(options);
+  Runtime& receiver = fabric_->runtime(1);
   std::uint64_t expect = 0;
   const std::vector<std::uint8_t> usr = SumPayload(&expect);
 
@@ -298,10 +296,10 @@ TEST_F(JamCacheTest, SecurityModeGridKeepsCachedPathExact) {
   }
 
   for (const Mode& mode : modes) {
-    TestbedOptions options = Options();
-    options.WithSecurity(mode.policy);
-    SetUpTestbed(options);
-    Runtime& receiver = testbed_->runtime(1);
+    FabricOptions options = Options();
+    options.runtime.security = mode.policy;
+    SetUpFabric(options);
+    Runtime& receiver = fabric_->runtime(1);
     std::uint64_t expect = 0;
     const std::vector<std::uint8_t> usr = SumPayload(&expect);
 
@@ -328,11 +326,10 @@ TEST_F(JamCacheTest, VerifyCachedInvokesChargesEveryHit) {
   // deterministic testbeds, identical send sequences — the only delta is
   // the knob, so the hit's delivered->completed latency must grow.
   const auto hot_latency = [this](bool verify_hits) -> PicoTime {
-    TestbedOptions options = Options();
-    SecurityPolicy policy = SecurityPolicy::Hardened();
-    policy.verify_cached_invokes = verify_hits;
-    options.WithSecurity(policy);
-    SetUpTestbed(options);
+    FabricOptions options = Options();
+    options.runtime.security = SecurityPolicy::Hardened();
+    options.runtime.security.verify_cached_invokes = verify_hits;
+    SetUpFabric(options);
     std::uint64_t expect = 0;
     const std::vector<std::uint8_t> usr = SumPayload(&expect);
     auto cold = SendAndRun("ssum", {0}, usr);
@@ -353,13 +350,12 @@ TEST_F(JamCacheTest, EvictionResendReverifiesUnderHardenedPolicy) {
   // the entire hardened install path again — wire-code verification,
   // receiver GOT, W^X, and a fresh verified install — and the ledger
   // accounts every step.
-  TestbedOptions options = Options(/*capacity=*/1);
-  SecurityPolicy policy = SecurityPolicy::Hardened();
-  policy.verify_cached_invokes = true;
-  options.WithSecurity(policy);
-  SetUpTestbed(options);
-  Runtime& sender = testbed_->runtime(0);
-  Runtime& receiver = testbed_->runtime(1);
+  FabricOptions options = Options(/*capacity=*/1);
+  options.runtime.security = SecurityPolicy::Hardened();
+  options.runtime.security.verify_cached_invokes = true;
+  SetUpFabric(options);
+  Runtime& sender = fabric_->runtime(0);
+  Runtime& receiver = fabric_->runtime(1);
   std::uint64_t expect = 0;
   const std::vector<std::uint8_t> usr = SumPayload(&expect);
 
@@ -391,10 +387,10 @@ TEST_F(JamCacheTest, EvictionResendReverifiesUnderHardenedPolicy) {
 }
 
 TEST_F(JamCacheTest, NoExecuteFramesNeverGoByHandle) {
-  SetUpTestbed();
-  Runtime& sender = testbed_->runtime(0);
+  SetUpFabric();
+  Runtime& sender = fabric_->runtime(0);
   std::optional<ReceivedMessage> done;
-  testbed_->runtime(1).SetOnExecuted(
+  fabric_->runtime(1).SetOnExecuted(
       [&](const ReceivedMessage& msg) { done = msg; });
   for (int i = 0; i < 2; ++i) {
     done.reset();
@@ -406,11 +402,11 @@ TEST_F(JamCacheTest, NoExecuteFramesNeverGoByHandle) {
     // Delivery-only frames must pay full freight: the receiver skips
     // invocation entirely, so a by-handle miss could never be serviced.
     EXPECT_FALSE(receipt->by_handle);
-    testbed_->RunUntil([&] { return done.has_value(); });
+    fabric_->RunUntil([&] { return done.has_value(); });
     ASSERT_TRUE(done.has_value());
     EXPECT_FALSE(done->executed);
   }
-  testbed_->runtime(1).SetOnExecuted(nullptr);
+  fabric_->runtime(1).SetOnExecuted(nullptr);
   EXPECT_EQ(sender.jam_cache_stats().by_handle_sends, 0u);
 }
 

@@ -1,6 +1,6 @@
 // Differential tests for the jam standard library: every jamlib element
 // is driven through the full compile→link→inject→execute stack on a
-// two-host Testbed, against the same seeded op stream fed to its
+// two-host core::Fabric, against the same seeded op stream fed to its
 // host-native reference twin (jamlib/reference.hpp). Return values and
 // resident state must agree exactly — one suite validating amcc codegen,
 // the linker/loader, the interpreter, and the library semantics at once.
@@ -16,7 +16,7 @@
 
 #include "benchlib/openloop.hpp"
 #include "common/rng.hpp"
-#include "core/two_chains.hpp"
+#include "core/fabric.hpp"
 #include "jamlib/jamlib.hpp"
 #include "jamlib/kv_service.hpp"
 #include "jamlib/reference.hpp"
@@ -26,19 +26,19 @@ namespace {
 
 using core::Invoke;
 using core::ReceivedMessage;
-using core::Testbed;
-using core::TestbedOptions;
+using core::Fabric;
+using core::FabricOptions;
 
 class JamlibTest : public ::testing::Test {
  protected:
   JamlibTest() {
-    TestbedOptions options;
+    FabricOptions options;
     options.runtime.banks = 2;
     options.runtime.mailboxes_per_bank = 4;
-    testbed_ = std::make_unique<Testbed>(options);
+    fabric_ = std::make_unique<Fabric>(options);
     auto package = BuildJamlibPackage();
     EXPECT_TRUE(package.ok()) << package.status();
-    EXPECT_TRUE(testbed_->LoadPackage(*package).ok());
+    EXPECT_TRUE(fabric_->LoadPackage(*package).ok());
   }
 
   /// Injects @p jam at host 1 and runs until it executes; retries through
@@ -46,22 +46,22 @@ class JamlibTest : public ::testing::Test {
   std::uint64_t Run(const std::string& jam, std::vector<std::uint64_t> args,
                     std::vector<std::uint8_t> usr = {}) {
     std::optional<ReceivedMessage> received;
-    testbed_->runtime(1).SetOnExecuted(
+    fabric_->runtime(1).SetOnExecuted(
         [&](const ReceivedMessage& msg) { received = msg; });
     for (;;) {
       auto receipt =
-          testbed_->runtime(0).Send(jam, Invoke::kInjected, args, usr);
+          fabric_->runtime(0).Send(jam, Invoke::kInjected, args, usr);
       if (receipt.ok()) break;
       if (receipt.status().code() != StatusCode::kResourceExhausted) {
         ADD_FAILURE() << "send " << jam << ": " << receipt.status();
         return ~std::uint64_t{0};
       }
       bool freed = false;
-      testbed_->runtime(0).NotifyWhenSlotFree([&] { freed = true; });
-      testbed_->RunUntil([&] { return freed; });
+      fabric_->runtime(0).NotifyWhenSlotFree([&] { freed = true; });
+      fabric_->RunUntil([&] { return freed; });
     }
-    testbed_->RunUntil([&] { return received.has_value(); });
-    testbed_->runtime(1).SetOnExecuted(nullptr);
+    fabric_->RunUntil([&] { return received.has_value(); });
+    fabric_->runtime(1).SetOnExecuted(nullptr);
     EXPECT_TRUE(received.has_value()) << jam << " never executed";
     EXPECT_TRUE(!received || received->executed);
     return received ? received->return_value : ~std::uint64_t{0};
@@ -73,12 +73,12 @@ class JamlibTest : public ::testing::Test {
   }
 
   std::uint64_t Peek(const std::string& symbol, std::uint64_t index) {
-    auto v = testbed_->runtime(1).PeekU64(symbol, index);
+    auto v = fabric_->runtime(1).PeekU64(symbol, index);
     EXPECT_TRUE(v.ok()) << symbol << "[" << index << "]: " << v.status();
     return v.ok() ? *v : ~std::uint64_t{0};
   }
 
-  std::unique_ptr<Testbed> testbed_;
+  std::unique_ptr<Fabric> fabric_;
 };
 
 TEST(JamlibPackageTest, BuildsWithEveryAdvertisedElement) {

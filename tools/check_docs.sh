@@ -99,6 +99,7 @@ check AdaptiveBankConfig src/core/runtime.hpp \
   '^## RuntimeConfig — adaptive banks'
 check SecurityPolicy src/core/security.hpp \
   '^## RuntimeConfig — security policy'
+check FabricOptions src/core/fabric.hpp '^## FabricOptions'
 check EngineConfig src/sim/engine.hpp '^## EngineConfig'
 check TreeConfig src/core/fabric.hpp '^## TreeConfig'
 check SwitchConfig src/net/switch.hpp '^## SwitchConfig'
