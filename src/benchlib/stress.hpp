@@ -34,23 +34,14 @@ struct StressConfig {
   double preempt_probability = 0.002;
   double preempt_scale_us = 2.5;
   double preempt_alpha = 2.2;
-  /// Preemption makes a pool core's "idle while sibling backlogged" signal
-  /// jittery, so stress raises the receiver wait loop's steal hysteresis
-  /// by this much (claims would otherwise thrash on noise). Applied as
-  /// `pristine + boost` — idempotent across repeated ApplyStress calls —
-  /// and restored exactly by ClearStress.
-  std::uint32_t steal_hysteresis_boost = 1;
 };
 
 /// Installs the interference hooks on every host of the fabric (seeded
-/// per host, in host-index order, so N-host soak runs stay reproducible)
-/// and boosts each runtime's steal hysteresis. The pre-stress wait-loop
-/// config is snapshotted on the first apply; ClearStress restores it, so
-/// apply/clear round-trips leave the fabric byte-exactly as found.
+/// per host, in host-index order, so N-host soak runs stay reproducible).
+/// Applying again replaces the hooks.
 void ApplyStress(core::Fabric& fabric, const StressConfig& config);
 
-/// Removes all interference hooks and restores the wait-loop hysteresis
-/// defaults snapshotted by the first ApplyStress (exact round-trip).
+/// Removes all interference hooks.
 void ClearStress(core::Fabric& fabric);
 
 }  // namespace twochains::bench

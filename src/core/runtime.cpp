@@ -11,6 +11,21 @@ namespace twochains::core {
 
 namespace {
 
+// Fixed bookkeeping costs (cycles).
+constexpr Cycles kValidateCycles = 30;   // header/signal validation per frame
+constexpr Cycles kDispatchCycles = 40;   // local invoke via the element vector
+constexpr Cycles kPackBaseCycles = 40;   // fixed pack cost per send
+constexpr Cycles kGotLookupCycles = 18;  // per GOTP slot packed / installed
+constexpr Cycles kMprotectCycles = 700;  // per permission flip (split pages)
+constexpr Cycles kJamCacheInstallCycles = 60;  // hash probe + insert
+
+// AIMD shape of the adaptive bank window, in milli-banks: the floor keeps
+// one bank admissible, a clean flag return re-opens a quarter bank, and an
+// ECN echo halves the window.
+constexpr std::uint64_t kAdaptiveFloorMilli = 1000;
+constexpr std::uint64_t kAdaptiveIncreaseMilli = 250;
+constexpr std::uint64_t kAdaptiveDecreaseBetaMilli = 500;
+
 /// Builds the contiguous injectable blob (text .. rodata, padded) from a
 /// jam image — the CODE section of an Injected Function frame.
 std::vector<std::uint8_t> CodeBlobOf(const jelf::LinkedImage& image) {
@@ -105,32 +120,6 @@ Status Runtime::Initialize() {
     TC_WARN << "jam cache capacity 0 could never install an image; "
                "clamping to 1";
     config_.jam_cache.capacity = 1;
-  }
-
-  // Adaptive bank flow control: clamp the window bounds so the AIMD loop
-  // can neither deadlock (floor 0) nor freeze (no decrease / no recovery).
-  if (config_.adaptive.enabled) {
-    if (config_.adaptive.min_banks == 0) {
-      TC_WARN << "adaptive min_banks 0 would let the window close entirely "
-                 "(sender deadlock); clamping to 1";
-      config_.adaptive.min_banks = 1;
-    }
-    if (config_.adaptive.min_banks > config_.banks) {
-      TC_WARN << "adaptive min_banks " << config_.adaptive.min_banks
-              << " exceeds the bank count; clamping to " << config_.banks;
-      config_.adaptive.min_banks = config_.banks;
-    }
-    if (config_.adaptive.decrease_beta_milli >= 1000) {
-      TC_WARN << "adaptive decrease_beta_milli "
-              << config_.adaptive.decrease_beta_milli
-              << " >= 1000 would never decrease (dead knob); clamping to 999";
-      config_.adaptive.decrease_beta_milli = 999;
-    }
-    if (config_.adaptive.additive_increase_milli == 0) {
-      TC_WARN << "adaptive additive_increase_milli 0 would never recover "
-                 "after a decrease; clamping to 1";
-      config_.adaptive.additive_increase_milli = 1;
-    }
   }
 
   pool_.resize(config_.receiver_cores);
@@ -628,8 +617,7 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
   // application produced it in place, exactly as a UCX perftest payload
   // sits pre-staged in the send buffer — so it is not charged per byte.
   Cycles pack_cycles =
-      config_.pack_base_cycles +
-      static_cast<Cycles>(spec.got_slots) * config_.got_lookup_cycles;
+      kPackBaseCycles + static_cast<Cycles>(spec.got_slots) * kGotLookupCycles;
   pack_cycles += host_.caches().Access(config_.sender_core, staging,
                                        layout.args_off == 0 ? kHeaderBytes
                                                             : layout.args_off,
@@ -820,7 +808,7 @@ bool Runtime::AdaptiveAdmits(const PeerState& peer) const noexcept {
   for (std::uint32_t b = 0; b < config_.banks; ++b) {
     if (peer.bank_open[b] == 0) ++closed;
   }
-  // floor(cwnd) never drops below min_banks >= 1, and the gate always
+  // floor(cwnd) never drops below one bank, and the gate always
   // passes with nothing closed — the window can throttle, never deadlock.
   return closed < std::max<std::uint64_t>(1, peer.cwnd_milli / 1000);
 }
@@ -833,21 +821,19 @@ void Runtime::AdaptiveOnFlag(PeerState& peer, std::uint32_t bank, bool ece) {
     peer.rtt_last = rtt;
     if (peer.rtt_min == 0 || rtt < peer.rtt_min) peer.rtt_min = rtt;
   }
-  const std::uint64_t floor_milli =
-      static_cast<std::uint64_t>(config_.adaptive.min_banks) * 1000;
   const std::uint64_t ceil_milli =
       static_cast<std::uint64_t>(config_.banks) * 1000;
   if (ece && now >= peer.ecn_hold_until) {
     // Multiplicative decrease — once per observed RTT, so one congestion
     // event's burst of echoes costs one backoff, not a collapse.
     peer.cwnd_milli =
-        std::max(floor_milli, peer.cwnd_milli *
-                                  config_.adaptive.decrease_beta_milli / 1000);
+        std::max(kAdaptiveFloorMilli,
+                 peer.cwnd_milli * kAdaptiveDecreaseBetaMilli / 1000);
     peer.ecn_hold_until = now + (peer.rtt_last > 0 ? peer.rtt_last : 1);
     ++stats_.cwnd_decreases;
   } else if (!ece && peer.cwnd_milli < ceil_milli) {
-    peer.cwnd_milli = std::min(
-        ceil_milli, peer.cwnd_milli + config_.adaptive.additive_increase_milli);
+    peer.cwnd_milli =
+        std::min(ceil_milli, peer.cwnd_milli + kAdaptiveIncreaseMilli);
     ++stats_.cwnd_increases;
   }
   peer.cwnd_min_seen = std::min(peer.cwnd_min_seen, peer.cwnd_milli);
@@ -1012,31 +998,12 @@ const Runtime::ReadyFrame* Runtime::TrySteal(std::uint32_t thief) {
   if (victim_backlog < trigger) victim = kInvalidPoolIndex;
   if (local_backlog < trigger) local_victim = kInvalidPoolIndex;
 
-  // Oldest ready bank head among a victim's claimed banks. A bank with
-  // a frame mid-process cannot be stolen (the handoff would double-begin
-  // its head), and a bank whose head has not arrived yet has nothing to
-  // process in order.
+  // Oldest ready bank head among a victim's claimed banks (ScanBankHeads
+  // skips a bank with a frame mid-process — the handoff would double-begin
+  // its head — and a bank whose head has not arrived yet).
   const ReadyFrame* best = nullptr;
-  PeerId best_peer = kInvalidPeer;
-  std::uint32_t best_bank = 0;
   const auto scan_victim = [&](std::uint32_t v) {
-    best = nullptr;
-    for (PeerId peer = 0; peer < peers_.size(); ++peer) {
-      PeerState& p = peers_[peer];
-      for (std::uint32_t bank = 0; bank < config_.banks; ++bank) {
-        if (ClaimOf(peer, bank) != v) continue;
-        if (p.bank_in_flight[bank] != 0) continue;
-        const std::uint32_t head =
-            bank * config_.mailboxes_per_bank + p.bank_cursor[bank];
-        const auto it = p.ready.find(head);
-        if (it == p.ready.end()) continue;
-        if (best == nullptr || it->second.delivered_at < best->delivered_at) {
-          best = &it->second;
-          best_peer = peer;
-          best_bank = bank;
-        }
-      }
-    }
+    best = ScanBankHeads(v);
     return best != nullptr;
   };
 
@@ -1060,6 +1027,8 @@ const Runtime::ReadyFrame* Runtime::TrySteal(std::uint32_t thief) {
     return nullptr;
   }
   const std::uint32_t stolen_from = chosen;
+  const PeerId best_peer = best->peer;
+  const std::uint32_t best_bank = best->slot / config_.mailboxes_per_bank;
   // Ownership handoff: the thief now claims the bank and owes the rest of
   // its drain — including the flag return — until the claim reverts. A
   // bank can be stolen onward (even back by its home owner, which
@@ -1309,7 +1278,7 @@ void Runtime::ProcessFrame(const ReadyFrame& frame) {
   msg.from = frame.peer;
   msg.slot = frame.slot;
   msg.pool = frame.pool;
-  Cycles cycles = config_.validate_cycles;
+  Cycles cycles = kValidateCycles;
   auto& caches = host_.caches();
   const std::uint32_t core = pool_[frame.pool].core_id;
   const mem::VirtAddr frame_addr = SlotAddr(peers_[frame.peer], frame.slot);
@@ -1452,7 +1421,7 @@ StatusOr<Cycles> Runtime::InvokeFrame(const ReadyFrame& frame,
     }
     if (config_.security.split_code_data_pages) {
       // W^X around execution: code pages RX, data pages RW.
-      cycles += 2 * config_.mprotect_cycles;
+      cycles += 2 * kMprotectCycles;
       TC_RETURN_IF_ERROR(memory.Protect(frame_addr, layout.args_off,
                                         mem::Perm::kRX));
       TC_RETURN_IF_ERROR(memory.Protect(
@@ -1467,7 +1436,7 @@ StatusOr<Cycles> Runtime::InvokeFrame(const ReadyFrame& frame,
           StrFormat("jam '%s' has no local-function binding on this host",
                     elem->name.c_str()));
     }
-    cycles += config_.dispatch_cycles;
+    cycles += kDispatchCycles;
     entry = elem->local_entry;
   }
 
@@ -1499,7 +1468,7 @@ StatusOr<Cycles> Runtime::InvokeFrame(const ReadyFrame& frame,
   }
 
   if (config_.security.split_code_data_pages) {
-    cycles += config_.mprotect_cycles;
+    cycles += kMprotectCycles;
     TC_RETURN_IF_ERROR(
         memory.Protect(frame_addr, layout.frame_len, mem::Perm::kRWX));
   }
@@ -1579,7 +1548,7 @@ StatusOr<Cycles> Runtime::InvokeByHandle(const ReadyFrame& frame,
   // table lookup that replaces the full per-invoke GOT rewrite. No code
   // verification (done at install), no GOT install, and no W^X flips: the
   // cached code pages never see the mailbox.
-  cycles += config_.jam_cache.hit_relink_cycles;
+  cycles += kJamCacheHitRelinkCycles;
   cycles += caches.Access(core, entry.image.pre_addr, 8,
                           cache::AccessKind::kLoad);
   TC_RETURN_IF_ERROR(jelf::RelinkCachedImage(memory, entry.image));
@@ -1609,9 +1578,9 @@ StatusOr<Cycles> Runtime::InvokeByHandle(const ReadyFrame& frame,
   full.split_code_data = config_.security.split_code_data_pages;
   const FrameLayout full_layout = FrameLayout::Compute(full);
   jam_stats_.bytes_saved += full_layout.frame_len - layout.frame_len;
-  if (entry.cold_link_cycles > config_.jam_cache.hit_relink_cycles) {
+  if (entry.cold_link_cycles > kJamCacheHitRelinkCycles) {
     jam_stats_.link_cycles_saved +=
-        entry.cold_link_cycles - config_.jam_cache.hit_relink_cycles;
+        entry.cold_link_cycles - kJamCacheHitRelinkCycles;
   }
 
   if ((header.flags & kFlagNoExecute) == 0) {
@@ -1702,7 +1671,7 @@ StatusOr<Cycles> Runtime::InstallInJamCache(ElementInfo& elem) {
       (void)jelf::ReleaseCachedImage(host_.memory(), image);
       return sealed;
     }
-    cycles += config_.mprotect_cycles;
+    cycles += kMprotectCycles;
   }
 
   JamCacheEntry entry;
@@ -1715,9 +1684,9 @@ StatusOr<Cycles> Runtime::InstallInJamCache(ElementInfo& elem) {
   jam_cache_bytes_ += image.size;
   ++jam_stats_.installs;
   jam_cache_.emplace(elem.content_handle, std::move(entry));
-  return cycles + config_.jam_cache.install_cycles +
+  return cycles + kJamCacheInstallCycles +
          static_cast<Cycles>(elem.injected_image.got_slot_count()) *
-             config_.got_lookup_cycles;
+             kGotLookupCycles;
 }
 
 Cycles Runtime::ColdLinkCyclesFor(const ElementInfo& elem) const noexcept {
@@ -1727,16 +1696,16 @@ Cycles Runtime::ColdLinkCyclesFor(const ElementInfo& elem) const noexcept {
   // install, and the W^X permission flips (two before execution, one
   // restore after).
   Cycles cycles = static_cast<Cycles>(elem.injected_image.got_slot_count()) *
-                  config_.got_lookup_cycles;
+                  kGotLookupCycles;
   if (config_.security.verify_injected_code) {
     cycles += elem.injected_image.text.size() / 4;
   }
   if (config_.security.receiver_installs_got) {
     cycles += static_cast<Cycles>(elem.injected_image.got_slot_count()) *
-              config_.got_lookup_cycles;
+              kGotLookupCycles;
   }
   if (config_.security.split_code_data_pages) {
-    cycles += 3 * config_.mprotect_cycles;
+    cycles += 3 * kMprotectCycles;
   }
   return cycles;
 }
@@ -1834,7 +1803,7 @@ StatusOr<mem::VirtAddr> Runtime::ReceiverGotFor(ElementInfo& elem,
   // "from a secure read-only location" — seal the table.
   TC_RETURN_IF_ERROR(
       host_.memory().Protect(table, bytes, mem::Perm::kRead));
-  core.Charge(static_cast<Cycles>(symbols.size()) * config_.got_lookup_cycles,
+  core.Charge(static_cast<Cycles>(symbols.size()) * kGotLookupCycles,
               cpu::CycleClass::kExecute);
   elem.receiver_got = table;
   return table;
@@ -1992,8 +1961,6 @@ std::uint32_t Runtime::ClosedSendBanks(PeerId peer) const noexcept {
 Status Runtime::ReturnBankFlag(PeerId peer_id, std::uint32_t bank) {
   if (peer_id >= peers_.size()) return FailedPrecondition("not wired");
   PeerState& peer = peers_[peer_id];
-  Runtime* peer_rt = peer.runtime;
-  const PeerId our_id_at_peer = peer.remote_id;
   ++stats_.bank_flags_returned;
   ++stats_.per_peer[peer_id].bank_flags_returned;
   // Bit 0 opens the bank; bit 1 is unused. Bits [32, 64) carry the
@@ -2013,16 +1980,7 @@ Status Runtime::ReturnBankFlag(PeerId peer_id, std::uint32_t bank) {
     flag_word |= static_cast<std::uint64_t>(peer.bank_nak_mask[bank]) << 32;
     peer.bank_nak_mask[bank] = 0;
   }
-  TC_ASSIGN_OR_RETURN(
-      const ucxs::PutReceipt receipt,
-      peer.endpoint->PutInline(
-          flag_word, peer.peer_flag_base + 8ull * bank, peer.peer_flag_rkey,
-          false,
-          [peer_rt, our_id_at_peer, bank](const net::PutCompletion& c) {
-            if (c.status.ok()) peer_rt->OnBankFlag(our_id_at_peer, bank);
-          }));
-  (void)receipt;
-  return Status::Ok();
+  return PutFlagWord(peer, bank, flag_word);
 }
 
 Status Runtime::SendNakFlag(PeerId peer_id, std::uint32_t bank) {
@@ -2031,18 +1989,22 @@ Status Runtime::SendNakFlag(PeerId peer_id, std::uint32_t bank) {
   if (peer.bank_nak_mask.empty() || peer.bank_nak_mask[bank] == 0) {
     return Status::Ok();
   }
-  Runtime* peer_rt = peer.runtime;
-  const PeerId our_id_at_peer = peer.remote_id;
   // Bit 0 stays clear: this put does NOT reopen the bank — it only ships
   // the accumulated NAK bits so the sender can resend full-body at once.
   const std::uint64_t flag_word =
       static_cast<std::uint64_t>(peer.bank_nak_mask[bank]) << 32;
   peer.bank_nak_mask[bank] = 0;
+  return PutFlagWord(peer, bank, flag_word);
+}
+
+Status Runtime::PutFlagWord(PeerState& peer, std::uint32_t bank,
+                            std::uint64_t word) {
+  Runtime* peer_rt = peer.runtime;
+  const PeerId our_id_at_peer = peer.remote_id;
   TC_ASSIGN_OR_RETURN(
       const ucxs::PutReceipt receipt,
       peer.endpoint->PutInline(
-          flag_word, peer.peer_flag_base + 8ull * bank, peer.peer_flag_rkey,
-          false,
+          word, peer.peer_flag_base + 8ull * bank, peer.peer_flag_rkey, false,
           [peer_rt, our_id_at_peer, bank](const net::PutCompletion& c) {
             if (c.status.ok()) peer_rt->OnBankFlag(our_id_at_peer, bank);
           }));

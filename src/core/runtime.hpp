@@ -155,12 +155,11 @@ struct JamCacheConfig {
   /// fewest invokes (ties: least recently used, then lowest handle) —
   /// clamped to >= 1 at Initialize when enabled.
   std::uint32_t capacity = 8;
-  /// Per-hit cost: validate the cached image's PRE slot (the table-lookup
-  /// replacement for the full GOT rewrite).
-  Cycles hit_relink_cycles = 12;
-  /// Cache bookkeeping charged once per install (hash probe + insert).
-  Cycles install_cycles = 60;
 };
+
+/// Link cost of one jam-cache hit: validate the cached image's PRE slot
+/// (the table-lookup replacement for the full GOT rewrite).
+inline constexpr Cycles kJamCacheHitRelinkCycles = 12;
 
 /// Counter plane of the receiver-side jam cache (monotonic; never reset).
 /// Ledger contracts the invariant harnesses enforce at quiescence:
@@ -197,24 +196,14 @@ struct JamCacheStats {
 /// bit 2 of that bank's flag word, and the sender multiplicatively shrinks
 /// its window — admission control refuses new banks past the window, so a
 /// saturated hub sheds queue depth instead of growing it. Flag returns
-/// without an echo additively re-open the window up to the configured bank
-/// count. Window bounds are a harness invariant: the window always stays
-/// within [min_banks, banks].
+/// without an echo additively re-open the window, a quarter bank per clean
+/// flag return, up to the configured bank count; an echo halves it, at most
+/// once per observed flag RTT, so a burst of echoes from one congestion
+/// event does not collapse the window. Window bounds are a harness
+/// invariant: the window always stays within [1, banks] — one bank must
+/// always be admissible or the sender deadlocks.
 struct AdaptiveBankConfig {
   bool enabled = false;
-  /// Window floor (banks). Never adapted below — one bank must always be
-  /// admissible or the sender deadlocks. Clamped to [1, banks].
-  std::uint32_t min_banks = 1;
-  /// Additive increase per un-marked flag return, in milli-banks
-  /// (250 = a quarter bank per clean RTT). 0 would never recover after a
-  /// decrease; clamped to >= 1.
-  std::uint32_t additive_increase_milli = 250;
-  /// Multiplicative decrease factor on an ECN echo, in milli-units
-  /// (500 = halve the window). Values >= 1000 would never decrease (a
-  /// dead knob); clamped to 999. At most one decrease per observed
-  /// flag RTT, so a burst of echoes from one congestion event does not
-  /// collapse the window to the floor.
-  std::uint32_t decrease_beta_milli = 500;
 };
 
 /// Lifecycle state of one receiver-pool member (see Runtime::QuiesceCore /
@@ -285,12 +274,6 @@ struct RuntimeConfig {
   /// Interpreter limits for executing jams; enforce_exec_permission is
   /// overwritten from `security` at Initialize().
   vm::ExecConfig exec{};
-  /// Receiver bookkeeping costs (cycles).
-  Cycles validate_cycles = 30;
-  Cycles dispatch_cycles = 40;
-  Cycles pack_base_cycles = 40;
-  Cycles got_lookup_cycles = 18;   ///< per GOTP slot packed / installed
-  Cycles mprotect_cycles = 700;    ///< per permission flip (split-page mode)
 };
 
 /// How a jam is invoked (§IV-B).
@@ -550,10 +533,6 @@ class Runtime {
   sim::Engine& engine() noexcept { return engine_; }  ///< shared engine
   /// The configuration in force (post-Initialize clamping).
   const RuntimeConfig& config() const noexcept { return config_; }
-  /// Mutable view for tests/stress tooling; mutating shape knobs (banks,
-  /// pool width) after Initialize() is undefined — only trigger values
-  /// (steal thresholds, cycle costs) are safe to adjust live.
-  RuntimeConfig& mutable_config() noexcept { return config_; }
   /// Whole-runtime counters (see RuntimeStats for the ledger contracts).
   const RuntimeStats& stats() const noexcept { return stats_; }
   /// Jam-cache counters (see JamCacheStats for the ledger contracts).
@@ -645,7 +624,7 @@ class Runtime {
     return peers_.at(peer).cwnd_milli;
   }
   /// Observed window bounds since Connect — the harness invariant is that
-  /// both always lie within [min_banks, banks] * 1000.
+  /// both always lie within [1, banks] * 1000.
   std::uint64_t AdaptiveWindowMinMilli(PeerId peer) const {
     return peers_.at(peer).cwnd_min_seen;
   }
@@ -748,7 +727,7 @@ class Runtime {
     // Adaptive bank flow control, sender side (allocated/maintained only
     // while config_.adaptive.enabled; see AdaptiveBankConfig).
     /// Congestion window over closed banks, in milli-banks. Invariant:
-    /// within [min_banks, banks] * 1000 at all times.
+    /// within [1, banks] * 1000 at all times.
     std::uint64_t cwnd_milli = 0;
     std::uint64_t cwnd_min_seen = 0;  ///< observed window low-water mark
     std::uint64_t cwnd_max_seen = 0;  ///< observed window high-water mark
@@ -928,6 +907,9 @@ class Runtime {
                      Cycles cycles, std::uint64_t remote_penalty_cycles);
   /// Returns @p bank's flag to @p peer.
   Status ReturnBankFlag(PeerId peer, std::uint32_t bank);
+  /// Puts @p word into @p peer's flag word for @p bank; the peer's
+  /// OnBankFlag runs when the put completes.
+  Status PutFlagWord(PeerState& peer, std::uint32_t bank, std::uint64_t word);
   /// The memory domain of pool member @p pool_index's core.
   std::uint32_t DomainOfPoolCore(std::uint32_t pool_index) const noexcept;
 

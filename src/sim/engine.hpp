@@ -256,12 +256,4 @@ class Engine {
   std::unique_ptr<Impl> impl_;
 };
 
-/// The laned executor by its scale-out name: an Engine constructed with an
-/// explicit EngineConfig. `LaneEngine({.lanes = 4, .lookahead_ps = l})`
-/// reads at the call site; the type adds nothing else.
-class LaneEngine : public Engine {
- public:
-  using Engine::Engine;
-};
-
 }  // namespace twochains::sim

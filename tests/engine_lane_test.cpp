@@ -271,8 +271,8 @@ TEST(LaneEngineTest, EventHookSeesTagsAndDoesNotPerturbExecution) {
   EXPECT_EQ(seen[1], (std::pair<PicoTime, std::string>{20, ""}));
 }
 
-TEST(LaneEngineTest, LaneEngineAliasConstructsTheLanedExecutor) {
-  LaneEngine e({.lanes = 4, .lookahead_ps = kLook});
+TEST(LaneEngineTest, EngineConfigConstructsTheLanedExecutor) {
+  Engine e({.lanes = 4, .lookahead_ps = kLook});
   e.SetVirtualLanes(8);
   EXPECT_EQ(e.VirtualLanes(), 8u);
   EXPECT_EQ(e.ExecutorShards(), 4u);

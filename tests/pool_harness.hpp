@@ -102,11 +102,7 @@ struct PoolTopology {
           static_cast<unsigned long long>(switches.buffer_bytes),
           static_cast<unsigned long long>(switches.ecn_threshold_bytes));
     }
-    if (adaptive.enabled) {
-      net += StrFormat(" aimd{min=%u ai=%u beta=%u}", adaptive.min_banks,
-                       adaptive.additive_increase_milli,
-                       adaptive.decrease_beta_milli);
-    }
+    if (adaptive.enabled) net += " aimd";
     return StrFormat(
         "spokes=%u cores=%u banks=%u mpb=%u lanes=%u wait=%s steal{on=%d "
         "thr=%u hys=%u} jam{on=%d cap=%u}%s msgs=[%s]%s%s seed=%llu",
@@ -524,12 +520,11 @@ inline void ExpectPoolInvariants(const PoolTopology& topo,
     EXPECT_EQ(r.switch_frames_forwarded, 0u) << ctx;
     EXPECT_EQ(r.nic_ecn_marks_delivered, 0u) << ctx;
   }
-  // Adaptive-window excursion bounds: never below the (clamped) floor,
+  // Adaptive-window excursion bounds: never below the one-bank floor,
   // never above the static bank count; a non-adaptive run never moves.
   const std::uint64_t ceiling_milli =
       static_cast<std::uint64_t>(topo.banks) * 1000;
-  const std::uint64_t floor_milli =
-      std::clamp(topo.adaptive.min_banks, 1u, topo.banks) * 1000ull;
+  const std::uint64_t floor_milli = 1000;
   for (std::size_t s = 0; s < r.window_min_milli.size(); ++s) {
     if (topo.adaptive.enabled) {
       EXPECT_GE(r.window_min_milli[s], floor_milli) << ctx << " spoke " << s;
