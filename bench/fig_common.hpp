@@ -64,15 +64,9 @@ inline core::JamCacheConfig HotJamCache() {
   return cache;
 }
 
-/// Compact switched-tree incast fabric for the `--tree` bench variants:
+/// Switched-tree incast fabric for the `--tree` bench variants:
 /// host -> ToR -> spine with 4:1 trunk oversubscription, so the ToR
-/// uplinks congest and ECN marks fire under incast. The 33-65 host sweeps
-/// shrink every arena to the package plus mailbox footprint instead of the
-/// paper's 512 MiB testbed shape: each host's package load writes the
-/// ried's 16 MiB zero-initialised heap, and compact arenas let the
-/// allocator recycle those warm pages between sweep points instead of
-/// faulting in fresh ones (fig15 --tree 2.9 s vs 3.5 s on a 4-vCPU VM,
-/// same output).
+/// uplinks congest and ECN marks fire under incast.
 inline core::FabricOptions TreeBenchFabric(std::uint32_t senders,
                                            bool adaptive,
                                            std::uint32_t hub_pool_cores = 1) {
@@ -85,13 +79,8 @@ inline core::FabricOptions TreeBenchFabric(std::uint32_t senders,
   options.runtime.mailboxes_per_bank = 8;
   options.runtime.mailbox_slot_bytes = KiB(4);
   options.runtime.adaptive.enabled = adaptive;
-  options.host.memory_bytes = MiB(24);
-  options.host_overrides.assign(options.hosts, options.host);
-  options.host_overrides[0].memory_bytes =
-      MiB(48) + std::uint64_t{senders} * options.runtime.banks *
-                    options.runtime.mailboxes_per_bank *
-                    options.runtime.mailbox_slot_bytes;
   if (hub_pool_cores > 1) {
+    options.host_overrides.assign(options.hosts, options.host);
     options.host_overrides[0].cache.cores =
         std::max(options.host.cache.cores, hub_pool_cores + 1);
     options.runtime_overrides.assign(options.hosts, options.runtime);

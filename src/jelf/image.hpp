@@ -8,6 +8,11 @@
 //   +got_offset       GOT       (8 bytes per slot, filled at load time)
 //   +data_offset      .data     (merged writable data)
 //
+// `data` stores .data only up to its last non-zero byte. The rest, up to
+// total_size, is zero and is never stored or written: the allocator hands
+// out zeroed pages (mem/host_memory.hpp), so it reads as zero once loaded.
+// This is ELF's NOBITS .bss idea with an unchanged layout.
+//
 // With `page_align_sections` (the default for ried libraries) each section
 // starts on a page so the loader can enforce W^X: text RX, rodata R, GOT
 // RW-then-RO, data RW. Jams link with it off — their images are code+rodata
@@ -44,7 +49,7 @@ struct LinkedImage {
 
   std::vector<std::uint8_t> text;
   std::vector<std::uint8_t> rodata;
-  std::vector<std::uint8_t> data;
+  std::vector<std::uint8_t> data;  ///< up to the last non-zero byte
 
   std::uint64_t rodata_offset = 0;
   std::uint64_t got_offset = 0;

@@ -1,5 +1,6 @@
 #include "jelf/linker.hpp"
 
+#include <array>
 #include <cstring>
 #include <map>
 
@@ -26,6 +27,24 @@ std::uint64_t SectionAlign(vm::SectionKind kind) {
   return 8;
 }
 
+/// Length of @p bytes up to and including its last non-zero byte: the part
+/// of an object's .data an image stores. Scans back a page at a time
+/// against a zero page, then byte-wise inside the last non-zero page.
+std::size_t StoredPrefix(std::span<const std::uint8_t> bytes) {
+  static constexpr std::array<std::uint8_t, mem::kPageSize> kZeroPage{};
+  std::size_t end = bytes.size();
+  while (end > 0) {
+    const std::size_t chunk = (end - 1) % kZeroPage.size() + 1;
+    if (std::memcmp(bytes.data() + end - chunk, kZeroPage.data(), chunk) !=
+        0) {
+      break;
+    }
+    end -= chunk;
+  }
+  while (end > 0 && bytes[end - 1] == 0) --end;
+  return end;
+}
+
 }  // namespace
 
 StatusOr<LinkedImage> Link(std::span<const vm::ObjectCode> objects,
@@ -37,7 +56,11 @@ StatusOr<LinkedImage> Link(std::span<const vm::ObjectCode> objects,
   image.page_aligned = options.page_align_sections;
 
   // ---- 1. merge sections, remembering per-object placements ----------
+  // .data is laid out over its full extent (data_end) but stored only up
+  // to its last non-zero byte: a zero gap before a later object's bytes is
+  // materialised, a trailing zero run never is (ELF .bss, same layout).
   std::vector<Placement> place(objects.size());
+  std::uint64_t data_end = 0;
   for (std::size_t i = 0; i < objects.size(); ++i) {
     const auto& obj = objects[i];
     if (obj.text.size() % vm::kInstrBytes != 0) {
@@ -62,9 +85,15 @@ StatusOr<LinkedImage> Link(std::span<const vm::ObjectCode> objects,
     image.rodata.insert(image.rodata.end(), obj.rodata.begin(),
                         obj.rodata.end());
 
-    pad(image.data, SectionAlign(vm::SectionKind::kData));
-    place[i].data = image.data.size();
-    image.data.insert(image.data.end(), obj.data.begin(), obj.data.end());
+    data_end = AlignUp(data_end, SectionAlign(vm::SectionKind::kData));
+    place[i].data = data_end;
+    data_end += obj.data.size();
+    const std::size_t stored = StoredPrefix(obj.data);
+    if (stored > 0) {
+      image.data.resize(place[i].data);
+      image.data.insert(image.data.end(), obj.data.begin(),
+                        obj.data.begin() + stored);
+    }
   }
 
   // ---- 2. layout ------------------------------------------------------
@@ -135,13 +164,8 @@ StatusOr<LinkedImage> Link(std::span<const vm::ObjectCode> objects,
   }
   const std::uint64_t got_bytes = image.got_symbols.size() * 8ull;
   image.data_offset = AlignUp(image.got_offset + got_bytes, align);
-  image.total_size =
-      AlignUp(image.data_offset + image.data.size(),
-              options.page_align_sections ? mem::kPageSize : 8);
-  if (image.data.empty()) {
-    image.total_size = AlignUp(
-        image.data_offset, options.page_align_sections ? mem::kPageSize : 8);
-  }
+  image.total_size = AlignUp(image.data_offset + data_end,
+                             options.page_align_sections ? mem::kPageSize : 8);
 
   auto materialize = [&](const PendingDef& def) -> std::uint64_t {
     if (def.section == vm::SectionKind::kData) {

@@ -97,6 +97,10 @@ Status HostMemory::Free(VirtAddr addr) {
   }
   allocated_bytes_ -= it->second.size;
   TC_RETURN_IF_ERROR(Protect(addr, it->second.page_span, Perm::kNone));
+  // Released pages go back zeroed, so every byte outside a live allocation
+  // reads zero and Allocate needs no zeroing of its own, whether the pages
+  // come from the free list or from a run folded back into the bump region.
+  std::memset(arena_.get() + OffsetOf(addr), 0, it->second.page_span);
   // Return the pages to the owning domain's free list, coalescing with
   // adjacent runs; a run that reaches the bump frontier folds back into
   // the never-used region so a full alloc/free cycle restores the slice.

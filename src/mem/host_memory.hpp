@@ -12,7 +12,10 @@
 //
 // The arena is lazily zeroed: it comes from calloc, so the kernel maps
 // zero pages on first touch and a host's resident memory is the pages its
-// run actually touched, not the arena size.
+// run actually touched, not the arena size. Free zeroes the pages it
+// releases, so every byte outside a live allocation reads zero and every
+// allocation starts out zeroed. The loader relies on that to skip writing
+// a library's zero-initialised data (see jelf/image.hpp).
 //
 // Two access planes exist on purpose:
 //   * CPU accesses (Read/Write/Load*/Store*) enforce page permissions —
@@ -79,15 +82,16 @@ class HostMemory {
   /// page permissions @p perms, preferring the slice of @p domain_hint and
   /// spilling to the neighbouring domains (hint+1, hint+2, ... wrapping)
   /// when it is exhausted. Allocations are page-granular internally so
-  /// Protect() on one allocation cannot affect a neighbour.
+  /// Protect() on one allocation cannot affect a neighbour. The returned
+  /// pages read as zero.
   /// @p tag labels the allocation in diagnostics.
   StatusOr<VirtAddr> Allocate(std::uint64_t size, std::uint64_t align,
                               Perm perms, std::string_view tag,
                               DomainId domain_hint = 0);
 
   /// Releases an allocation previously returned by Allocate(). The pages
-  /// return to the owning domain's free list (coalescing with neighbours)
-  /// and are eligible for reuse by later allocations.
+  /// are zeroed and return to the owning domain's free list (coalescing
+  /// with neighbours), eligible for reuse by later allocations.
   Status Free(VirtAddr addr);
 
   /// Changes permissions on all pages covering [addr, addr+size).

@@ -103,9 +103,8 @@ StatusOr<Package> PackageBuilder::Build(const std::string& package_name) const {
       jam_opts.image_name = package_name + ".jam." + sf.element_name;
       jam_opts.page_align_sections = false;
       jam_opts.forbid_writable_data = true;
-      TC_ASSIGN_OR_RETURN(
-          elem.injected_image,
-          jelf::Link(std::vector<vm::ObjectCode>{compiled.object}, jam_opts));
+      TC_ASSIGN_OR_RETURN(elem.injected_image,
+                          jelf::Link({&compiled.object, 1}, jam_opts));
       TC_ASSIGN_OR_RETURN(const auto stats,
                           jelf::RewriteGotAccesses(elem.injected_image));
       (void)stats;
@@ -113,9 +112,8 @@ StatusOr<Package> PackageBuilder::Build(const std::string& package_name) const {
     } else {
       jelf::LinkOptions ried_opts;
       ried_opts.image_name = package_name + ".ried." + sf.element_name;
-      TC_ASSIGN_OR_RETURN(
-          elem.ried_image,
-          jelf::Link(std::vector<vm::ObjectCode>{compiled.object}, ried_opts));
+      TC_ASSIGN_OR_RETURN(elem.ried_image,
+                          jelf::Link({&compiled.object, 1}, ried_opts));
     }
     pkg.elements.push_back(std::move(elem));
   }

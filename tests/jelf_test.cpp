@@ -3,6 +3,7 @@
 // library hot-swap rebinding — the remote-linking machinery of §III.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -486,6 +487,59 @@ TEST_F(LoaderTest, GotReadOnlyOption) {
   // mitigation).
   EXPECT_EQ(mem_.StoreU64(loaded->got_addr, 0xBAD).code(),
             StatusCode::kPermissionDenied);
+}
+
+TEST_F(LoaderTest, ZeroTailIsNotStoredAndReadsZeroOnReusedPages) {
+  // Two objects, each a non-zero quad followed by zeros: the gap after `a`
+  // sits before `b`'s bytes and is stored, the 1 MiB run after `b` is a
+  // trailing zero tail and is not.
+  const LinkedImage lib = MustLink({MustAssemble(R"(
+    .text
+    .global f
+    f:
+      ret
+    .data
+    .global a
+    a: .quad 7
+    .space 64
+  )", "one.s"), MustAssemble(R"(
+    .data
+    .global b
+    b: .quad 9
+    .space 1048576
+  )", "two.s")}, {.image_name = "libzero"});
+  EXPECT_EQ(lib.data.size(), 73u);  // ends at b's non-zero byte
+  // Layout and symbol offsets still span the full .data extent.
+  EXPECT_EQ(lib.data_offset, 4096u);
+  EXPECT_EQ(lib.total_size, 1056768u);
+  EXPECT_EQ(lib.exports.at("a").offset, 4096u);
+  EXPECT_EQ(lib.exports.at("b").offset, 4168u);
+  EXPECT_LT(SerializeImage(lib).size(), KiB(4));
+
+  // Dirty the pages the library will land on, then give them back.
+  auto dirty = mem_.Allocate(lib.total_size, mem::kPageSize, mem::Perm::kRW,
+                             "dirty");
+  ASSERT_TRUE(dirty.ok());
+  ASSERT_TRUE(
+      mem_.Write(*dirty, std::vector<std::uint8_t>(lib.total_size, 0xA5))
+          .ok());
+  ASSERT_TRUE(mem_.Free(*dirty).ok());
+
+  auto loaded = LoadLibrary(mem_, lib, ns_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded->base, *dirty);  // first fit reuses the dirtied pages
+  const mem::VirtAddr a = loaded->exports.at("a");
+  const mem::VirtAddr b = loaded->exports.at("b");
+  auto reads_zero = [&](mem::VirtAddr from, mem::VirtAddr to) {
+    std::vector<std::uint8_t> out(to - from, 0xFF);
+    return mem_.Read(from, out).ok() &&
+           std::all_of(out.begin(), out.end(),
+                       [](std::uint8_t v) { return v == 0; });
+  };
+  EXPECT_EQ(mem_.LoadU64(a).value(), 7u);
+  EXPECT_TRUE(reads_zero(a + 8, b));  // the 64-byte gap
+  EXPECT_EQ(mem_.LoadU64(b).value(), 9u);
+  EXPECT_TRUE(reads_zero(b + 8, loaded->base + lib.total_size));
 }
 
 TEST_F(LoaderTest, UnresolvedSymbolFailsAndRollsBack) {

@@ -193,6 +193,20 @@ class DomainMemoryTest : public ::testing::Test {
   // 4 MiB arena split into two 2 MiB domain slices.
   static constexpr std::uint64_t kSpan = MiB(2);
   HostMemory mem_{0, MiB(4), 2};
+
+  /// Fills [addr, addr+size) with a non-zero pattern.
+  void Scribble(VirtAddr addr, std::uint64_t size) {
+    const std::vector<std::uint8_t> pattern(size, 0xA5);
+    ASSERT_TRUE(mem_.Write(addr, pattern).ok());
+  }
+
+  /// True when every byte of [addr, addr+size) reads zero.
+  bool ReadsZero(VirtAddr addr, std::uint64_t size) const {
+    std::vector<std::uint8_t> out(size, 0xFF);
+    return mem_.Read(addr, out).ok() &&
+           std::all_of(out.begin(), out.end(),
+                       [](std::uint8_t b) { return b == 0; });
+  }
 };
 
 TEST_F(DomainMemoryTest, GeometryAndDomainOfBoundaries) {
@@ -288,14 +302,17 @@ TEST_F(DomainMemoryTest, SpillsToNeighborOnExhaustion) {
 
 TEST_F(DomainMemoryTest, FreeRestoresTheDomainFreeList) {
   // A full alloc/free cycle restores the slice: the next same-sized
-  // allocation in that domain reuses the released pages.
+  // allocation in that domain reuses the released pages, which folded
+  // back into the bump region and read as zero again.
   auto a = mem_.Allocate(KiB(8), 64, Perm::kRW, "a", 1);
   ASSERT_TRUE(a.ok());
+  Scribble(*a, KiB(8));
   ASSERT_TRUE(mem_.Free(*a).ok());
   auto b = mem_.Allocate(KiB(8), 64, Perm::kRW, "b", 1);
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(*b, *a);
   EXPECT_EQ(mem_.DomainOf(*b), 1u);
+  EXPECT_TRUE(ReadsZero(*b, KiB(8)));
 }
 
 TEST_F(DomainMemoryTest, FreeListReusesInteriorHoles) {
@@ -306,10 +323,12 @@ TEST_F(DomainMemoryTest, FreeListReusesInteriorHoles) {
   auto b = mem_.Allocate(KiB(8), 64, Perm::kRW, "b", 0);
   auto c = mem_.Allocate(KiB(4), 64, Perm::kRW, "c", 0);
   ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  Scribble(*b, KiB(8));
   ASSERT_TRUE(mem_.Free(*b).ok());
   auto again = mem_.Allocate(KiB(8), 64, Perm::kRW, "b2", 0);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*again, *b);
+  EXPECT_TRUE(ReadsZero(*again, KiB(8)));  // the hole came back zeroed
   // The hole only fits page-granular sizes up to the freed span: a larger
   // request must come from fresh pages past c.
   ASSERT_TRUE(mem_.Free(*again).ok());

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 
+#include "amcc/compiler.hpp"
 #include "jelf/got_rewriter.hpp"
 #include "pkg/package.hpp"
 
@@ -171,8 +172,21 @@ TEST(PackageGoldenTest, ZeroFilledGlobalsMatchGoldenBytes) {
   ASSERT_TRUE(pkg.ok()) << pkg.status();
   const std::vector<std::uint8_t> bytes = SerializePackage(*pkg);
   // Golden copy of the serialized package: its size and FNV-1a digest.
-  EXPECT_EQ(bytes.size(), 16778599u);
-  EXPECT_EQ(Fnv1a(bytes), 0xbeb181c15e4a224aull);
+  // Zero tails are not serialized, and total_size rounds the trailing heap
+  // up to a page, so the layout is pinned directly too: the assembled .data
+  // extent fails on a wrong .space count anywhere, heap's included.
+  EXPECT_EQ(bytes.size(), 1088u);
+  EXPECT_EQ(Fnv1a(bytes), 0x82394477e3d28cc4ull);
+  ASSERT_EQ(pkg->elements.size(), 1u);
+  const jelf::LinkedImage& ried = pkg->elements[0].ried_image;
+  EXPECT_EQ(ried.total_size, 16785408u);
+  EXPECT_EQ(ried.data_offset, 4096u);
+  EXPECT_EQ(ried.exports.at("tag").offset, 4096u);
+  EXPECT_EQ(ried.exports.at("primes").offset, 4112u);
+  EXPECT_EQ(ried.exports.at("heap").offset, 4432u);
+  const auto compiled = amcc::Compile(kRiedZeroFill, "ried_fill.rdc");
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  EXPECT_EQ(compiled->object.data.size(), 16777552u);
 }
 
 TEST(PackageBuilderErrorsTest, MissingEntrySymbol) {

@@ -18,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
@@ -192,17 +194,6 @@ inline FabricOptions MakePoolOptions(const PoolTopology& topo) {
   // The cache knob applies fabric-wide: spokes need it to *send* by-handle,
   // the hub needs it to install and serve (and to NAK what it lacks).
   options.runtime.jam_cache = topo.jam_cache;
-  // Thousands of short fabrics get built per suite, and every host's
-  // package load writes the bench ried's 16 MiB zero-initialised heap. A
-  // compact arena lets the allocator recycle warm pages from one fabric
-  // to the next; a fresh default-size arena faults all of them in again
-  // (steal_test 38 s vs 61 s on a 4-vCPU VM, fingerprints identical). The
-  // hub's mailbox slices grow with spokes x banks x mailboxes, so that
-  // footprint rides on top of the base (libraries + working set) instead
-  // of squeezing it.
-  options.host.memory_bytes =
-      MiB(24) + static_cast<std::uint64_t>(topo.spokes) * topo.banks *
-                    topo.mailboxes_per_bank * topo.mailbox_slot_bytes;
   // The hub only receives; give it room for the pool and keep its
   // (unused) sender core off the pool.
   options.host_overrides.assign(options.hosts, options.host);
@@ -322,6 +313,44 @@ inline std::string PoolFingerprint(Fabric& fabric) {
         static_cast<unsigned long long>(sw.peak_buffer_bytes()));
   }
   return out;
+}
+
+/// Topologies a randomized sweep runs by default.
+inline constexpr std::uint32_t kSweepTopologies = 1000;
+
+/// The sweep size: kSweepTopologies, or a positive count from the
+/// environment variable @p env (CI's sanitizer legs run shorter sweeps).
+inline std::uint32_t SweepTopologies(const char* env) {
+  if (const char* value = std::getenv(env)) {
+    const long v = std::atol(value);
+    if (v > 0) return static_cast<std::uint32_t>(v);
+  }
+  return kSweepTopologies;
+}
+
+/// FNV-1a-64 digest of a sweep: every topology's first-run PoolFingerprint
+/// folded in, in order, starting from kSweepDigestSeed.
+inline constexpr std::uint64_t kSweepDigestSeed = 0xcbf29ce484222325ull;
+inline std::uint64_t FoldFingerprint(std::uint64_t digest,
+                                     const std::string& fingerprint) {
+  for (const char c : fingerprint) {
+    digest = (digest ^ static_cast<std::uint8_t>(c)) * 0x100000001b3ull;
+  }
+  return digest;
+}
+
+/// Prints a sweep's digest and, when the sweep ran all kSweepTopologies
+/// topologies, checks it against @p recorded. A shorter sweep has no
+/// recorded digest to match, so it only prints.
+inline void ExpectSweepDigest(std::uint64_t digest, std::uint32_t runs,
+                              std::uint64_t recorded) {
+  std::printf("sweep digest over %u topologies: 0x%016llx\n", runs,
+              static_cast<unsigned long long>(digest));
+  if (runs == kSweepTopologies) {
+    EXPECT_EQ(digest, recorded)
+        << "a simulated observable moved: re-record the digest only when "
+           "that is intended, and say why";
+  }
 }
 
 /// One message of the seeded mixed workload: an injected ssum, iput or

@@ -94,17 +94,13 @@ PoolTopology RandomTopology(std::uint64_t seed) {
   return topo;
 }
 
-std::uint32_t TopologyCount() {
-  if (const char* env = std::getenv("TC_QUIESCE_TOPOLOGIES")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<std::uint32_t>(v);
-  }
-  return 1000;
-}
+/// Digest of the default sweep's fingerprints (see ExpectSweepDigest).
+constexpr std::uint64_t kQuiesceSweepDigest = 0x9ebc733eb951f464ull;
 
 TEST(QuiesceInvariantTest, RandomizedHotplugPreservesSchedulerInvariants) {
   const pkg::Package& package = BenchPackage();
-  const std::uint32_t runs = TopologyCount();
+  const std::uint32_t runs = pooltest::SweepTopologies("TC_QUIESCE_TOPOLOGIES");
+  std::uint64_t digest = pooltest::kSweepDigestSeed;
   std::uint64_t quiesces = 0;
   std::uint64_t runs_with_stranded_backlog = 0;
   std::uint64_t revives = 0;
@@ -113,6 +109,7 @@ TEST(QuiesceInvariantTest, RandomizedHotplugPreservesSchedulerInvariants) {
     const PoolTopology topo = RandomTopology(0x401E5CE0 + t);
     const PoolRunResult result = RunPoolIncast(topo, package);
     pooltest::ExpectPoolInvariants(topo, result);
+    digest = pooltest::FoldFingerprint(digest, result.fingerprint);
     quiesces += result.quiesces_applied;
     revives += result.revives_applied;
     refusals += result.quiesces_refused;
@@ -131,6 +128,7 @@ TEST(QuiesceInvariantTest, RandomizedHotplugPreservesSchedulerInvariants) {
       break;
     }
   }
+  pooltest::ExpectSweepDigest(digest, runs, kQuiesceSweepDigest);
   // The sweep must exercise the contended paths, not vacuously pass on
   // runs where the hotplug never fired or never carried backlog.
   EXPECT_GT(quiesces, runs / 2)

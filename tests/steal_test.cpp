@@ -71,23 +71,20 @@ PoolTopology RandomTopology(std::uint64_t seed) {
   return topo;
 }
 
-std::uint32_t TopologyCount() {
-  if (const char* env = std::getenv("TC_STEAL_TOPOLOGIES")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<std::uint32_t>(v);
-  }
-  return 1000;
-}
+/// Digest of the default sweep's fingerprints (see ExpectSweepDigest).
+constexpr std::uint64_t kStealSweepDigest = 0x568ddf8f0bc4eedfull;
 
 TEST(StealInvariantTest, RandomizedTopologiesPreserveSchedulerInvariants) {
   const pkg::Package& package = BenchPackage();
-  const std::uint32_t runs = TopologyCount();
+  const std::uint32_t runs = pooltest::SweepTopologies("TC_STEAL_TOPOLOGIES");
+  std::uint64_t digest = pooltest::kSweepDigestSeed;
   std::uint64_t total_steals = 0;
   std::uint64_t runs_with_steals = 0;
   for (std::uint32_t t = 0; t < runs; ++t) {
     const PoolTopology topo = RandomTopology(0x57EA1000 + t);
     const PoolRunResult result = RunPoolIncast(topo, package);
     pooltest::ExpectPoolInvariants(topo, result);
+    digest = pooltest::FoldFingerprint(digest, result.fingerprint);
     total_steals += result.hub.steals;
     if (result.hub.steals > 0) ++runs_with_steals;
     // Byte-identical rerun on a seed subsample: the whole observable
@@ -102,6 +99,7 @@ TEST(StealInvariantTest, RandomizedTopologiesPreserveSchedulerInvariants) {
       break;
     }
   }
+  pooltest::ExpectSweepDigest(digest, runs, kStealSweepDigest);
   // The sweep must actually exercise the contended path, not vacuously
   // pass on steal-free runs.
   EXPECT_GT(runs_with_steals, runs / 20)

@@ -85,17 +85,13 @@ PoolTopology RandomTreeTopology(std::uint64_t seed) {
   return topo;
 }
 
-std::uint32_t TopologyCount() {
-  if (const char* env = std::getenv("TC_SWITCH_TOPOLOGIES")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<std::uint32_t>(v);
-  }
-  return 1000;
-}
+/// Digest of the default sweep's fingerprints (see ExpectSweepDigest).
+constexpr std::uint64_t kSwitchSweepDigest = 0x0d57e4d1932ef369ull;
 
 TEST(SwitchInvariantTest, RandomizedTreesPreserveMultiHopInvariants) {
   const pkg::Package& package = BenchPackage();
-  const std::uint32_t runs = TopologyCount();
+  const std::uint32_t runs = pooltest::SweepTopologies("TC_SWITCH_TOPOLOGIES");
+  std::uint64_t digest = pooltest::kSweepDigestSeed;
   std::uint64_t runs_with_marks = 0;
   std::uint64_t runs_with_holds = 0;
   std::uint64_t runs_with_backoff = 0;
@@ -103,6 +99,7 @@ TEST(SwitchInvariantTest, RandomizedTreesPreserveMultiHopInvariants) {
     const PoolTopology topo = RandomTreeTopology(0x5D17C4000 + t);
     const PoolRunResult result = RunPoolIncast(topo, package);
     pooltest::ExpectPoolInvariants(topo, result);
+    digest = pooltest::FoldFingerprint(digest, result.fingerprint);
     // Every logical frame crossed the switch fabric: with tiers=2 each
     // spoke->hub put transits its ToR (and possibly the spine), so the
     // forwarded count can never trail the delivered count.
@@ -132,6 +129,7 @@ TEST(SwitchInvariantTest, RandomizedTreesPreserveMultiHopInvariants) {
       break;
     }
   }
+  pooltest::ExpectSweepDigest(digest, runs, kSwitchSweepDigest);
   // The sweep must actually exercise the congestion paths, not vacuously
   // pass on uncontended runs.
   EXPECT_GT(runs_with_marks, runs / 20)
