@@ -127,12 +127,7 @@ CurvePoint RunCurvePoint(const Mode& mode, std::uint32_t cores) {
       PaperFabric(kSenders + 1, core::Topology::kStar, 0);
   options.runtime.security = mode.policy;
   if (mode.cache_on) options.runtime.jam_cache = HotJamCache();
-  options.host_overrides.assign(kSenders + 1, options.host);
-  options.host_overrides[0].cache.cores =
-      std::max(options.host.cache.cores, cores + 1);
-  options.runtime_overrides.assign(kSenders + 1, options.runtime);
-  options.runtime_overrides[0].receiver_cores = cores;
-  options.runtime_overrides[0].sender_core = cores;
+  WithHubPool(options, cores);
   core::Fabric fabric(options);
   LoadBenchPackage(fabric);
 

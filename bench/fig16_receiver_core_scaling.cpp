@@ -46,13 +46,7 @@ int BaseMain() {
     // keep the single-core paper runtime.
     core::FabricOptions options =
         PaperFabric(kSenders + 1, core::Topology::kStar, 0);
-    options.host_overrides.assign(kSenders + 1, options.host);
-    options.host_overrides[0].cache.cores =
-        std::max(options.host.cache.cores, cores + 1);
-    options.runtime_overrides.assign(kSenders + 1, options.runtime);
-    options.runtime_overrides[0].receiver_cores = cores;
-    // The hub only receives; keep its (unused) sender core off the pool.
-    options.runtime_overrides[0].sender_core = cores;
+    WithHubPool(options, cores);
     core::Fabric fabric(options);
     LoadBenchPackage(fabric);
 
@@ -175,12 +169,7 @@ StealPoint RunStealPoint(std::uint32_t cores, bool skewed, bool steal) {
   core::FabricOptions options =
       PaperFabric(kSenders + 1, core::Topology::kStar, 0);
   options.runtime.banks = 2;
-  options.host_overrides.assign(kSenders + 1, options.host);
-  options.host_overrides[0].cache.cores =
-      std::max(options.host.cache.cores, cores + 1);
-  options.runtime_overrides.assign(kSenders + 1, options.runtime);
-  options.runtime_overrides[0].receiver_cores = cores;
-  options.runtime_overrides[0].sender_core = cores;
+  WithHubPool(options, cores);
   core::StealConfig steal_config;
   steal_config.enabled = steal;
   steal_config.threshold = 2;

@@ -70,12 +70,7 @@ struct HotplugResult {
 HotplugResult RunHotplug(std::uint32_t pool_cores) {
   core::FabricOptions options =
       PaperFabric(kSenders + 1, core::Topology::kStar, 0);
-  options.host_overrides.assign(kSenders + 1, options.host);
-  options.host_overrides[0].cache.cores =
-      std::max(options.host.cache.cores, pool_cores + 1);
-  options.runtime_overrides.assign(kSenders + 1, options.runtime);
-  options.runtime_overrides[0].receiver_cores = pool_cores;
-  options.runtime_overrides[0].sender_core = pool_cores;
+  WithHubPool(options, pool_cores);
   core::Fabric fabric(options);
   LoadBenchPackage(fabric);
   core::Runtime& hub = fabric.runtime(0);

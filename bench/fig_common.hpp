@@ -79,14 +79,7 @@ inline core::FabricOptions TreeBenchFabric(std::uint32_t senders,
   options.runtime.mailboxes_per_bank = 8;
   options.runtime.mailbox_slot_bytes = KiB(4);
   options.runtime.adaptive.enabled = adaptive;
-  if (hub_pool_cores > 1) {
-    options.host_overrides.assign(options.hosts, options.host);
-    options.host_overrides[0].cache.cores =
-        std::max(options.host.cache.cores, hub_pool_cores + 1);
-    options.runtime_overrides.assign(options.hosts, options.runtime);
-    options.runtime_overrides[0].receiver_cores = hub_pool_cores;
-    options.runtime_overrides[0].sender_core = hub_pool_cores;
-  }
+  if (hub_pool_cores > 1) WithHubPool(options, hub_pool_cores);
   return options;
 }
 

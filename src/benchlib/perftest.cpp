@@ -296,9 +296,9 @@ StatusOr<IncastResult> RunIncastRate(core::Fabric& fabric,
 Table PeerStatsTable(const core::Runtime& runtime) {
   Table table({"peer", "sent", "delivered", "executed", "stalls",
                "flags_returned"});
-  const auto& per_peer = runtime.stats().per_peer;
-  for (std::size_t i = 0; i < per_peer.size(); ++i) {
-    const core::PeerStats& p = per_peer[i];
+  const core::RuntimeStats stats = runtime.stats();
+  for (std::size_t i = 0; i < stats.per_peer.size(); ++i) {
+    const core::PeerStats& p = stats.per_peer[i];
     table.AddRow({FmtU64(i), FmtU64(p.messages_sent),
                   FmtU64(p.messages_delivered), FmtU64(p.messages_executed),
                   FmtU64(p.send_stalls), FmtU64(p.bank_flags_returned)});

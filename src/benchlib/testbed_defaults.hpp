@@ -3,6 +3,8 @@
 // deviates (e.g. toggling stashing or the wait mode).
 #pragma once
 
+#include <algorithm>
+
 #include "core/fabric.hpp"
 
 namespace twochains::bench {
@@ -28,6 +30,19 @@ inline core::FabricOptions PaperFabric(
   options.runtime.sender_core = 0;
   options.host.memory_bytes = MiB(512);
   return options;
+}
+
+/// Widens the hub of @p options into a receiver pool of @p cores: copies
+/// the host and runtime templates into per-host overrides, gives the hub
+/// at least cores + 1 cache cores, and keeps its (unused) sender core just
+/// past the pool. Spokes keep the template's single-core runtime.
+inline void WithHubPool(core::FabricOptions& options, std::uint32_t cores) {
+  options.host_overrides.assign(options.hosts, options.host);
+  options.host_overrides[options.hub].cache.cores =
+      std::max(options.host.cache.cores, cores + 1);
+  options.runtime_overrides.assign(options.hosts, options.runtime);
+  options.runtime_overrides[options.hub].receiver_cores = cores;
+  options.runtime_overrides[options.hub].sender_core = cores;
 }
 
 /// A star fabric whose hub is a 2-domain NUMA machine: hub cores {0,1}

@@ -99,7 +99,8 @@ struct FabricOptions {
   RuntimeConfig runtime{};
   /// Optional per-host runtime overrides (same contract as host_overrides):
   /// lets e.g. an incast hub run a wide receiver pool while the spokes
-  /// keep a single receiver core.
+  /// keep a single receiver core. Connected hosts must agree on banks,
+  /// mailboxes_per_bank and mailbox_slot_bytes, or the load fails.
   std::vector<RuntimeConfig> runtime_overrides;
 
   /// Scheduled pool-core hotplug events (quiesce + optional revive),

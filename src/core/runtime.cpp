@@ -98,7 +98,7 @@ Status Runtime::Initialize() {
   stealing_active_ = config_.steal.enabled && config_.receiver_cores > 1;
   if (config_.steal.enabled && config_.receiver_cores == 1) {
     TC_WARN << "work stealing enabled on a 1-core receiver pool — nothing "
-               "to steal from; disabling (no steal state allocated)";
+               "to steal from; disabling";
   }
   if (stealing_active_ && config_.steal.threshold == 0) {
     TC_WARN << "steal threshold 0 would hand claims around with no work "
@@ -123,7 +123,6 @@ Status Runtime::Initialize() {
   }
 
   pool_.resize(config_.receiver_cores);
-  claim_backlog_.assign(config_.receiver_cores, 0);
   for (std::uint32_t i = 0; i < config_.receiver_cores; ++i) {
     PoolCore& member = pool_[i];
     member.core_id = config_.receiver_core + i;
@@ -240,26 +239,18 @@ StatusOr<PeerId> Runtime::AttachPeer(Runtime& remote) {
       worker_, ucxs::PutMode::kUser, &remote.nic_);
 
   peer.bank_cursor.assign(config_.banks, 0);
-  // in_flight guards every handoff (steal and re-shard); ready feeds the
-  // O(1) backlog ledger. Both always exist; only the steal-claim table is
-  // gated on stealing.
+  peer.delivered_at.assign(TotalSlots(), kNotDelivered);
+  // Claims start at the home owner.
+  peer.bank_claim = peer.bank_home;
   peer.bank_in_flight.assign(config_.banks, 0);
   peer.bank_ready.assign(config_.banks, 0);
-  if (config_.jam_cache.enabled) {
-    peer.bank_nak_mask.assign(config_.banks, 0);
-  }
-  if (stealing_active_) {
-    // Claims start at the home owner.
-    peer.bank_claim = peer.bank_home;
-  }
+  peer.bank_nak_mask.assign(config_.banks, 0);
+  peer.bank_ecn.assign(config_.banks, 0);
+  peer.bank_close_at.assign(config_.banks, 0);
   // Adaptive window state: starts wide open at the full bank budget.
   peer.cwnd_milli = static_cast<std::uint64_t>(config_.banks) * 1000;
   peer.cwnd_min_seen = peer.cwnd_milli;
   peer.cwnd_max_seen = peer.cwnd_milli;
-  if (config_.adaptive.enabled) {
-    peer.bank_close_at.assign(config_.banks, 0);
-    peer.bank_ecn.assign(config_.banks, 0);
-  }
 
   peers_.push_back(std::move(peer));
   stats_.per_peer.emplace_back();
@@ -278,6 +269,18 @@ StatusOr<std::pair<PeerId, PeerId>> Runtime::Connect(Runtime& a, Runtime& b) {
     return FailedPrecondition(
         "NICs not reachable (net::Nic::ConnectTo or a switched uplink on "
         "both sides first)");
+  }
+  // Each side addresses the other's mailbox slice with its own shape, so
+  // the shapes must agree (as Initialize clamped them).
+  const auto shape = [](const RuntimeConfig& c) {
+    return StrFormat("%u banks x %u mailboxes x %llu B", c.banks,
+                     c.mailboxes_per_bank,
+                     static_cast<unsigned long long>(c.mailbox_slot_bytes));
+  };
+  if (shape(a.config_) != shape(b.config_)) {
+    return InvalidArgument(StrFormat("mailbox shapes differ: %s vs %s",
+                                     shape(a.config_).c_str(),
+                                     shape(b.config_).c_str()));
   }
   TC_ASSIGN_OR_RETURN(const PeerId id_of_b, a.AttachPeer(b));
   TC_ASSIGN_OR_RETURN(const PeerId id_of_a, b.AttachPeer(a));
@@ -508,7 +511,6 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
   const std::uint32_t in_bank = peer.send_in_bank;
   const std::uint32_t bank = peer.send_bank;
   if (peer.bank_open[bank] == 0) {
-    ++stats_.send_stalls;
     ++pstats.send_stalls;
     return ResourceExhausted(StrFormat("bank %u flag not returned", bank));
   }
@@ -517,7 +519,6 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
   // admission their bank got).
   if (in_bank == 0 && !AdaptiveAdmits(peer)) {
     ++stats_.adaptive_refusals;
-    ++stats_.send_stalls;
     ++pstats.send_stalls;
     return ResourceExhausted(
         StrFormat("adaptive window (%llu milli-banks) refuses a new bank",
@@ -692,15 +693,13 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
     // The flag-return RTT sample starts at bank close; it covers the last
     // frame's flight plus the receiver's drain — the congestion signal
     // the adaptive window reacts to.
-    if (config_.adaptive.enabled) peer.bank_close_at[bank] = engine_.Now();
+    peer.bank_close_at[bank] = engine_.Now();
     TC_RETURN_IF_ERROR(
         host_.memory().StoreU64(peer.flag_base + 8ull * bank, 0));
     peer.send_bank = (bank + 1) % config_.banks;
     peer.send_in_bank = 0;
   }
-  ++stats_.messages_sent;
   ++pstats.messages_sent;
-  stats_.bytes_sent += frame.size();
   pstats.bytes_sent += frame.size();
 
   // Jam-cache bookkeeping. A by-handle send parks its resend recipe until
@@ -740,9 +739,8 @@ Status Runtime::StartReceiver() {
 void Runtime::OnFrameDelivered(PeerId from, std::uint32_t slot,
                                PicoTime delivered_at, bool ecn_marked) {
   if (from >= peers_.size()) return;
-  ++stats_.messages_delivered;
   ++stats_.per_peer[from].messages_delivered;
-  peers_[from].ready[slot] = ReadyFrame{from, slot, delivered_at};
+  peers_[from].delivered_at[slot] = delivered_at;
   // The bank's current claim holder gets first crack at the frame; with
   // stealing active, every other pool member then gets a deterministic
   // chance to notice a backlog it could relieve.
@@ -754,7 +752,6 @@ void Runtime::OnFrameDelivered(PeerId from, std::uint32_t slot,
     if (config_.adaptive.enabled) peers_[from].bank_ecn[bank] = 1;
   }
   const std::uint32_t holder = ClaimOf(from, bank);
-  ++claim_backlog_[holder];
   ++peers_[from].bank_ready[bank];
   MaybeBeginNext(holder);
   OfferStealOpportunities(holder);
@@ -915,16 +912,16 @@ void Runtime::MaybeBeginNext(std::uint32_t pool_index) {
   // A draining member only finishes the frame it already began; a
   // quiesced one scans nothing at all (its banks re-homed at quiesce).
   if (member.state != PoolCoreState::kActive) return;
-  // This pool core scans the heads of the banks it claims — its affinity
-  // shard plus any banks in its steal queue, across every peer's mailbox
-  // slice — and serves the earliest-delivered one: a fair sweep across
-  // senders under incast. Only when that scan comes up empty does an idle
-  // core consider sacrificing stash locality and stealing. Ties and the
-  // scans themselves are resolved in (peer, bank) index order, so the
-  // choice never depends on host-side container iteration order.
-  const ReadyFrame* best = ScanBankHeads(pool_index);
-  if (best == nullptr && stealing_active_) best = TrySteal(pool_index);
-  if (best == nullptr) {
+  // This pool core scans the heads of the banks it claims — its homed
+  // banks plus any it stole, across every peer's mailbox slice — and
+  // serves the earliest-delivered one: a fair sweep across senders under
+  // incast. Only when that scan comes up empty does an idle core consider
+  // sacrificing stash locality and stealing. Ties and the scans
+  // themselves are resolved in (peer, bank) index order, so the choice
+  // never depends on host-side container iteration order.
+  std::optional<ReadyFrame> best = ScanBankHeads(pool_index);
+  if (!best.has_value() && stealing_active_) best = TrySteal(pool_index);
+  if (!best.has_value()) {
     if (!member.idle_since.has_value()) member.idle_since = engine_.Now();
     return;
   }
@@ -942,26 +939,48 @@ void Runtime::MaybeBeginNext(std::uint32_t pool_index) {
   BeginProcess(frame, waited);
 }
 
-const Runtime::ReadyFrame* Runtime::ScanBankHeads(std::uint32_t pool_index) {
-  const ReadyFrame* best = nullptr;
+std::optional<Runtime::ReadyFrame> Runtime::ScanBankHeads(
+    std::uint32_t pool_index) const {
+  std::optional<ReadyFrame> best;
   for (PeerId peer = 0; peer < peers_.size(); ++peer) {
-    PeerState& p = peers_[peer];
+    const PeerState& p = peers_[peer];
     for (std::uint32_t bank = 0; bank < config_.banks; ++bank) {
       if (ClaimOf(peer, bank) != pool_index) continue;
       if (p.bank_in_flight[bank] != 0) continue;
       const std::uint32_t head =
           bank * config_.mailboxes_per_bank + p.bank_cursor[bank];
-      const auto it = p.ready.find(head);
-      if (it == p.ready.end()) continue;
-      if (best == nullptr || it->second.delivered_at < best->delivered_at) {
-        best = &it->second;
+      const PicoTime at = p.delivered_at[head];
+      if (at == kNotDelivered) continue;
+      if (!best.has_value() || at < best->delivered_at) {
+        best = ReadyFrame{peer, head, at};
       }
     }
   }
   return best;
 }
 
-const Runtime::ReadyFrame* Runtime::TrySteal(std::uint32_t thief) {
+std::uint64_t Runtime::ClaimBacklog(std::uint32_t pool_index) const noexcept {
+  std::uint64_t backlog = 0;
+  for (const PeerState& p : peers_) {
+    for (std::uint32_t bank = 0; bank < config_.banks; ++bank) {
+      if (p.bank_claim[bank] == pool_index) backlog += p.bank_ready[bank];
+    }
+  }
+  return backlog;
+}
+
+std::uint32_t Runtime::StolenBanksHeld(
+    std::uint32_t pool_index) const noexcept {
+  std::uint32_t held = 0;
+  for (const PeerState& p : peers_) {
+    for (std::uint32_t b = 0; b < config_.banks; ++b) {
+      held += p.bank_claim[b] == pool_index && p.bank_home[b] != pool_index;
+    }
+  }
+  return held;
+}
+
+std::optional<Runtime::ReadyFrame> Runtime::TrySteal(std::uint32_t thief) {
   PoolCore& member = pool_[thief];
   // Schmitt trigger: a fresh steal needs threshold + hysteresis; while
   // steals keep succeeding, threshold suffices. Damps claim ping-pong
@@ -971,12 +990,10 @@ const Runtime::ReadyFrame* Runtime::TrySteal(std::uint32_t thief) {
       static_cast<std::uint64_t>(EffectiveStealThreshold()) +
       (member.steal_armed ? 0 : EffectiveStealHysteresis());
   // Victim: the most-loaded active sibling by ready-frame backlog over the
-  // banks it currently claims (ties resolve to the lowest pool index). The
-  // backlog ledger is maintained incrementally on delivery, completion,
-  // and handoff, so this pick is O(pool) per idle scan. With
-  // steal.domain_aware, a same-domain victim that clears the trigger wins
-  // even past a deeper remote-domain backlog — the stolen bank's fills
-  // then stay on this side of the interconnect.
+  // banks it currently claims (ties resolve to the lowest pool index).
+  // With steal.domain_aware, a same-domain victim that clears the trigger
+  // wins even past a deeper remote-domain backlog — the stolen bank's
+  // fills then stay on this side of the interconnect.
   const std::uint32_t thief_domain = DomainOfPoolCore(thief);
   std::uint32_t victim = kInvalidPoolIndex;
   std::uint64_t victim_backlog = 0;
@@ -985,14 +1002,14 @@ const Runtime::ReadyFrame* Runtime::TrySteal(std::uint32_t thief) {
   for (std::uint32_t j = 0; j < pool_.size(); ++j) {
     if (j == thief) continue;
     if (pool_[j].state != PoolCoreState::kActive) continue;
-    if (claim_backlog_[j] > victim_backlog) {
+    const std::uint64_t backlog = ClaimBacklog(j);
+    if (backlog > victim_backlog) {
       victim = j;
-      victim_backlog = claim_backlog_[j];
+      victim_backlog = backlog;
     }
-    if (DomainOfPoolCore(j) == thief_domain &&
-        claim_backlog_[j] > local_backlog) {
+    if (DomainOfPoolCore(j) == thief_domain && backlog > local_backlog) {
       local_victim = j;
-      local_backlog = claim_backlog_[j];
+      local_backlog = backlog;
     }
   }
   if (victim_backlog < trigger) victim = kInvalidPoolIndex;
@@ -1001,10 +1018,10 @@ const Runtime::ReadyFrame* Runtime::TrySteal(std::uint32_t thief) {
   // Oldest ready bank head among a victim's claimed banks (ScanBankHeads
   // skips a bank with a frame mid-process — the handoff would double-begin
   // its head — and a bank whose head has not arrived yet).
-  const ReadyFrame* best = nullptr;
+  std::optional<ReadyFrame> best;
   const auto scan_victim = [&](std::uint32_t v) {
     best = ScanBankHeads(v);
-    return best != nullptr;
+    return best.has_value();
   };
 
   // Same-domain victim first (when the policy is on and it clears the
@@ -1024,49 +1041,23 @@ const Runtime::ReadyFrame* Runtime::TrySteal(std::uint32_t thief) {
   }
   if (chosen == kInvalidPoolIndex) {
     member.steal_armed = false;
-    return nullptr;
+    return std::nullopt;
   }
-  const std::uint32_t stolen_from = chosen;
-  const PeerId best_peer = best->peer;
-  const std::uint32_t best_bank = best->slot / config_.mailboxes_per_bank;
   // Ownership handoff: the thief now claims the bank and owes the rest of
   // its drain — including the flag return — until the claim reverts. A
   // bank can be stolen onward (even back by its home owner, which
-  // settles the claim home), so any previous thief's queue entry migrates
-  // rather than lingering, and the bank's backlog moves ledgers with it.
-  DropFromStealQueues(best_peer, best_bank);
-  claim_backlog_[stolen_from] -= peers_[best_peer].bank_ready[best_bank];
-  claim_backlog_[thief] += peers_[best_peer].bank_ready[best_bank];
-  peers_[best_peer].bank_claim[best_bank] = thief;
-  if (HomeOf(best_peer, best_bank) != thief) {
-    member.stolen_banks.emplace_back(best_peer, best_bank);
-  }
+  // settles the claim home).
+  peers_[best->peer].bank_claim[best->slot / config_.mailboxes_per_bank] =
+      thief;
   member.steal_armed = true;
   ++member.wait_stats.banks_stolen;
-  ++pool_[stolen_from].wait_stats.banks_donated;
-  ++stats_.steals;
+  ++pool_[chosen].wait_stats.banks_donated;
   return best;
 }
 
-void Runtime::DropFromStealQueues(PeerId peer, std::uint32_t bank) {
-  const auto key = std::make_pair(peer, bank);
-  for (PoolCore& m : pool_) {
-    auto& queue = m.stolen_banks;
-    queue.erase(std::remove(queue.begin(), queue.end(), key), queue.end());
-  }
-}
-
 void Runtime::ReleaseBankClaim(PeerId peer, std::uint32_t bank) {
-  if (!stealing_active_) return;
   PeerState& p = peers_[peer];
-  const std::uint32_t owner = p.bank_home[bank];
-  const std::uint32_t holder = p.bank_claim[bank];
-  if (holder != owner) {
-    claim_backlog_[holder] -= p.bank_ready[bank];
-    claim_backlog_[owner] += p.bank_ready[bank];
-  }
-  p.bank_claim[bank] = owner;
-  DropFromStealQueues(peer, bank);
+  p.bank_claim[bank] = p.bank_home[bank];
 }
 
 std::uint32_t Runtime::PickReshardTarget(std::uint32_t preferred_domain) {
@@ -1093,17 +1084,10 @@ void Runtime::ApplyBankHome(PeerId peer, std::uint32_t bank,
   p.bank_pending_home[bank] = kInvalidPoolIndex;
   const std::uint32_t old_home = p.bank_home[bank];
   if (old_home == new_home) return;  // e.g. a revive cancelling a quiesce
-  // The bank's backlog follows its new owner; a steal lease on the bank
-  // is superseded — a permanent handoff outranks a revertible claim.
-  const std::uint32_t holder = ClaimOf(peer, bank);
-  claim_backlog_[holder] -= p.bank_ready[bank];
-  claim_backlog_[new_home] += p.bank_ready[bank];
-  if (stealing_active_) {
-    p.bank_claim[bank] = new_home;
-    DropFromStealQueues(peer, bank);
-  }
+  // The claim follows the new owner; a steal lease on the bank is
+  // superseded — a permanent handoff outranks a revertible claim.
+  p.bank_claim[bank] = new_home;
   p.bank_home[bank] = new_home;
-  ++stats_.banks_resharded;
   ++pool_[old_home].wait_stats.banks_resharded_out;
   ++pool_[new_home].wait_stats.banks_resharded_in;
 }
@@ -1128,7 +1112,6 @@ void Runtime::FinishQuiesce(std::uint32_t pool_index) {
   ++member.wait_stats.quiesces;
   member.steal_armed = false;
   member.idle_since.reset();
-  if (!stealing_active_) return;
   // Any steal lease the member still holds reverts to the banks' home
   // owners — nothing may stay parked on a core that will never scan again
   // — and each owner gets woken to pick the backlog up.
@@ -1262,7 +1245,6 @@ void Runtime::BeginProcess(const ReadyFrame& frame, PicoTime waited) {
   const cpu::WaitOutcome outcome = member.wait_model->Wait(waited);
   core.Charge(outcome.cycles_burned, cpu::CycleClass::kWait);
   member.wait_stats.Record(waited, outcome);
-  ++stats_.wait_episodes;
   // Detection happens detection_delay after the signal became visible; we
   // may already be past that point if the frame arrived while busy.
   PicoTime wake =
@@ -1734,7 +1716,7 @@ Status Runtime::InjectRawFrame(PeerId from, std::uint32_t slot,
     return InvalidArgument("frame larger than the mailbox slot");
   }
   PeerState& p = peers_[from];
-  if (p.ready.contains(slot)) {
+  if (p.delivered_at[slot] != kNotDelivered) {
     return FailedPrecondition("slot still holds an undrained frame");
   }
   // The hostile put lands like any RDMA write: straight through the DMA
@@ -1823,20 +1805,15 @@ void Runtime::CompleteFrame(const ReadyFrame& frame,
   const std::uint32_t frame_domain =
       host_.memory().DomainOf(SlotAddr(peers_[frame.peer], frame.slot));
   if (frame_domain != DomainOfPoolCore(frame.pool)) {
-    ++stats_.frames_drained_remote;
     ++pool_[frame.pool].wait_stats.frames_drained_remote;
   }
-  stats_.remote_drain_cycles += remote_penalty_cycles;
   pool_[frame.pool].wait_stats.remote_drain_cycles += remote_penalty_cycles;
 
   engine_.ScheduleAfter(
       busy,
       [this, frame, msg]() mutable {
         msg.completed_at = engine_.Now();
-        if (msg.executed) {
-          ++stats_.messages_executed;
-          ++stats_.per_peer[frame.peer].messages_executed;
-        }
+        if (msg.executed) ++stats_.per_peer[frame.peer].messages_executed;
 
         // Bank recycling: after draining a bank of this peer's slice,
         // return its flag to that peer — and only that peer. Banks drain
@@ -1850,32 +1827,23 @@ void Runtime::CompleteFrame(const ReadyFrame& frame,
         // wanted to move it mid-frame is parked in bank_pending_home and
         // applies below, after this frame's bookkeeping settles.
         const std::uint32_t home = p.bank_home[bank];
-        // Retire this frame from the backlog ledger before any claim
-        // release below moves the bank's remaining count between holders
-        // (the map erase itself happens a few lines down). The claim
-        // cannot have moved mid-frame, so the holder is frame.pool.
-        --claim_backlog_[ClaimOf(frame.peer, bank)];
         p.bank_in_flight[bank] = 0;
         --p.bank_ready[bank];
-        if (stealing_active_ && frame.pool != home) {
-          ++stats_.frames_stolen;
-          ++pool_[frame.pool].wait_stats.frames_stolen;
-        }
+        p.delivered_at[frame.slot] = kNotDelivered;
+        if (frame.pool != home) ++pool_[frame.pool].wait_stats.frames_stolen;
         const bool bank_drained =
             p.bank_cursor[bank] == config_.mailboxes_per_bank - 1;
         if (bank_drained) {
-          if (stealing_active_ && p.bank_claim[bank] != home) {
+          if (p.bank_claim[bank] != home) {
             ++stats_.banks_drained_stolen;
           } else {
             ++stats_.banks_drained_owner;
           }
           ReleaseBankClaim(frame.peer, bank);
         }
-        p.ready.erase(frame.slot);
         p.bank_cursor[bank] =
             (p.bank_cursor[bank] + 1) % config_.mailboxes_per_bank;
-        if (stealing_active_ && p.bank_claim[bank] != home &&
-            p.bank_ready[bank] == 0) {
+        if (p.bank_claim[bank] != home && p.bank_ready[bank] == 0) {
           // The steal lease covers the backlog the thief took the bank
           // for. Once no delivered frame of the bank remains, the claim
           // reverts to the home owner so fresh fills land with their
@@ -1943,9 +1911,35 @@ cpu::PerfCounters Runtime::ReceiverPoolCounters() const {
   return total;
 }
 
+RuntimeStats Runtime::stats() const {
+  RuntimeStats total = stats_;
+  for (const PeerStats& p : stats_.per_peer) {
+    total.messages_sent += p.messages_sent;
+    total.messages_delivered += p.messages_delivered;
+    total.messages_executed += p.messages_executed;
+    total.bytes_sent += p.bytes_sent;
+    total.send_stalls += p.send_stalls;
+    total.bank_flags_returned += p.bank_flags_returned;
+  }
+  for (const PoolCore& member : pool_) {
+    const cpu::WaitStats& w = member.wait_stats;
+    total.wait_episodes += w.episodes;
+    total.steals += w.banks_stolen;
+    total.frames_stolen += w.frames_stolen;
+    total.frames_drained_remote += w.frames_drained_remote;
+    total.remote_drain_cycles += w.remote_drain_cycles;
+    total.banks_resharded += w.banks_resharded_in;
+  }
+  return total;
+}
+
 std::uint64_t Runtime::InFlightFrames() const noexcept {
+  // Counted from slot occupancy, independently of bank_ready, so the
+  // soak suite's leak check compares two separate records.
   std::uint64_t in_flight = 0;
-  for (const PeerState& p : peers_) in_flight += p.ready.size();
+  for (const PeerState& p : peers_) {
+    for (const PicoTime at : p.delivered_at) in_flight += at != kNotDelivered;
+  }
   return in_flight;
 }
 
@@ -1961,7 +1955,6 @@ std::uint32_t Runtime::ClosedSendBanks(PeerId peer) const noexcept {
 Status Runtime::ReturnBankFlag(PeerId peer_id, std::uint32_t bank) {
   if (peer_id >= peers_.size()) return FailedPrecondition("not wired");
   PeerState& peer = peers_[peer_id];
-  ++stats_.bank_flags_returned;
   ++stats_.per_peer[peer_id].bank_flags_returned;
   // Bit 0 opens the bank; bit 1 is unused. Bits [32, 64) carry the
   // per-slot jam-cache NAK mask: "these by-handle frames named content I
@@ -1970,25 +1963,20 @@ Status Runtime::ReturnBankFlag(PeerId peer_id, std::uint32_t bank) {
   // Bit 2 echoes a switch ECN mark home (ECE): a frame of this bank
   // arrived marked since the last return. Echoed exactly once — the
   // accumulator clears here — so the fabric-wide echo ledger reconciles.
-  if (config_.adaptive.enabled && !peer.bank_ecn.empty() &&
-      peer.bank_ecn[bank] != 0) {
+  if (peer.bank_ecn[bank] != 0) {
     flag_word |= 4ull;
     peer.bank_ecn[bank] = 0;
     ++stats_.ecn_echoes_sent;
   }
-  if (config_.jam_cache.enabled && !peer.bank_nak_mask.empty()) {
-    flag_word |= static_cast<std::uint64_t>(peer.bank_nak_mask[bank]) << 32;
-    peer.bank_nak_mask[bank] = 0;
-  }
+  flag_word |= static_cast<std::uint64_t>(peer.bank_nak_mask[bank]) << 32;
+  peer.bank_nak_mask[bank] = 0;
   return PutFlagWord(peer, bank, flag_word);
 }
 
 Status Runtime::SendNakFlag(PeerId peer_id, std::uint32_t bank) {
   if (peer_id >= peers_.size()) return FailedPrecondition("not wired");
   PeerState& peer = peers_[peer_id];
-  if (peer.bank_nak_mask.empty() || peer.bank_nak_mask[bank] == 0) {
-    return Status::Ok();
-  }
+  if (peer.bank_nak_mask[bank] == 0) return Status::Ok();
   // Bit 0 stays clear: this put does NOT reopen the bank — it only ships
   // the accumulated NAK bits so the sender can resend full-body at once.
   const std::uint64_t flag_word =

@@ -327,10 +327,12 @@ struct PeerStats {
   std::uint64_t bank_flags_returned = 0;///< flags recycled back to this peer
 };
 
-/// Whole-runtime counter plane (monotonic; never reset). Ledger
-/// invariants the test suites enforce: banks_drained_owner +
-/// banks_drained_stolen == bank_flags_returned, and banks_resharded ==
-/// the sum of every pool core's WaitStats re-shard mirrors.
+/// Whole-runtime counter plane (monotonic; never reset). Runtime::stats()
+/// folds the traffic totals from `per_peer`, and wait_episodes, steals,
+/// frames_stolen, frames_drained_remote, remote_drain_cycles and
+/// banks_resharded from the pool cores' cpu::WaitStats. Ledger invariant
+/// the test suites enforce: banks_drained_owner + banks_drained_stolen ==
+/// bank_flags_returned.
 struct RuntimeStats {
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_executed = 0;
@@ -365,8 +367,8 @@ struct RuntimeStats {
   std::uint64_t adaptive_refusals = 0; ///< sends refused by the window gate
   // Hotplug ledger (QuiesceCore / ReviveCore). A re-shard is a permanent
   // bank-home migration — counted once per applied home change, in either
-  // direction (quiesce handoff or revive restore); per-core mirrors live
-  // in each member's WaitStats (banks_resharded_in/out sum to this).
+  // direction (quiesce handoff or revive restore). Folded from the pool
+  // cores' banks_resharded_in; their banks_resharded_out sums to it too.
   std::uint64_t banks_resharded = 0;
   /// Frames already delivered into a quiescing core's banks — in flight or
   /// ready — at QuiesceCore time: the stranded backlog the drain protocol
@@ -533,8 +535,9 @@ class Runtime {
   sim::Engine& engine() noexcept { return engine_; }  ///< shared engine
   /// The configuration in force (post-Initialize clamping).
   const RuntimeConfig& config() const noexcept { return config_; }
-  /// Whole-runtime counters (see RuntimeStats for the ledger contracts).
-  const RuntimeStats& stats() const noexcept { return stats_; }
+  /// Whole-runtime counters as of now, totals folded from the per-peer and
+  /// per-core counters (see RuntimeStats for the ledger contracts).
+  RuntimeStats stats() const;
   /// Jam-cache counters (see JamCacheStats for the ledger contracts).
   const JamCacheStats& jam_cache_stats() const noexcept { return jam_stats_; }
   /// Images currently resident in the receiver-side jam cache.
@@ -583,17 +586,15 @@ class Runtime {
     return pool_[pool_index].wait_stats;
   }
   /// True when work stealing is actually armed: config_.steal.enabled and
-  /// the pool has at least two cores. A single-core pool never allocates
-  /// steal state (claim tables, steal queues) — enabling stealing there is
-  /// a documented no-op.
+  /// the pool has at least two cores. On a single-core pool no core ever
+  /// steals, so every bank's claim stays with its home — enabling
+  /// stealing there is a documented no-op.
   bool stealing_active() const noexcept { return stealing_active_; }
-  /// Banks pool member @p pool_index currently claims via steal (stolen
-  /// backlog not yet cleared). Zero at quiescence: every stolen claim
-  /// reverts to the affinity owner when its bank's flag goes home or the
-  /// bank has no delivered frames left.
-  std::uint32_t StolenBanksHeld(std::uint32_t pool_index) const noexcept {
-    return static_cast<std::uint32_t>(pool_[pool_index].stolen_banks.size());
-  }
+  /// Banks pool member @p pool_index currently claims via steal: claimed
+  /// by it but homed elsewhere (stolen backlog not yet cleared). Zero at
+  /// quiescence: every stolen claim reverts to the home owner when its
+  /// bank's flag goes home or the bank has no delivered frames left.
+  std::uint32_t StolenBanksHeld(std::uint32_t pool_index) const noexcept;
   /// The steal threshold actually in force: config value clamped to the
   /// total inbound capacity across connected peers (an unreachable
   /// threshold would be a dead config, not conservative stealing).
@@ -678,6 +679,8 @@ class Runtime {
     /// Pool member processing this frame (set when the frame is claimed).
     std::uint32_t pool = 0;
   };
+  /// PeerState::delivered_at value of a slot that holds no frame.
+  static constexpr PicoTime kNotDelivered = ~PicoTime{0};
 
   /// One member of the receiver pool: a core with its own wait loop,
   /// execution stack, and idle bookkeeping, serving the banks sharded
@@ -692,10 +695,6 @@ class Runtime {
     /// scan bank heads, steal, or receive re-sharded banks.
     PoolCoreState state = PoolCoreState::kActive;
     std::optional<PicoTime> idle_since;
-    /// Steal queue: banks this core claimed from a sibling and has not yet
-    /// drained through flag return (claim reverts to the affinity owner at
-    /// that point). Populated only while stealing is active.
-    std::vector<std::pair<PeerId, std::uint32_t>> stolen_banks;
     /// Schmitt-trigger state: true while this core's steals keep
     /// succeeding, so re-stealing needs only `threshold` backlog; a failed
     /// steal scan disarms it, raising the bar back to
@@ -724,8 +723,8 @@ class Runtime {
     std::uint32_t send_bank = 0;     ///< bank currently being filled
     std::uint32_t send_in_bank = 0;  ///< next slot within send_bank
     std::vector<std::function<void()>> slot_waiters;
-    // Adaptive bank flow control, sender side (allocated/maintained only
-    // while config_.adaptive.enabled; see AdaptiveBankConfig).
+    // Adaptive bank flow control, sender side (maintained only while
+    // config_.adaptive.enabled; see AdaptiveBankConfig).
     /// Congestion window over closed banks, in milli-banks. Invariant:
     /// within [1, banks] * 1000 at all times.
     std::uint64_t cwnd_milli = 0;
@@ -765,7 +764,9 @@ class Runtime {
     /// Next in-bank slot to serve, per bank (frames stay ordered within a
     /// bank; banks are independent so the pool can drain them in parallel).
     std::vector<std::uint32_t> bank_cursor;
-    std::map<std::uint32_t, ReadyFrame> ready;  ///< by slot
+    /// Per slot: when its frame was delivered, or kNotDelivered from the
+    /// frame's completion until the next delivery.
+    std::vector<PicoTime> delivered_at;
     /// Current *home* of each bank: the pool member that owns its drain
     /// and flag return. Starts at the affinity owner (PoolIndexFor) and
     /// moves only through hotplug re-sharding (QuiesceCore migrates it to
@@ -776,28 +777,27 @@ class Runtime {
     /// handoff applies the moment the frame completes, preserving the
     /// "a bank mid-frame never changes hands" rule.
     std::vector<std::uint32_t> bank_pending_home;
-    /// Pool member currently claiming each bank (home owner unless
-    /// stolen). Allocated only while stealing is active — a 1-core pool or
-    /// steal-off run carries no steal-claim state at all.
+    /// Pool member currently claiming each bank: the one that serves its
+    /// frames. Equal to bank_home unless the bank is stolen, so always
+    /// equal to it while stealing is off.
     std::vector<std::uint32_t> bank_claim;
     /// 1 while a frame of this bank is being processed. Guards every
     /// handoff — steal and re-shard alike: a bank mid-frame cannot change
     /// hands, so no two cores ever serve the same bank concurrently and
     /// the head is never double-begun.
     std::vector<std::uint8_t> bank_in_flight;
-    /// Delivered-and-unprocessed frames per bank — kept in lockstep with
-    /// `ready` so steal/re-shard decisions read per-holder backlog in O(1)
-    /// instead of re-counting the map on every event.
+    /// Delivered-and-unprocessed frames per bank, so steal and re-shard
+    /// decisions read a bank's backlog without scanning its slots.
     std::vector<std::uint32_t> bank_ready;
     /// Per-bank NAK accumulator: bit i set when the frame in in-bank slot
     /// i was a by-handle cache miss. Rides home in bits [32, 64) of the
-    /// bank flag word at flag-return time, then clears. Allocated only
-    /// while the jam cache is enabled.
+    /// bank flag word at flag-return time, then clears. Only the jam
+    /// cache's by-handle path sets bits.
     std::vector<std::uint32_t> bank_nak_mask;
     /// Receiver-side ECN accumulator: 1 when a frame of this bank arrived
     /// carrying a switch mark; echoed home as bit 2 of the bank's flag
-    /// word at return time, then cleared. Allocated only while the
-    /// adaptive config is enabled.
+    /// word at return time, then cleared. Set only while the adaptive
+    /// config is enabled.
     std::vector<std::uint8_t> bank_ecn;
   };
 
@@ -837,18 +837,13 @@ class Runtime {
         (static_cast<std::uint64_t>(peer) + bank) % pool_.size());
   }
 
-  /// The pool member that currently *owns* (peer, bank): the affinity
-  /// owner unless a quiesce re-sharded the bank to a survivor.
-  std::uint32_t HomeOf(PeerId peer, std::uint32_t bank) const noexcept {
-    return peers_[peer].bank_home[bank];
-  }
-
   /// The pool member currently responsible for (peer, bank): the claim
-  /// holder when stealing is active, the home owner otherwise.
+  /// holder, which is the home owner unless the bank is stolen.
   std::uint32_t ClaimOf(PeerId peer, std::uint32_t bank) const noexcept {
-    return stealing_active_ ? peers_[peer].bank_claim[bank]
-                            : peers_[peer].bank_home[bank];
+    return peers_[peer].bank_claim[bank];
   }
+  /// Ready frames across every bank pool member @p pool_index claims.
+  std::uint64_t ClaimBacklog(std::uint32_t pool_index) const noexcept;
 
   // Receiver pipeline (each pool core runs its own instance).
   void OnFrameDelivered(PeerId from, std::uint32_t slot,
@@ -864,20 +859,16 @@ class Runtime {
   void AdaptiveOnFlag(PeerState& peer, std::uint32_t bank, bool ece);
   void MaybeBeginNext(std::uint32_t pool_index);
   /// Earliest-delivered ready bank head among the banks @p pool_index
-  /// claims, or nullptr. The returned pointer lives in a peer's ready map.
-  const ReadyFrame* ScanBankHeads(std::uint32_t pool_index);
+  /// claims, if any.
+  std::optional<ReadyFrame> ScanBankHeads(std::uint32_t pool_index) const;
   /// Steal attempt for an idle @p thief: picks the most-loaded sibling
   /// (ready-frame backlog over its claimed banks, ties to the lowest pool
   /// index), and — if the backlog clears the hysteresis-adjusted threshold
   /// — claims that sibling's oldest ready bank head. Returns the stolen
-  /// bank's head frame, or nullptr (which disarms the Schmitt trigger).
-  const ReadyFrame* TrySteal(std::uint32_t thief);
-  /// Removes (peer, bank) from every pool member's steal queue (claim
-  /// handoffs migrate the entry; releases retire it).
-  void DropFromStealQueues(PeerId peer, std::uint32_t bank);
-  /// Reverts (peer, bank) to its home owner and drops it from any
-  /// steal queue — called when the bank's flag returns (fully drained)
-  /// or its stolen backlog empties out.
+  /// bank's head frame, or nothing (which disarms the Schmitt trigger).
+  std::optional<ReadyFrame> TrySteal(std::uint32_t thief);
+  /// Reverts (peer, bank)'s claim to its home owner — called when the
+  /// bank's flag returns (fully drained) or its stolen backlog empties.
   void ReleaseBankClaim(PeerId peer, std::uint32_t bank);
   /// Re-shard target for a bank whose bytes live in @p preferred_domain:
   /// an active survivor in that domain when domain_aware_placement can
@@ -885,9 +876,9 @@ class Runtime {
   /// candidate list for balance. Returns kInvalidPoolIndex when no member
   /// is active (callers guard against that before re-homing).
   std::uint32_t PickReshardTarget(std::uint32_t preferred_domain);
-  /// Applies a bank-home migration *now*: moves the backlog ledger (and
-  /// the steal claim, superseding any lease) to @p new_home and bumps the
-  /// re-shard counters. Callers must ensure the bank is not mid-frame.
+  /// Applies a bank-home migration *now*: moves the home and the claim
+  /// (superseding any steal lease) to @p new_home and bumps the re-shard
+  /// counters. Callers must ensure the bank is not mid-frame.
   void ApplyBankHome(PeerId peer, std::uint32_t bank, std::uint32_t new_home);
   /// Re-homes (peer, bank) to @p new_home: immediately when idle, else
   /// deferred until its in-flight frame completes (bank_pending_home).
@@ -994,14 +985,6 @@ class Runtime {
   bool receiver_started_ = false;
   /// steal.enabled resolved against the actual pool width at Initialize.
   bool stealing_active_ = false;
-  /// Ready-frame backlog per pool member over the banks it claims —
-  /// maintained on delivery, completion, and claim handoff, so TrySteal's
-  /// victim pick is O(pool) instead of a (peer, bank) sweep. Invariant
-  /// while stealing is active:
-  /// claim_backlog_[j] == sum of bank_ready over banks with claim j
-  /// (without stealing, claims never move, so the sum runs over j's
-  /// homed banks). Always allocated (one entry per pool member).
-  std::vector<std::uint64_t> claim_backlog_;
   /// Rotates through re-shard candidates so a quiesced core's banks spread
   /// across the survivors instead of piling on one (advanced only by
   /// PickReshardTarget, so runs stay deterministic).
@@ -1016,6 +999,7 @@ class Runtime {
 
   std::function<void(const ReceivedMessage&)> on_executed_;
   std::function<PicoTime()> preemption_hook_;
+  /// per_peer and the counters with no finer source; stats() folds the rest.
   RuntimeStats stats_;
   JamCacheStats jam_stats_;
   bool initialized_ = false;

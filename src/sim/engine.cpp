@@ -506,45 +506,22 @@ struct Engine::Impl {
 
   // ----------------------------------------------------------- scalar runs
 
-  void RunScalar() {
+  // Fires events due before @p limit until the queue runs dry, Stop() is
+  // called, or @p done (when given) holds; @p done is checked before the
+  // first event and after every event. Returns whether @p done held.
+  bool RunScalar(PicoTime limit, const std::function<bool()>* done) {
     stop.store(false, std::memory_order_relaxed);
+    const auto met = [done] { return done != nullptr && (*done)(); };
+    if (met()) return true;
     Shard& sh = *shards[0];
     TlsGuard ctx(this, &sh);
-    while (!stop.load(std::memory_order_relaxed)) {
-      EventNode* n = PopBefore(sh, kNoEvent);
-      if (n == nullptr) break;
-      Fire(sh, n);
-    }
-  }
-
-  void RunUntilScalar(PicoTime deadline_ps) {
-    stop.store(false, std::memory_order_relaxed);
-    Shard& sh = *shards[0];
-    TlsGuard ctx(this, &sh);
-    const PicoTime limit =
-        deadline_ps == kNoEvent ? kNoEvent : deadline_ps + 1;
     while (!stop.load(std::memory_order_relaxed)) {
       EventNode* n = PopBefore(sh, limit);
       if (n == nullptr) break;
       Fire(sh, n);
+      if (met()) return true;
     }
-    // Even with no events at/below the deadline, time advances to it so
-    // callers can measure elapsed windows.
-    sh.now = std::max(sh.now, deadline_ps);
-  }
-
-  bool RunConditionScalar(const std::function<bool()>& done) {
-    stop.store(false, std::memory_order_relaxed);
-    if (done()) return true;
-    Shard& sh = *shards[0];
-    TlsGuard ctx(this, &sh);
-    while (!stop.load(std::memory_order_relaxed)) {
-      EventNode* n = PopBefore(sh, kNoEvent);
-      if (n == nullptr) break;
-      Fire(sh, n);
-      if (done()) return true;
-    }
-    return done();
+    return met();
   }
 
   // ------------------------------------------------------------ laned runs
@@ -773,23 +750,27 @@ void Engine::Run() {
   if (impl_->shard_count > 1) {
     impl_->RunLaned(Impl::Mode::kRun, 0, nullptr);
   } else {
-    impl_->RunScalar();
+    impl_->RunScalar(kNoEvent, nullptr);
   }
 }
 
 void Engine::RunUntil(PicoTime deadline) {
   if (impl_->shard_count > 1) {
     impl_->RunLaned(Impl::Mode::kUntil, deadline, nullptr);
-  } else {
-    impl_->RunUntilScalar(deadline);
+    return;
   }
+  impl_->RunScalar(deadline == kNoEvent ? kNoEvent : deadline + 1, nullptr);
+  // Even with no events at/below the deadline, time advances to it so
+  // callers can measure elapsed windows.
+  PicoTime& now = impl_->shards[0]->now;
+  now = std::max(now, deadline);
 }
 
 bool Engine::RunUntilCondition(const std::function<bool()>& done) {
   if (impl_->shard_count > 1) {
     return impl_->RunLaned(Impl::Mode::kCondition, 0, &done);
   }
-  return impl_->RunConditionScalar(done);
+  return impl_->RunScalar(kNoEvent, &done);
 }
 
 void Engine::Stop() noexcept {

@@ -614,8 +614,8 @@ TEST_F(TwoChainsTest, StealOnSingleCorePoolIsNoOp) {
   steal.enabled = true;
   SetUpFabric(Options().WithStealing(steal));  // receiver_cores stays 1
 
-  // The config survives but resolves inactive: a 1-core pool allocates no
-  // steal state and never records a steal event.
+  // The config survives but resolves inactive: a 1-core pool never steals,
+  // so every bank's claim stays home and no steal event is recorded.
   Runtime& rx = fabric_->runtime(1);
   EXPECT_TRUE(rx.config().steal.enabled);
   EXPECT_FALSE(rx.stealing_active());

@@ -9,8 +9,15 @@
 // seed-reproducible — and additionally checks the config is not silently
 // dead: when steals occur, the observable state must differ from the
 // steal-off run.
+//
+// Reruns compared with each other cannot see a change that moves both
+// runs the same way, so every case also adds the FNV-1a-64 of its
+// first-run fingerprint to one file-wide sum. A sum does not depend on
+// the order gtest runs the cases in. When every case ran, the sum must
+// match kRecordedDigest; a filtered run only prints it.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -29,6 +36,37 @@ namespace {
 constexpr std::uint32_t kSenders = 4;
 constexpr std::uint32_t kMessagesPerSender = 120;
 constexpr std::uint64_t kSeed = 0xD37E12;
+
+/// Cases in this file, and the sum of their first-run fingerprint digests.
+/// Re-record the constant from the printed sum only when a simulated
+/// observable is meant to move, and say why.
+constexpr int kDigestCases = 34;
+constexpr std::uint64_t kRecordedDigest = 0x4d6a4ac3e3cf58f5ull;
+
+std::uint64_t g_digest_sum = 0;
+int g_digest_cases = 0;
+
+void AddToDigest(const std::string& fingerprint) {
+  g_digest_sum +=
+      pooltest::FoldFingerprint(pooltest::kSweepDigestSeed, fingerprint);
+  ++g_digest_cases;
+}
+
+class DigestEnvironment : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    std::printf("determinism digest over %d cases: 0x%016llx\n",
+                g_digest_cases, static_cast<unsigned long long>(g_digest_sum));
+    if (g_digest_cases == kDigestCases) {
+      EXPECT_EQ(g_digest_sum, kRecordedDigest)
+          << "a simulated observable moved: re-record the digest only when "
+             "that is intended, and say why";
+    }
+  }
+};
+
+::testing::Environment* const kDigestEnvironment =
+    ::testing::AddGlobalTestEnvironment(new DigestEnvironment);
 
 FabricOptions PoolOptions(std::uint32_t receiver_cores) {
   FabricOptions options;
@@ -166,6 +204,7 @@ TEST_P(DeterminismTest, RepeatedSeededRunsAreByteIdentical) {
   const std::uint32_t cores = GetParam();
   std::uint64_t executed = 0;
   const std::string first = RunOnce(cores, &executed);
+  AddToDigest(first);
   const std::string second = RunOnce(cores);
   EXPECT_EQ(first, second) << "receiver_cores=" << cores;
   EXPECT_EQ(executed,
@@ -214,6 +253,7 @@ TEST_P(StealDeterminismTest, StealEnabledRunsAreByteIdenticalAndNotDead) {
   const pooltest::PoolTopology topo = StealTopology(cores, true);
   const pooltest::PoolRunResult first = pooltest::RunPoolIncast(topo,
                                                                 *package);
+  AddToDigest(first.fingerprint);
   const pooltest::PoolRunResult second = pooltest::RunPoolIncast(topo,
                                                                  *package);
   pooltest::ExpectPoolInvariants(topo, first);
@@ -254,6 +294,7 @@ TEST_P(LaneDeterminismTest, LanedRunsMatchTheSingleLaneFingerprint) {
   pooltest::PoolTopology topo = StealTopology(cores, steal_on);
   const pooltest::PoolRunResult scalar =
       pooltest::RunPoolIncast(topo, *package);
+  AddToDigest(scalar.fingerprint);
   topo.lanes = lanes;
   const pooltest::PoolRunResult laned =
       pooltest::RunPoolIncast(topo, *package);
@@ -299,6 +340,7 @@ TEST_P(SwitchLaneDeterminismTest, LanedTreeRunsMatchTheScalarFingerprint) {
   pooltest::PoolTopology topo = SwitchTopology(cores, steal_on);
   const pooltest::PoolRunResult scalar =
       pooltest::RunPoolIncast(topo, *package);
+  AddToDigest(scalar.fingerprint);
   topo.lanes = lanes;
   const pooltest::PoolRunResult laned =
       pooltest::RunPoolIncast(topo, *package);
@@ -368,6 +410,7 @@ TEST(SwitchTransparencyTest, UnitOversubTreeMatchesDirectCabledRun) {
   auto package = bench::BuildBenchPackage();
   ASSERT_TRUE(package.ok()) << package.status();
   const pooltest::PoolRunResult d = pooltest::RunPoolIncast(direct, *package);
+  AddToDigest(d.fingerprint);
   const pooltest::PoolRunResult t = pooltest::RunPoolIncast(tree, *package);
   pooltest::ExpectPoolInvariants(direct, d);
   pooltest::ExpectPoolInvariants(tree, t);
@@ -404,6 +447,7 @@ TEST_P(NumaDeterminismTest, DomainsEnabledRunsAreByteIdentical) {
   std::uint64_t executed = 0;
   const std::string first =
       RunOnceWith(NumaPoolOptions(cores, steal), &executed);
+  AddToDigest(first);
   const std::string second = RunOnceWith(NumaPoolOptions(cores, steal));
   EXPECT_EQ(first, second)
       << "domains=2 receiver_cores=" << cores << " steal=" << steal;
@@ -451,6 +495,7 @@ TEST_P(JamCacheDeterminismTest, CacheRunsAreByteIdenticalAndNotDead) {
   const pooltest::PoolTopology topo = JamTopology(cores, cache_on);
   const pooltest::PoolRunResult first = pooltest::RunPoolIncast(topo,
                                                                 *package);
+  AddToDigest(first.fingerprint);
   const pooltest::PoolRunResult second = pooltest::RunPoolIncast(topo,
                                                                  *package);
   pooltest::ExpectPoolInvariants(topo, first);

@@ -354,6 +354,28 @@ TEST(FabricTest, MiscountedOverridesFailTheLoad) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(FabricTest, MismatchedMailboxShapesFailAtLoad) {
+  // A sender addresses its peer's mailbox slice with its own shape, so two
+  // runtimes that disagree on banks, mailboxes per bank or slot size must
+  // refuse to wire up instead of losing frames once traffic flows.
+  auto package = bench::BuildBenchPackage();
+  ASSERT_TRUE(package.ok()) << package.status();
+  void (*const mismatches[])(RuntimeConfig&) = {
+      [](RuntimeConfig& c) { c.banks = 4; },
+      [](RuntimeConfig& c) { c.mailboxes_per_bank = 8; },
+      [](RuntimeConfig& c) { c.mailbox_slot_bytes = KiB(4); },
+  };
+  for (std::size_t i = 0; i < std::size(mismatches); ++i) {
+    FabricOptions options = SmallOptions(2);
+    options.runtime_overrides.assign(2, options.runtime);
+    mismatches[i](options.runtime_overrides[0]);
+    Fabric fabric(options);
+    EXPECT_EQ(fabric.LoadPackage(*package).code(),
+              StatusCode::kInvalidArgument)
+        << "mismatch " << i;
+  }
+}
+
 // ------------------------------------------------ switched-tree fabric
 
 FabricOptions TreeOptions(std::uint32_t hosts, std::uint32_t arity,

@@ -12,7 +12,9 @@
 //     count equals the banks the senders actually filled, and every flag
 //     is accounted to exactly one drainer (owner or thief);
 //   * at drain nothing is left in flight, no send bank stays closed, and
-//     every stolen claim has reverted to its affinity owner.
+//     every stolen claim has reverted to its affinity owner;
+//   * stolen claims exist only on a stealing pool, and never outnumber
+//     the hub's inbound banks.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "benchlib/send_loop.hpp"
+#include "benchlib/testbed_defaults.hpp"
 #include "benchlib/workloads.hpp"
 #include "common/rng.hpp"
 #include "common/strfmt.hpp"
@@ -128,6 +131,9 @@ struct PoolRunResult {
   std::uint64_t in_flight_at_drain = 0;
   std::uint32_t closed_send_banks = 0;     ///< summed over spokes, at drain
   std::uint32_t stolen_claims_held = 0;    ///< summed over pool, at drain
+  /// Peak of the pool-wide stolen-claim count, sampled after every
+  /// executed frame.
+  std::uint32_t peak_stolen_claims = 0;
   RuntimeStats hub;                        ///< hub stats copy at drain
   /// Frames executed per hub pool member (index = pool index).
   std::vector<std::uint64_t> executed_per_core;
@@ -149,8 +155,7 @@ struct PoolRunResult {
   std::vector<std::uint32_t> banks_homed_at_drain;
   /// Banks still homed to a non-active member at drain (must be zero).
   std::uint32_t banks_homed_dark_at_drain = 0;
-  /// Per-core re-shard mirrors summed over the pool.
-  std::uint64_t resharded_in_sum = 0;
+  /// banks_resharded_out summed over the pool.
   std::uint64_t resharded_out_sum = 0;
 
   // Switched-fabric / ECN observables (all zero on direct-cabled runs).
@@ -194,14 +199,7 @@ inline FabricOptions MakePoolOptions(const PoolTopology& topo) {
   // The cache knob applies fabric-wide: spokes need it to *send* by-handle,
   // the hub needs it to install and serve (and to NAK what it lacks).
   options.runtime.jam_cache = topo.jam_cache;
-  // The hub only receives; give it room for the pool and keep its
-  // (unused) sender core off the pool.
-  options.host_overrides.assign(options.hosts, options.host);
-  options.host_overrides[0].cache.cores =
-      std::max(options.host.cache.cores, topo.receiver_cores + 1);
-  options.runtime_overrides.assign(options.hosts, options.runtime);
-  options.runtime_overrides[0].receiver_cores = topo.receiver_cores;
-  options.runtime_overrides[0].sender_core = topo.receiver_cores;
+  bench::WithHubPool(options, topo.receiver_cores);
   options.runtime_overrides[0].steal = topo.steal;
   options.engine.lanes = topo.lanes;
   return options;
@@ -409,6 +407,12 @@ inline PoolRunResult RunPoolIncast(const PoolTopology& topo,
     std::uint32_t& expect = next_in_bank[{msg.from, bank}];
     if (msg.slot % in_bank_slots != expect) ++result.order_violations;
     expect = (expect + 1) % in_bank_slots;
+    std::uint32_t stolen_claims = 0;
+    for (std::uint32_t c = 0; c < hub.receiver_pool_size(); ++c) {
+      stolen_claims += hub.StolenBanksHeld(c);
+    }
+    result.peak_stolen_claims =
+        std::max(result.peak_stolen_claims, stolen_claims);
     for (const QuiesceEvent& q : topo.quiesce) {
       if (result.executed == q.after_executed) {
         fabric.engine().ScheduleAfter(0, [&hub, &result, q] {
@@ -502,9 +506,7 @@ inline PoolRunResult RunPoolIncast(const PoolTopology& topo,
     if (hub.pool_core_state(c) != PoolCoreState::kActive) {
       result.banks_homed_dark_at_drain += homed;
     }
-    const cpu::WaitStats& ws = hub.receiver_wait_stats(c);
-    result.resharded_in_sum += ws.banks_resharded_in;
-    result.resharded_out_sum += ws.banks_resharded_out;
+    result.resharded_out_sum += hub.receiver_wait_stats(c).banks_resharded_out;
   }
   result.hub = hub.stats();
   result.drained_at = fabric.engine().Now();
@@ -532,7 +534,9 @@ inline void ExpectPoolInvariants(const PoolTopology& topo,
     EXPECT_EQ(r.hub.steals, 0u) << ctx;
     EXPECT_EQ(r.hub.frames_stolen, 0u) << ctx;
     EXPECT_EQ(r.hub.banks_drained_stolen, 0u) << ctx;
+    EXPECT_EQ(r.peak_stolen_claims, 0u) << ctx;
   }
+  EXPECT_LE(r.peak_stolen_claims, topo.spokes * topo.banks) << ctx;
 
   // Switched-fabric ledger reconciliation. The fabric is drop-free by
   // construction (a full shared buffer holds the frame at ingress instead
@@ -593,9 +597,9 @@ inline void ExpectPoolInvariants(const PoolTopology& topo,
   // Hotplug ledger reconciliation — these hold whether or not the run's
   // plan contained quiesce events (and whether or not they were refused):
   // every deferred handoff applied, no bank left homed to a dark core,
-  // every bank homed exactly once, the per-core re-shard mirrors sum to
-  // the runtime counter, and the stranded backlog each QuiesceCore call
-  // reported matches the ledger.
+  // every bank homed exactly once, the banks re-sharded out of pool cores
+  // sum to those re-sharded in (the runtime counter), and the stranded
+  // backlog each QuiesceCore call reported matches the ledger.
   EXPECT_EQ(r.pending_rehomes_at_drain, 0u) << ctx;
   EXPECT_EQ(r.banks_homed_dark_at_drain, 0u) << ctx;
   std::uint64_t homed_total = 0;
@@ -607,7 +611,6 @@ inline void ExpectPoolInvariants(const PoolTopology& topo,
               static_cast<std::uint64_t>(topo.spokes) * topo.banks)
         << ctx;
   }
-  EXPECT_EQ(r.resharded_in_sum, r.hub.banks_resharded) << ctx;
   EXPECT_EQ(r.resharded_out_sum, r.hub.banks_resharded) << ctx;
   EXPECT_EQ(r.hub.frames_drained_during_quiesce, r.stranded_reported) << ctx;
   if (topo.quiesce.empty()) {

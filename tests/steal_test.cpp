@@ -137,6 +137,7 @@ TEST(StealInvariantTest, SkewedPoolStealsAndDrainsFaster) {
   EXPECT_GT(on.hub.steals, 0u);
   EXPECT_GT(on.hub.frames_stolen, 0u);
   EXPECT_GT(on.hub.banks_drained_stolen, 0u);
+  EXPECT_GT(on.peak_stolen_claims, 0u);
   // Both pool cores pulled real weight under steal; the fingerprints
   // differ (stealing visibly changed the schedule); and relieving the hot
   // core shortened the makespan.
