@@ -39,13 +39,16 @@ Status NativeFrame::CopyBytes(mem::VirtAddr dst, mem::VirtAddr src,
   // could still read or clobber anything by deputizing the native.
   TC_RETURN_IF_ERROR(interp_.CheckDataWindows(src, n));
   TC_RETURN_IF_ERROR(interp_.CheckDataWindows(dst, n));
-  interp_.ChargeAccess(src, n, cache::AccessKind::kLoad);
-  interp_.ChargeAccess(dst, n, cache::AccessKind::kStore);
+  // Validate before charging: the cache model walks both ranges line by
+  // line, so a jam-supplied n must be known to fit the arena first.
   TC_ASSIGN_OR_RETURN(const auto from, interp_.memory_.RawSpan(src, n));
   TC_RETURN_IF_ERROR(interp_.memory_.CheckPerms(src, n, mem::Perm::kRead));
   TC_RETURN_IF_ERROR(interp_.memory_.CheckPerms(dst, n, mem::Perm::kWrite));
-  std::vector<std::uint8_t> tmp(from.begin(), from.end());
-  return interp_.memory_.DmaWrite(dst, tmp);  // perms checked above
+  interp_.ChargeAccess(src, n, cache::AccessKind::kLoad);
+  interp_.ChargeAccess(dst, n, cache::AccessKind::kStore);
+  TC_ASSIGN_OR_RETURN(const auto to, interp_.memory_.RawSpan(dst, n));
+  std::memmove(to.data(), from.data(), n);  // the ranges may overlap
+  return Status::Ok();
 }
 
 StatusOr<std::string> NativeFrame::LoadCString(mem::VirtAddr addr,
@@ -147,12 +150,43 @@ namespace {
 std::int64_t S(std::uint64_t v) { return static_cast<std::int64_t>(v); }
 std::uint64_t U(std::int64_t v) { return static_cast<std::uint64_t>(v); }
 
+/// A loaded value of type T (its width and signedness) extended to 64 bits.
+template <typename T>
+std::uint64_t Extend(std::uint64_t v) {
+  return static_cast<std::uint64_t>(static_cast<T>(v));
+}
+
+/// Writes rd; a write to the hardwired zero register is discarded.
+void SetRd(std::uint64_t* regs, unsigned rd, std::uint64_t v) {
+  if (rd != kZr) regs[rd] = v;
+}
+
+/// The result of a faulting Execute: @p status with the pc and the retired
+/// instruction count appended. Cold and out of line, with the loop's values
+/// passed by value, so none of them ever has its address taken.
+[[gnu::cold, gnu::noinline]] ExecResult Fault(const Status& status,
+                                              mem::VirtAddr pc,
+                                              std::uint64_t instructions,
+                                              Cycles cycles,
+                                              std::uint64_t a0) {
+  return ExecResult{
+      Status(status.code(),
+             StrFormat("%s (pc=0x%llx, #%llu)", status.message().c_str(),
+                       static_cast<unsigned long long>(pc),
+                       static_cast<unsigned long long>(instructions))),
+      instructions, cycles, a0};
+}
+
 }  // namespace
+
+// Leaves Execute through Fault with the loop's state at this point.
+#define TC_EXEC_FAULT(status)                                   \
+  return Fault((status), pc, instructions,                      \
+               TotalCycles(instructions, transfers), regs[kA0])
 
 ExecResult Interpreter::Execute(mem::VirtAddr entry,
                                 std::span<const std::uint64_t> args,
                                 mem::VirtAddr stack_top) {
-  ExecResult result;
   cycles_ = 0;
 
   std::uint64_t regs[kNumRegs] = {};
@@ -162,248 +196,265 @@ ExecResult Interpreter::Execute(mem::VirtAddr entry,
   regs[kSp] = stack_top & ~0xFull;
   regs[kLr] = kReturnSentinel;
 
+  const std::uint64_t max_instructions = config_.max_instructions;
+  const bool check_exec = config_.enforce_exec_permission;
+  const bool confined = !config_.exec_windows.empty();
+  const std::uint64_t line_mask = ~(caches_.config().line_bytes - 1);
+
   mem::VirtAddr pc = entry;
-  std::uint64_t last_ifetch_line = ~0ull;
-  mem::VirtAddr checked_exec_page = ~0ull;
-  const std::uint64_t line_bytes = caches_.config().line_bytes;
-
+  std::uint64_t instructions = 0;
+  std::uint64_t transfers = 0;  // branches, jal and jalr retired
+  std::uint64_t ifetch_line = ~0ull;
+  // The page of the last fetch that took the checked path below, and its
+  // arena bytes: a pc wholly inside it fetches through code_bytes. It
+  // starts as a native handle's page, which no fetch reaches.
+  mem::VirtAddr code_page = kNativeTagBit;
+  const std::uint8_t* code_bytes = nullptr;
   Status fault;  // filled by a failing LoadData/StoreData
-  auto fail = [&](Status status) {
-    result.status = Status(status.code(),
-                           StrFormat("%s (pc=0x%llx, #%llu)",
-                                     status.message().c_str(),
-                                     static_cast<unsigned long long>(pc),
-                                     static_cast<unsigned long long>(
-                                         result.instructions)));
-    result.cycles = cycles_;
-    result.return_value = regs[kA0];
-    return result;
-  };
+  std::uint64_t loaded = 0;  // what a load handler's LoadData read
 
-  while (true) {
-    if (pc == kReturnSentinel) {
-      result.status = Status::Ok();
-      break;
-    }
+  while (pc != kReturnSentinel) {
     if (IsNativeHandle(pc)) {
-      return fail(PermissionDenied("jumped into a native handle"));
+      TC_EXEC_FAULT(PermissionDenied("jumped into a native handle"));
     }
-    if (result.instructions >= config_.max_instructions) {
-      return fail(ResourceExhausted("instruction budget exceeded"));
+    if (instructions >= max_instructions) {
+      TC_EXEC_FAULT(ResourceExhausted("instruction budget exceeded"));
     }
     // Control-flow confinement: checked on *every* fetch, not just taken
     // branches — straight-line execution can run off the end of the image
     // into adjacent bytes without a single jump.
-    if (!config_.exec_windows.empty() &&
-        !InWindows(config_.exec_windows, pc, kInstrBytes)) {
-      return fail(
+    if (confined && !InWindows(config_.exec_windows, pc, kInstrBytes)) {
+      TC_EXEC_FAULT(
           PermissionDenied("instruction fetch escapes the confined image"));
     }
 
-    // Execute-permission check, once per page.
-    if (config_.enforce_exec_permission) {
-      const mem::VirtAddr page = pc & ~(mem::kPageSize - 1);
-      if (page != checked_exec_page) {
-        if (memory_.PageBytes(pc, kInstrBytes, mem::Perm::kExec) == nullptr) {
-          Status perm = memory_.CheckPerms(pc, kInstrBytes, mem::Perm::kExec);
-          if (!perm.ok()) return fail(perm);
-        }
-        checked_exec_page = page;
-      }
+    // Instruction fetch. A pc that enters a new page, straddles two pages
+    // or leaves the arena takes the checked path: the X bit of every page
+    // it touches when enforced, then the arena bounds. The cache is
+    // charged when the fetch enters a new line.
+    const std::uint8_t* code = nullptr;
+    if (pc - code_page <= mem::kPageSize - kInstrBytes) {
+      code = code_bytes + (pc - code_page);
+    } else if (check_exec &&
+               memory_.PageBytes(pc, kInstrBytes, mem::Perm::kExec) ==
+                   nullptr) {
+      const Status perm =
+          memory_.CheckPerms(pc, kInstrBytes, mem::Perm::kExec);
+      if (!perm.ok()) TC_EXEC_FAULT(perm);
     }
-
-    // Instruction fetch: charge the cache when entering a new line.
-    const std::uint64_t ifetch_line = pc & ~(line_bytes - 1);
-    if (ifetch_line != last_ifetch_line) {
+    if ((pc & line_mask) != ifetch_line) {
       ChargeAccess(pc, kInstrBytes, cache::AccessKind::kInstFetch);
-      last_ifetch_line = ifetch_line;
+      ifetch_line = pc & line_mask;
     }
-    const std::uint8_t* code = memory_.RawBytes(pc, kInstrBytes);
-    if (code == nullptr) return fail(memory_.RawSpan(pc, kInstrBytes).status());
-    const auto decoded = Decode(code);
-    if (!decoded) return fail(DataLoss("undecodable instruction"));
-    const Instr in = *decoded;
-
-    ++result.instructions;
-    cycles_ += config_.base_cycles_per_instr;
-    if (!config_.exec_windows.empty() &&
-        (IsBranch(in.op) || in.op == Opcode::kJal ||
-         in.op == Opcode::kJalr)) {
-      cycles_ += config_.confine_branch_cycles;
+    if (code == nullptr) {
+      code = memory_.RawBytes(pc, kInstrBytes);
+      if (code == nullptr) {
+        TC_EXEC_FAULT(memory_.RawSpan(pc, kInstrBytes).status());
+      }
+      code_page = pc & ~(mem::kPageSize - 1);
+      code_bytes = code - (pc - code_page);
     }
+    const std::uint64_t word = LoadWord(code);
+    if (!IsValidWord(word)) {
+      TC_EXEC_FAULT(DataLoss("undecodable instruction"));
+    }
+    const Instr in = DecodeWord(word);
+    ++instructions;
 
-    mem::VirtAddr next_pc = pc + kInstrBytes;
-    std::uint64_t rd_val = 0;
-    bool write_rd = WritesRd(in.op);
     const std::uint64_t a = regs[in.rs1];
     const std::uint64_t b = regs[in.rs2];
-    const auto imm64 = static_cast<std::int64_t>(in.imm);
-
+    const std::uint64_t imm = U(in.imm);
+    const mem::VirtAddr next = pc + kInstrBytes;  // the fall-through pc
+    // Each handler writes its own rd and its own next pc.
     switch (in.op) {
-      case Opcode::kHalt:
-        result.status = Status::Ok();
-        result.cycles = cycles_;
-        result.return_value = regs[kA0];
-        return result;
-      case Opcode::kNop:
-        break;
+      case Opcode::kHalt: pc = kReturnSentinel; break;  // ends like a ret
+      case Opcode::kNop: pc = next; break;
 
-      case Opcode::kAdd: rd_val = a + b; break;
-      case Opcode::kSub: rd_val = a - b; break;
-      case Opcode::kMul: rd_val = a * b; break;
+      case Opcode::kAdd: SetRd(regs, in.rd, a + b); pc = next; break;
+      case Opcode::kSub: SetRd(regs, in.rd, a - b); pc = next; break;
+      case Opcode::kMul: SetRd(regs, in.rd, a * b); pc = next; break;
       case Opcode::kDiv:
-        if (b == 0) return fail(InvalidArgument("division by zero"));
-        if (S(a) == INT64_MIN && S(b) == -1) rd_val = a;  // wraps
-        else rd_val = U(S(a) / S(b));
+        if (b == 0) TC_EXEC_FAULT(InvalidArgument("division by zero"));
+        SetRd(regs, in.rd,  // INT64_MIN / -1 wraps
+              S(a) == INT64_MIN && S(b) == -1 ? a : U(S(a) / S(b)));
+        pc = next;
         break;
       case Opcode::kDivu:
-        if (b == 0) return fail(InvalidArgument("division by zero"));
-        rd_val = a / b;
+        if (b == 0) TC_EXEC_FAULT(InvalidArgument("division by zero"));
+        SetRd(regs, in.rd, a / b);
+        pc = next;
         break;
       case Opcode::kRem:
-        if (b == 0) return fail(InvalidArgument("division by zero"));
-        if (S(a) == INT64_MIN && S(b) == -1) rd_val = 0;
-        else rd_val = U(S(a) % S(b));
+        if (b == 0) TC_EXEC_FAULT(InvalidArgument("division by zero"));
+        SetRd(regs, in.rd,
+              S(a) == INT64_MIN && S(b) == -1 ? 0 : U(S(a) % S(b)));
+        pc = next;
         break;
       case Opcode::kRemu:
-        if (b == 0) return fail(InvalidArgument("division by zero"));
-        rd_val = a % b;
+        if (b == 0) TC_EXEC_FAULT(InvalidArgument("division by zero"));
+        SetRd(regs, in.rd, a % b);
+        pc = next;
         break;
-      case Opcode::kAnd: rd_val = a & b; break;
-      case Opcode::kOr: rd_val = a | b; break;
-      case Opcode::kXor: rd_val = a ^ b; break;
-      case Opcode::kSll: rd_val = a << (b & 63); break;
-      case Opcode::kSrl: rd_val = a >> (b & 63); break;
-      case Opcode::kSra: rd_val = U(S(a) >> (b & 63)); break;
-      case Opcode::kSlt: rd_val = S(a) < S(b) ? 1 : 0; break;
-      case Opcode::kSltu: rd_val = a < b ? 1 : 0; break;
-      case Opcode::kSeq: rd_val = a == b ? 1 : 0; break;
-      case Opcode::kSne: rd_val = a != b ? 1 : 0; break;
+      case Opcode::kAnd: SetRd(regs, in.rd, a & b); pc = next; break;
+      case Opcode::kOr: SetRd(regs, in.rd, a | b); pc = next; break;
+      case Opcode::kXor: SetRd(regs, in.rd, a ^ b); pc = next; break;
+      case Opcode::kSll: SetRd(regs, in.rd, a << (b & 63)); pc = next; break;
+      case Opcode::kSrl: SetRd(regs, in.rd, a >> (b & 63)); pc = next; break;
+      case Opcode::kSra:
+        SetRd(regs, in.rd, U(S(a) >> (b & 63)));
+        pc = next;
+        break;
+      case Opcode::kSlt: SetRd(regs, in.rd, S(a) < S(b)); pc = next; break;
+      case Opcode::kSltu: SetRd(regs, in.rd, a < b); pc = next; break;
+      case Opcode::kSeq: SetRd(regs, in.rd, a == b); pc = next; break;
+      case Opcode::kSne: SetRd(regs, in.rd, a != b); pc = next; break;
 
-      case Opcode::kAddi: rd_val = a + U(imm64); break;
-      case Opcode::kMuli: rd_val = a * U(imm64); break;
-      case Opcode::kAndi: rd_val = a & U(imm64); break;
-      case Opcode::kOri: rd_val = a | U(imm64); break;
-      case Opcode::kXori: rd_val = a ^ U(imm64); break;
-      case Opcode::kSlli: rd_val = a << (in.imm & 63); break;
-      case Opcode::kSrli: rd_val = a >> (in.imm & 63); break;
-      case Opcode::kSrai: rd_val = U(S(a) >> (in.imm & 63)); break;
-      case Opcode::kSlti: rd_val = S(a) < imm64 ? 1 : 0; break;
-      case Opcode::kSltiu: rd_val = a < U(imm64) ? 1 : 0; break;
-      case Opcode::kSeqi: rd_val = a == U(imm64) ? 1 : 0; break;
-      case Opcode::kSnei: rd_val = a != U(imm64) ? 1 : 0; break;
+      case Opcode::kAddi: SetRd(regs, in.rd, a + imm); pc = next; break;
+      case Opcode::kMuli: SetRd(regs, in.rd, a * imm); pc = next; break;
+      case Opcode::kAndi: SetRd(regs, in.rd, a & imm); pc = next; break;
+      case Opcode::kOri: SetRd(regs, in.rd, a | imm); pc = next; break;
+      case Opcode::kXori: SetRd(regs, in.rd, a ^ imm); pc = next; break;
+      case Opcode::kSlli: SetRd(regs, in.rd, a << (imm & 63)); pc = next; break;
+      case Opcode::kSrli: SetRd(regs, in.rd, a >> (imm & 63)); pc = next; break;
+      case Opcode::kSrai:
+        SetRd(regs, in.rd, U(S(a) >> (imm & 63)));
+        pc = next;
+        break;
+      case Opcode::kSlti: SetRd(regs, in.rd, S(a) < S(imm)); pc = next; break;
+      case Opcode::kSltiu: SetRd(regs, in.rd, a < imm); pc = next; break;
+      case Opcode::kSeqi: SetRd(regs, in.rd, a == imm); pc = next; break;
+      case Opcode::kSnei: SetRd(regs, in.rd, a != imm); pc = next; break;
 
-      case Opcode::kMovi: rd_val = U(imm64); break;
+      case Opcode::kMovi: SetRd(regs, in.rd, imm); pc = next; break;
       case Opcode::kMovhi:
-        rd_val = (regs[in.rd] & 0xFFFFFFFFull) |
-                 (static_cast<std::uint64_t>(
-                      static_cast<std::uint32_t>(in.imm))
-                  << 32);
+        SetRd(regs, in.rd, (regs[in.rd] & 0xFFFFFFFFull) | (imm << 32));
+        pc = next;
         break;
 
-      case Opcode::kLdb: case Opcode::kLdbu: case Opcode::kLdh:
-      case Opcode::kLdhu: case Opcode::kLdw: case Opcode::kLdwu:
-      case Opcode::kLdd: {
-        const mem::VirtAddr addr = a + U(imm64);
-        unsigned bytes = 8;
-        if (in.op == Opcode::kLdb || in.op == Opcode::kLdbu) bytes = 1;
-        else if (in.op == Opcode::kLdh || in.op == Opcode::kLdhu) bytes = 2;
-        else if (in.op == Opcode::kLdw || in.op == Opcode::kLdwu) bytes = 4;
-        std::uint64_t v = 0;
-        if (!LoadData(addr, bytes, v, fault)) return fail(std::move(fault));
-        switch (in.op) {
-          case Opcode::kLdb: v = U(static_cast<std::int8_t>(v)); break;
-          case Opcode::kLdh: v = U(static_cast<std::int16_t>(v)); break;
-          case Opcode::kLdw: v = U(static_cast<std::int32_t>(v)); break;
-          default: break;
-        }
-        rd_val = v;
+      case Opcode::kLdb:
+        if (!LoadData(a + imm, 1, loaded, fault)) TC_EXEC_FAULT(fault);
+        SetRd(regs, in.rd, Extend<std::int8_t>(loaded));
+        pc = next;
         break;
-      }
-
-      case Opcode::kStb: case Opcode::kSth: case Opcode::kStw:
-      case Opcode::kStd: {
-        const mem::VirtAddr addr = a + U(imm64);
-        unsigned bytes = 8;
-        if (in.op == Opcode::kStb) bytes = 1;
-        else if (in.op == Opcode::kSth) bytes = 2;
-        else if (in.op == Opcode::kStw) bytes = 4;
-        if (!StoreData(addr, b, bytes, fault)) return fail(std::move(fault));
+      case Opcode::kLdbu:
+        if (!LoadData(a + imm, 1, loaded, fault)) TC_EXEC_FAULT(fault);
+        SetRd(regs, in.rd, loaded);
+        pc = next;
         break;
-      }
+      case Opcode::kLdh:
+        if (!LoadData(a + imm, 2, loaded, fault)) TC_EXEC_FAULT(fault);
+        SetRd(regs, in.rd, Extend<std::int16_t>(loaded));
+        pc = next;
+        break;
+      case Opcode::kLdhu:
+        if (!LoadData(a + imm, 2, loaded, fault)) TC_EXEC_FAULT(fault);
+        SetRd(regs, in.rd, loaded);
+        pc = next;
+        break;
+      case Opcode::kLdw:
+        if (!LoadData(a + imm, 4, loaded, fault)) TC_EXEC_FAULT(fault);
+        SetRd(regs, in.rd, Extend<std::int32_t>(loaded));
+        pc = next;
+        break;
+      case Opcode::kLdwu:
+        if (!LoadData(a + imm, 4, loaded, fault)) TC_EXEC_FAULT(fault);
+        SetRd(regs, in.rd, loaded);
+        pc = next;
+        break;
+      case Opcode::kLdd:
+        if (!LoadData(a + imm, 8, loaded, fault)) TC_EXEC_FAULT(fault);
+        SetRd(regs, in.rd, loaded);
+        pc = next;
+        break;
 
-      case Opcode::kBeq: if (a == b) next_pc = pc + U(imm64); break;
-      case Opcode::kBne: if (a != b) next_pc = pc + U(imm64); break;
-      case Opcode::kBlt: if (S(a) < S(b)) next_pc = pc + U(imm64); break;
-      case Opcode::kBge: if (S(a) >= S(b)) next_pc = pc + U(imm64); break;
-      case Opcode::kBltu: if (a < b) next_pc = pc + U(imm64); break;
-      case Opcode::kBgeu: if (a >= b) next_pc = pc + U(imm64); break;
+      case Opcode::kStb:
+        if (!StoreData(a + imm, b, 1, fault)) TC_EXEC_FAULT(fault);
+        pc = next;
+        break;
+      case Opcode::kSth:
+        if (!StoreData(a + imm, b, 2, fault)) TC_EXEC_FAULT(fault);
+        pc = next;
+        break;
+      case Opcode::kStw:
+        if (!StoreData(a + imm, b, 4, fault)) TC_EXEC_FAULT(fault);
+        pc = next;
+        break;
+      case Opcode::kStd:
+        if (!StoreData(a + imm, b, 8, fault)) TC_EXEC_FAULT(fault);
+        pc = next;
+        break;
+
+      case Opcode::kBeq: ++transfers; pc = a == b ? pc + imm : next; break;
+      case Opcode::kBne: ++transfers; pc = a != b ? pc + imm : next; break;
+      case Opcode::kBlt: ++transfers; pc = S(a) < S(b) ? pc + imm : next; break;
+      case Opcode::kBge:
+        ++transfers;
+        pc = S(a) >= S(b) ? pc + imm : next;
+        break;
+      case Opcode::kBltu: ++transfers; pc = a < b ? pc + imm : next; break;
+      case Opcode::kBgeu: ++transfers; pc = a >= b ? pc + imm : next; break;
 
       case Opcode::kJal:
-        rd_val = pc + kInstrBytes;
-        next_pc = pc + U(imm64);
+        ++transfers;
+        SetRd(regs, in.rd, next);
+        pc += imm;
         break;
 
       case Opcode::kJalr: {
-        rd_val = pc + kInstrBytes;
-        const std::uint64_t target = a + U(imm64);
-        if (IsNativeHandle(target)) {
-          // Native bridge: run the function, then return to the link
-          // address (rd for a normal call; the current lr for a tail call).
-          if (natives_ == nullptr) {
-            return fail(FailedPrecondition("no native table bound"));
-          }
-          const NativeFn* fn = natives_->Get(NativeIndexOf(target));
-          if (fn == nullptr) {
-            return fail(NotFound(StrFormat("native index %u",
-                                           NativeIndexOf(target))));
-          }
-          if (write_rd && in.rd != kZr) regs[in.rd] = rd_val;
-          write_rd = false;
-          NativeFrame frame(*this, regs);
-          Status st = (*fn)(frame);
-          if (!st.ok()) return fail(st);
-          next_pc = in.rd != kZr ? rd_val : regs[kLr];
+        ++transfers;
+        const std::uint64_t target = a + imm;
+        if (!IsNativeHandle(target)) {
+          SetRd(regs, in.rd, next);
+          pc = target;
           break;
         }
-        next_pc = target;
+        // Native bridge: run the function, then return to the link
+        // address (rd for a normal call; the current lr for a tail call).
+        if (natives_ == nullptr) {
+          TC_EXEC_FAULT(FailedPrecondition("no native table bound"));
+        }
+        const NativeFn* fn = natives_->Get(NativeIndexOf(target));
+        if (fn == nullptr) {
+          TC_EXEC_FAULT(
+              NotFound(StrFormat("native index %u", NativeIndexOf(target))));
+        }
+        SetRd(regs, in.rd, next);
+        NativeFrame frame(*this, regs);
+        const Status st = (*fn)(frame);
+        if (!st.ok()) TC_EXEC_FAULT(st);
+        pc = in.rd != kZr ? next : regs[kLr];
         break;
       }
 
-      case Opcode::kLea:
-        rd_val = pc + U(imm64);
+      case Opcode::kLea: SetRd(regs, in.rd, pc + imm); pc = next; break;
+
+      case Opcode::kLdgFix:
+        if (!LoadData(pc + imm, 8, loaded, fault)) TC_EXEC_FAULT(fault);
+        SetRd(regs, in.rd, loaded);
+        pc = next;
         break;
 
-      case Opcode::kLdgFix: {
-        const mem::VirtAddr slot = pc + U(imm64);
-        if (!LoadData(slot, 8, rd_val, fault)) return fail(std::move(fault));
-        break;
-      }
-
-      case Opcode::kLdgPre: {
+      case Opcode::kLdgPre:
         // The paper's rewritten form: GOT pointer at a PC-relative preamble
         // slot, then an index into the patched table.
-        const mem::VirtAddr pre = pc + U(imm64);
-        std::uint64_t gotp = 0;
-        if (!LoadData(pre, 8, gotp, fault)) return fail(std::move(fault));
-        const mem::VirtAddr slot = gotp + 8ull * in.rs2;
-        if (!LoadData(slot, 8, rd_val, fault)) return fail(std::move(fault));
+        if (!LoadData(pc + imm, 8, loaded, fault)) TC_EXEC_FAULT(fault);
+        if (!LoadData(loaded + 8ull * in.rs2, 8, loaded, fault)) {
+          TC_EXEC_FAULT(fault);
+        }
+        SetRd(regs, in.rd, loaded);
+        pc = next;
         break;
-      }
 
       default:
-        return fail(Internal("unhandled opcode"));
+        TC_EXEC_FAULT(Internal("unhandled opcode"));
     }
-
-    if (write_rd && in.rd != kZr) regs[in.rd] = rd_val;
-    regs[kZr] = 0;
-    pc = next_pc;
   }
 
-  result.cycles = cycles_;
-  result.return_value = regs[kA0];
-  return result;
+  return ExecResult{Status::Ok(), instructions,
+                    TotalCycles(instructions, transfers), regs[kA0]};
 }
+
+#undef TC_EXEC_FAULT
 
 // ----------------------------------------------------------- natives
 

@@ -116,8 +116,9 @@ struct ExecConfig {
   std::uint64_t max_instructions = 50'000'000;
   /// Fixed pipeline cost per instruction, on top of memory-system cycles.
   Cycles base_cycles_per_instr = 1;
-  /// Check the X permission of the page containing the PC (the W^X
-  /// security mode relies on this; the paper's default mailbox is RWX).
+  /// Check the X permission of every page an instruction fetch touches
+  /// (the W^X security mode relies on this; the paper's default mailbox is
+  /// RWX).
   bool enforce_exec_permission = true;
   /// Control-flow confinement. When non-empty, every instruction fetch —
   /// whether reached sequentially, by branch/jal, or by a computed jalr —
@@ -184,13 +185,26 @@ class Interpreter {
     return c;
   }
 
+  /// An Execute result's cycles: the memory and native charges in cycles_,
+  /// the base cost of @p instructions, and, under exec windows, the
+  /// confinement cost of @p transfers.
+  Cycles TotalCycles(std::uint64_t instructions,
+                     std::uint64_t transfers) const noexcept {
+    const Cycles transfer_cycles =
+        config_.exec_windows.empty() ? 0 : config_.confine_branch_cycles;
+    return cycles_ + instructions * config_.base_cycles_per_instr +
+           transfers * transfer_cycles;
+  }
+
   // Data accesses of 1, 2, 4 or 8 bytes, as jam code and natives issue them:
   // the sandbox window check, the cache charge, then the bytes. A legal
   // access within one page stays inline and builds no Status. Anything else
   // goes out of line to HostMemory's Status path, which serves a legal
   // page-straddling access or leaves the exact fault in @p fault. Both
-  // return false on a fault. Forced inline: Execute is too large for the
-  // compiler's own inlining budget to take every call site.
+  // return false on a fault. Forced inline: every load and store opcode has
+  // its own call site with a constant width, where LoadLE/StoreLE fold to
+  // one move, and Execute is too large for the compiler's own inlining
+  // budget to take them all.
 
   /// Loads @p bytes at @p addr into @p out, zero-extended.
   [[gnu::always_inline]] bool LoadData(mem::VirtAddr addr, unsigned bytes,
@@ -266,7 +280,7 @@ class Interpreter {
   std::uint32_t core_;
   const NativeTable* natives_;
   ExecConfig config_;
-  Cycles cycles_ = 0;  // accumulates during Execute
+  Cycles cycles_ = 0;  // memory and native charges during Execute
 };
 
 /// Options for the standard native set.

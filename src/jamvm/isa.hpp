@@ -34,6 +34,7 @@
 //   r31       sp   stack pointer
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -97,22 +98,38 @@ struct Instr {
 /// Encodes into 8 bytes at @p out (caller guarantees space).
 void Encode(const Instr& instr, std::uint8_t* out) noexcept;
 
+/// An instruction's 8 bytes as one word: the opcode in bits 0-7, rd, rs1
+/// and rs2 in bits 8-31, the immediate in bits 32-63.
+inline std::uint64_t LoadWord(const std::uint8_t* in) noexcept {
+  static_assert(std::endian::native == std::endian::little,
+                "the word layout assumes a little-endian host");
+  std::uint64_t word = 0;
+  std::memcpy(&word, in, sizeof(word));
+  return word;
+}
+
+/// The one validity rule of every decoder: the opcode byte names an opcode
+/// and every register byte is below 32 (none of its top three bits set).
+constexpr bool IsValidWord(std::uint64_t word) noexcept {
+  static_assert(kNumRegs == 32);
+  return (word & 0xFF) < static_cast<std::uint64_t>(Opcode::kOpcodeCount) &&
+         (word & 0xE0E0E000ull) == 0;
+}
+
+/// The fields of a word IsValidWord accepts.
+constexpr Instr DecodeWord(std::uint64_t word) noexcept {
+  return Instr{static_cast<Opcode>(word & 0xFF),
+               static_cast<std::uint8_t>(word >> 8),
+               static_cast<std::uint8_t>(word >> 16),
+               static_cast<std::uint8_t>(word >> 24),
+               static_cast<std::int32_t>(word >> 32)};
+}
+
 /// Decodes 8 bytes. Returns nullopt on an invalid opcode byte or register.
-/// Inline: the interpreter decodes every instruction it executes.
 inline std::optional<Instr> Decode(const std::uint8_t* in) noexcept {
-  if (in[0] >= static_cast<std::uint8_t>(Opcode::kOpcodeCount)) {
-    return std::nullopt;
-  }
-  Instr instr;
-  instr.op = static_cast<Opcode>(in[0]);
-  instr.rd = in[1];
-  instr.rs1 = in[2];
-  instr.rs2 = in[3];
-  std::memcpy(&instr.imm, in + 4, sizeof(instr.imm));
-  if (instr.rd >= kNumRegs || instr.rs1 >= kNumRegs || instr.rs2 >= kNumRegs) {
-    return std::nullopt;
-  }
-  return instr;
+  const std::uint64_t word = LoadWord(in);
+  if (!IsValidWord(word)) return std::nullopt;
+  return DecodeWord(word);
 }
 
 /// Mnemonic for an opcode ("add", "ldg.fix", ...).
@@ -127,8 +144,8 @@ std::string RegName(std::uint8_t reg);
 /// Parses a register name or alias ("r7", "a2", "sp"); nullopt if invalid.
 std::optional<std::uint8_t> RegFromName(std::string_view name) noexcept;
 
-/// Instruction classification helpers used by the interpreter, verifier,
-/// rewriter and disassembler. The opcode enum keeps each class contiguous.
+/// Instruction classification helpers; the verifier uses IsBranch to find
+/// branch targets. The opcode enum keeps each class contiguous.
 
 /// Conditional branches.
 constexpr bool IsBranch(Opcode op) noexcept {
@@ -143,10 +160,6 @@ constexpr bool IsStore(Opcode op) noexcept {
 /// Loads + stores.
 constexpr bool IsMemAccess(Opcode op) noexcept {
   return IsLoad(op) || IsStore(op);
-}
-constexpr bool WritesRd(Opcode op) noexcept {
-  return !IsStore(op) && !IsBranch(op) && op != Opcode::kHalt &&
-         op != Opcode::kNop;
 }
 
 }  // namespace twochains::vm

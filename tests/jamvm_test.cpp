@@ -3,6 +3,7 @@
 // the native bridge and both GOT addressing modes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -27,27 +28,38 @@ namespace {
 TEST(IsaTest, EncodeDecodeRoundTripAllOpcodes) {
   for (std::uint8_t op = 0;
        op < static_cast<std::uint8_t>(Opcode::kOpcodeCount); ++op) {
-    Instr in;
-    in.op = static_cast<Opcode>(op);
-    in.rd = 3;
-    in.rs1 = 17;
-    in.rs2 = 31;
-    in.imm = -123456;
-    std::uint8_t buf[kInstrBytes];
-    Encode(in, buf);
-    const auto out = Decode(buf);
-    ASSERT_TRUE(out.has_value()) << "opcode " << int(op);
-    EXPECT_EQ(*out, in);
+    for (const std::int32_t imm : {-123456, INT32_MIN, -1, INT32_MAX}) {
+      Instr in;
+      in.op = static_cast<Opcode>(op);
+      in.rd = 3;
+      in.rs1 = 17;
+      in.rs2 = 31;
+      in.imm = imm;
+      std::uint8_t buf[kInstrBytes];
+      Encode(in, buf);
+      const auto out = Decode(buf);
+      ASSERT_TRUE(out.has_value()) << "opcode " << int(op);
+      EXPECT_EQ(*out, in);
+    }
   }
 }
 
 TEST(IsaTest, DecodeRejectsBadOpcodeAndRegisters) {
-  std::uint8_t buf[kInstrBytes] = {};
-  buf[0] = static_cast<std::uint8_t>(Opcode::kOpcodeCount);
-  EXPECT_FALSE(Decode(buf).has_value());
-  buf[0] = static_cast<std::uint8_t>(Opcode::kAdd);
-  buf[1] = 32;  // rd out of range
-  EXPECT_FALSE(Decode(buf).has_value());
+  // Every value of the opcode byte and of each register byte, the other
+  // bytes valid: only an opcode past the last, or a register of 32 or
+  // more, is rejected.
+  for (unsigned byte = 0; byte < 4; ++byte) {
+    const unsigned limit =
+        byte == 0 ? static_cast<unsigned>(Opcode::kOpcodeCount) : kNumRegs;
+    for (unsigned value = 0; value < 256; ++value) {
+      std::uint8_t buf[kInstrBytes] = {
+          static_cast<std::uint8_t>(Opcode::kAdd), 3, 17, 31,
+          0xFF, 0xFF, 0xFF, 0xFF};
+      buf[byte] = static_cast<std::uint8_t>(value);
+      EXPECT_EQ(Decode(buf).has_value(), value < limit)
+          << "byte " << byte << " = " << value;
+    }
+  }
 }
 
 TEST(IsaTest, EncodeDecodeRandomizedProperty) {
@@ -98,9 +110,6 @@ TEST(IsaTest, Classification) {
   EXPECT_TRUE(IsStore(Opcode::kStw));
   EXPECT_TRUE(IsMemAccess(Opcode::kLdb));
   EXPECT_FALSE(IsMemAccess(Opcode::kAdd));
-  EXPECT_TRUE(WritesRd(Opcode::kAdd));
-  EXPECT_FALSE(WritesRd(Opcode::kStd));
-  EXPECT_FALSE(WritesRd(Opcode::kBne));
 }
 
 // ------------------------------------------------------------ assembler
@@ -1129,6 +1138,291 @@ TEST_F(InterpreterTest, PatchedCodeSlotRunsTheNewInstruction) {
   const auto r = Run(entry, {});
   ASSERT_TRUE(r.status.ok()) << r.status;
   EXPECT_EQ(r.return_value, 7u + 42u);
+}
+
+TEST_F(InterpreterTest, StraddlingFetchChecksBothPages) {
+  // Under W^X an instruction whose last four bytes lie on a writable page
+  // must not run, whether the jump to it comes from its own page, whose X
+  // check already passed, or from another page.
+  const auto pages = mem_.Allocate(2 * mem::kPageSize, mem::kPageSize,
+                                   mem::Perm::kRX, "pages");
+  ASSERT_TRUE(pages.ok());
+  const mem::VirtAddr writable = *pages + mem::kPageSize;
+  ASSERT_TRUE(mem_.Protect(writable, mem::kPageSize, mem::Perm::kRW).ok());
+  // A ret whose opcode and registers end the RX page; its immediate is the
+  // RW page's first four (zero) bytes.
+  const mem::VirtAddr straddle = writable - 4;
+  std::uint8_t ret[kInstrBytes];
+  Encode(Instr{Opcode::kJalr, kZr, kLr, 0, 0}, ret);
+  ASSERT_TRUE(
+      mem_.DmaWrite(straddle, std::span<const std::uint8_t>(ret, 4)).ok());
+  std::uint8_t jump[kInstrBytes];
+  Encode(Instr{Opcode::kJalr, kZr, kA0, 0, 0}, jump);
+  ASSERT_TRUE(mem_.DmaWrite(*pages, jump).ok());
+  const auto other = LoadRaw("f: jalr zr, a0, 0", mem::Perm::kRX);
+
+  for (const mem::VirtAddr entry : {*pages, other}) {
+    const auto r = Run(entry, {straddle});
+    EXPECT_EQ(r.status.code(), StatusCode::kPermissionDenied);
+    EXPECT_EQ(r.status.message(),
+              AtPc("page " + Hex(writable) + " is rw-, need --x", straddle,
+                   1));
+  }
+}
+
+// tc_memcpy(a0 = dst, a1 = src, a2 = n) through the handle in a3.
+constexpr const char* kCallA3 = R"(
+    f:
+      mov t6, lr
+      jalr lr, a3, 0
+      jalr zr, t6, 0
+  )";
+
+TEST_F(InterpreterTest, CopyLengthIsCheckedBeforeTheCacheCharge) {
+  // n comes from the jam. Charging the cache line by line for an n past
+  // the arena would hold the host for as long as the walk takes.
+  NativeTable natives;
+  ASSERT_TRUE(RegisterStandardNatives(natives, {}).ok());
+  const auto memcpy_idx = natives.IndexOf("tc_memcpy");
+  ASSERT_TRUE(memcpy_idx.ok());
+  const auto buf = mem_.Allocate(256, 64, mem::Perm::kRW, "buf");
+  ASSERT_TRUE(buf.ok());
+  const auto entry = LoadRaw(kCallA3);
+  const auto r = Run(entry, {*buf, *buf + 64, 1ull << 28,
+                             MakeNativeHandle(*memcpy_idx)},
+                     &natives);
+  EXPECT_EQ(r.status.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(r.status.message(),
+            AtPc("raw span outside arena", entry + kInstrBytes, 2));
+  EXPECT_LT(r.cycles, 10'000u);
+}
+
+TEST_F(InterpreterTest, OverlappingCopyMoves) {
+  NativeTable natives;
+  ASSERT_TRUE(RegisterStandardNatives(natives, {}).ok());
+  const auto memcpy_idx = natives.IndexOf("tc_memcpy");
+  ASSERT_TRUE(memcpy_idx.ok());
+  const auto buf = mem_.Allocate(64, 64, mem::Perm::kRW, "buf");
+  ASSERT_TRUE(buf.ok());
+  std::vector<std::uint8_t> bytes(64);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i);
+  }
+  ASSERT_TRUE(mem_.DmaWrite(*buf, bytes).ok());
+  const auto r = Run(LoadRaw(kCallA3),
+                     {*buf + 8, *buf, 32, MakeNativeHandle(*memcpy_idx)},
+                     &natives);
+  ASSERT_TRUE(r.status.ok()) << r.status;
+  EXPECT_EQ(r.return_value, *buf + 8);
+  std::vector<std::uint8_t> want = bytes;
+  std::memmove(want.data() + 8, bytes.data(), 32);
+  auto got = mem_.RawSpan(*buf, 64);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(std::vector<std::uint8_t>(got->begin(), got->end()), want);
+}
+
+TEST_F(InterpreterTest, EveryFaultReportsItsRecordedState) {
+  // One row per fault site in Execute. Each pins the code, the full
+  // message, the retired count, the cycles and a0, recorded on cold
+  // caches; the cycles sum the ifetch, load and native charges with the
+  // base cost per instruction and, under exec windows, per transfer.
+  struct Row {
+    std::string name;
+    mem::VirtAddr entry;
+    std::vector<std::uint64_t> args;
+    ExecConfig config;
+    const NativeTable* natives;
+    StatusCode code;
+    std::string message;
+    std::uint64_t instructions;
+    Cycles cycles;
+    std::uint64_t return_value;
+  };
+  std::vector<Row> rows;
+
+  NativeTable standard;
+  ASSERT_TRUE(RegisterStandardNatives(standard, {}).ok());
+  const std::uint64_t hash = MakeNativeHandle(*standard.IndexOf("tc_hash64"));
+  NativeTable failing;
+  ASSERT_TRUE(failing
+                  .Register("fail",
+                            [](NativeFrame& f) -> Status {
+                              f.ChargeCycles(40);
+                              f.SetResult(77);
+                              return Internal("native failed");
+                            })
+                  .ok());
+  const auto page = [&](mem::Perm perm) {
+    auto addr = mem_.Allocate(mem::kPageSize, mem::kPageSize, perm, "page");
+    EXPECT_TRUE(addr.ok());
+    return *addr;
+  };
+  const mem::VirtAddr rw = page(mem::Perm::kRW);
+  const mem::VirtAddr ro = page(mem::Perm::kRead);
+  const mem::VirtAddr none = page(mem::Perm::kNone);
+  // Raw words at an RWX allocation, for encodings the assembler refuses.
+  const auto load_words = [&](const std::vector<std::uint64_t>& words) {
+    auto addr = mem_.Allocate(words.size() * kInstrBytes, 64,
+                              mem::Perm::kRWX, "words");
+    EXPECT_TRUE(addr.ok());
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      EXPECT_TRUE(mem_.StoreU64(*addr + i * kInstrBytes, words[i]).ok());
+    }
+    return *addr;
+  };
+  const auto word = [](Instr in) {
+    std::uint8_t buf[kInstrBytes];
+    Encode(in, buf);
+    std::uint64_t w = 0;
+    std::memcpy(&w, buf, sizeof(w));
+    return w;
+  };
+  const std::uint64_t ret = word(Instr{Opcode::kJalr, kZr, kLr, 0, 0});
+
+  {  // A tail call returns through lr, which holds a native handle.
+    const auto e = LoadRaw("f: mov lr, a1\n jalr zr, a0, 0");
+    rows.push_back({"native handle as pc", e, {hash, hash}, {}, &standard,
+                    StatusCode::kPermissionDenied,
+                    AtPc("jumped into a native handle", hash, 2), 2, 237,
+                    1380322360509708497ull});
+  }
+  {
+    const auto e = LoadRaw("f: jmp f");
+    ExecConfig cfg;
+    cfg.max_instructions = 5;
+    cfg.exec_windows = {{e, kInstrBytes}};
+    cfg.confine_branch_cycles = 100;
+    rows.push_back({"instruction budget", e, {11}, cfg, nullptr,
+                    StatusCode::kResourceExhausted,
+                    AtPc("instruction budget exceeded", e, 5), 5, 734, 11});
+  }
+  {
+    const auto e = LoadRaw("f: jalr lr, a1, 0");
+    ExecConfig cfg;
+    cfg.exec_windows = {{e, kInstrBytes}};
+    cfg.confine_branch_cycles = 100;
+    rows.push_back({"exec window escape", e, {3, rw}, cfg, nullptr,
+                    StatusCode::kPermissionDenied,
+                    AtPc("instruction fetch escapes the confined image", rw,
+                         1),
+                    1, 330, 3});
+  }
+  {
+    const auto e = LoadRaw("f: jalr lr, a1, 0", mem::Perm::kRX);
+    rows.push_back({"X denial", e, {3, rw}, {}, nullptr,
+                    StatusCode::kPermissionDenied,
+                    AtPc("page " + Hex(rw) + " is rw-, need --x", rw, 1), 1,
+                    230, 3});
+  }
+  {  // A nop in the arena's last 8 bytes: the next fetch lies past the end.
+    const mem::VirtAddr end = mem_.base() + mem_.size();
+    EXPECT_TRUE(mem_.Protect(end - mem::kPageSize, mem::kPageSize,
+                             mem::Perm::kRWX)
+                    .ok());
+    const auto nop = Assemble("f: nop");
+    ASSERT_TRUE(nop.ok()) << nop.status();
+    ASSERT_TRUE(mem_.DmaWrite(end - kInstrBytes, nop->text).ok());
+    rows.push_back({"fetch off the arena, checked", end - kInstrBytes, {3},
+                    {}, nullptr, StatusCode::kOutOfRange,
+                    AtPc("access [" + Hex(end) + ",+8) outside host 0 arena",
+                         end, 1),
+                    1, 230, 3});
+    ExecConfig unchecked;
+    unchecked.enforce_exec_permission = false;
+    rows.push_back({"fetch off the arena, unchecked", end - kInstrBytes, {3},
+                    unchecked, nullptr, StatusCode::kOutOfRange,
+                    AtPc("raw span outside arena", end, 1), 1, 244, 3});
+  }
+  {
+    const auto e = load_words(
+        {word(Instr{Opcode::kAddi, kA0, kA0, 0, 1}), 0xFFull});
+    rows.push_back({"undecodable word", e, {3}, {}, nullptr,
+                    StatusCode::kDataLoss,
+                    AtPc("undecodable instruction", e + kInstrBytes, 1), 1,
+                    230, 4});
+  }
+  for (const char* op : {"div", "divu", "rem", "remu"}) {
+    const auto e =
+        LoadRaw(StrFormat("f: addi a0, a0, 1\n %s a0, a0, zr\n ret", op));
+    rows.push_back({op, e, {3}, {}, nullptr, StatusCode::kInvalidArgument,
+                    AtPc("division by zero", e + kInstrBytes, 2), 2, 231,
+                    4});
+  }
+  {
+    const auto e = LoadRaw("f: ldd a0, [a1]\n ret");
+    rows.push_back({"load", e, {3, none}, {}, nullptr,
+                    StatusCode::kPermissionDenied,
+                    AtPc("page " + Hex(none) + " is ---, need r--", e, 1), 1,
+                    459, 3});
+  }
+  {
+    const auto e = LoadRaw("f: std a0, [a1]\n ret");
+    rows.push_back({"store", e, {3, ro}, {}, nullptr,
+                    StatusCode::kPermissionDenied,
+                    AtPc("page " + Hex(ro) + " is r--, need -w-", e, 1), 1,
+                    459, 3});
+  }
+  {
+    const auto e = load_words({0, ret});
+    ASSERT_TRUE(mem_.StoreU64(e, word(Instr{
+                                     Opcode::kLdgFix, kA0, 0, 0,
+                                     static_cast<std::int32_t>(none - e)}))
+                    .ok());
+    rows.push_back({"ldg.fix", e, {3}, {}, nullptr,
+                    StatusCode::kPermissionDenied,
+                    AtPc("page " + Hex(none) + " is ---, need r--", e, 1), 1,
+                    459, 3});
+  }
+  {  // The GOT pointer's preamble slot is unreadable.
+    const auto e = load_words({0, ret});
+    ASSERT_TRUE(mem_.StoreU64(e, word(Instr{
+                                     Opcode::kLdgPre, kA0, 0, 1,
+                                     static_cast<std::int32_t>(none - e)}))
+                    .ok());
+    rows.push_back({"ldg.pre preamble", e, {3}, {}, nullptr,
+                    StatusCode::kPermissionDenied,
+                    AtPc("page " + Hex(none) + " is ---, need r--", e, 1), 1,
+                    459, 3});
+  }
+  {  // The preamble points the table at an unreadable page.
+    ASSERT_TRUE(mem_.StoreU64(rw, none).ok());
+    const auto e = load_words({0, ret});
+    ASSERT_TRUE(mem_.StoreU64(e, word(Instr{
+                                     Opcode::kLdgPre, kA0, 0, 1,
+                                     static_cast<std::int32_t>(rw - e)}))
+                    .ok());
+    rows.push_back({"ldg.pre slot", e, {3}, {}, nullptr,
+                    StatusCode::kPermissionDenied,
+                    AtPc("page " + Hex(none) + " is ---, need r--", e, 1), 1,
+                    688, 3});
+  }
+  {
+    const auto e = LoadRaw("f: jalr lr, a0, 0\n ret");
+    rows.push_back({"missing native table", e, {MakeNativeHandle(0)}, {},
+                    nullptr, StatusCode::kFailedPrecondition,
+                    AtPc("no native table bound", e, 1), 1, 230,
+                    MakeNativeHandle(0)});
+    rows.push_back({"unknown native index", e, {MakeNativeHandle(999)}, {},
+                    &standard, StatusCode::kNotFound,
+                    AtPc("native index 999", e, 1), 1, 230,
+                    MakeNativeHandle(999)});
+    rows.push_back({"failing native", e, {MakeNativeHandle(0)}, {}, &failing,
+                    StatusCode::kInternal, AtPc("native failed", e, 1), 1, 270,
+                    77});
+  }
+
+  const mem::VirtAddr stack = MakeStack();
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    cache::CacheHierarchy caches(CacheConfig());
+    Interpreter interp(mem_, caches, 0, row.natives, row.config);
+    const ExecResult r = interp.Execute(row.entry, row.args, stack);
+    EXPECT_EQ(r.status.code(), row.code);
+    EXPECT_EQ(r.status.message(), row.message);
+    EXPECT_EQ(r.instructions, row.instructions);
+    EXPECT_EQ(r.cycles, row.cycles);
+    EXPECT_EQ(r.return_value, row.return_value);
+  }
 }
 
 }  // namespace
