@@ -1,33 +1,41 @@
 #include "cache/cache_level.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstring>
+#include <new>
 
 #include "common/bitops.hpp"
+#include "common/log.hpp"
 
 namespace twochains::cache {
 
 CacheLevel::CacheLevel(const LevelConfig& config, std::uint64_t line_bytes)
     : line_shift_(Log2(line_bytes)),
-      sets_(config.size_bytes / (line_bytes * config.ways)),
-      ways_(config.ways),
-      hit_cycles_(config.hit_cycles),
-      tags_(sets_ * ways_, 0),
-      valid_(sets_ * ways_, 0) {
+      ways_(std::max<std::uint32_t>(config.ways, 1)),
+      sets_(std::bit_floor(std::max<std::uint64_t>(
+          config.size_bytes / (line_bytes * ways_), 1))),
+      hit_cycles_(config.hit_cycles) {
   assert(IsPowerOfTwo(line_bytes));
-  assert(IsPowerOfTwo(sets_) && "size/(line*ways) must be a power of two");
+  if (ways_ != config.ways || sets_ * ways_ * line_bytes != config.size_bytes) {
+    TC_WARN << "cache: " << config.name << " (" << config.size_bytes
+            << " B, " << config.ways << " ways of " << line_bytes
+            << " B lines) is not a power-of-two number of sets; modeling "
+            << sets_ << " sets x " << ways_ << " ways";
+  }
+  tags_.reset(static_cast<std::uint64_t*>(
+      std::calloc(sets_ * ways_, sizeof(std::uint64_t))));
+  if (!tags_) throw std::bad_alloc();
 }
 
-bool CacheLevel::LookupBehindMru(std::uint64_t line,
-                                 std::uint64_t base) noexcept {
+bool CacheLevel::LookupBehindMru(std::uint64_t key,
+                                 std::uint64_t* set) noexcept {
   for (std::uint32_t w = 1; w < ways_; ++w) {
-    if (valid_[base + w] && tags_[base + w] == line) {
+    if (set[w] == key) {
       // Move to MRU position (front of the set slice).
-      for (std::uint32_t i = w; i > 0; --i) {
-        tags_[base + i] = tags_[base + i - 1];
-        valid_[base + i] = valid_[base + i - 1];
-      }
-      tags_[base] = line;
-      valid_[base] = 1;
+      for (std::uint32_t i = w; i > 0; --i) set[i] = set[i - 1];
+      set[0] = key;
       return true;
     }
   }
@@ -35,39 +43,19 @@ bool CacheLevel::LookupBehindMru(std::uint64_t line,
 }
 
 bool CacheLevel::Probe(mem::VirtAddr addr) const noexcept {
-  const std::uint64_t line = LineOf(addr);
-  const std::uint64_t base = SetOf(line) * ways_;
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (valid_[base + w] && tags_[base + w] == line) return true;
-  }
-  return false;
-}
-
-void CacheLevel::Insert(mem::VirtAddr addr) noexcept {
-  const std::uint64_t line = LineOf(addr);
-  const std::uint64_t base = SetOf(line) * ways_;
-  // Already present: refresh LRU only.
-  if (Lookup(addr)) return;
-  // Shift everything down one way; LRU (last way) falls out.
-  for (std::uint32_t i = ways_ - 1; i > 0; --i) {
-    tags_[base + i] = tags_[base + i - 1];
-    valid_[base + i] = valid_[base + i - 1];
-  }
-  tags_[base] = line;
-  valid_[base] = 1;
+  const std::uint64_t key = KeyOf(addr);
+  const std::uint64_t* set = SetOf(key);
+  return std::find(set, set + ways_, key) != set + ways_;
 }
 
 bool CacheLevel::Invalidate(mem::VirtAddr addr) noexcept {
-  const std::uint64_t line = LineOf(addr);
-  const std::uint64_t base = SetOf(line) * ways_;
+  const std::uint64_t key = KeyOf(addr);
+  std::uint64_t* set = SetOf(key);
   for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (valid_[base + w] && tags_[base + w] == line) {
+    if (set[w] == key) {
       // Compact the set so valid entries stay contiguous in LRU order.
-      for (std::uint32_t i = w; i + 1 < ways_; ++i) {
-        tags_[base + i] = tags_[base + i + 1];
-        valid_[base + i] = valid_[base + i + 1];
-      }
-      valid_[base + ways_ - 1] = 0;
+      for (std::uint32_t i = w; i + 1 < ways_; ++i) set[i] = set[i + 1];
+      set[ways_ - 1] = 0;
       return true;
     }
   }
@@ -84,13 +72,13 @@ void CacheLevel::InvalidateRange(mem::VirtAddr addr,
 }
 
 void CacheLevel::Clear() noexcept {
-  std::fill(valid_.begin(), valid_.end(), 0);
+  std::memset(tags_.get(), 0, sets_ * ways_ * sizeof(std::uint64_t));
 }
 
 std::uint64_t CacheLevel::PopulationCount() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto v : valid_) n += v;
-  return n;
+  return static_cast<std::uint64_t>(
+      std::count_if(tags_.get(), tags_.get() + sets_ * ways_,
+                    [](std::uint64_t key) { return key != 0; }));
 }
 
 }  // namespace twochains::cache

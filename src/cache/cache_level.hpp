@@ -3,7 +3,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <cstdlib>
+#include <memory>
 
 #include "cache/config.hpp"
 #include "mem/address.hpp"
@@ -12,25 +13,40 @@ namespace twochains::cache {
 
 class CacheLevel {
  public:
-  /// @p line_bytes must be a power of two; size must be a multiple of
-  /// ways*line_bytes.
+  /// @p line_bytes must be a power of two. A geometry the level cannot
+  /// model (no ways, or a size that is not a power-of-two number of sets
+  /// of ways*line_bytes) is clamped to at least one way and the largest
+  /// power-of-two set count that fits (at least one), with a warning.
   CacheLevel(const LevelConfig& config, std::uint64_t line_bytes);
 
   /// True (and LRU-updates) if the line containing @p addr is present.
   /// A hit on the MRU way returns inline: moving that line to the front is
   /// a no-op.
   bool Lookup(mem::VirtAddr addr) noexcept {
-    const std::uint64_t line = LineOf(addr);
-    const std::uint64_t base = SetOf(line) * ways_;
-    if (valid_[base] && tags_[base] == line) return true;
-    return LookupBehindMru(line, base);
+    const std::uint64_t key = KeyOf(addr);
+    std::uint64_t* set = SetOf(key);
+    if (set[0] == key) return true;
+    return LookupBehindMru(key, set);
   }
 
   /// Presence check without LRU side effects (for tests).
   bool Probe(mem::VirtAddr addr) const noexcept;
 
   /// Installs the line containing @p addr, evicting LRU if the set is full.
-  void Insert(mem::VirtAddr addr) noexcept;
+  void Insert(mem::VirtAddr addr) noexcept {
+    if (!Lookup(addr)) InsertAbsent(addr);
+  }
+
+  /// Insert for a line the caller knows is absent (its Lookup just missed
+  /// and nothing touched this level since): installs it at MRU without
+  /// searching the set again.
+  void InsertAbsent(mem::VirtAddr addr) noexcept {
+    const std::uint64_t key = KeyOf(addr);
+    std::uint64_t* set = SetOf(key);
+    // Shift everything down one way; LRU (last way) falls out.
+    for (std::uint32_t i = ways_ - 1; i > 0; --i) set[i] = set[i - 1];
+    set[0] = key;
+  }
 
   /// Drops the line containing @p addr if present. Returns true if dropped.
   bool Invalidate(mem::VirtAddr addr) noexcept;
@@ -49,25 +65,31 @@ class CacheLevel {
   std::uint64_t PopulationCount() const noexcept;
 
  private:
-  std::uint64_t LineOf(mem::VirtAddr addr) const noexcept {
-    return addr >> line_shift_;
+  /// A way holds its line number plus one, so 0 marks an empty way and
+  /// line 0 stays cacheable (a 64 B line number is below 2^58: no wrap).
+  std::uint64_t KeyOf(mem::VirtAddr addr) const noexcept {
+    return (addr >> line_shift_) + 1;
   }
-  std::uint64_t SetOf(std::uint64_t line) const noexcept {
-    return line & (sets_ - 1);
+  std::uint64_t* SetOf(std::uint64_t key) const noexcept {
+    return tags_.get() + ((key - 1) & (sets_ - 1)) * ways_;
   }
 
-  /// Lookup's search of ways 1.. of the set at @p base; a hit moves the
-  /// line to the MRU way.
-  bool LookupBehindMru(std::uint64_t line, std::uint64_t base) noexcept;
+  /// Lookup's search of ways 1.. of @p set; a hit moves the line to the
+  /// MRU way.
+  bool LookupBehindMru(std::uint64_t key, std::uint64_t* set) noexcept;
 
-  // Each set is a contiguous slice of `ways_` entries in tags_/valid_,
-  // ordered most-recently-used first.
+  struct FreeDeleter {
+    void operator()(std::uint64_t* p) const noexcept { std::free(p); }
+  };
+
   unsigned line_shift_;  // log2 of the line size
-  std::uint64_t sets_;
   std::uint32_t ways_;
+  std::uint64_t sets_;
   Cycles hit_cycles_;
-  std::vector<std::uint64_t> tags_;
-  std::vector<std::uint8_t> valid_;
+  // Each set is a contiguous slice of `ways_` keys, most recently used
+  // first, with its empty ways (0) at the end. calloc: construction writes
+  // nothing, and a set nothing touches never faults its page in.
+  std::unique_ptr<std::uint64_t[], FreeDeleter> tags_;
 };
 
 }  // namespace twochains::cache

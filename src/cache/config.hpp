@@ -71,10 +71,6 @@ struct HierarchyConfig {
   /// Loaded DRAM access latency (nanoseconds) before contention.
   double dram_latency_ns = 88.0;
 
-  /// Whether inbound network DMA deposits lines into the LLC (the paper's
-  /// cache-stashing firmware toggle) or writes DRAM and invalidates.
-  bool llc_stashing = true;
-
   PrefetcherConfig prefetch{};
 
   ClockDomain core_clock = kCoreClock;

@@ -41,9 +41,11 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig& config)
   // lines homed in its domain, with the total capacity split evenly —
   // then rounded down so the slice keeps the power-of-two set count
   // CacheLevel requires (a 3-domain split of an 8 MiB LLC would
-  // otherwise produce a non-power-of-two geometry).
+  // otherwise produce a non-power-of-two geometry). A 0-way LLC counts as
+  // one way here, as CacheLevel clamps it (with a warning).
   LevelConfig slice = config_.llc;
-  const std::uint64_t way_bytes = config_.line_bytes * slice.ways;
+  const std::uint64_t way_bytes =
+      config_.line_bytes * std::max<std::uint32_t>(slice.ways, 1);
   const std::uint64_t sets = std::bit_floor(std::max<std::uint64_t>(
       config_.llc.size_bytes / config_.domains / way_bytes, 1));
   slice.size_bytes = sets * way_bytes;
@@ -61,8 +63,10 @@ Cycles CacheHierarchy::MissL1(std::uint32_t core, mem::VirtAddr addr,
   auto& l2 = l2_[core];
   auto& l3 = l3_[cluster];
 
+  // Every level this walk has seen miss is filled with InsertAbsent: its
+  // Lookup just missed, so searching the set again would find nothing.
   if (l2.Lookup(addr)) {
-    l1.Insert(addr);
+    l1.InsertAbsent(addr);
     ++stats_.l2_hits;
     if (level) *level = HitLevel::kL2;
     return l2.hit_cycles();
@@ -81,8 +85,8 @@ Cycles CacheHierarchy::MissL1(std::uint32_t core, mem::VirtAddr addr,
   // cross-domain hop is hidden with the rest of the fill latency).
   const bool covered = prefetchers_[core].OnDemandMiss(addr);
   if (covered) {
-    l1.Insert(addr);
-    l2.Insert(addr);
+    l1.InsertAbsent(addr);
+    l2.InsertAbsent(addr);
     llc.Insert(addr);  // prefetch fills percolate into the home slice
     ++stats_.prefetch_covered;
     if (level) *level = HitLevel::kPrefetchCovered;
@@ -92,16 +96,16 @@ Cycles CacheHierarchy::MissL1(std::uint32_t core, mem::VirtAddr addr,
   if (l3.Lookup(addr)) {
     // A copy already resident in the cluster is local however far away the
     // line's home is — caching absorbs the NUMA hop after the first touch.
-    l1.Insert(addr);
-    l2.Insert(addr);
+    l1.InsertAbsent(addr);
+    l2.InsertAbsent(addr);
     ++stats_.l3_hits;
     if (level) *level = HitLevel::kL3;
     return l3.hit_cycles();
   }
   if (llc.Lookup(addr)) {
-    l1.Insert(addr);
-    l2.Insert(addr);
-    l3.Insert(addr);
+    l1.InsertAbsent(addr);
+    l2.InsertAbsent(addr);
+    l3.InsertAbsent(addr);
     ++stats_.llc_hits;
     if (level) *level = HitLevel::kLLC;
     Cycles cost = llc.hit_cycles();
@@ -114,10 +118,10 @@ Cycles CacheHierarchy::MissL1(std::uint32_t core, mem::VirtAddr addr,
   }
 
   // DRAM (the home domain's local memory).
-  l1.Insert(addr);
-  l2.Insert(addr);
-  l3.Insert(addr);
-  llc.Insert(addr);
+  l1.InsertAbsent(addr);
+  l2.InsertAbsent(addr);
+  l3.InsertAbsent(addr);
+  llc.InsertAbsent(addr);
   ++stats_.dram_accesses;
   if (level) *level = HitLevel::kDram;
   Cycles cost = config_.DramCycles();

@@ -115,11 +115,12 @@ class CacheHierarchy {
     domain_mapper_ = std::move(mapper);
   }
 
-  /// Home domain of @p addr (clamped to the configured domain count).
+  /// Home domain of @p addr (clamped to the configured domain count; with
+  /// one LLC slice that is always 0, so the mapper is not asked).
   std::uint32_t HomeDomainOf(mem::VirtAddr addr) const noexcept {
-    if (!domain_mapper_) return 0;
-    const std::uint32_t d = domain_mapper_(addr);
     const std::uint32_t n = static_cast<std::uint32_t>(llc_.size());
+    if (n == 1 || !domain_mapper_) return 0;
+    const std::uint32_t d = domain_mapper_(addr);
     return d < n ? d : n - 1;
   }
 

@@ -99,32 +99,73 @@ TEST(CacheLevelTest, PopulationNeverExceedsCapacity) {
 // W-way cache, exactly the last W survive, in LRU order.
 TEST(CacheLevelTest, LookupMatchesAReferenceLru) {
   // Lookup answers an MRU-way hit inline and searches the other ways out
-  // of line; both must keep every set in exact LRU order. The reference
-  // is one most-recent-first list per set.
+  // of line, InsertAbsent skips the search, and Invalidate compacts the
+  // set and empties its last way; all must keep every set in exact LRU
+  // order. The reference is one most-recent-first list per set.
   constexpr std::uint32_t kWays = 4;
   CacheLevel c(TinyLevel(KiB(2), kWays, 1), kLine);  // 8 sets
   std::vector<std::vector<std::uint64_t>> ref(c.sets());
   Xoshiro256 rng(0x1F0);
   for (int i = 0; i < 20000; ++i) {
     const std::uint64_t line = rng.NextBelow(64);  // 2x capacity
+    const mem::VirtAddr addr = line * kLine;  // line 0 is cacheable too
     auto& set = ref[line % c.sets()];
     const auto it = std::find(set.begin(), set.end(), line);
     const bool present = it != set.end();
     if (present) set.erase(it);
-    if (rng.NextBelow(2) == 0) {
-      c.Insert(line * kLine);
-    } else {
-      ASSERT_EQ(c.Lookup(line * kLine), present) << "step " << i;
+    const std::uint64_t op = rng.NextBelow(4);
+    if (op == 0) {
+      ASSERT_EQ(c.Invalidate(addr), present) << "step " << i;
+      continue;
+    }
+    if (op == 1) {
+      ASSERT_EQ(c.Lookup(addr), present) << "step " << i;
       if (!present) continue;
+    } else if (op == 2 && !present) {
+      c.InsertAbsent(addr);
+    } else {
+      c.Insert(addr);
     }
     set.insert(set.begin(), line);
     if (set.size() > kWays) set.pop_back();
   }
+  std::uint64_t population = 0;
+  for (const auto& set : ref) population += set.size();
+  EXPECT_EQ(c.PopulationCount(), population);
   for (std::uint64_t line = 0; line < 64; ++line) {
     const auto& set = ref[line % c.sets()];
     EXPECT_EQ(c.Probe(line * kLine),
               std::find(set.begin(), set.end(), line) != set.end());
   }
+}
+
+TEST(CacheLevelTest, ClampsGeometryItCannotModelInEveryBuild) {
+  // No ways: one way, so the 4 KiB level is 64 one-line sets.
+  CacheLevel no_ways(TinyLevel(KiB(4), 0, 1), kLine);
+  EXPECT_EQ(no_ways.ways(), 1u);
+  EXPECT_EQ(no_ways.sets(), 64u);
+  no_ways.Insert(0x1000);
+  EXPECT_TRUE(no_ways.Probe(0x1000));
+
+  // Smaller than one set: one set of its ways.
+  CacheLevel tiny(TinyLevel(kLine, 4, 1), kLine);
+  EXPECT_EQ(tiny.sets(), 1u);
+  for (std::uint64_t i = 0; i < 6; ++i) tiny.Insert(i * kLine);
+  EXPECT_EQ(tiny.PopulationCount(), 4u);
+
+  // Three sets: the largest power of two that fits, and every set it
+  // reports fills.
+  CacheLevel three(TinyLevel(3 * 4 * kLine, 4, 1), kLine);
+  EXPECT_EQ(three.sets(), 2u);
+  for (std::uint64_t i = 0; i < 64; ++i) three.Insert(i * kLine);
+  EXPECT_EQ(three.PopulationCount(), three.sets() * three.ways());
+
+  // A 0-way LLC: its slice geometry is computed with the clamped ways.
+  HierarchyConfig cfg;
+  cfg.llc.ways = 0;
+  CacheHierarchy h(cfg);
+  h.AccessLine(0, 0x10000, AccessKind::kLoad);
+  EXPECT_TRUE(h.ProbeLLC(0x10000));
 }
 
 class CacheLevelPropertyTest : public ::testing::TestWithParam<std::uint32_t> {};
