@@ -4,18 +4,21 @@
 // the suite's canary for engine regressions (heap churn, callback
 // overhead) that simulated-time results can never see.
 //
-// Three layers:
+// Four layers:
 //   * raw dispatch / deep heap: the engine alone (slab pool, timing wheel);
 //   * hook on/off: tag capture is gated on hook presence — the delta is
 //     what observability costs, and the event counts must match exactly;
-//   * the full stack, single-lane and lane-sharded (`--lanes` sweep over
-//     an 8-host full-mesh ring of injected ssum streams): wall-clock
+//   * the full stack: the paper testbed's ssum stream, and an 8-spoke
+//     incast through a 2-tier switched tree;
+//   * the full stack, single-lane and lane-sharded (a {1, 2, 4} lane sweep
+//     over an 8-host full-mesh ring of injected ssum streams): wall-clock
 //     speedup from conservative-lookahead parallel execution, with the
 //     event count pinned identical at every lane count.
 //
 // `--json` additionally writes BENCH_engine_rate.json (machine-readable,
 // uploaded as a CI artifact) so run-over-run engine throughput is
-// trackable; tools/check_bench_floor.py guards the full-stack row.
+// trackable; tools/check_bench_floor.py guards the ssum-stream and
+// tree-incast rows against tools/bench_floors.json.
 #include <chrono>
 #include <cstdio>
 #include <thread>

@@ -237,39 +237,6 @@ Status Fabric::WireUp() {
     TC_RETURN_IF_ERROR(
         Runtime::Connect(*nodes_[a].runtime, *nodes_[b].runtime).status());
   }
-  // Arm the hotplug plan: each quiesce (and optional revive) fires at its
-  // simulated instant, mid-traffic. A refused call — e.g. quiescing the
-  // last active core, or a revive racing an already-active member — is
-  // logged and the run continues; the plan is a scenario, not a contract.
-  for (const QuiescePlan& plan : options_.quiesce_plan) {
-    if (plan.host >= nodes_.size()) {
-      TC_WARN << "quiesce plan: host " << plan.host << " out of range";
-      continue;
-    }
-    Runtime* rt = nodes_[plan.host].runtime.get();
-    engine_.ScheduleAtOn(
-        plan.host, plan.quiesce_at,
-        [rt, plan] {
-          const auto stranded = rt->QuiesceCore(plan.pool_index);
-          if (!stranded.ok()) {
-            TC_WARN << "scheduled quiesce of pool core " << plan.pool_index
-                    << " refused: " << stranded.status();
-          }
-        },
-        "fabric.quiesce");
-    if (plan.revive_at > 0) {
-      engine_.ScheduleAtOn(
-          plan.host, plan.revive_at,
-          [rt, plan] {
-            const Status st = rt->ReviveCore(plan.pool_index);
-            if (!st.ok()) {
-              TC_WARN << "scheduled revive of pool core " << plan.pool_index
-                      << " refused: " << st;
-            }
-          },
-          "fabric.revive");
-    }
-  }
   wired_ = true;
   return Status::Ok();
 }

@@ -61,19 +61,6 @@ struct TreeConfig {
   double oversub = 1.0;
 };
 
-/// One scheduled pool-core hotplug event: quiesce @p pool_index on
-/// @p host at @p quiesce_at (simulated time), optionally reviving it at
-/// @p revive_at. Armed by the fabric at wire-up; failures are logged, not
-/// fatal (e.g. a plan quiescing the last active core is refused by the
-/// runtime and the run continues at full width).
-struct QuiescePlan {
-  std::uint32_t host = 0;
-  std::uint32_t pool_index = 0;
-  PicoTime quiesce_at = 0;
-  /// 0 = never revive (the core stays out for the rest of the run).
-  PicoTime revive_at = 0;
-};
-
 struct FabricOptions {
   std::uint32_t hosts = 2;
   Topology topology = Topology::kFullMesh;
@@ -102,27 +89,6 @@ struct FabricOptions {
   /// keep a single receiver core. Connected hosts must agree on banks,
   /// mailboxes_per_bank and mailbox_slot_bytes, or the load fails.
   std::vector<RuntimeConfig> runtime_overrides;
-
-  /// Scheduled pool-core hotplug events (quiesce + optional revive),
-  /// armed when the fabric wires up. Append-friendly via WithQuiesce.
-  std::vector<QuiescePlan> quiesce_plan;
-
-  /// Arms receiver-pool work stealing on every host: the template and any
-  /// runtime_overrides already populated (call after filling those). A
-  /// host whose pool stays single-core ignores it (documented no-op).
-  FabricOptions& WithStealing(const StealConfig& steal) {
-    runtime.steal = steal;
-    for (RuntimeConfig& rc : runtime_overrides) rc.steal = steal;
-    return *this;
-  }
-
-  /// Appends one scheduled hotplug event (see QuiescePlan). The fabric
-  /// schedules the quiesce/revive calls on its engine at wire-up, so the
-  /// drain happens mid-traffic exactly as a live hotplug would.
-  FabricOptions& WithQuiesce(const QuiescePlan& plan) {
-    quiesce_plan.push_back(plan);
-    return *this;
-  }
 };
 
 class Fabric {

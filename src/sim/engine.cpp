@@ -6,8 +6,6 @@
 #include <bit>
 #include <cassert>
 #include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <thread>
@@ -18,12 +16,8 @@ namespace {
 
 constexpr PicoTime kNoEvent = std::numeric_limits<PicoTime>::max();
 
-// Event slab geometry: chunks of 512 nodes. The chunk directory is reserved
-// up front so foreign threads can index it lock-free (Cancel) while the
-// owner appends.
-constexpr std::uint32_t kChunkShift = 9;
-constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
-constexpr std::uint32_t kMaxChunks = 4096;  // 2M in-flight events per shard
+// Event slab geometry: chunks of 512 nodes, threaded onto a free list.
+constexpr std::uint32_t kChunkSize = 512;
 
 // Timing wheel: 2048 slots of 4096 ps (~8.4 us horizon). The window size
 // equals the wheel size, so an occupied slot maps to exactly one granule
@@ -35,49 +29,21 @@ constexpr std::uint32_t kWheelSlots = 2048;
 constexpr std::uint32_t kWheelMask = kWheelSlots - 1;
 constexpr std::uint32_t kBitmapWords = kWheelSlots / 64;
 
-// Node lifecycle, packed with the generation into one atomic word:
-// gs = (generation << 32) | state. Cancel is a single CAS
-// (g|kScheduled) -> (g|kCancelled); the generation bump at free makes a
-// stale EventId miss the CAS instead of corrupting a reused slot, which is
-// also what makes a concurrent cancel/fire race benign.
-constexpr std::uint64_t kStFree = 0;
-constexpr std::uint64_t kStScheduled = 1;
-constexpr std::uint64_t kStCancelled = 2;
-constexpr std::uint64_t kStFiring = 3;
-
-constexpr std::uint64_t Pack(std::uint32_t gen, std::uint64_t state) noexcept {
-  return (std::uint64_t{gen} << 32) | state;
-}
-constexpr std::uint32_t GenOf(std::uint64_t gs) noexcept {
-  return static_cast<std::uint32_t>(gs >> 32);
-}
-
-// EventId layout: [63:56] shard | [55:32] slot+1 | [31:0] generation.
-// Slot 0 encodes as 1 so id 0 stays the "not cancellable" sentinel.
-constexpr EventId MakeId(std::uint32_t shard, std::uint32_t slot,
-                         std::uint32_t gen) noexcept {
-  return (std::uint64_t{shard} << 56) | (std::uint64_t{slot + 1} << 32) | gen;
-}
-
 struct EventNode {
   PicoTime when = 0;
   std::uint64_t key_lo = 0;  // (source lane << 48) | per-lane sequence
   SmallFn cb;
   const char* tag = nullptr;
   EventNode* next_free = nullptr;
-  std::atomic<std::uint64_t> gs{Pack(0, kStFree)};
-  std::uint32_t slot = 0;
   std::uint32_t home_lane = 0;
 };
 
-// What the ordering structures hold: 32 bytes instead of the node, so heap
-// sifts move small POD items. The generation snapshot makes entries for
-// swept (freed-in-place) nodes detectably stale at pop.
+// What the ordering structures hold: 24 bytes instead of the node, so heap
+// sifts move small POD items.
 struct LightItem {
   PicoTime when;
   std::uint64_t key_lo;
   EventNode* node;
-  std::uint32_t gen;
 };
 
 struct ItemAfter {
@@ -116,16 +82,12 @@ struct alignas(64) Shard {
   std::size_t bucket_items = 0;
   PicoTime now = 0;
 
-  // Slab (owner allocates/frees; Cancel from any thread only touches gs).
+  // Slab (owner thread only).
   std::vector<std::unique_ptr<EventNode[]>> chunks;
-  std::atomic<std::uint32_t> chunk_count{0};
   EventNode* free_head = nullptr;
 
-  // Counters. fired is owner-written and only read across threads behind
-  // the round barrier; live/cancelled take cross-thread updates.
+  // Owner-written; only read across threads behind the round barrier.
   std::uint64_t fired = 0;
-  std::atomic<std::uint64_t> live{0};
-  std::atomic<std::uint64_t> cancelled_pending{0};
 
   // Cross-shard inbox.
   std::mutex inbox_mu;
@@ -135,7 +97,9 @@ struct alignas(64) Shard {
   // Published at the plan barrier.
   PicoTime local_min = kNoEvent;
 
-  Shard() { chunks.reserve(kMaxChunks); }
+  std::size_t queued() const noexcept {
+    return active.size() + overflow.size() + bucket_items;
+  }
 };
 
 // First occupied wheel slot strictly after `after` in circular order, or -1.
@@ -239,46 +203,26 @@ struct Engine::Impl {
       sh.free_head = n->next_free;
       return n;
     }
-    const std::uint32_t c = sh.chunk_count.load(std::memory_order_relaxed);
-    if (c == kMaxChunks) {
-      std::fprintf(stderr, "sim::Engine: event slab exhausted (%u events)\n",
-                   kMaxChunks * kChunkSize);
-      std::abort();
-    }
     auto chunk = std::make_unique<EventNode[]>(kChunkSize);
-    for (std::uint32_t i = 0; i < kChunkSize; ++i) {
-      chunk[i].slot = c * kChunkSize + i;
-    }
     for (std::uint32_t i = kChunkSize - 1; i >= 1; --i) {
       chunk[i].next_free = sh.free_head;
       sh.free_head = &chunk[i];
     }
     EventNode* first = &chunk[0];
     sh.chunks.push_back(std::move(chunk));
-    // Release so a foreign Cancel that reads the new count sees the chunk
-    // pointer it is about to index.
-    sh.chunk_count.store(c + 1, std::memory_order_release);
     return first;
   }
 
-  void FreeNode(Shard& sh, EventNode* n, std::uint32_t gen) noexcept {
-    n->gs.store(Pack(gen + 1, kStFree), std::memory_order_relaxed);
-    n->tag = nullptr;
+  void FreeNode(Shard& sh, EventNode* n) noexcept {
     n->next_free = sh.free_head;
     sh.free_head = n;
   }
 
-  void FreeCancelled(Shard& sh, EventNode* n, std::uint32_t gen) noexcept {
-    n->cb = SmallFn();  // release captured state now, not at reuse
-    FreeNode(sh, n, gen);
-    sh.cancelled_pending.fetch_sub(1, std::memory_order_relaxed);
-  }
-
   // -------------------------------------------------------------- the wheel
 
-  void InsertNode(Shard& sh, EventNode* n, std::uint32_t gen) {
+  void InsertNode(Shard& sh, EventNode* n) {
     const std::uint64_t g = n->when >> kGranuleShift;
-    const LightItem it{n->when, n->key_lo, n, gen};
+    const LightItem it{n->when, n->key_lo, n};
     if (g <= sh.cursor_granule) {
       assert(g == sh.cursor_granule || n->when >= sh.now);
       HeapPush(sh.active, it);
@@ -329,41 +273,18 @@ struct Engine::Impl {
   }
 
   PicoTime PeekMin(Shard& sh) {
-    // May surface a cancelled entry's timestamp: that only makes the global
-    // window conservative, never wrong, and the entry is reclaimed at pop.
     if (sh.active.empty() && !AdvanceCursor(sh)) return kNoEvent;
     return sh.active.front().when;
   }
 
-  // Pops the next live event with when < limit and claims it for firing.
-  // Cancelled and stale entries encountered on the way are reclaimed
-  // without advancing time (matching the original engine's skip semantics).
+  // Pops the next event with when < limit, or returns nullptr.
   EventNode* PopBefore(Shard& sh, PicoTime limit) {
-    while (true) {
-      if (sh.active.empty() && !AdvanceCursor(sh)) return nullptr;
-      const LightItem item = sh.active.front();
-      if (item.when >= limit) return nullptr;
-      HeapPop(sh.active);
-      EventNode* n = item.node;
-      const std::uint64_t want = Pack(item.gen, kStScheduled);
-      if (parallel_run) {
-        std::uint64_t expected = want;
-        if (!n->gs.compare_exchange_strong(expected, Pack(item.gen, kStFiring),
-                                           std::memory_order_acquire,
-                                           std::memory_order_relaxed)) {
-          if (expected == Pack(item.gen, kStCancelled)) FreeCancelled(sh, n, item.gen);
-          continue;  // cancelled, or stale after a sweep freed the node
-        }
-      } else {
-        const std::uint64_t cur = n->gs.load(std::memory_order_relaxed);
-        if (cur != want) {
-          if (cur == Pack(item.gen, kStCancelled)) FreeCancelled(sh, n, item.gen);
-          continue;
-        }
-        n->gs.store(Pack(item.gen, kStFiring), std::memory_order_relaxed);
-      }
-      return n;
-    }
+    if (sh.active.empty() && !AdvanceCursor(sh)) return nullptr;
+    const LightItem& top = sh.active.front();
+    if (top.when >= limit) return nullptr;
+    EventNode* n = top.node;
+    HeapPop(sh.active);
+    return n;
   }
 
   void Fire(Shard& sh, EventNode* n) {
@@ -372,68 +293,14 @@ struct Engine::Impl {
     ++sh.fired;
     if (hook) hook(n->when, n->tag != nullptr ? n->tag : "");
     SmallFn cb = std::move(n->cb);
-    FreeNode(sh, n, GenOf(n->gs.load(std::memory_order_relaxed)));
-    sh.live.fetch_sub(1, std::memory_order_relaxed);
+    FreeNode(sh, n);
     cb();
-  }
-
-  // ------------------------------------------------------------------ sweep
-
-  // Reclaims cancelled nodes in place (slab scan + stale-entry filter) so
-  // schedule/cancel churn cannot grow the slab: triggered when cancelled
-  // events dominate the queued population. Owner-thread only.
-  void MaybeSweep(Shard& sh) {
-    const std::uint64_t cancelled =
-        sh.cancelled_pending.load(std::memory_order_relaxed);
-    if (cancelled < 64) return;
-    const std::size_t queued =
-        sh.active.size() + sh.overflow.size() + sh.bucket_items;
-    if (cancelled * 2 < queued) return;
-    Sweep(sh);
-  }
-
-  void Sweep(Shard& sh) {
-    const std::uint32_t chunks = sh.chunk_count.load(std::memory_order_relaxed);
-    for (std::uint32_t c = 0; c < chunks; ++c) {
-      EventNode* base = sh.chunks[c].get();
-      for (std::uint32_t i = 0; i < kChunkSize; ++i) {
-        EventNode& n = base[i];
-        const std::uint64_t gs = n.gs.load(std::memory_order_relaxed);
-        if ((gs & 0xFFFFFFFFu) == kStCancelled) FreeCancelled(sh, &n, GenOf(gs));
-      }
-    }
-    const auto stale = [](const LightItem& it) noexcept {
-      return it.node->gs.load(std::memory_order_relaxed) !=
-             Pack(it.gen, kStScheduled);
-    };
-    auto filter_heap = [&](std::vector<LightItem>& h) {
-      h.erase(std::remove_if(h.begin(), h.end(), stale), h.end());
-      std::make_heap(h.begin(), h.end(), ItemAfter{});
-    };
-    filter_heap(sh.active);
-    filter_heap(sh.overflow);
-    for (std::uint32_t w = 0; w < kBitmapWords; ++w) {
-      std::uint64_t word = sh.bitmap[w];
-      while (word != 0) {
-        const std::uint32_t slot =
-            w * 64 + static_cast<std::uint32_t>(std::countr_zero(word));
-        word &= word - 1;
-        auto& bucket = sh.buckets[slot];
-        const std::size_t before = bucket.size();
-        bucket.erase(std::remove_if(bucket.begin(), bucket.end(), stale),
-                     bucket.end());
-        sh.bucket_items -= before - bucket.size();
-        if (bucket.empty()) {
-          sh.bitmap[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
-        }
-      }
-    }
   }
 
   // ------------------------------------------------------------- scheduling
 
-  EventId ScheduleOn(std::uint32_t lane, PicoTime when, SmallFn cb,
-                     const char* tag) {
+  void ScheduleOn(std::uint32_t lane, PicoTime when, SmallFn cb,
+                  const char* tag) {
     assert(lane < virtual_lanes);
     if (lane >= virtual_lanes) lane %= virtual_lanes;
     std::uint32_t src_lane;
@@ -450,58 +317,28 @@ struct Engine::Impl {
     if (when < floor) when = floor;
     const std::uint64_t key_lo =
         (std::uint64_t{src_lane} << 48) | lane_seq[src_lane].next++;
-    const std::uint32_t shard_idx = lane % shard_count;
-    Shard& dst = *shards[shard_idx];
+    Shard& dst = *shards[lane % shard_count];
     if (&dst == cur || !parallel_run) {
       // Same shard, or no laned run in flight: this thread owns dst.
-      EventNode* n = AllocNode(dst);
-      const std::uint32_t gen =
-          GenOf(n->gs.load(std::memory_order_relaxed));
-      n->when = when;
-      n->key_lo = key_lo;
-      n->cb = std::move(cb);
-      n->tag = tag;
-      n->home_lane = lane;
-      n->gs.store(Pack(gen, kStScheduled), std::memory_order_relaxed);
-      InsertNode(dst, n, gen);
-      dst.live.fetch_add(1, std::memory_order_relaxed);
-      return MakeId(shard_idx, n->slot, gen);
+      Insert(dst, when, key_lo, std::move(cb), tag, lane);
+      return;
     }
     // Cross-shard during a laned run: the lookahead horizon is the safety
     // contract — the target cannot have executed past it.
     assert(cur == nullptr || when >= cur->now + lookahead);
-    dst.live.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> l(dst.inbox_mu);
-      dst.inbox.push_back(InboxItem{when, key_lo, tag, lane, std::move(cb)});
-    }
-    return 0;
+    std::lock_guard<std::mutex> l(dst.inbox_mu);
+    dst.inbox.push_back(InboxItem{when, key_lo, tag, lane, std::move(cb)});
   }
 
-  bool CancelId(EventId id) {
-    const auto shard_idx = static_cast<std::uint32_t>(id >> 56);
-    const auto slot_p1 = static_cast<std::uint32_t>((id >> 32) & 0xFFFFFFu);
-    const auto gen = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
-    if (slot_p1 == 0 || shard_idx >= shard_count) return false;
-    Shard& sh = *shards[shard_idx];
-    const std::uint32_t slot = slot_p1 - 1;
-    if (slot >= sh.chunk_count.load(std::memory_order_acquire) * kChunkSize) {
-      return false;
-    }
-    EventNode* n = &sh.chunks[slot >> kChunkShift][slot & (kChunkSize - 1)];
-    std::uint64_t expected = Pack(gen, kStScheduled);
-    if (!n->gs.compare_exchange_strong(expected, Pack(gen, kStCancelled),
-                                       std::memory_order_relaxed)) {
-      return false;  // already fired, already cancelled, or slot reused
-    }
-    sh.live.fetch_sub(1, std::memory_order_relaxed);
-    sh.cancelled_pending.fetch_add(1, std::memory_order_relaxed);
-    // Reclaim eagerly only when this thread owns the shard's structures;
-    // foreign cancels are swept at the target's next round boundary.
-    if ((g_tls.impl == this && g_tls.shard == &sh) || !parallel_run) {
-      MaybeSweep(sh);
-    }
-    return true;
+  void Insert(Shard& sh, PicoTime when, std::uint64_t key_lo, SmallFn cb,
+              const char* tag, std::uint32_t lane) {
+    EventNode* n = AllocNode(sh);
+    n->when = when;
+    n->key_lo = key_lo;
+    n->cb = std::move(cb);
+    n->tag = tag;
+    n->home_lane = lane;
+    InsertNode(sh, n);
   }
 
   // ----------------------------------------------------------- scalar runs
@@ -559,18 +396,9 @@ struct Engine::Impl {
     // Arrival order in the inbox is wall-clock nondeterministic, but every
     // structure orders by (when, key_lo), so insertion order is invisible.
     for (InboxItem& it : sh.inbox_scratch) {
-      EventNode* n = AllocNode(sh);
-      const std::uint32_t gen = GenOf(n->gs.load(std::memory_order_relaxed));
-      n->when = it.when;
-      n->key_lo = it.key_lo;
-      n->cb = std::move(it.cb);
-      n->tag = it.tag;
-      n->home_lane = it.lane;
-      n->gs.store(Pack(gen, kStScheduled), std::memory_order_relaxed);
-      InsertNode(sh, n, gen);
+      Insert(sh, it.when, it.key_lo, std::move(it.cb), it.tag, it.lane);
     }
     sh.inbox_scratch.clear();
-    MaybeSweep(sh);
   }
 
   void PlanRound() {
@@ -690,19 +518,21 @@ struct Engine::Impl {
 
   // ---------------------------------------------------------------- mgmt
 
+  std::size_t Pending() const noexcept {
+    std::size_t queued = 0;
+    for (const auto& s : shards) queued += s->queued();
+    return queued;
+  }
+
   void Reconfigure(std::uint32_t lanes) {
-    std::uint64_t live = 0;
-    for (const auto& s : shards) {
-      live += s->live.load(std::memory_order_relaxed);
-      processed_base += s->fired;
-    }
-    assert(live == 0 && "SetVirtualLanes requires an idle engine");
-    (void)live;
+    assert(Pending() == 0 && "SetVirtualLanes requires an idle engine");
+    for (const auto& s : shards) processed_base += s->fired;
     TeardownWorkers();
     virtual_lanes = std::max<std::uint32_t>(1, lanes);
     shard_count = std::min(std::max<std::uint32_t>(1, config.lanes),
                            virtual_lanes);
-    if (shard_count > 255) shard_count = 255;  // EventId shard byte
+    // Each shard past the first is an executor thread: keep that bounded.
+    if (shard_count > 255) shard_count = 255;
     shards.clear();
     shards.reserve(shard_count);
     for (std::uint32_t i = 0; i < shard_count; ++i) {
@@ -722,29 +552,25 @@ Engine::~Engine() = default;
 
 PicoTime Engine::Now() const noexcept { return impl_->ContextNow(); }
 
-EventId Engine::ScheduleAt(PicoTime when, Callback cb, const char* tag) {
+void Engine::ScheduleAt(PicoTime when, Callback cb, const char* tag) {
   const std::uint32_t lane = impl_->InRun() ? g_tls.lane : 0;
-  return impl_->ScheduleOn(lane, when, std::move(cb), tag);
+  impl_->ScheduleOn(lane, when, std::move(cb), tag);
 }
 
-EventId Engine::ScheduleAfter(PicoTime delay, Callback cb, const char* tag) {
+void Engine::ScheduleAfter(PicoTime delay, Callback cb, const char* tag) {
   const std::uint32_t lane = impl_->InRun() ? g_tls.lane : 0;
-  return impl_->ScheduleOn(lane, impl_->ContextNow() + delay, std::move(cb),
-                           tag);
+  impl_->ScheduleOn(lane, impl_->ContextNow() + delay, std::move(cb), tag);
 }
 
-EventId Engine::ScheduleAtOn(std::uint32_t lane, PicoTime when, Callback cb,
+void Engine::ScheduleAtOn(std::uint32_t lane, PicoTime when, Callback cb,
+                          const char* tag) {
+  impl_->ScheduleOn(lane, when, std::move(cb), tag);
+}
+
+void Engine::ScheduleAfterOn(std::uint32_t lane, PicoTime delay, Callback cb,
                              const char* tag) {
-  return impl_->ScheduleOn(lane, when, std::move(cb), tag);
+  impl_->ScheduleOn(lane, impl_->ContextNow() + delay, std::move(cb), tag);
 }
-
-EventId Engine::ScheduleAfterOn(std::uint32_t lane, PicoTime delay,
-                                Callback cb, const char* tag) {
-  return impl_->ScheduleOn(lane, impl_->ContextNow() + delay, std::move(cb),
-                           tag);
-}
-
-bool Engine::Cancel(EventId id) { return impl_->CancelId(id); }
 
 void Engine::Run() {
   if (impl_->shard_count > 1) {
@@ -777,13 +603,7 @@ void Engine::Stop() noexcept {
   impl_->stop.store(true, std::memory_order_relaxed);
 }
 
-std::size_t Engine::PendingEvents() const noexcept {
-  std::uint64_t live = 0;
-  for (const auto& s : impl_->shards) {
-    live += s->live.load(std::memory_order_relaxed);
-  }
-  return static_cast<std::size_t>(live);
-}
+std::size_t Engine::PendingEvents() const noexcept { return impl_->Pending(); }
 
 std::uint64_t Engine::EventsProcessed() const noexcept {
   std::uint64_t fired = impl_->processed_base;
@@ -797,10 +617,6 @@ void Engine::SetEventHook(std::function<void(PicoTime, const char*)> hook) {
 
 void Engine::SetVirtualLanes(std::uint32_t lanes) {
   impl_->Reconfigure(lanes);
-}
-
-void Engine::SetLookahead(PicoTime lookahead_ps) {
-  impl_->lookahead = std::max<PicoTime>(1, lookahead_ps);
 }
 
 std::uint32_t Engine::VirtualLanes() const noexcept {
@@ -819,11 +635,7 @@ std::uint32_t Engine::CurrentLane() const noexcept {
 
 std::size_t Engine::AllocatedEventSlots() const noexcept {
   std::size_t slots = 0;
-  for (const auto& s : impl_->shards) {
-    slots += static_cast<std::size_t>(
-                 s->chunk_count.load(std::memory_order_relaxed)) *
-             kChunkSize;
-  }
+  for (const auto& s : impl_->shards) slots += s->chunks.size() * kChunkSize;
   return slots;
 }
 

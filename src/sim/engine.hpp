@@ -6,10 +6,11 @@
 // same-timestamp events fire in scheduling order and every run is
 // deterministic. Callbacks may schedule further events and may call Stop().
 //
-// Internally events live in a slab-allocated intrusive pool (no per-event
-// heap allocation: callbacks are held inline by SmallFn, tags are unowned
-// string literals) fronted by a timing wheel; cancellation is a generation
-// counter compare-and-swap, never a set lookup.
+// Internally events live in a slab-allocated pool whose fired slots are
+// reused through a free list (no per-event heap allocation: callbacks are
+// held inline by SmallFn, tags are unowned string literals), ordered by a
+// timing wheel with a heap for far timestamps. There is no cancellation: a
+// scheduled event stays queued until it fires.
 //
 // Scale-out: the event population is partitioned into per-host *lanes*
 // (`SetVirtualLanes`); with `EngineConfig::lanes > 1` the lanes are sharded
@@ -34,10 +35,6 @@
 #include "common/units.hpp"
 
 namespace twochains::sim {
-
-/// Identifies a scheduled event so it can be cancelled. Id 0 is never a
-/// live event (cross-lane schedules return it: they cannot be cancelled).
-using EventId = std::uint64_t;
 
 /// Move-only callable holder with 120 bytes of inline storage, so scheduling
 /// a typical capture list never touches the heap (std::function's small
@@ -166,23 +163,18 @@ class Engine {
   /// lands on the scheduling lane; from outside a run it lands on lane 0.
   /// @p tag must have static storage duration (string literal): it is kept
   /// by pointer, never copied, and only read when an event hook is set.
-  EventId ScheduleAt(PicoTime when, Callback cb, const char* tag = nullptr);
+  void ScheduleAt(PicoTime when, Callback cb, const char* tag = nullptr);
 
   /// Schedules @p cb @p delay picoseconds from now.
-  EventId ScheduleAfter(PicoTime delay, Callback cb, const char* tag = nullptr);
+  void ScheduleAfter(PicoTime delay, Callback cb, const char* tag = nullptr);
 
   /// As ScheduleAt/ScheduleAfter, but the event executes on virtual lane
   /// @p lane. Cross-lane schedules from inside a callback must respect the
-  /// lookahead horizon (when >= Now() + lookahead_ps) and return 0 — they
-  /// cannot be cancelled.
-  EventId ScheduleAtOn(std::uint32_t lane, PicoTime when, Callback cb,
+  /// lookahead horizon (when >= Now() + lookahead_ps).
+  void ScheduleAtOn(std::uint32_t lane, PicoTime when, Callback cb,
+                    const char* tag = nullptr);
+  void ScheduleAfterOn(std::uint32_t lane, PicoTime delay, Callback cb,
                        const char* tag = nullptr);
-  EventId ScheduleAfterOn(std::uint32_t lane, PicoTime delay, Callback cb,
-                          const char* tag = nullptr);
-
-  /// Cancels a pending event. Returns false if it already fired or was
-  /// cancelled before.
-  bool Cancel(EventId id);
 
   /// Runs until the event queue is empty (or Stop()).
   void Run();
@@ -207,7 +199,9 @@ class Engine {
   /// True when no events are pending.
   bool Idle() const noexcept { return PendingEvents() == 0; }
 
-  /// Number of pending (not yet fired, not cancelled) events.
+  /// Number of events scheduled but not yet fired. Exact between runs and
+  /// inside a single-executor run; a laned run's callbacks must not call
+  /// it, because the other shards' queues change underneath them.
   std::size_t PendingEvents() const noexcept;
 
   /// Total callbacks executed since construction.
@@ -228,11 +222,6 @@ class Engine {
   /// byte-identically.
   void SetVirtualLanes(std::uint32_t lanes);
 
-  /// Overrides the conservative lookahead horizon (picoseconds); the fabric
-  /// sets this to the minimum cross-host scheduling latency. Clamped to
-  /// >= 1. Only consulted when more than one executor shard is active.
-  void SetLookahead(PicoTime lookahead_ps);
-
   std::uint32_t VirtualLanes() const noexcept;
   std::uint32_t ExecutorShards() const noexcept;
 
@@ -246,9 +235,10 @@ class Engine {
   /// ScheduleAt inherits.
   std::uint32_t CurrentLane() const noexcept;
 
-  /// Total event-slab slots allocated (capacity, not pending count). The
-  /// bounded-memory regression asserts this stays flat across
-  /// schedule/cancel churn.
+  /// Total event-slab slots allocated (capacity, not pending count). Fired
+  /// slots are reused, so this tracks the pending high-water mark; the
+  /// bounded-memory regression asserts it stays flat across
+  /// schedule-and-fire churn.
   std::size_t AllocatedEventSlots() const noexcept;
 
  private:

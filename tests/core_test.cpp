@@ -612,7 +612,9 @@ TEST_F(TwoChainsTest, ReceiverPoolClampsToHostCores) {
 TEST_F(TwoChainsTest, StealOnSingleCorePoolIsNoOp) {
   StealConfig steal;
   steal.enabled = true;
-  SetUpFabric(Options().WithStealing(steal));  // receiver_cores stays 1
+  FabricOptions options = Options();
+  options.runtime.steal = steal;  // receiver_cores stays 1
+  SetUpFabric(options);
 
   // The config survives but resolves inactive: a 1-core pool never steals,
   // so every bank's claim stays home and no steal event is recorded.
@@ -642,7 +644,7 @@ TEST_F(TwoChainsTest, StealThresholdZeroClampsToOne) {
   FabricOptions options = Options();
   options.runtime.receiver_cores = 2;
   options.runtime.sender_core = 2;
-  options.WithStealing(steal);
+  options.runtime.steal = steal;
   SetUpFabric(options);
 
   EXPECT_TRUE(fabric_->runtime(1).stealing_active());
@@ -664,7 +666,7 @@ TEST_F(TwoChainsTest, HugeStealKnobsClampToInboundCapacity) {
   FabricOptions options = Options();  // 2 banks x 4 slots -> 8-slot slice
   options.runtime.receiver_cores = 2;
   options.runtime.sender_core = 2;
-  options.WithStealing(steal);
+  options.runtime.steal = steal;
   SetUpFabric(options);
 
   // The config keeps what the user asked for; the value *in force* clamps

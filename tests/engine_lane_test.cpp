@@ -1,8 +1,7 @@
 // Directed tests for lane-sharded event execution: byte-identical results
 // across executor counts, cross-lane causality at exactly the lookahead
-// horizon, Stop()/Cancel() semantics under lanes, timing-wheel overflow,
-// generation-counter id reuse, and the bounded-memory regression for
-// schedule/cancel churn.
+// horizon, Stop() semantics under lanes, timing-wheel overflow, and the
+// bounded-memory regression for schedule-and-fire churn.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -160,31 +159,6 @@ TEST(LaneEngineTest, StopFromOneLaneHaltsAllAndTheRunIsResumable) {
   EXPECT_TRUE(e.Idle());
 }
 
-TEST(LaneEngineTest, CancelWorksAcrossLanesFromIdleButNotMidRun) {
-  Engine e(EngineConfig{2, kLook});
-  e.SetVirtualLanes(2);
-  int fired = 0;
-  // From idle (outside any lane) every schedule is a direct insert and
-  // returns a cancellable id, whatever the target lane.
-  const EventId keep = e.ScheduleAtOn(1, 200, [&] { ++fired; });
-  const EventId victim = e.ScheduleAtOn(1, 300, [&] { fired += 100; });
-  ASSERT_NE(keep, 0u);
-  ASSERT_NE(victim, 0u);
-  EXPECT_TRUE(e.Cancel(victim));
-  EXPECT_FALSE(e.Cancel(victim));  // second cancel: already dead
-
-  // From inside a run, a cross-lane schedule goes through the target's
-  // inbox and is deliberately uncancellable: id 0.
-  EventId cross = 1;
-  e.ScheduleAtOn(0, 100, [&] {
-    cross = e.ScheduleAtOn(1, e.Now() + kLook, [&] { ++fired; });
-  });
-  e.Run();
-  EXPECT_EQ(cross, 0u);
-  EXPECT_FALSE(e.Cancel(cross));
-  EXPECT_EQ(fired, 2);  // keep + the cross-lane event; victim never ran
-}
-
 TEST(LaneEngineTest, WheelOverflowEventsInterleaveCorrectly) {
   // Events far beyond the wheel horizon (the overflow tier) must still
   // merge in time order with near-term bucket events.
@@ -202,44 +176,24 @@ TEST(LaneEngineTest, WheelOverflowEventsInterleaveCorrectly) {
             (std::vector<PicoTime>{3, far - 7, far + 1, far + 5}));
 }
 
-TEST(LaneEngineTest, StaleIdsFromReusedSlotsNeverCancelTheNewTenant) {
+TEST(LaneEngineTest, ScheduleFireChurnKeepsMemoryBounded) {
+  // A million schedule-and-fire cycles must reuse a small working set of
+  // slab slots through the free list, not grow one per cycle.
   Engine e;
-  int fired = 0;
-  const EventId first = e.ScheduleAt(10, [&] { ++fired; });
-  e.Run();
-  ASSERT_EQ(fired, 1);
-  // The slab slot is recycled; the generation counter makes the old id
-  // stale rather than aliasing the new event.
-  const EventId second = e.ScheduleAt(20, [&] { ++fired; });
-  EXPECT_NE(first, second);
-  EXPECT_FALSE(e.Cancel(first));
-  EXPECT_TRUE(e.Cancel(second));
-  e.Run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(e.Cancel(0));    // the invalid id is never cancellable
-  EXPECT_FALSE(e.Cancel(~0ull));  // nor is garbage
-}
-
-TEST(LaneEngineTest, ScheduleCancelChurnKeepsMemoryBounded) {
-  // The regression for the old engine's Cancel leak: a million
-  // schedule/cancel cycles (plus a sprinkling of survivors) must reuse a
-  // small working set of slab slots, not grow one per cycle.
-  Engine e;
-  std::uint64_t survivors = 0;
+  std::uint64_t fired = 0;
   for (int i = 0; i < 1'000'000; ++i) {
     // Mix horizons so the churn crosses the wheel, the current granule,
     // and the overflow tier.
     const PicoTime when = 1 + (static_cast<PicoTime>(i) % 3) * 50'000'000;
-    const EventId id = e.ScheduleAfter(when, [&] { ++survivors; });
-    if (i % 97 != 0) {
-      ASSERT_TRUE(e.Cancel(id));
-    }
-    if (i % 4096 == 0) e.RunUntil(e.Now() + 1000);
+    e.ScheduleAfter(when, [&] { ++fired; });
+    // Each step advances 25 us: the 50 and 100 us events wait two and four
+    // steps, so several thousand stay pending across every step.
+    if (i % 4096 == 0) e.RunUntil(e.Now() + 25'000'000);
   }
   e.Run();
-  EXPECT_EQ(survivors, 1'000'000u / 97 + 1);
+  EXPECT_EQ(fired, 1'000'000u);
   // Well under one slot per cycle: the pool stays a small multiple of the
-  // live high-water mark (chunked allocation rounds up to 512).
+  // pending high-water mark (chunked allocation rounds up to 512).
   EXPECT_LE(e.AllocatedEventSlots(), 65536u);
 }
 

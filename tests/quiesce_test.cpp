@@ -293,55 +293,6 @@ TEST(QuiesceApiTest, RefusesInvalidTransitions) {
   EXPECT_EQ(hub.stats().banks_resharded, 4u);
 }
 
-/// The fabric-scheduled hotplug plan (FabricOptions::WithQuiesce): the
-/// quiesce and revive fire at their simulated instants during Run(), an
-/// unrevived plan leaves the core dark, and an out-of-range or
-/// impossible plan is refused without killing the run.
-TEST(QuiesceApiTest, FabricQuiescePlanFiresOnSchedule) {
-  PoolTopology topo;
-  topo.spokes = 2;
-  topo.receiver_cores = 2;
-  topo.messages_per_spoke = {1, 1};
-
-  {
-    core::FabricOptions options = MakePoolOptions(topo);
-    options.WithQuiesce({/*host=*/0, /*pool_index=*/0,
-                         /*quiesce_at=*/Microseconds(10),
-                         /*revive_at=*/Microseconds(20)});
-    core::Fabric fabric(options);
-    ASSERT_TRUE(fabric.LoadPackage(BenchPackage()).ok());
-    Runtime& hub = fabric.runtime(0);
-    // Run until the scheduled quiesce has taken effect, then through the
-    // revive (RunUntil evaluates between events, so conditioning on the
-    // state itself observes the quiesced middle of the plan).
-    EXPECT_TRUE(fabric.RunUntil([&] {
-      return hub.pool_core_state(0) == PoolCoreState::kQuiesced;
-    }));
-    EXPECT_EQ(hub.BanksHomedTo(0), 0u);
-    fabric.Run();
-    EXPECT_EQ(hub.pool_core_state(0), PoolCoreState::kActive);
-    EXPECT_EQ(hub.BanksHomedTo(0), 2u);
-    EXPECT_EQ(hub.stats().banks_resharded, 4u);
-  }
-  {
-    // revive_at == 0: the core stays out for the rest of the run; a
-    // second plan entry aimed at the then-last survivor is refused, and
-    // an out-of-range host entry is skipped — the run still completes.
-    core::FabricOptions options = MakePoolOptions(topo);
-    options.WithQuiesce({0, 1, Microseconds(10), 0})
-        .WithQuiesce({0, 0, Microseconds(15), 0})
-        .WithQuiesce({99, 0, Microseconds(15), 0});
-    core::Fabric fabric(options);
-    ASSERT_TRUE(fabric.LoadPackage(BenchPackage()).ok());
-    fabric.Run();
-    Runtime& hub = fabric.runtime(0);
-    EXPECT_EQ(hub.pool_core_state(1), PoolCoreState::kQuiesced);
-    EXPECT_EQ(hub.pool_core_state(0), PoolCoreState::kActive);
-    EXPECT_EQ(hub.ActivePoolCores(), 1u);
-    EXPECT_EQ(hub.BanksHomedTo(0), 4u);
-  }
-}
-
 /// NUMA-aware re-shard placement: on a 2-domain hub, a quiesced core's
 /// banks land on the same-domain survivor, not across the interconnect.
 TEST(QuiesceApiTest, ReshardPrefersSameDomainSurvivors) {

@@ -1,5 +1,5 @@
-// Unit tests for the discrete-event engine: ordering, determinism,
-// cancellation, stop conditions.
+// Unit tests for the discrete-event engine: ordering, determinism, stop
+// conditions, pending-event accounting.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -58,23 +58,6 @@ TEST(EngineTest, PastTimesClampToNow) {
   });
   e.Run();
   EXPECT_EQ(seen, 100u);
-}
-
-TEST(EngineTest, CancelPreventsExecution) {
-  Engine e;
-  bool ran = false;
-  const EventId id = e.ScheduleAt(10, [&] { ran = true; });
-  EXPECT_TRUE(e.Cancel(id));
-  EXPECT_FALSE(e.Cancel(id));  // double cancel is a no-op
-  e.Run();
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(e.EventsProcessed(), 0u);
-}
-
-TEST(EngineTest, CancelUnknownIdReturnsFalse) {
-  Engine e;
-  EXPECT_FALSE(e.Cancel(0));
-  EXPECT_FALSE(e.Cancel(999));
 }
 
 TEST(EngineTest, RunUntilStopsAtDeadline) {
@@ -168,37 +151,6 @@ TEST(EngineTest, ManyEventsDeterministicOrder) {
   EXPECT_EQ(o1.size(), 500u);
 }
 
-TEST(EngineTest, CancelOfAlreadyFiredEventIsRejected) {
-  // The fabric cancels flow-control timeouts that usually fire first; a
-  // stale id must be a clean no-op.
-  Engine e;
-  int fired = 0;
-  const EventId id = e.ScheduleAt(10, [&] { ++fired; });
-  e.Run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(e.Cancel(id));  // already fired
-  EXPECT_FALSE(e.Cancel(id));  // still a no-op
-  EXPECT_EQ(e.PendingEvents(), 0u);
-  EXPECT_TRUE(e.Idle());
-  // The engine stays consistent: new events still schedule and fire.
-  e.ScheduleAt(20, [&] { ++fired; });
-  EXPECT_EQ(e.PendingEvents(), 1u);
-  e.Run();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(EngineTest, CancelAfterFireDoesNotCorruptPendingCount) {
-  Engine e;
-  const EventId a = e.ScheduleAt(10, [] {});
-  e.ScheduleAt(20, [] {});
-  e.RunUntil(15);  // fires a, leaves b pending
-  EXPECT_FALSE(e.Cancel(a));
-  EXPECT_EQ(e.PendingEvents(), 1u);  // b must still be counted
-  EXPECT_FALSE(e.Idle());
-  e.Run();
-  EXPECT_EQ(e.PendingEvents(), 0u);
-}
-
 TEST(EngineTest, RunUntilConditionStopsInsideSameTimestampBurst) {
   // All events land on one timestamp; the condition is evaluated after
   // each event, so the run stops mid-burst in schedule order.
@@ -279,13 +231,15 @@ TEST(EngineTest, ManyInterleavedSchedulersAreDeterministic) {
 TEST(EngineTest, PendingEventsTracksQueue) {
   Engine e;
   EXPECT_EQ(e.PendingEvents(), 0u);
-  const EventId a = e.ScheduleAt(10, [] {});
+  e.ScheduleAt(10, [] {});
   e.ScheduleAt(20, [] {});
   EXPECT_EQ(e.PendingEvents(), 2u);
-  e.Cancel(a);
+  e.RunUntil(15);  // fires the first, leaves the second queued
   EXPECT_EQ(e.PendingEvents(), 1u);
+  EXPECT_FALSE(e.Idle());
   e.Run();
   EXPECT_EQ(e.PendingEvents(), 0u);
+  EXPECT_TRUE(e.Idle());
 }
 
 }  // namespace
