@@ -8,8 +8,11 @@
 //   * raw dispatch / deep heap: the engine alone (slab pool, timing wheel);
 //   * hook on/off: tag capture is gated on hook presence — the delta is
 //     what observability costs, and the event counts must match exactly;
-//   * the full stack: the paper testbed's ssum stream, and an 8-spoke
-//     incast through a 2-tier switched tree;
+//   * the full stack: the paper testbed's ssum stream, and incasts of 8,
+//     32 and 128 spokes through a 2-tier switched tree, each spoke sending
+//     800 messages; the three widths also print host ns per executed
+//     frame, which stays flat when per-frame receive cost does not grow
+//     with the number of senders;
 //   * the full stack, single-lane and lane-sharded (a {1, 2, 4} lane sweep
 //     over an 8-host full-mesh ring of injected ssum streams): wall-clock
 //     speedup from conservative-lookahead parallel execution, with the
@@ -38,7 +41,14 @@ struct RateRow {
   std::uint64_t events = 0;
   double seconds = 0;
   double events_per_second = 0;
+  /// Frames the receivers executed (the tree-incast rows only).
+  std::uint64_t frames = 0;
 };
+
+/// Host wall time per executed frame of a row with frames.
+double NsPerFrame(const RateRow& row) {
+  return row.seconds * 1e9 / static_cast<double>(row.frames);
+}
 
 double WallSeconds(const std::chrono::steady_clock::time_point& start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -143,10 +153,10 @@ RateRow FabricRingRate(std::uint32_t lanes, std::uint32_t hosts,
   return row;
 }
 
-/// The switched-tree workload: 8 spokes stream injected ssums into one
+/// The switched-tree workload: @p spokes stream injected ssums into one
 /// hub through a 2-tier, 2:1-oversubscribed switch fabric, so the row
 /// prices the switch hops (admission, egress serialization, ECN checks)
-/// the star shapes never execute. Floor-guarded in
+/// the star shapes never execute. The 8-spoke row is floor-guarded in
 /// tools/bench_floors.json — the canary for switch-path regressions.
 RateRow TreeIncastRate(std::uint32_t spokes, std::uint32_t msgs_per_spoke) {
   core::FabricOptions options;
@@ -156,6 +166,16 @@ RateRow TreeIncastRate(std::uint32_t spokes, std::uint32_t msgs_per_spoke) {
   options.tree.arity = 4;
   options.tree.tiers = 2;
   options.tree.oversub = 2.0;
+  // The hub holds a mailbox slice and a staging ring per spoke; a wide
+  // incast outgrows the default arena.
+  const std::uint64_t per_peer = std::uint64_t{options.runtime.banks} *
+                                 options.runtime.mailboxes_per_bank *
+                                 options.runtime.mailbox_slot_bytes;
+  const std::uint64_t hub_bytes = MiB(64) + 2 * per_peer * spokes;
+  if (hub_bytes > options.host.memory_bytes) {
+    options.host_overrides.assign(options.hosts, options.host);
+    options.host_overrides[0].memory_bytes = hub_bytes;
+  }
   core::Fabric fabric(options);
   LoadBenchPackage(fabric);
 
@@ -175,6 +195,7 @@ RateRow TreeIncastRate(std::uint32_t spokes, std::uint32_t msgs_per_spoke) {
   row.events = fabric.engine().EventsProcessed() - before;
   row.seconds = WallSeconds(start);
   row.events_per_second = static_cast<double>(row.events) / row.seconds;
+  row.frames = fabric.runtime(0).stats().messages_executed;
 
   std::uint64_t forwarded = 0;
   for (std::uint32_t i = 0; i < fabric.switch_count(); ++i) {
@@ -199,11 +220,16 @@ void WriteJson(const char* path, const std::vector<RateRow>& rows,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"events\": %llu, "
-                 "\"seconds\": %.6f, \"events_per_second\": %.0f}%s\n",
+                 "\"seconds\": %.6f, \"events_per_second\": %.0f",
                  rows[i].name.c_str(),
                  static_cast<unsigned long long>(rows[i].events),
-                 rows[i].seconds, rows[i].events_per_second,
-                 i + 1 < rows.size() ? "," : "");
+                 rows[i].seconds, rows[i].events_per_second);
+    if (rows[i].frames != 0) {
+      std::fprintf(f, ", \"frames\": %llu, \"ns_per_frame\": %.0f",
+                   static_cast<unsigned long long>(rows[i].frames),
+                   NsPerFrame(rows[i]));
+    }
+    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"lanes\": [");
   for (std::size_t i = 0; i < lanes.size(); ++i) {
@@ -229,7 +255,9 @@ int main(int argc, char** argv) {
       EngineChainRate("dispatch + event hook", 1, 1000000, /*hook=*/true));
   rows.push_back(EngineChainRate("heap depth 1024", 1024, 1000000));
   rows.push_back(FullStackRate());
-  rows.push_back(TreeIncastRate(/*spokes=*/8, /*msgs_per_spoke=*/800));
+  for (const std::uint32_t spokes : {8u, 32u, 128u}) {
+    rows.push_back(TreeIncastRate(spokes, /*msgs_per_spoke=*/800));
+  }
 
   const std::vector<std::uint32_t> lane_sweep = {1, 2, 4};
   std::vector<double> by_lanes;
@@ -247,6 +275,15 @@ int main(int argc, char** argv) {
                   FmtF(row.events_per_second, "%.0f")});
   }
   table.Print();
+
+  std::printf("\ntree incast host cost per executed frame:\n");
+  Table width({"shape", "frames", "host ns/frame"});
+  for (const auto& row : rows) {
+    if (row.frames == 0) continue;
+    width.AddRow(
+        {row.name, FmtU64(row.frames), FmtF(NsPerFrame(row), "%.0f")});
+  }
+  width.Print();
   std::printf("\nlane speedup at %u lanes: %.2fx (%u hardware threads)\n",
               lane_sweep.back(), lane_speedup,
               std::thread::hardware_concurrency());

@@ -46,9 +46,18 @@ void BM_CacheRandomAccess(benchmark::State& state) {
 BENCHMARK(BM_CacheRandomAccess);
 
 void BM_StashDeliver4K(benchmark::State& state) {
+  // Core 0 reads the range before every delivery, untimed, so each one
+  // drops lines from populated levels; on a cold hierarchy every L1, L2
+  // and L3 is empty and the delivery would time only the empty-level
+  // return.
   cache::CacheHierarchy caches(SmallCache());
   for (auto _ : state) {
+    state.PauseTiming();
+    benchmark::DoNotOptimize(
+        caches.Access(0, 0x100000, 4096, cache::AccessKind::kLoad));
+    state.ResumeTiming();
     caches.StashDeliver(0x100000, 4096);
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_StashDeliver4K);

@@ -4,29 +4,51 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
+#include <limits>
 #include <new>
+#include <utility>
+
+#include <sys/mman.h>
 
 #include "common/bitops.hpp"
 #include "common/log.hpp"
 
 namespace twochains::cache {
 
+static_assert(sizeof(CacheLevel) == 32,
+              "a wider CacheLevel costs peak RSS (see the member comment)");
+
 CacheLevel::CacheLevel(const LevelConfig& config, std::uint64_t line_bytes)
     : line_shift_(Log2(line_bytes)),
       ways_(std::max<std::uint32_t>(config.ways, 1)),
-      sets_(std::bit_floor(std::max<std::uint64_t>(
-          config.size_bytes / (line_bytes * ways_), 1))),
+      sets_(static_cast<std::uint32_t>(std::bit_floor(std::clamp<std::uint64_t>(
+          config.size_bytes / (line_bytes * ways_), 1,
+          std::numeric_limits<std::uint32_t>::max())))),
       hit_cycles_(config.hit_cycles) {
   assert(IsPowerOfTwo(line_bytes));
-  if (ways_ != config.ways || sets_ * ways_ * line_bytes != config.size_bytes) {
+  if (ways_ != config.ways ||
+      std::uint64_t{sets_} * ways_ * line_bytes != config.size_bytes) {
     TC_WARN << "cache: " << config.name << " (" << config.size_bytes
             << " B, " << config.ways << " ways of " << line_bytes
             << " B lines) is not a power-of-two number of sets; modeling "
             << sets_ << " sets x " << ways_ << " ways";
   }
-  tags_.reset(static_cast<std::uint64_t*>(
-      std::calloc(sets_ * ways_, sizeof(std::uint64_t))));
-  if (!tags_) throw std::bad_alloc();
+  void* tags = mmap(nullptr, TagBytes(), PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (tags == MAP_FAILED) throw std::bad_alloc();
+  tags_ = static_cast<std::uint64_t*>(tags);
+}
+
+CacheLevel::CacheLevel(CacheLevel&& other) noexcept
+    : line_shift_(other.line_shift_),
+      ways_(other.ways_),
+      sets_(other.sets_),
+      population_(other.population_),
+      hit_cycles_(other.hit_cycles_),
+      tags_(std::exchange(other.tags_, nullptr)) {}
+
+CacheLevel::~CacheLevel() {
+  if (tags_ != nullptr) munmap(tags_, TagBytes());
 }
 
 bool CacheLevel::LookupBehindMru(std::uint64_t key,
@@ -49,6 +71,7 @@ bool CacheLevel::Probe(mem::VirtAddr addr) const noexcept {
 }
 
 bool CacheLevel::Invalidate(mem::VirtAddr addr) noexcept {
+  if (population_ == 0) return false;
   const std::uint64_t key = KeyOf(addr);
   std::uint64_t* set = SetOf(key);
   for (std::uint32_t w = 0; w < ways_; ++w) {
@@ -56,6 +79,7 @@ bool CacheLevel::Invalidate(mem::VirtAddr addr) noexcept {
       // Compact the set so valid entries stay contiguous in LRU order.
       for (std::uint32_t i = w; i + 1 < ways_; ++i) set[i] = set[i + 1];
       set[ways_ - 1] = 0;
+      --population_;
       return true;
     }
   }
@@ -68,17 +92,15 @@ void CacheLevel::InvalidateRange(mem::VirtAddr addr,
   const std::uint64_t line_bytes = 1ull << line_shift_;
   const std::uint64_t first = AlignDown(addr, line_bytes);
   const std::uint64_t last = AlignUp(addr + size, line_bytes);
-  for (std::uint64_t a = first; a < last; a += line_bytes) Invalidate(a);
+  for (std::uint64_t a = first; a < last && population_ != 0;
+       a += line_bytes) {
+    Invalidate(a);
+  }
 }
 
 void CacheLevel::Clear() noexcept {
-  std::memset(tags_.get(), 0, sets_ * ways_ * sizeof(std::uint64_t));
-}
-
-std::uint64_t CacheLevel::PopulationCount() const noexcept {
-  return static_cast<std::uint64_t>(
-      std::count_if(tags_.get(), tags_.get() + sets_ * ways_,
-                    [](std::uint64_t key) { return key != 0; }));
+  std::memset(tags_, 0, TagBytes());
+  population_ = 0;
 }
 
 }  // namespace twochains::cache

@@ -2,9 +2,8 @@
 // keeps data in HostMemory; caches model *where* bytes live, not the bytes).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
 
 #include "cache/config.hpp"
 #include "mem/address.hpp"
@@ -18,6 +17,13 @@ class CacheLevel {
   /// of ways*line_bytes) is clamped to at least one way and the largest
   /// power-of-two set count that fits (at least one), with a warning.
   CacheLevel(const LevelConfig& config, std::uint64_t line_bytes);
+  /// The tag array is one mapping with one owner: a move hands it over,
+  /// and there is no copy.
+  CacheLevel(CacheLevel&& other) noexcept;
+  CacheLevel& operator=(CacheLevel&&) = delete;
+  CacheLevel(const CacheLevel&) = delete;
+  CacheLevel& operator=(const CacheLevel&) = delete;
+  ~CacheLevel();
 
   /// True (and LRU-updates) if the line containing @p addr is present.
   /// A hit on the MRU way returns inline: moving that line to the front is
@@ -43,15 +49,19 @@ class CacheLevel {
   void InsertAbsent(mem::VirtAddr addr) noexcept {
     const std::uint64_t key = KeyOf(addr);
     std::uint64_t* set = SetOf(key);
-    // Shift everything down one way; LRU (last way) falls out.
+    // Shift everything down one way; LRU (last way) falls out, so only a
+    // set with an empty way gains a line.
+    population_ += set[ways_ - 1] == 0;
     for (std::uint32_t i = ways_ - 1; i > 0; --i) set[i] = set[i - 1];
     set[0] = key;
   }
 
   /// Drops the line containing @p addr if present. Returns true if dropped.
+  /// An empty level returns at once.
   bool Invalidate(mem::VirtAddr addr) noexcept;
 
-  /// Invalidates every line intersecting [addr, addr+size).
+  /// Invalidates every line intersecting [addr, addr+size). An empty level
+  /// returns at once.
   void InvalidateRange(mem::VirtAddr addr, std::uint64_t size) noexcept;
 
   /// Drops everything (tests / benchmark cold-start).
@@ -61,8 +71,8 @@ class CacheLevel {
   std::uint64_t sets() const noexcept { return sets_; }
   std::uint32_t ways() const noexcept { return ways_; }
 
-  /// Number of currently valid lines (tests).
-  std::uint64_t PopulationCount() const noexcept;
+  /// Number of currently valid lines.
+  std::uint64_t PopulationCount() const noexcept { return population_; }
 
  private:
   /// A way holds its line number plus one, so 0 marks an empty way and
@@ -71,25 +81,33 @@ class CacheLevel {
     return (addr >> line_shift_) + 1;
   }
   std::uint64_t* SetOf(std::uint64_t key) const noexcept {
-    return tags_.get() + ((key - 1) & (sets_ - 1)) * ways_;
+    return tags_ + ((key - 1) & (sets_ - 1)) * ways_;
+  }
+  std::size_t TagBytes() const noexcept {
+    return std::size_t{sets_} * ways_ * sizeof(std::uint64_t);
   }
 
   /// Lookup's search of ways 1.. of @p set; a hit moves the line to the
   /// MRU way.
   bool LookupBehindMru(std::uint64_t key, std::uint64_t* set) noexcept;
 
-  struct FreeDeleter {
-    void operator()(std::uint64_t* p) const noexcept { std::free(p); }
-  };
-
+  // 32 bytes in all (static_assert in the .cpp): every host holds one level
+  // per core per private cache, so each byte here is paid many times.
   unsigned line_shift_;  // log2 of the line size
   std::uint32_t ways_;
-  std::uint64_t sets_;
+  std::uint32_t sets_;
+  // Valid lines across every set, kept by InsertAbsent, Invalidate and
+  // Clear; zero lets an invalidation skip the level.
+  std::uint32_t population_ = 0;
   Cycles hit_cycles_;
   // Each set is a contiguous slice of `ways_` keys, most recently used
-  // first, with its empty ways (0) at the end. calloc: construction writes
-  // nothing, and a set nothing touches never faults its page in.
-  std::unique_ptr<std::uint64_t[], FreeDeleter> tags_;
+  // first, with its empty ways (0) at the end. A private anonymous mapping,
+  // so at every size construction writes nothing, a set nothing touches
+  // never faults its page in, and the pages go back at destruction. calloc
+  // would serve an L1's 8 KiB from the heap: zero-filled on every reuse,
+  // and in a process that builds fabric after fabric, heap and peak RSS
+  // would grow with each one.
+  std::uint64_t* tags_ = nullptr;
 };
 
 }  // namespace twochains::cache

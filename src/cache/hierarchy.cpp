@@ -148,19 +148,27 @@ Cycles CacheHierarchy::AccessLines(std::uint32_t core, mem::VirtAddr addr,
   return total;
 }
 
+void CacheHierarchy::InvalidateUpper(mem::VirtAddr addr,
+                                     std::uint64_t size) noexcept {
+  // Levels are independent, so dropping the range level by level leaves
+  // the same tags and LRU order as line by line, and a level holding no
+  // line (the private caches of an idle core) returns at once.
+  for (auto& l1 : l1_) l1.InvalidateRange(addr, size);
+  for (auto& l2 : l2_) l2.InvalidateRange(addr, size);
+  for (auto& l3 : l3_) l3.InvalidateRange(addr, size);
+}
+
 void CacheHierarchy::StashDeliver(mem::VirtAddr addr,
                                   std::uint64_t size) noexcept {
   if (size == 0) return;
+  // Upper-level copies are stale after the DMA write. The stash targets
+  // each line's home domain's LLC slice — the cache closest to the cores
+  // that own the bank when placement is domain-aware.
+  InvalidateUpper(addr, size);
   const std::uint64_t line = config_.line_bytes;
   const std::uint64_t first = AlignDown(addr, line);
   const std::uint64_t last = AlignUp(addr + size, line);
   for (std::uint64_t a = first; a < last; a += line) {
-    // Upper-level copies are stale after the DMA write. The stash targets
-    // the line's home domain's LLC slice — the cache closest to the cores
-    // that own the bank when placement is domain-aware.
-    for (auto& l1 : l1_) l1.Invalidate(a);
-    for (auto& l2 : l2_) l2.Invalidate(a);
-    for (auto& l3 : l3_) l3.Invalidate(a);
     llc_[HomeDomainOf(a)].Insert(a);
     ++stats_.stash_lines;
   }
@@ -169,18 +177,13 @@ void CacheHierarchy::StashDeliver(mem::VirtAddr addr,
 void CacheHierarchy::DramDeliver(mem::VirtAddr addr,
                                  std::uint64_t size) noexcept {
   if (size == 0) return;
+  InvalidateUpper(addr, size);
+  // Every slice, not just the home one: lines inserted before a domain
+  // mapper was installed may sit in slice 0.
+  for (auto& slice : llc_) slice.InvalidateRange(addr, size);
   const std::uint64_t line = config_.line_bytes;
-  const std::uint64_t first = AlignDown(addr, line);
-  const std::uint64_t last = AlignUp(addr + size, line);
-  for (std::uint64_t a = first; a < last; a += line) {
-    for (auto& l1 : l1_) l1.Invalidate(a);
-    for (auto& l2 : l2_) l2.Invalidate(a);
-    for (auto& l3 : l3_) l3.Invalidate(a);
-    // Every slice, not just the home one: lines inserted before a domain
-    // mapper was installed may sit in slice 0.
-    for (auto& slice : llc_) slice.Invalidate(a);
-    ++stats_.dma_invalidated_lines;
-  }
+  stats_.dma_invalidated_lines +=
+      (AlignUp(addr + size, line) - AlignDown(addr, line)) / line;
 }
 
 void CacheHierarchy::Clear() noexcept {

@@ -138,6 +138,16 @@ class CacheHierarchy {
   bool ProbeL2(std::uint32_t core, mem::VirtAddr addr) const;
   bool ProbeL3(std::uint32_t core, mem::VirtAddr addr) const;
   bool ProbeLLC(mem::VirtAddr addr) const;
+  /// Test hooks: valid lines in @p core's L1, its L2, and its cluster's L3.
+  std::uint64_t PopulationL1(std::uint32_t core) const {
+    return l1_[core].PopulationCount();
+  }
+  std::uint64_t PopulationL2(std::uint32_t core) const {
+    return l2_[core].PopulationCount();
+  }
+  std::uint64_t PopulationL3(std::uint32_t core) const {
+    return l3_[ClusterOf(core)].PopulationCount();
+  }
 
  private:
   std::uint32_t ClusterOf(std::uint32_t core) const noexcept {
@@ -151,6 +161,8 @@ class CacheHierarchy {
   /// AccessLine past an L1 miss: L2, prefetcher, L3, LLC, then DRAM.
   Cycles MissL1(std::uint32_t core, mem::VirtAddr addr, AccessKind kind,
                 HitLevel* level) noexcept;
+  /// Drops [addr, addr+size) from every L1, L2 and L3 (inbound DMA).
+  void InvalidateUpper(mem::VirtAddr addr, std::uint64_t size) noexcept;
 
   HierarchyConfig config_;
   std::vector<CacheLevel> l1_;   // per core

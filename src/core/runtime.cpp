@@ -740,7 +740,8 @@ void Runtime::OnFrameDelivered(PeerId from, std::uint32_t slot,
                                PicoTime delivered_at, bool ecn_marked) {
   if (from >= peers_.size()) return;
   ++stats_.per_peer[from].messages_delivered;
-  peers_[from].delivered_at[slot] = delivered_at;
+  PeerState& p = peers_[from];
+  p.delivered_at[slot] = delivered_at;
   // The bank's current claim holder gets first crack at the frame; with
   // stealing active, every other pool member then gets a deterministic
   // chance to notice a backlog it could relieve.
@@ -749,10 +750,15 @@ void Runtime::OnFrameDelivered(PeerId from, std::uint32_t slot,
     // A switch on the path marked this frame: remember it against the
     // bank so the mark goes home (exactly once) with the bank's flag.
     ++stats_.ecn_marks_seen;
-    if (config_.adaptive.enabled) peers_[from].bank_ecn[bank] = 1;
+    if (config_.adaptive.enabled) p.bank_ecn[bank] = 1;
+  }
+  // A frame behind the bank's head becomes ready when the cursor reaches
+  // it (CompleteFrame pushes it then).
+  if (slot % config_.mailboxes_per_bank == p.bank_cursor[bank]) {
+    PushReadyHead(from, bank);
   }
   const std::uint32_t holder = ClaimOf(from, bank);
-  ++peers_[from].bank_ready[bank];
+  ++p.bank_ready[bank];
   MaybeBeginNext(holder);
   OfferStealOpportunities(holder);
 }
@@ -912,14 +918,14 @@ void Runtime::MaybeBeginNext(std::uint32_t pool_index) {
   // A draining member only finishes the frame it already began; a
   // quiesced one scans nothing at all (its banks re-homed at quiesce).
   if (member.state != PoolCoreState::kActive) return;
-  // This pool core scans the heads of the banks it claims — its homed
-  // banks plus any it stole, across every peer's mailbox slice — and
-  // serves the earliest-delivered one: a fair sweep across senders under
-  // incast. Only when that scan comes up empty does an idle core consider
-  // sacrificing stash locality and stealing. Ties and the scans
-  // themselves are resolved in (peer, bank) index order, so the choice
-  // never depends on host-side container iteration order.
-  std::optional<ReadyFrame> best = ScanBankHeads(pool_index);
+  // This pool core serves the earliest-delivered head among the banks it
+  // claims — its homed banks plus any it stole, across every peer's
+  // mailbox slice: a fair sweep across senders under incast. Only when it
+  // has no ready head does an idle core consider sacrificing stash
+  // locality and stealing. Ties resolve by the ready heap's (delivered_at,
+  // peer, bank) key, so the choice never depends on host-side container
+  // iteration order.
+  std::optional<ReadyFrame> best = ReadyHeadOf(pool_index);
   if (!best.has_value() && stealing_active_) best = TrySteal(pool_index);
   if (!best.has_value()) {
     if (!member.idle_since.has_value()) member.idle_since = engine_.Now();
@@ -937,6 +943,35 @@ void Runtime::MaybeBeginNext(std::uint32_t pool_index) {
   member.idle_since.reset();
   member.processing = true;
   BeginProcess(frame, waited);
+}
+
+void Runtime::PushReadyHead(PeerId peer, std::uint32_t bank) {
+  const PeerState& p = peers_[peer];
+  if (p.bank_in_flight[bank] != 0) return;
+  const PicoTime at =
+      p.delivered_at[bank * config_.mailboxes_per_bank + p.bank_cursor[bank]];
+  if (at == kNotDelivered) return;
+  std::vector<ReadyHead>& heap = pool_[p.bank_claim[bank]].ready;
+  heap.push_back(ReadyHead{at, peer, bank});
+  std::push_heap(heap.begin(), heap.end(), std::greater<>());
+}
+
+std::optional<Runtime::ReadyFrame> Runtime::ReadyHeadOf(
+    std::uint32_t pool_index) {
+  std::vector<ReadyHead>& heap = pool_[pool_index].ready;
+  while (!heap.empty()) {
+    const ReadyHead& top = heap.front();
+    const PeerState& p = peers_[top.peer];
+    const std::uint32_t head =
+        top.bank * config_.mailboxes_per_bank + p.bank_cursor[top.bank];
+    if (p.bank_claim[top.bank] == pool_index &&
+        p.bank_in_flight[top.bank] == 0 && p.delivered_at[head] == top.at) {
+      return ReadyFrame{top.peer, head, top.at};
+    }
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    heap.pop_back();
+  }
+  return std::nullopt;
 }
 
 std::optional<Runtime::ReadyFrame> Runtime::ScanBankHeads(
@@ -957,6 +992,30 @@ std::optional<Runtime::ReadyFrame> Runtime::ScanBankHeads(
     }
   }
   return best;
+}
+
+Status Runtime::CheckReadyIndexForTest() {
+  const auto describe = [](const std::optional<ReadyFrame>& f) {
+    if (!f.has_value()) return std::string("nothing");
+    return StrFormat("peer %u slot %u delivered at %llu ps", f->peer, f->slot,
+                     static_cast<unsigned long long>(f->delivered_at));
+  };
+  for (std::uint32_t i = 0; i < pool_.size(); ++i) {
+    const std::optional<ReadyFrame> scan = ScanBankHeads(i);
+    const std::optional<ReadyFrame> heap = ReadyHeadOf(i);
+    const bool same =
+        scan.has_value() == heap.has_value() &&
+        (!scan.has_value() ||
+         (scan->peer == heap->peer && scan->slot == heap->slot &&
+          scan->delivered_at == heap->delivered_at));
+    if (!same) {
+      return Internal(StrFormat("pool core %u: ready heap serves %s, bank "
+                                "scan serves %s",
+                                i, describe(heap).c_str(),
+                                describe(scan).c_str()));
+    }
+  }
+  return Status::Ok();
 }
 
 std::uint64_t Runtime::ClaimBacklog(std::uint32_t pool_index) const noexcept {
@@ -1015,12 +1074,12 @@ std::optional<Runtime::ReadyFrame> Runtime::TrySteal(std::uint32_t thief) {
   if (victim_backlog < trigger) victim = kInvalidPoolIndex;
   if (local_backlog < trigger) local_victim = kInvalidPoolIndex;
 
-  // Oldest ready bank head among a victim's claimed banks (ScanBankHeads
+  // Oldest ready bank head among a victim's claimed banks (ReadyHeadOf
   // skips a bank with a frame mid-process — the handoff would double-begin
   // its head — and a bank whose head has not arrived yet).
   std::optional<ReadyFrame> best;
   const auto scan_victim = [&](std::uint32_t v) {
-    best = ScanBankHeads(v);
+    best = ReadyHeadOf(v);
     return best.has_value();
   };
 
@@ -1090,6 +1149,7 @@ void Runtime::ApplyBankHome(PeerId peer, std::uint32_t bank,
   p.bank_home[bank] = new_home;
   ++pool_[old_home].wait_stats.banks_resharded_out;
   ++pool_[new_home].wait_stats.banks_resharded_in;
+  PushReadyHead(peer, bank);
 }
 
 void Runtime::RehomeBank(PeerId peer, std::uint32_t bank,
@@ -1120,6 +1180,7 @@ void Runtime::FinishQuiesce(std::uint32_t pool_index) {
     for (std::uint32_t bank = 0; bank < config_.banks; ++bank) {
       if (p.bank_claim[bank] != pool_index) continue;
       ReleaseBankClaim(peer, bank);
+      PushReadyHead(peer, bank);
       MaybeBeginNext(p.bank_home[bank]);
     }
   }
@@ -1868,6 +1929,9 @@ void Runtime::CompleteFrame(const ReadyFrame& frame,
             ApplyBankHome(frame.peer, bank, rehomed_to);
           }
         }
+        // The bank's next head, if already delivered, is ready now: index
+        // it under whoever claims the bank after the bookkeeping above.
+        PushReadyHead(frame.peer, bank);
         // This completion may have been the drain a quiesce was waiting
         // for: with its frame done (and its bank re-homed), the member
         // leaves the pool for good.

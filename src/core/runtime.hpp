@@ -31,9 +31,10 @@
 //     stolen backlog is cleared, then reverts to the affinity owner. A bank mid-frame can never
 //     change claim, so no frame is ever begun twice and in-bank order
 //     survives the handoff. Execution is bit-for-bit deterministic:
-//     concurrent completions are ordered by the engine's (time, seq) key,
-//     never by host-side iteration order, and steal scans sweep pool
-//     members and (peer, bank) pairs in index order.
+//     concurrent completions are ordered by the engine's (time, lane, seq)
+//     key, never by host-side iteration order; each pool core serves the
+//     top of its ready heap, keyed (delivered_at, peer, bank); and steal
+//     scans sweep pool members in index order.
 //
 // NUMA model: on a multi-domain host (cache::HierarchyConfig.domains > 1)
 // every mailbox bank and pool-core stack is placed in the memory domain of
@@ -645,6 +646,13 @@ class Runtime {
   Status InjectFlagWordForTest(PeerId peer, std::uint32_t bank,
                                std::uint64_t word);
 
+  /// Test surface: for every pool member, compares the frame its ready
+  /// heap would serve next with a full (peer, bank) scan of the claim
+  /// table. Fails naming the pool member and both frames on the first
+  /// disagreement. Drops stale heap entries as a normal read does, so it
+  /// changes no schedule.
+  Status CheckReadyIndexForTest();
+
  private:
   struct ElementInfo {
     pkg::ElementKind kind;
@@ -682,6 +690,21 @@ class Runtime {
   /// PeerState::delivered_at value of a slot that holds no frame.
   static constexpr PicoTime kNotDelivered = ~PicoTime{0};
 
+  /// One ready-heap entry: (peer, bank)'s head was delivered at @p at when
+  /// the entry was pushed. Ordered by (at, peer, bank), which is the
+  /// scheduler's choice among ready heads: earliest delivered, ties to the
+  /// lowest (peer, bank).
+  struct ReadyHead {
+    PicoTime at = 0;
+    PeerId peer = 0;
+    std::uint32_t bank = 0;
+    friend bool operator>(const ReadyHead& a, const ReadyHead& b) noexcept {
+      if (a.at != b.at) return a.at > b.at;
+      if (a.peer != b.peer) return a.peer > b.peer;
+      return a.bank > b.bank;
+    }
+  };
+
   /// One member of the receiver pool: a core with its own wait loop,
   /// execution stack, and idle bookkeeping, serving the banks sharded
   /// to it.
@@ -692,7 +715,7 @@ class Runtime {
     mem::VirtAddr stack_top = 0;
     bool processing = false;
     /// Hotplug lifecycle (QuiesceCore / ReviveCore). Only kActive members
-    /// scan bank heads, steal, or receive re-sharded banks.
+    /// serve bank heads, steal, or receive re-sharded banks.
     PoolCoreState state = PoolCoreState::kActive;
     std::optional<PicoTime> idle_since;
     /// Schmitt-trigger state: true while this core's steals keep
@@ -700,6 +723,11 @@ class Runtime {
     /// steal scan disarms it, raising the bar back to
     /// `threshold + hysteresis`.
     bool steal_armed = false;
+    /// Min-heap (std::push_heap with std::greater) of the bank heads this
+    /// member claims. An index over the claim table, never a second
+    /// record: an entry is pushed wherever a head becomes ready or changes
+    /// claim, and ReadyHeadOf drops any entry the table contradicts.
+    std::vector<ReadyHead> ready;
   };
 
   /// Everything this runtime holds per connected peer: the outbound path
@@ -858,8 +886,16 @@ class Runtime {
   /// (at most once per RTT), grows additively on a clean return.
   void AdaptiveOnFlag(PeerState& peer, std::uint32_t bank, bool ece);
   void MaybeBeginNext(std::uint32_t pool_index);
+  /// Pushes (peer, bank)'s head onto its claim holder's ready heap when the
+  /// head is delivered and the bank is not mid-frame.
+  void PushReadyHead(PeerId peer, std::uint32_t bank);
   /// Earliest-delivered ready bank head among the banks @p pool_index
-  /// claims, if any.
+  /// claims, if any: the top of its ready heap once the entries the claim
+  /// table contradicts (claim moved, bank mid-frame, head no longer
+  /// delivered at that time) are dropped.
+  std::optional<ReadyFrame> ReadyHeadOf(std::uint32_t pool_index);
+  /// ReadyHeadOf by a walk over every (peer, bank) pair: the reference
+  /// CheckReadyIndexForTest holds the heap to.
   std::optional<ReadyFrame> ScanBankHeads(std::uint32_t pool_index) const;
   /// Steal attempt for an idle @p thief: picks the most-loaded sibling
   /// (ready-frame backlog over its claimed banks, ties to the lowest pool
@@ -884,7 +920,7 @@ class Runtime {
   /// deferred until its in-flight frame completes (bank_pending_home).
   void RehomeBank(PeerId peer, std::uint32_t bank, std::uint32_t new_home);
   /// kDraining -> kQuiesced: releases every steal claim the member still
-  /// holds so no bank stays parked on a core that will never scan again.
+  /// holds so no bank stays parked on a core that will never serve again.
   void FinishQuiesce(std::uint32_t pool_index);
   /// MaybeBeginNext for every pool member except @p first (which already
   /// ran), in pool-index order: gives idle cores a deterministic steal

@@ -43,9 +43,8 @@ Status RegionRegistry::Deregister(RKey key) {
   return Status::Ok();
 }
 
-StatusOr<Region> RegionRegistry::Validate(RKey key, VirtAddr addr,
-                                          std::uint64_t size,
-                                          RemoteAccess need) const {
+Status RegionRegistry::Validate(RKey key, VirtAddr addr, std::uint64_t size,
+                                RemoteAccess need) const {
   const auto it = regions_.find(key.value);
   if (it == regions_.end()) {
     return PermissionDenied(
@@ -63,7 +62,7 @@ StatusOr<Region> RegionRegistry::Validate(RKey key, VirtAddr addr,
     return PermissionDenied(
         StrFormat("rkey 0x%08x lacks required access class", key.value));
   }
-  return r;
+  return Status::Ok();
 }
 
 }  // namespace twochains::mem

@@ -67,9 +67,10 @@ class RegionRegistry {
   Status Deregister(RKey key);
 
   /// Validates an inbound one-sided op: rkey must exist, cover the whole
-  /// range, and grant @p need. Returns the region on success.
-  StatusOr<Region> Validate(RKey key, VirtAddr addr, std::uint64_t size,
-                            RemoteAccess need) const;
+  /// range, and grant @p need. Runs on every inbound put, so it copies
+  /// nothing.
+  Status Validate(RKey key, VirtAddr addr, std::uint64_t size,
+                  RemoteAccess need) const;
 
   std::size_t LiveRegions() const noexcept { return regions_.size(); }
 

@@ -262,12 +262,12 @@ void Nic::DeliverAt(PicoTime when, Op op, Nic* dst) {
         if (op.ecn_marked) ++dst->ecn_marks_delivered_;
 
         // Hardware-level rkey validation at the target HCA.
-        auto region = dst->host_.regions().Validate(
+        Status valid = dst->host_.regions().Validate(
             op.rkey, op.remote_addr, size, mem::RemoteAccess::kWrite);
-        if (!region.ok()) {
+        if (!valid.ok()) {
           ++dst->rkey_rejections_;
-          completion.status = region.status();
-          TC_DEBUG << "put rejected: " << region.status();
+          TC_DEBUG << "put rejected: " << valid;
+          completion.status = std::move(valid);
           if (op.on_delivered) op.on_delivered(completion);
           FinishOp(std::move(op), completion);
           return;

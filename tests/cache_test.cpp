@@ -101,10 +101,13 @@ TEST(CacheLevelTest, LookupMatchesAReferenceLru) {
   // Lookup answers an MRU-way hit inline and searches the other ways out
   // of line, InsertAbsent skips the search, and Invalidate compacts the
   // set and empties its last way; all must keep every set in exact LRU
-  // order. The reference is one most-recent-first list per set.
+  // order, and the level's line count must match the reference after
+  // every step (invalidations of an empty level return on that count).
+  // The reference is one most-recent-first list per set.
   constexpr std::uint32_t kWays = 4;
   CacheLevel c(TinyLevel(KiB(2), kWays, 1), kLine);  // 8 sets
   std::vector<std::vector<std::uint64_t>> ref(c.sets());
+  std::uint64_t population = 0;  // lines across the reference's sets
   Xoshiro256 rng(0x1F0);
   for (int i = 0; i < 20000; ++i) {
     const std::uint64_t line = rng.NextBelow(64);  // 2x capacity
@@ -112,26 +115,33 @@ TEST(CacheLevelTest, LookupMatchesAReferenceLru) {
     auto& set = ref[line % c.sets()];
     const auto it = std::find(set.begin(), set.end(), line);
     const bool present = it != set.end();
-    if (present) set.erase(it);
+    if (present) {
+      set.erase(it);
+      --population;
+    }
     const std::uint64_t op = rng.NextBelow(4);
+    bool resident = true;  // the line ends the step at MRU
     if (op == 0) {
       ASSERT_EQ(c.Invalidate(addr), present) << "step " << i;
-      continue;
-    }
-    if (op == 1) {
+      resident = false;
+    } else if (op == 1) {
       ASSERT_EQ(c.Lookup(addr), present) << "step " << i;
-      if (!present) continue;
+      resident = present;
     } else if (op == 2 && !present) {
       c.InsertAbsent(addr);
     } else {
       c.Insert(addr);
     }
-    set.insert(set.begin(), line);
-    if (set.size() > kWays) set.pop_back();
+    if (resident) {
+      set.insert(set.begin(), line);
+      ++population;
+      if (set.size() > kWays) {
+        set.pop_back();
+        --population;
+      }
+    }
+    ASSERT_EQ(c.PopulationCount(), population) << "step " << i;
   }
-  std::uint64_t population = 0;
-  for (const auto& set : ref) population += set.size();
-  EXPECT_EQ(c.PopulationCount(), population);
   for (std::uint64_t line = 0; line < 64; ++line) {
     const auto& set = ref[line % c.sets()];
     EXPECT_EQ(c.Probe(line * kLine),
@@ -328,6 +338,50 @@ TEST(HierarchyTest, DramDeliverInvalidatesEverywhere) {
   HitLevel level;
   h.AccessLine(0, 0x30000, AccessKind::kLoad, &level);
   EXPECT_EQ(level, HitLevel::kDram);
+}
+
+TEST(HierarchyTest, DeliveryDropsLinesWhereTheyAreAndFillsNoOtherLevel) {
+  // Only core 3 touches the range, so its L1/L2 and cluster 1's L3 hold
+  // the lines and cores 0-2's L1/L2 and cluster 0's L3 hold nothing.
+  // Either delivery must drop the lines from core 3's levels, leave every
+  // other level empty, and count every line of the range.
+  constexpr mem::VirtAddr kAddr = 0x50020;  // straddles three lines
+  constexpr std::uint64_t kSize = 128;
+  const std::vector<mem::VirtAddr> lines = {0x50000, 0x50040, 0x50080};
+  for (const bool stash : {true, false}) {
+    SCOPED_TRACE(stash ? "StashDeliver" : "DramDeliver");
+    CacheHierarchy h(SmallHierarchy());
+    h.Access(3, kAddr, kSize, AccessKind::kLoad);
+    EXPECT_EQ(h.PopulationL1(3), 3u);
+    EXPECT_EQ(h.PopulationL2(3), 3u);
+    EXPECT_EQ(h.PopulationL3(3), 3u);
+    for (std::uint32_t core = 0; core < 2; ++core) {
+      EXPECT_EQ(h.PopulationL3(core), 0u) << "core " << core;
+    }
+    for (std::uint32_t core = 0; core < 3; ++core) {
+      EXPECT_EQ(h.PopulationL1(core), 0u) << "core " << core;
+      EXPECT_EQ(h.PopulationL2(core), 0u) << "core " << core;
+    }
+
+    if (stash) {
+      h.StashDeliver(kAddr, kSize);
+    } else {
+      h.DramDeliver(kAddr, kSize);
+    }
+    for (std::uint32_t core = 0; core < 4; ++core) {
+      EXPECT_EQ(h.PopulationL1(core), 0u) << "core " << core;
+      EXPECT_EQ(h.PopulationL2(core), 0u) << "core " << core;
+      EXPECT_EQ(h.PopulationL3(core), 0u) << "core " << core;
+    }
+    for (const mem::VirtAddr line : lines) {
+      EXPECT_FALSE(h.ProbeL1(3, line));
+      EXPECT_FALSE(h.ProbeL2(3, line));
+      EXPECT_FALSE(h.ProbeL3(3, line));
+      EXPECT_EQ(h.ProbeLLC(line), stash);
+    }
+    EXPECT_EQ(h.stats().stash_lines, stash ? 3u : 0u);
+    EXPECT_EQ(h.stats().dma_invalidated_lines, stash ? 0u : 3u);
+  }
 }
 
 TEST(HierarchyTest, StashedDeliveryIsCheaperThanDramDelivery) {

@@ -388,18 +388,14 @@ TEST_F(RegionTest, RegisterAndValidate) {
   auto key = reg_.RegisterRegion(kBase, 4096, RemoteAccess::kWrite, "mbox");
   ASSERT_TRUE(key.ok());
   EXPECT_NE(key->value, 0u);
-  auto r = reg_.Validate(*key, kBase + 100, 64, RemoteAccess::kWrite);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->addr, kBase);
+  EXPECT_TRUE(reg_.Validate(*key, kBase + 100, 64, RemoteAccess::kWrite).ok());
 }
 
 TEST_F(RegionTest, InvalidKeyRejected) {
   auto key = reg_.RegisterRegion(kBase, 4096, RemoteAccess::kWrite, "mbox");
   ASSERT_TRUE(key.ok());
   RKey bogus{key->value ^ 0xFFFF};
-  EXPECT_EQ(reg_.Validate(bogus, kBase, 64, RemoteAccess::kWrite)
-                .status()
-                .code(),
+  EXPECT_EQ(reg_.Validate(bogus, kBase, 64, RemoteAccess::kWrite).code(),
             StatusCode::kPermissionDenied);
 }
 
@@ -416,9 +412,8 @@ TEST_F(RegionTest, AccessClassEnforced) {
   auto key = reg_.RegisterRegion(kBase, 4096, RemoteAccess::kRead, "ro");
   ASSERT_TRUE(key.ok());
   EXPECT_TRUE(reg_.Validate(*key, kBase, 64, RemoteAccess::kRead).ok());
-  EXPECT_EQ(
-      reg_.Validate(*key, kBase, 64, RemoteAccess::kWrite).status().code(),
-      StatusCode::kPermissionDenied);
+  EXPECT_EQ(reg_.Validate(*key, kBase, 64, RemoteAccess::kWrite).code(),
+            StatusCode::kPermissionDenied);
 }
 
 TEST_F(RegionTest, CombinedAccessClasses) {
@@ -444,9 +439,7 @@ TEST_F(RegionTest, DeregisterInvalidates) {
   auto key = reg_.RegisterRegion(kBase, 4096, RemoteAccess::kWrite, "mbox");
   ASSERT_TRUE(key.ok());
   ASSERT_TRUE(reg_.Deregister(*key).ok());
-  EXPECT_EQ(reg_.Validate(*key, kBase, 64, RemoteAccess::kWrite)
-                .status()
-                .code(),
+  EXPECT_EQ(reg_.Validate(*key, kBase, 64, RemoteAccess::kWrite).code(),
             StatusCode::kPermissionDenied);
   EXPECT_EQ(reg_.Deregister(*key).code(), StatusCode::kNotFound);
   EXPECT_EQ(reg_.LiveRegions(), 0u);

@@ -393,7 +393,17 @@ inline PoolRunResult RunPoolIncast(const PoolTopology& topo,
   // so the quiesce/revive lands between completions, never inside one.
   std::map<std::pair<PeerId, std::uint32_t>, std::uint32_t> seen_sn;
   std::map<std::pair<PeerId, std::uint32_t>, std::uint32_t> next_in_bank;
+  bool ready_index_failed = false;
   hub.SetOnExecuted([&](const ReceivedMessage& msg) {
+    // The ready-head heaps must name the same next frame as a full scan of
+    // the claim table after every completion; the first disagreement is
+    // reported.
+    if (!ready_index_failed) {
+      if (const Status st = hub.CheckReadyIndexForTest(); !st.ok()) {
+        ready_index_failed = true;
+        ADD_FAILURE() << st << " [" << topo.Describe() << "]";
+      }
+    }
     // A by-handle cache miss completes (drains, returns its flag) without
     // executing; its full-body resend — a fresh sn — executes instead, so
     // only actual executions count against the send loops' total.

@@ -5,7 +5,9 @@
 // run. The invariant under test is mailbox hygiene: at drain, no frame
 // is left in any mailbox slice and every bank flag has returned to its
 // owning sender — the "no mailbox leak" property that pooled, sharded
-// banks must preserve under hostile timing.
+// banks must preserve under hostile timing. After every completion the
+// runtimes' ready-head heaps are also held to a full scan of the claim
+// table, across stealing and hostile timing.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -87,6 +89,21 @@ void RunSoak(bool stashing, bool stealing = false) {
   std::vector<std::uint32_t> to_hub(kSpokes + 1, kToHubPerSpoke);
   if (stealing) to_hub[1] = 3 * kToHubPerSpoke;
 
+  // After every completion on every host, each pool core's ready-head
+  // heap must name the same next frame as a full scan of the claim table
+  // (the first disagreement is reported).
+  bool ready_index_failed = false;
+  for (std::uint32_t h = 0; h < fabric.size(); ++h) {
+    Runtime& rt = fabric.runtime(h);
+    rt.SetOnExecuted([&rt, &ready_index_failed, h](const ReceivedMessage&) {
+      if (ready_index_failed) return;
+      if (const Status st = rt.CheckReadyIndexForTest(); !st.ok()) {
+        ready_index_failed = true;
+        ADD_FAILURE() << "host " << h << ": " << st;
+      }
+    });
+  }
+
   std::vector<bench::SendFlow> flows;
   for (std::uint32_t s = 1; s <= kSpokes; ++s) {
     flows.push_back(SoakFlow(s, 0, to_hub[s], kSeed + 13 * s));
@@ -95,6 +112,9 @@ void RunSoak(bool stashing, bool stealing = false) {
   const bench::SendLoops loops(fabric, std::move(flows));
   fabric.Run();
   bench::ClearStress(fabric);
+  for (std::uint32_t h = 0; h < fabric.size(); ++h) {
+    fabric.runtime(h).SetOnExecuted(nullptr);
+  }
   ASSERT_TRUE(loops.status().ok()) << loops.status();
 
   // Every message sent was delivered and executed.
