@@ -92,7 +92,8 @@ int main() {
   auto buf = attacker.memory().Allocate(64, 64, mem::Perm::kRW, "attack");
   bool rejected = false;
   Status post = fabric.nic(0).PostPut(
-      *buf, mem::HostBase(1) + 0x1000, 64, mem::RKey{0xDEAD}, false,
+      fabric.nic(1), *buf, mem::HostBase(1) + 0x1000, 64, mem::RKey{0xDEAD},
+      false,
       [&](const net::PutCompletion& c) {
         rejected = !c.status.ok();
         std::printf("  forged-rkey put -> %s\n",

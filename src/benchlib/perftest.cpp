@@ -331,7 +331,6 @@ StatusOr<PingPongResult> RunRawPutPingPong(core::Fabric& fabric,
                                            const RawPutConfig& config) {
   // Independent buffers; does not touch the Two-Chains mailboxes.
   RawSide sides[2];
-  ucxs::Worker* workers[2] = {nullptr, nullptr};
   for (int i = 0; i < 2; ++i) {
     auto& host = fabric.host(i);
     sides[i].runtime = &fabric.runtime(i);
@@ -345,17 +344,11 @@ StatusOr<PingPongResult> RunRawPutPingPong(core::Fabric& fabric,
         sides[i].recv_rkey,
         host.regions().RegisterRegion(sides[i].recv_buf, config.size + 64,
                                       mem::RemoteAccess::kWrite, "raw:recv"));
+    // Standard UCX put path toward the other host.
+    sides[i].endpoint = std::make_unique<ucxs::Endpoint>(
+        fabric.engine(), fabric.nic(i), fabric.nic(1 - i),
+        ucxs::PutMode::kUcx);
   }
-  // Endpoints: standard UCX put path.
-  ucxs::Context ctx0(fabric.engine(), fabric.host(0), fabric.nic(0));
-  ucxs::Context ctx1(fabric.engine(), fabric.host(1), fabric.nic(1));
-  ucxs::Worker w0(ctx0), w1(ctx1);
-  workers[0] = &w0;
-  workers[1] = &w1;
-  sides[0].endpoint =
-      std::make_unique<ucxs::Endpoint>(*workers[0], ucxs::PutMode::kUcx);
-  sides[1].endpoint =
-      std::make_unique<ucxs::Endpoint>(*workers[1], ucxs::PutMode::kUcx);
 
   const cpu::WaitModelConfig wait_cfg = fabric.runtime(0).config().wait;
   cpu::WaitModel wait(wait_cfg, kCoreClock);
@@ -433,7 +426,7 @@ StatusOr<PingPongResult> RunRawPutPingPong(core::Fabric& fabric,
   if (!failure.ok()) return failure;
   if (!done) return Internal("raw put ping-pong stalled");
   result.frame_len = config.size;
-  result.protocol = sides[0].endpoint->SelectProtocol(config.size);
+  result.protocol = ucxs::SelectProtocol(config.size);
   result.responder_counters = fabric.host(1).core(0).counters();
   return result;
 }
@@ -453,9 +446,8 @@ StatusOr<RateResult> RunRawPutStream(core::Fabric& fabric,
       dst_host.regions().RegisterRegion(dst, config.size + 64,
                                         mem::RemoteAccess::kWrite,
                                         "raw:dst"));
-  ucxs::Context ctx(fabric.engine(), src_host, fabric.nic(0));
-  ucxs::Worker worker(ctx);
-  ucxs::Endpoint endpoint(worker, ucxs::PutMode::kUcx);
+  ucxs::Endpoint endpoint(fabric.engine(), fabric.nic(0), fabric.nic(1),
+                          ucxs::PutMode::kUcx);
 
   const std::uint64_t total = config.iterations;
   RateResult result;

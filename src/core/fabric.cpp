@@ -17,7 +17,7 @@ sim::EngineConfig EngineConfigFor(const FabricOptions& options) {
   sim::EngineConfig cfg = options.engine;
   if (cfg.lanes == 0) cfg.lanes = 1;
   if (cfg.lookahead_ps == 0) {
-    double min_latency_ns = options.nic.wire_latency_ns;
+    double min_latency_ns = net::kWireLatencyNs;
     if (options.topology == Topology::kTree) {
       // Every switch hop is one switch-cable latency in the future, so
       // the safe horizon is the smallest cable in the fabric.
@@ -92,15 +92,11 @@ Fabric::Fabric(FabricOptions options)
     node.host = std::make_unique<net::Host>(host_cfg);
     node.nic = std::make_unique<net::Nic>(engine_, *node.host, options_.nic);
     node.nic->set_lane(i);
-    node.context = std::make_unique<ucxs::Context>(engine_, *node.host,
-                                                   *node.nic,
-                                                   options_.protocol);
-    node.worker = std::make_unique<ucxs::Worker>(*node.context);
     const RuntimeConfig& runtime_cfg = options_.runtime_overrides.empty()
                                            ? options_.runtime
                                            : options_.runtime_overrides[i];
-    node.runtime = std::make_unique<Runtime>(engine_, *node.host, *node.nic,
-                                             *node.worker, runtime_cfg);
+    node.runtime =
+        std::make_unique<Runtime>(engine_, *node.host, *node.nic, runtime_cfg);
     nodes_.push_back(std::move(node));
   }
 
@@ -132,8 +128,7 @@ void Fabric::BuildTree() {
       options_.tree.tiers == 1 ? 1 : (hosts + arity - 1) / arity;
   const std::uint32_t count = options_.tree.tiers == 1 ? 1 : tors + 1;
   const double trunk_gbps =
-      static_cast<double>(arity) * options_.nic.wire_gbps /
-      options_.tree.oversub;
+      static_cast<double>(arity) * net::kWireGbps / options_.tree.oversub;
 
   switches_.reserve(count);
   for (std::uint32_t s = 0; s < count; ++s) {
@@ -147,10 +142,9 @@ void Fabric::BuildTree() {
   if (options_.tree.tiers == 1) {
     net::Switch& tor = *switches_[0];
     for (std::uint32_t h = 0; h < hosts; ++h) {
-      const std::uint32_t port =
-          tor.AttachNic(*nodes_[h].nic, options_.nic.wire_gbps);
+      const std::uint32_t port = tor.AttachNic(*nodes_[h].nic, net::kWireGbps);
       (void)tor.SetRoute(nodes_[h].nic.get(), port);
-      nodes_[h].nic->AttachUplink(tor, options_.nic.wire_gbps,
+      nodes_[h].nic->AttachUplink(tor, net::kWireGbps,
                                   options_.switches.wire_latency_ns);
     }
   } else {
@@ -164,9 +158,8 @@ void Fabric::BuildTree() {
     for (std::uint32_t h = 0; h < hosts; ++h) {
       const std::uint32_t t = h / arity;
       net::Switch& tor = *switches_[t];
-      const std::uint32_t down =
-          tor.AttachNic(*nodes_[h].nic, options_.nic.wire_gbps);
-      nodes_[h].nic->AttachUplink(tor, options_.nic.wire_gbps,
+      const std::uint32_t down = tor.AttachNic(*nodes_[h].nic, net::kWireGbps);
+      nodes_[h].nic->AttachUplink(tor, net::kWireGbps,
                                   options_.switches.wire_latency_ns);
       // The host's ToR delivers it on the downlink; every other ToR sends
       // via the spine, which fans back out to the owning ToR.

@@ -3,12 +3,11 @@
 // The paper's testbed is two hosts wired back-to-back; a production
 // deployment serves many clients, which needs many-to-one (incast) and
 // all-to-all injection topologies. Fabric owns the discrete-event engine
-// and, per simulated host, the memory/caches/cores (net::Host), the NIC,
-// the ucxs context/worker, and the Two-Chains runtime. It cables the NICs
-// per the chosen topology, connects every linked runtime pair (each side
-// gets a dedicated mailbox-bank slice and per-peer flow control), loads
-// packages, synchronizes namespaces cluster-wide, and starts the
-// receivers.
+// and, per simulated host, the memory/caches/cores (net::Host), the NIC
+// and the Two-Chains runtime. It cables the NICs per the chosen topology,
+// connects every linked runtime pair (each side gets a dedicated
+// mailbox-bank slice and per-peer flow control), loads packages,
+// synchronizes namespaces cluster-wide, and starts the receivers.
 //
 //   core::FabricOptions opts;
 //   opts.hosts = 9;
@@ -34,7 +33,6 @@
 #include "net/switch.hpp"
 #include "pkg/package.hpp"
 #include "sim/engine.hpp"
-#include "ucxs/ucxs.hpp"
 
 namespace twochains::core {
 
@@ -56,7 +54,7 @@ struct TreeConfig {
   /// 1 = every host on one switch; 2 = ToRs + one spine.
   std::uint32_t tiers = 2;
   /// ToR-uplink oversubscription: the ToR<->spine trunk carries
-  /// arity * nic.wire_gbps / oversub. 1.0 = non-blocking; >1 models the
+  /// arity * net::kWireGbps / oversub. 1.0 = non-blocking; >1 models the
   /// classic under-provisioned trunk that makes incast marks fire.
   double oversub = 1.0;
 };
@@ -82,7 +80,6 @@ struct FabricOptions {
   /// the NIC wire latency (the smallest cross-host event delta). Results
   /// are byte-identical at every lane count.
   sim::EngineConfig engine{};
-  ucxs::ProtocolConfig protocol{};
   RuntimeConfig runtime{};
   /// Optional per-host runtime overrides (same contract as host_overrides):
   /// lets e.g. an incast hub run a wide receiver pool while the spokes
@@ -152,8 +149,6 @@ class Fabric {
   struct Node {
     std::unique_ptr<net::Host> host;
     std::unique_ptr<net::Nic> nic;
-    std::unique_ptr<ucxs::Context> context;
-    std::unique_ptr<ucxs::Worker> worker;
     std::unique_ptr<Runtime> runtime;
   };
 

@@ -41,9 +41,8 @@ std::vector<std::uint8_t> CodeBlobOf(const jelf::LinkedImage& image) {
 }  // namespace
 
 Runtime::Runtime(sim::Engine& engine, net::Host& host, net::Nic& nic,
-                 ucxs::Worker& worker, RuntimeConfig config)
-    : engine_(engine), host_(host), nic_(nic), worker_(worker),
-      config_(std::move(config)) {}
+                 RuntimeConfig config)
+    : engine_(engine), host_(host), nic_(nic), config_(std::move(config)) {}
 
 Status Runtime::Initialize() {
   if (initialized_) return FailedPrecondition("already initialized");
@@ -236,7 +235,7 @@ StatusOr<PeerId> Runtime::AttachPeer(Runtime& remote) {
   // One endpoint per peer, targeting the peer's NIC (kUser mode: the
   // runtime's own bank flow control, not UCX's).
   peer.endpoint = std::make_unique<ucxs::Endpoint>(
-      worker_, ucxs::PutMode::kUser, &remote.nic_);
+      engine_, nic_, remote.nic_, ucxs::PutMode::kUser);
 
   peer.bank_cursor.assign(config_.banks, 0);
   peer.delivered_at.assign(TotalSlots(), kNotDelivered);
@@ -507,6 +506,27 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
   PeerStats& pstats = stats_.per_peer[peer_id];
   TC_ASSIGN_OR_RETURN(const ElementInfo* elem, FindElement(name));
 
+  FrameSpec spec;
+  spec.injected = mode == Invoke::kInjected;
+  spec.args_size = args.size() * 8;
+  spec.usr_size = usr.size();
+  spec.split_code_data = config_.security.split_code_data_pages;
+  if (spec.injected) {
+    spec.got_slots = elem->injected_image.got_slot_count();
+    spec.code_size = elem->code_blob.size();
+  }
+  // The full-body frame must fit the slot even when this send could go by
+  // handle: a receiver that has evicted the jam NAKs the slim frame, and
+  // the sender then resends it full-body. Checked before a sequence number
+  // or a slot is used, since no later state makes such a frame fit.
+  const std::uint64_t full_len = FrameLayout::Compute(spec).frame_len;
+  if (full_len > config_.mailbox_slot_bytes) {
+    return InvalidArgument(StrFormat(
+        "frame (%llu B) exceeds mailbox slot (%llu B)",
+        static_cast<unsigned long long>(full_len),
+        static_cast<unsigned long long>(config_.mailbox_slot_bytes)));
+  }
+
   // Bank choice: strict round-robin fills send_bank.
   const std::uint32_t in_bank = peer.send_in_bank;
   const std::uint32_t bank = peer.send_bank;
@@ -527,12 +547,6 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
   const std::uint32_t slot = bank * config_.mailboxes_per_bank + in_bank;
 
   // ---- build the frame ------------------------------------------------
-  FrameSpec spec;
-  spec.injected = mode == Invoke::kInjected;
-  spec.args_size = args.size() * 8;
-  spec.usr_size = usr.size();
-  spec.split_code_data = config_.security.split_code_data_pages;
-
   // Invoke-by-handle downgrade of the frame shape: when the jam cache is
   // on and this sender believes the peer already holds the jam's image,
   // GOTP/CODE stay home and an 8-byte content handle rides instead. The
@@ -548,10 +562,10 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
   if (by_handle) {
     spec.injected = false;
     spec.by_handle = true;
+    spec.got_slots = 0;
+    spec.code_size = 0;
     spec.split_code_data = false;  // no code rides along — nothing to split
   } else if (spec.injected) {
-    spec.got_slots = elem->injected_image.got_slot_count();
-    spec.code_size = elem->code_blob.size();
     code = elem->code_blob;
     gotp.reserve(spec.got_slots);
     for (const auto& symbol : elem->injected_image.got_symbols) {
@@ -593,12 +607,6 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
                         PackFrame(spec, header, gotp, code, args_bytes, usr));
   }
   const FrameLayout layout = FrameLayout::Compute(spec);
-  if (frame.size() > config_.mailbox_slot_bytes) {
-    return ResourceExhausted(
-        StrFormat("frame (%zu B) exceeds mailbox slot (%llu B)", frame.size(),
-                  static_cast<unsigned long long>(
-                      config_.mailbox_slot_bytes)));
-  }
 
   const mem::VirtAddr remote_slot_addr =
       peer.remote_bank_base[bank] +
@@ -647,7 +655,7 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
   // Compute the protocol now (for the receipt); the endpoint recomputes it
   // at post time with the same inputs.
   ucxs::Endpoint* endpoint = peer.endpoint.get();
-  const ucxs::Protocol protocol = endpoint->SelectProtocol(frame.size());
+  const ucxs::Protocol protocol = ucxs::SelectProtocol(frame.size());
   const std::uint64_t frame_size = frame.size();
   const bool separate_signal = config_.separate_signal_put;
   const std::uint64_t sig_word = SignalWord(header.sn);
@@ -2052,16 +2060,14 @@ Status Runtime::SendNakFlag(PeerId peer_id, std::uint32_t bank) {
 Status Runtime::PutFlagWord(PeerState& peer, std::uint32_t bank,
                             std::uint64_t word) {
   Runtime* peer_rt = peer.runtime;
-  const PeerId our_id_at_peer = peer.remote_id;
-  TC_ASSIGN_OR_RETURN(
-      const ucxs::PutReceipt receipt,
-      peer.endpoint->PutInline(
-          word, peer.peer_flag_base + 8ull * bank, peer.peer_flag_rkey, false,
-          [peer_rt, our_id_at_peer, bank](const net::PutCompletion& c) {
-            if (c.status.ok()) peer_rt->OnBankFlag(our_id_at_peer, bank);
-          }));
-  (void)receipt;
-  return Status::Ok();
+  const PeerId our_id = peer.remote_id;
+  return peer.endpoint
+      ->PutInline(word, peer.peer_flag_base + 8ull * bank,
+                  peer.peer_flag_rkey, false,
+                  [peer_rt, our_id, bank](const net::PutCompletion& c) {
+                    if (c.status.ok()) peer_rt->OnBankFlag(our_id, bank);
+                  })
+      .status();
 }
 
 StatusOr<std::uint64_t> Runtime::PeekU64(const std::string& symbol,

@@ -389,10 +389,10 @@ struct RuntimeStats {
 /// cores (receiver pool members, sender_core).
 class Runtime {
  public:
-  /// Binds the runtime to its host's engine, memory/caches, NIC, and
-  /// ucxs worker. Does not allocate runtime state — Initialize() does.
+  /// Binds the runtime to its host's engine, memory/caches, and NIC. Does
+  /// not allocate runtime state — Initialize() does.
   Runtime(sim::Engine& engine, net::Host& host, net::Nic& nic,
-          ucxs::Worker& worker, RuntimeConfig config);
+          RuntimeConfig config);
 
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
@@ -443,7 +443,9 @@ class Runtime {
 
   /// Sends jam @p name to @p peer with the given argument block and user
   /// payload. Fails with kResourceExhausted when flow control blocks (no
-  /// free bank toward that peer).
+  /// free bank toward that peer), and with kInvalidArgument when the
+  /// full-body frame cannot fit a mailbox slot (even if this send would go
+  /// by handle: a NAK resends it full-body).
   StatusOr<SendReceipt> Send(PeerId peer, const std::string& name, Invoke mode,
                              std::span<const std::uint64_t> args,
                              std::span<const std::uint8_t> usr,
@@ -997,7 +999,6 @@ class Runtime {
   sim::Engine& engine_;
   net::Host& host_;
   net::Nic& nic_;
-  ucxs::Worker& worker_;
   RuntimeConfig config_;
 
   /// The receiver pool (size config_.receiver_cores after clamping); each

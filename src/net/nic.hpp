@@ -10,7 +10,8 @@
 // Bytes are captured at DMA-read time (so later sender-side writes cannot
 // corrupt an in-flight message) and become visible in receiver memory at
 // delivery time. Stage occupancy is tracked per NIC and per link direction,
-// which is what limits streaming message rate and bandwidth.
+// which is what limits streaming message rate and bandwidth. The stage
+// costs are the k* constants below.
 //
 // Topology: a NIC carries one back-to-back cable per ConnectTo() call, so
 // N-host fabrics (full mesh, star/incast) are built from pairwise links.
@@ -30,10 +31,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -47,17 +45,24 @@ namespace twochains::net {
 
 class Switch;
 
+inline constexpr double kWireGbps = 200.0;      ///< link bandwidth (Gb/s)
+inline constexpr double kPcieGbps = 252.0;      ///< PCIe Gen4 x16 (Gb/s)
+inline constexpr double kDoorbellNs = 70.0;     ///< CPU MMIO post to HCA
+inline constexpr double kPerMessageNs = 40.0;   ///< send engine time per WQE
+/// PCIe round trip to fetch a put's payload.
+inline constexpr double kDmaReadOverheadNs = 180.0;
+/// Propagation over a back-to-back cable. Also the laned engine's derived
+/// lookahead on a direct-cabled fabric.
+inline constexpr double kWireLatencyNs = 250.0;
+inline constexpr double kRxProcessingNs = 160.0;  ///< receiver HCA per packet
+/// Max skew added to a delivery when write ordering is not enforced.
+inline constexpr double kReorderWindowNs = 400.0;
+
+/// The two NIC behaviours a testbed chooses (docs/TUNING.md, ## NicConfig).
 struct NicConfig {
-  double wire_gbps = 200.0;          ///< link bandwidth (Gb/s)
-  double pcie_gbps = 252.0;          ///< PCIe Gen4 x16 effective (Gb/s)
-  double doorbell_ns = 70.0;         ///< CPU MMIO post to HCA
-  double dma_read_overhead_ns = 180.0;  ///< PCIe round trip to fetch payload
-  double wire_latency_ns = 250.0;    ///< propagation, back-to-back cable
-  double rx_processing_ns = 160.0;   ///< receiver HCA packet processing
-  double per_message_ns = 40.0;      ///< per-WQE send engine occupancy
+  /// Deliver each link direction's puts in post order. Cleared, every
+  /// unfenced delivery is skewed by up to kReorderWindowNs.
   bool enforce_write_ordering = true;
-  /// Max skew added to deliveries when ordering is NOT enforced.
-  double reorder_window_ns = 400.0;
   /// Deliver inbound bytes into the LLC (cache stashing) or DRAM. On a
   /// multi-domain host the stash lands in the target address's *home
   /// domain's* LLC slice — next to the cores that own the bank when the
@@ -74,10 +79,33 @@ struct PutCompletion {
   bool ecn_marked = false;
 };
 
+using DeliveredFn = std::function<void(const PutCompletion&)>;
+
+/// One put as a NIC posts it.
+struct PutRequest {
+  /// Sender address the payload is DMA-read from; for an inline put, the
+  /// 8-byte immediate value itself (no DMA read).
+  std::uint64_t source = 0;
+  mem::VirtAddr remote_addr = 0;
+  /// Bytes to move; an inline put always moves its 8-byte value.
+  std::uint64_t size = 0;
+  mem::RKey rkey;
+  bool inline_op = false;
+  /// Holds this put until every put posted before it has been delivered
+  /// (IBTA fence semantics).
+  bool fence = false;
+  /// Fires at the simulated instant the bytes are visible in remote memory
+  /// (or with an error status if the rkey check failed) and runs on the
+  /// *destination* lane — receive-side logic only.
+  DeliveredFn on_delivered;
+  /// The sender-visible CQE: fires one wire latency after delivery, back on
+  /// the posting NIC's lane — the place for sender-side bookkeeping
+  /// (completion tracking, windows).
+  DeliveredFn on_complete;
+};
+
 class Nic {
  public:
-  using DeliveredFn = std::function<void(const PutCompletion&)>;
-
   Nic(sim::Engine& engine, Host& host, NicConfig config);
 
   /// Wires this NIC back-to-back with @p peer (both directions). A NIC may
@@ -101,11 +129,6 @@ class Nic {
     return ConnectedTo(peer) || (HasUplink() && peer.HasUplink());
   }
 
-  Host& host() noexcept { return host_; }
-  const NicConfig& config() const noexcept { return config_; }
-  /// Reconfigures delivery mode (the paper's firmware stashing toggle).
-  void set_stash_to_llc(bool on) noexcept { config_.stash_to_llc = on; }
-
   /// Virtual engine lane this NIC's host lives on (the fabric wires one
   /// lane per host). Receive-side events (HCA processing, DMA write,
   /// delivery) run on the *destination* NIC's lane; sender-side events
@@ -114,45 +137,46 @@ class Nic {
   void set_lane(std::uint32_t lane) noexcept { lane_ = lane; }
   std::uint32_t lane() const noexcept { return lane_; }
 
-  /// Number of back-to-back links this NIC carries.
-  std::size_t link_count() const noexcept { return links_.size(); }
   /// True when a cable to @p peer exists.
   bool ConnectedTo(const Nic& peer) const noexcept;
 
+  /// Posts @p put from this host into @p dst, over a direct cable or the
+  /// switched fabric. A put this NIC cannot make (no path to @p dst, zero
+  /// length, a DMA read outside the arena) completes at once, on this lane,
+  /// with the error through both callbacks, and the error is returned.
+  Status Post(Nic& dst, PutRequest put);
+
   /// Posts a one-sided RDMA put of [local_addr, +size) from this host into
-  /// [remote_addr, +size) on @p dst, authorized by @p rkey. @p dst must be
-  /// one of this NIC's connected peers.
-  ///
-  /// @p fence orders this put after every previously posted put has been
-  /// delivered (IBTA fence semantics).
-  /// @p on_delivered fires at the simulated instant the bytes are visible in
-  /// remote memory (or with an error status if the rkey check failed) and
-  /// runs on the *destination* lane — receive-side logic only.
-  /// @p on_complete is the sender-visible CQE: it fires one wire latency
-  /// after delivery, back on this NIC's lane — the place for sender-side
-  /// bookkeeping (completion tracking, windows).
+  /// [remote_addr, +size) on @p dst, authorized by @p rkey (see Post and
+  /// PutRequest).
   Status PostPut(Nic& dst, mem::VirtAddr local_addr, mem::VirtAddr remote_addr,
                  std::uint64_t size, mem::RKey rkey, bool fence = false,
                  DeliveredFn on_delivered = nullptr,
-                 DeliveredFn on_complete = nullptr);
+                 DeliveredFn on_complete = nullptr) {
+    return Post(dst, {.source = local_addr,
+                      .remote_addr = remote_addr,
+                      .size = size,
+                      .rkey = rkey,
+                      .fence = fence,
+                      .on_delivered = std::move(on_delivered),
+                      .on_complete = std::move(on_complete)});
+  }
 
   /// Posts an 8-byte immediate put into @p dst (value supplied inline, no
   /// sender DMA read) — used for signals and flow-control flags.
   Status PostInlinePut(Nic& dst, std::uint64_t value,
                        mem::VirtAddr remote_addr, mem::RKey rkey,
                        bool fence = false, DeliveredFn on_delivered = nullptr,
-                       DeliveredFn on_complete = nullptr);
-
-  /// Single-link conveniences: post to the first connected peer (the
-  /// two-host back-to-back shape of the paper's testbed).
-  Status PostPut(mem::VirtAddr local_addr, mem::VirtAddr remote_addr,
-                 std::uint64_t size, mem::RKey rkey, bool fence = false,
-                 DeliveredFn on_delivered = nullptr,
-                 DeliveredFn on_complete = nullptr);
-  Status PostInlinePut(std::uint64_t value, mem::VirtAddr remote_addr,
-                       mem::RKey rkey, bool fence = false,
-                       DeliveredFn on_delivered = nullptr,
-                       DeliveredFn on_complete = nullptr);
+                       DeliveredFn on_complete = nullptr) {
+    return Post(dst, {.source = value,
+                      .remote_addr = remote_addr,
+                      .size = sizeof(value),
+                      .rkey = rkey,
+                      .inline_op = true,
+                      .fence = fence,
+                      .on_delivered = std::move(on_delivered),
+                      .on_complete = std::move(on_complete)});
+  }
 
   /// Number of puts posted since construction.
   std::uint64_t puts_posted() const noexcept { return puts_posted_; }
@@ -168,9 +192,6 @@ class Nic {
     return ecn_marks_delivered_;
   }
 
-  /// Simulated time at which the send engine becomes free (tests).
-  PicoTime send_engine_free_at() const noexcept { return tx_free_at_; }
-
  private:
   friend class Switch;
 
@@ -178,7 +199,6 @@ class Nic {
     std::vector<std::uint8_t> bytes;
     mem::VirtAddr remote_addr;
     mem::RKey rkey;
-    bool fence;
     bool inline_op;
     /// Set (once) by the first congested switch on the path; surfaces to
     /// the sender and receiver via PutCompletion::ecn_marked.
@@ -209,23 +229,15 @@ class Nic {
   };
 
   Link* FindLink(const Nic* dst) noexcept;
-  Status PostOp(Op op, mem::VirtAddr local_addr, Link& link);
-  /// Switched-path post: sender pipeline + uplink serialization, then the
-  /// frame head is handed to the uplink switch one cable latency later.
-  Status PostSwitchedOp(Op op, mem::VirtAddr local_addr, Nic& dst);
-  /// Final switched hop into this NIC (called by the last switch, on that
-  /// switch's lane): resolves inbound DMA-write contention at the frame
-  /// tail's arrival instant — exactly like the direct-cable rx path — and
-  /// delivers. @p src is the posting NIC (completions ride back to it).
-  void ArriveFromSwitch(Op op, Nic* src, PicoTime tail_arrival);
+  /// Post without the failure completion: leaves @p put's callbacks in
+  /// place unless the put is on its way.
+  Status Launch(Nic& dst, PutRequest& put);
+  /// A frame from @p src reaches this (destination) NIC at @p arrival, off
+  /// a direct cable or the last switch: the inbound DMA-write engine takes
+  /// it in true arrival order, then it is delivered.
+  void Arrive(Op op, Nic* src, PicoTime arrival);
   void DeliverAt(PicoTime when, Op op, Nic* dst);
   void FinishOp(Op op, const PutCompletion& completion);
-
-  PicoTime GbpsToDuration(double gbps, std::uint64_t bytes) const noexcept {
-    if (gbps <= 0) return 0;
-    const double ns = static_cast<double>(bytes) * 8.0 / gbps;
-    return Nanoseconds(ns);
-  }
 
   sim::Engine& engine_;
   Host& host_;
@@ -245,37 +257,6 @@ class Nic {
   std::uint64_t rkey_rejections_ = 0;
   std::uint64_t bytes_delivered_ = 0;
   std::uint64_t ecn_marks_delivered_ = 0;
-};
-
-/// Reliable, in-order, out-of-band control channel between two hosts
-/// (models the TCP/management-network bootstrap path used to exchange rkeys
-/// and synchronize namespaces; §V: "the target process has to provide the
-/// RKEY to the RDMA initiator through an out-of-band channel").
-class ControlChannel {
- public:
-  using Handler = std::function<void(std::vector<std::uint8_t>)>;
-
-  ControlChannel(sim::Engine& engine, double latency_us = 15.0)
-      : engine_(engine), latency_(Microseconds(latency_us)) {}
-
-  /// Registers the message handler for @p host_id. @p lane is the virtual
-  /// engine lane the handler runs on (the host's lane in a laned fabric).
-  void SetHandler(int host_id, Handler handler, std::uint32_t lane = 0);
-
-  /// Sends @p payload to @p dst_host; its handler runs after the channel
-  /// latency, in send order, on the handler's registered lane.
-  Status Send(int dst_host, std::vector<std::uint8_t> payload);
-
- private:
-  struct Entry {
-    int host_id;
-    std::uint32_t lane;
-    Handler handler;
-  };
-  sim::Engine& engine_;
-  PicoTime latency_;
-  PicoTime next_free_ = 0;
-  std::vector<Entry> handlers_;
 };
 
 }  // namespace twochains::net

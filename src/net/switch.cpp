@@ -149,7 +149,7 @@ void Switch::Admit(Transit t, PicoTime now) {
   const PicoTime wire = Nanoseconds(config_.wire_latency_ns);
   if (port.nic != nullptr) {
     // Last hop: the destination NIC waits for the frame *tail*.
-    port.nic->ArriveFromSwitch(std::move(t.op), t.src, ser_end + wire);
+    port.nic->Arrive(std::move(t.op), t.src, ser_end + wire);
   } else {
     // Switch-to-switch: hand the head over head-timed, so an uncontended
     // multi-hop path costs exactly the sum of its latencies.

@@ -4,6 +4,22 @@
 
 namespace twochains::ucxs {
 
+namespace {
+
+/// Protocol setup cost of a @p size-byte message (ns), before tracking.
+double SetupNs(Protocol protocol, std::uint64_t size) noexcept {
+  switch (protocol) {
+    case Protocol::kShort: return kShortOverheadNs;
+    case Protocol::kBcopy:
+      return kBcopyOverheadNs + kBcopyNsPerByte * static_cast<double>(size);
+    case Protocol::kZcopy: return kZcopyOverheadNs;
+    case Protocol::kRndv: return kRndvOverheadNs;
+  }
+  return 0;
+}
+
+}  // namespace
+
 std::string_view ProtocolName(Protocol p) noexcept {
   switch (p) {
     case Protocol::kShort: return "short";
@@ -14,112 +30,72 @@ std::string_view ProtocolName(Protocol p) noexcept {
   return "?";
 }
 
-Protocol Endpoint::SelectProtocol(std::uint64_t size) const noexcept {
-  const ProtocolConfig& cfg = worker_.context().config();
-  if (size <= cfg.short_max) return Protocol::kShort;
-  if (size <= cfg.bcopy_max) return Protocol::kBcopy;
-  if (size <= cfg.zcopy_max) return Protocol::kZcopy;
+Protocol SelectProtocol(std::uint64_t size) noexcept {
+  if (size <= kShortMax) return Protocol::kShort;
+  if (size <= kBcopyMax) return Protocol::kBcopy;
+  if (size <= kZcopyMax) return Protocol::kZcopy;
   return Protocol::kRndv;
 }
 
-PicoTime Endpoint::OverheadFor(Protocol protocol, std::uint64_t size,
-                               bool include_tracking) const {
-  const ProtocolConfig& cfg = worker_.context().config();
-  double ns = 0;
-  switch (protocol) {
-    case Protocol::kShort: ns = cfg.short_overhead_ns; break;
-    case Protocol::kBcopy:
-      ns = cfg.bcopy_overhead_ns +
-           cfg.bcopy_ns_per_byte * static_cast<double>(size);
-      break;
-    case Protocol::kZcopy: ns = cfg.zcopy_overhead_ns; break;
-    case Protocol::kRndv: ns = cfg.rndv_overhead_ns; break;
-  }
-  if (include_tracking && mode_ == PutMode::kUcx) {
-    ns += cfg.tracking_ns_per_op;
-  }
-  return Nanoseconds(ns);
+PicoTime Endpoint::EstimateOverhead(std::uint64_t size) const {
+  const double tracking = mode_ == PutMode::kUcx ? kTrackingNsPerOp : 0.0;
+  return Nanoseconds(SetupNs(SelectProtocol(size), size) + tracking);
 }
 
 StatusOr<PutReceipt> Endpoint::PutNbi(mem::VirtAddr local,
                                       mem::VirtAddr remote,
                                       std::uint64_t size, mem::RKey rkey,
                                       bool fence,
-                                      net::Nic::DeliveredFn on_delivered) {
+                                      net::DeliveredFn on_delivered) {
   if (size == 0) return InvalidArgument("zero-length put");
-  Pending op;
-  op.inline_op = false;
-  op.inline_value = 0;
-  op.local = local;
-  op.remote = remote;
-  op.size = size;
-  op.rkey = rkey;
-  op.fence = fence;
-  op.on_delivered = std::move(on_delivered);
-
-  const Protocol protocol = SelectProtocol(size);
-  op.overhead = OverheadFor(protocol, size);
-
-  PutReceipt receipt;
-  receipt.protocol = protocol;
-  receipt.sender_overhead = op.overhead;
-
-  const ProtocolConfig& cfg = worker_.context().config();
-  if (mode_ == PutMode::kUcx && outstanding_ >= cfg.max_outstanding) {
-    receipt.queued = true;
-    queue_.push_back(std::move(op));
-    return receipt;
-  }
-  TC_RETURN_IF_ERROR(PostNow(std::move(op)));
-  return receipt;
+  return Submit({.source = local,
+                 .remote_addr = remote,
+                 .size = size,
+                 .rkey = rkey,
+                 .fence = fence,
+                 .on_delivered = std::move(on_delivered),
+                 .on_complete = CompletionTracker()});
 }
 
 StatusOr<PutReceipt> Endpoint::PutInline(std::uint64_t value,
                                          mem::VirtAddr remote, mem::RKey rkey,
                                          bool fence,
-                                         net::Nic::DeliveredFn on_delivered) {
-  Pending op;
-  op.inline_op = true;
-  op.inline_value = value;
-  op.local = 0;
-  op.remote = remote;
-  op.size = 8;
-  op.rkey = rkey;
-  op.fence = fence;
-  op.on_delivered = std::move(on_delivered);
-  op.overhead = OverheadFor(Protocol::kShort, 8);
+                                         net::DeliveredFn on_delivered) {
+  return Submit({.source = value,
+                 .remote_addr = remote,
+                 .size = sizeof(value),
+                 .rkey = rkey,
+                 .inline_op = true,
+                 .fence = fence,
+                 .on_delivered = std::move(on_delivered),
+                 .on_complete = CompletionTracker()});
+}
 
+net::DeliveredFn Endpoint::CompletionTracker() {
+  // The delivery callback is receive-side logic and runs on the
+  // destination's lane; the endpoint's own completion tracking (the
+  // window) is sender state, so it rides the NIC's sender-side CQE back on
+  // this host's lane.
+  return [this, alive = alive_](const net::PutCompletion&) {
+    if (*alive) OnComplete();
+  };
+}
+
+PutReceipt Endpoint::Submit(net::PutRequest put) {
   PutReceipt receipt;
-  receipt.protocol = Protocol::kShort;
-  receipt.sender_overhead = op.overhead;
-
-  const ProtocolConfig& cfg = worker_.context().config();
-  if (mode_ == PutMode::kUcx && outstanding_ >= cfg.max_outstanding) {
+  receipt.protocol = SelectProtocol(put.size);
+  receipt.sender_overhead = EstimateOverhead(put.size);
+  if (mode_ == PutMode::kUcx && outstanding_ >= kMaxOutstanding) {
     receipt.queued = true;
-    queue_.push_back(std::move(op));
+    queue_.push_back(std::move(put));
     return receipt;
   }
-  TC_RETURN_IF_ERROR(PostNow(std::move(op)));
+  PostNow(std::move(put));
   return receipt;
 }
 
-Status Endpoint::PostNow(Pending op) {
+void Endpoint::PostNow(net::PutRequest put) {
   ++outstanding_;
-  ++worker_.ops_posted_;
-  auto& engine = worker_.context().engine();
-  auto& nic = worker_.context().nic();
-
-  // The delivery callback is receive-side logic and runs on the
-  // destination's lane; the endpoint's own completion tracking (window,
-  // flush waiters) is sender state, so it rides the NIC's sender-side CQE
-  // back on this host's lane.
-  net::Nic::DeliveredFn on_delivered = std::move(op.on_delivered);
-  net::Nic::DeliveredFn on_complete =
-      [this, alive = alive_](const net::PutCompletion& c) {
-        if (!*alive) return;
-        if (c.ecn_marked) ++worker_.ecn_marks_completed_;
-        OnComplete();
-      };
 
   // Serialize NIC posting in submission order: a WQE posted later must not
   // reach the HCA before an earlier one, even if its setup is cheaper.
@@ -128,80 +104,29 @@ Status Endpoint::PostNow(Pending op) {
   // called from outside any lane (driver pumps), and the post mutates
   // sender NIC state.
   const PicoTime post_delay =
-      OverheadFor(op.inline_op ? Protocol::kShort : SelectProtocol(op.size),
-                  op.size, /*include_tracking=*/false);
-  const PicoTime post_at = std::max(engine.Now() + post_delay, post_serial_);
+      Nanoseconds(SetupNs(SelectProtocol(put.size), put.size));
+  const PicoTime post_at = std::max(engine_.Now() + post_delay, post_serial_);
   post_serial_ = post_at;
 
-  net::Nic* dst = remote_;
-  if (op.inline_op) {
-    const std::uint64_t value = op.inline_value;
-    const auto remote = op.remote;
-    const auto rkey = op.rkey;
-    const bool fence = op.fence;
-    engine.ScheduleAtOn(
-        nic.lane(), post_at,
-        [&nic, dst, value, remote, rkey, fence,
-         on_delivered = std::move(on_delivered),
-         on_complete = std::move(on_complete)]() mutable {
-          // Delivery errors surface through the completion callback.
-          Status st = dst ? nic.PostInlinePut(*dst, value, remote, rkey, fence,
-                                              std::move(on_delivered),
-                                              std::move(on_complete))
-                          : nic.PostInlinePut(value, remote, rkey, fence,
-                                              std::move(on_delivered),
-                                              std::move(on_complete));
-          (void)st;
-        },
-        "ucxs.inline");
-    return Status::Ok();
-  }
-  const auto local = op.local;
-  const auto remote = op.remote;
-  const auto size = op.size;
-  const auto rkey = op.rkey;
-  const bool fence = op.fence;
-  engine.ScheduleAtOn(
-      nic.lane(), post_at,
-      [&nic, dst, local, remote, size, rkey, fence,
-       on_delivered = std::move(on_delivered),
-       on_complete = std::move(on_complete)]() mutable {
-        Status st = dst ? nic.PostPut(*dst, local, remote, size, rkey, fence,
-                                      std::move(on_delivered),
-                                      std::move(on_complete))
-                        : nic.PostPut(local, remote, size, rkey, fence,
-                                      std::move(on_delivered),
-                                      std::move(on_complete));
-        (void)st;
-      },
-      "ucxs.put");
-  return Status::Ok();
+  const char* tag = put.inline_op ? "ucxs.inline" : "ucxs.put";
+  auto post = [&local = local_, &remote = remote_,
+               put = std::move(put)]() mutable {
+    // A put the NIC cannot make reports its error through both callbacks.
+    (void)local.Post(remote, std::move(put));
+  };
+  static_assert(sizeof(post) <= sim::SmallFn::kInlineBytes,
+                "a put's post event must not allocate");
+  engine_.ScheduleAtOn(local_.lane(), post_at, std::move(post), tag);
 }
 
 void Endpoint::OnComplete() {
   if (outstanding_ > 0) --outstanding_;
-  ++worker_.ops_completed_;
   // Drain the window queue.
-  const ProtocolConfig& cfg = worker_.context().config();
-  while (!queue_.empty() && outstanding_ < cfg.max_outstanding) {
-    Pending next = std::move(queue_.front());
+  while (!queue_.empty() && outstanding_ < kMaxOutstanding) {
+    net::PutRequest next = std::move(queue_.front());
     queue_.pop_front();
-    Status st = PostNow(std::move(next));
-    (void)st;
+    PostNow(std::move(next));
   }
-  if (outstanding_ == 0 && queue_.empty() && !flush_waiters_.empty()) {
-    auto waiters = std::move(flush_waiters_);
-    flush_waiters_.clear();
-    for (auto& w : waiters) w();
-  }
-}
-
-void Endpoint::Flush(std::function<void()> done) {
-  if (outstanding_ == 0 && queue_.empty()) {
-    done();
-    return;
-  }
-  flush_waiters_.push_back(std::move(done));
 }
 
 }  // namespace twochains::ucxs

@@ -22,14 +22,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
-#include <string>
+#include <string_view>
 
 #include "common/status.hpp"
 #include "common/units.hpp"
 #include "mem/region.hpp"
-#include "net/host.hpp"
 #include "net/nic.hpp"
 #include "sim/engine.hpp"
 
@@ -39,82 +37,40 @@ enum class Protocol : std::uint8_t { kShort, kBcopy, kZcopy, kRndv };
 
 std::string_view ProtocolName(Protocol p) noexcept;
 
-struct ProtocolConfig {
-  /// Upper size bounds (inclusive) per protocol; sizes above zcopy_max use
-  /// rendezvous. Defaults are placed so that the Injected Function frames
-  /// of the paper's Indirect Put (1472 B + 64 B per 16 ints) cross into
-  /// bcopy->zcopy at the 8-integer frame (1536 B) and into rendezvous at
-  /// the 256-integer frame (2496 B), reproducing Fig. 7's bumps.
-  std::uint64_t short_max = 192;
-  std::uint64_t bcopy_max = 1535;
-  std::uint64_t zcopy_max = 2495;
+/// Upper size bounds (inclusive) per protocol; sizes above kZcopyMax use
+/// rendezvous. They are placed so that the Injected Function frames of the
+/// paper's Indirect Put (1472 B + 64 B per 16 ints) cross into
+/// bcopy->zcopy at the 8-integer frame (1536 B) and into rendezvous at the
+/// 256-integer frame (2496 B), reproducing Fig. 7's bumps.
+inline constexpr std::uint64_t kShortMax = 192;
+inline constexpr std::uint64_t kBcopyMax = 1535;
+inline constexpr std::uint64_t kZcopyMax = 2495;
 
-  /// Fixed sender-side setup cost per protocol (ns).
-  double short_overhead_ns = 20;
-  double bcopy_overhead_ns = 90;
-  double zcopy_overhead_ns = 260;
-  double rndv_overhead_ns = 650;
+/// Fixed sender-side setup cost per protocol (ns).
+inline constexpr double kShortOverheadNs = 20;
+inline constexpr double kBcopyOverheadNs = 90;
+inline constexpr double kZcopyOverheadNs = 260;
+inline constexpr double kRndvOverheadNs = 650;
 
-  /// bcopy copies through a bounce buffer: extra per-byte cost (ns/byte).
-  double bcopy_ns_per_byte = 0.012;
+/// bcopy copies through a bounce buffer: extra per-byte cost (ns/byte).
+inline constexpr double kBcopyNsPerByte = 0.012;
 
-  /// UCX-mode completion tracking: extra sender cost per op (ns) and the
-  /// outstanding-operation window. Tracking does not delay the wire post
-  /// (the CQ is polled after posting, and overlaps the wait in ping-pong)
-  /// but it fully paces back-to-back streaming — which is exactly why the
-  /// paper sees put *bandwidth* collapse while put *latency* stays fine.
-  /// kUser mode (Two-Chains' own bank flow control) pays neither.
-  double tracking_ns_per_op = 1050;
-  std::uint32_t max_outstanding = 16;
-};
+/// UCX-mode completion tracking: extra sender cost per op (ns) and the
+/// outstanding-operation window. Tracking does not delay the wire post
+/// (the CQ is polled after posting, and overlaps the wait in ping-pong)
+/// but it fully paces back-to-back streaming — which is exactly why the
+/// paper sees put *bandwidth* collapse while put *latency* stays fine.
+/// kUser mode (Two-Chains' own bank flow control) pays neither.
+inline constexpr double kTrackingNsPerOp = 1050;
+inline constexpr std::uint32_t kMaxOutstanding = 16;
+
+/// The protocol a message of @p size uses.
+Protocol SelectProtocol(std::uint64_t size) noexcept;
 
 /// Which flow-control stack a put goes through.
 enum class PutMode : std::uint8_t {
   kUcx,   ///< standard UCX put: tracking cost + window
   kUser,  ///< Two-Chains path: bare protocol + NIC (own flow control)
-};
-
-/// UCX-like context: one per (host, nic).
-class Context {
- public:
-  Context(sim::Engine& engine, net::Host& host, net::Nic& nic,
-          ProtocolConfig config = {})
-      : engine_(engine), host_(host), nic_(nic), config_(config) {}
-
-  sim::Engine& engine() noexcept { return engine_; }
-  net::Host& host() noexcept { return host_; }
-  net::Nic& nic() noexcept { return nic_; }
-  const ProtocolConfig& config() const noexcept { return config_; }
-
- private:
-  sim::Engine& engine_;
-  net::Host& host_;
-  net::Nic& nic_;
-  ProtocolConfig config_;
-};
-
-/// Worker: progress engine wrapper (progress is implicit in the DES; the
-/// worker carries counters and flush bookkeeping).
-class Worker {
- public:
-  explicit Worker(Context& context) : context_(context) {}
-  Context& context() noexcept { return context_; }
-
-  std::uint64_t ops_posted() const noexcept { return ops_posted_; }
-  std::uint64_t ops_completed() const noexcept { return ops_completed_; }
-  /// Completions whose put was ECN-marked by a switch on the path (always
-  /// zero on direct-cabled fabrics) — the transport-level view of the
-  /// mark ledger the switch harness reconciles.
-  std::uint64_t ecn_marks_completed() const noexcept {
-    return ecn_marks_completed_;
-  }
-
- private:
-  friend class Endpoint;
-  Context& context_;
-  std::uint64_t ops_posted_ = 0;
-  std::uint64_t ops_completed_ = 0;
-  std::uint64_t ecn_marks_completed_ = 0;
 };
 
 struct PutReceipt {
@@ -129,78 +85,52 @@ struct PutReceipt {
 
 class Endpoint {
  public:
-  /// @p remote selects which connected peer NIC this endpoint posts to —
-  /// one endpoint per peer, like a UCX ep. nullptr (the two-host testbed
-  /// shape) targets the local NIC's first link.
-  Endpoint(Worker& worker, PutMode mode, net::Nic* remote = nullptr)
-      : worker_(worker), mode_(mode), remote_(remote) {}
+  /// Posts from @p local into @p remote, one endpoint per connected peer
+  /// like a UCX ep.
+  Endpoint(sim::Engine& engine, net::Nic& local, net::Nic& remote,
+           PutMode mode)
+      : engine_(engine), local_(local), remote_(remote), mode_(mode) {}
 
   /// Completion tracking rides sender-side CQE events that may still be in
   /// flight when an endpoint dies (e.g. a benchmark stops the engine and
   /// returns); the liveness token lets those events no-op safely.
   ~Endpoint() { *alive_ = false; }
 
-  PutMode mode() const noexcept { return mode_; }
-  net::Nic* remote() const noexcept { return remote_; }
-
-  /// Selects the protocol a message of @p size would use.
-  Protocol SelectProtocol(std::uint64_t size) const noexcept;
-
   /// Sender-side setup cost a put of @p size will pay (protocol setup plus
   /// tracking in kUcx mode) — for callers that model CPU busy time.
-  PicoTime EstimateOverhead(std::uint64_t size) const {
-    return OverheadFor(SelectProtocol(size), size);
-  }
-  /// Setup cost that delays the wire post (protocol only; completion
-  /// tracking happens after the doorbell).
-  PicoTime EstimatePostDelay(std::uint64_t size) const {
-    return OverheadFor(SelectProtocol(size), size, /*include_tracking=*/false);
-  }
+  PicoTime EstimateOverhead(std::uint64_t size) const;
 
   /// One-sided put into the connected peer. @p on_delivered fires when the
   /// bytes are visible remotely.
   StatusOr<PutReceipt> PutNbi(mem::VirtAddr local, mem::VirtAddr remote,
                               std::uint64_t size, mem::RKey rkey,
                               bool fence = false,
-                              net::Nic::DeliveredFn on_delivered = nullptr);
+                              net::DeliveredFn on_delivered = nullptr);
 
   /// 8-byte immediate put (signals, flags).
   StatusOr<PutReceipt> PutInline(std::uint64_t value, mem::VirtAddr remote,
                                  mem::RKey rkey, bool fence = false,
-                                 net::Nic::DeliveredFn on_delivered = nullptr);
-
-  /// Invokes @p done once every op posted so far has been delivered.
-  void Flush(std::function<void()> done);
+                                 net::DeliveredFn on_delivered = nullptr);
 
   std::uint32_t outstanding() const noexcept { return outstanding_; }
 
  private:
-  struct Pending {
-    bool inline_op;
-    std::uint64_t inline_value;
-    mem::VirtAddr local;
-    mem::VirtAddr remote;
-    std::uint64_t size;
-    mem::RKey rkey;
-    bool fence;
-    net::Nic::DeliveredFn on_delivered;
-    PicoTime overhead;
-  };
-
-  PicoTime OverheadFor(Protocol protocol, std::uint64_t size,
-                       bool include_tracking = true) const;
-  Status PostNow(Pending op);
+  /// Prices @p put, then posts it or queues it behind the window.
+  PutReceipt Submit(net::PutRequest put);
+  /// A put's sender-side CQE callback: frees its window slot.
+  net::DeliveredFn CompletionTracker();
+  void PostNow(net::PutRequest put);
   void OnComplete();
 
-  Worker& worker_;
+  sim::Engine& engine_;
+  net::Nic& local_;
+  net::Nic& remote_;
   PutMode mode_;
-  net::Nic* remote_ = nullptr;
   std::uint32_t outstanding_ = 0;
   /// NIC posting is serialized in submission order (WQEs reach the HCA in
   /// the order the sender posted them, regardless of per-op setup time).
   PicoTime post_serial_ = 0;
-  std::deque<Pending> queue_;
-  std::vector<std::function<void()>> flush_waiters_;
+  std::deque<net::PutRequest> queue_;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

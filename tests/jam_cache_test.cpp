@@ -197,6 +197,34 @@ TEST_F(JamCacheTest, CapacityOneThrashStaysCorrect) {
             hub.installs - hub.evictions - hub.invalidations);
 }
 
+TEST_F(JamCacheTest, FrameThatCannotFitFailsAtSendEvenWhenCached) {
+  // A by-handle send the receiver misses is resent full-body, so the
+  // full-body frame must fit its slot even when the slim one would.
+  SetUpFabric(Options(/*capacity=*/1));
+  Runtime& sender = fabric_->runtime(0);
+  std::uint64_t expect = 0;
+  const std::vector<std::uint8_t> usr = SumPayload(&expect);
+  ASSERT_TRUE(SendAndRun("ssum", {0}, usr).ok());   // installs ssum
+  ASSERT_TRUE(SendAndRun("iput", {77}, usr).ok());  // evicts ssum for iput
+  ASSERT_TRUE(sender.PeerHasJamHandle(kDefaultPeer, "ssum"));
+  const std::uint32_t last_sn = last_receipt_.sn;
+
+  // The slim frame (65,472 B) fits the 64 KiB slot; the full body does not.
+  const std::vector<std::uint8_t> big(KiB(64) - 128, 1);
+  const std::vector<std::uint64_t> args = {0};
+  const auto refused = sender.Send("ssum", Invoke::kInjected, args, big);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(sender.stats().per_peer[kDefaultPeer].send_stalls, 0u);
+
+  // Nothing was consumed: the next send takes the next sequence number,
+  // misses at the receiver, and its resend executes.
+  auto next = SendAndRun("ssum", {0}, usr);
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(last_receipt_.sn, last_sn + 1);
+  EXPECT_EQ(next->return_value, expect);
+  EXPECT_EQ(sender.jam_cache_stats().resends, 1u);
+}
+
 // Two builds of the same element name with different bodies: the reload
 // path must guarantee the stale cached image never executes again.
 StatusOr<pkg::Package> TagPackage(long addend) {

@@ -1,6 +1,6 @@
 // Tests for the RDMA NIC/link model: put pipeline timing, functional
 // delivery, rkey enforcement at the HCA, ordering/fences, stash vs DRAM
-// delivery, and the out-of-band control channel.
+// delivery, and puts the NIC refuses.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -65,7 +65,7 @@ TEST_F(NetTest, PutMovesBytes) {
 
   bool delivered = false;
   ASSERT_TRUE(nic0_
-                  .PostPut(src, dst, payload.size(), rkey, false,
+                  .PostPut(nic1_, src, dst, payload.size(), rkey, false,
                            [&](const PutCompletion& c) {
                              EXPECT_TRUE(c.status.ok());
                              delivered = true;
@@ -87,20 +87,17 @@ TEST_F(NetTest, PutLatencyIsPipelineSum) {
 
   PicoTime delivered_at = 0;
   ASSERT_TRUE(nic0_
-                  .PostPut(src, dst, payload.size(), rkey, false,
+                  .PostPut(nic1_, src, dst, payload.size(), rkey, false,
                            [&](const PutCompletion& c) {
                              delivered_at = c.delivered_at;
                            })
                   .ok());
   engine_.Run();
-  const NicConfig& cfg = nic0_.config();
   // doorbell + per-message + dma read + pcie transfer + wire serialize +
   // propagation + rx processing.
-  const double expect_ns = cfg.doorbell_ns + cfg.per_message_ns +
-                           cfg.dma_read_overhead_ns +
-                           256 * 8.0 / cfg.pcie_gbps +
-                           256 * 8.0 / cfg.wire_gbps + cfg.wire_latency_ns +
-                           cfg.rx_processing_ns;
+  const double expect_ns = kDoorbellNs + kPerMessageNs + kDmaReadOverheadNs +
+                           256 * 8.0 / kPcieGbps + 256 * 8.0 / kWireGbps +
+                           kWireLatencyNs + kRxProcessingNs;
   EXPECT_NEAR(ToNanoseconds(delivered_at), expect_ns, 2.0);
 }
 
@@ -111,7 +108,8 @@ TEST_F(NetTest, LargerMessagesTakeLonger) {
     const std::vector<std::uint8_t> p(64, 1);
     const mem::VirtAddr src = MakeSource(host0_, p);
     auto on_done = [&](const PutCompletion& c) { t_small = c.delivered_at; };
-    ASSERT_TRUE(nic0_.PostPut(src, dst, p.size(), rkey, false, on_done).ok());
+    ASSERT_TRUE(
+        nic0_.PostPut(nic1_, src, dst, p.size(), rkey, false, on_done).ok());
     engine_.Run();
   }
   {
@@ -119,7 +117,8 @@ TEST_F(NetTest, LargerMessagesTakeLonger) {
     const mem::VirtAddr src = MakeSource(host0_, p);
     const PicoTime before = engine_.Now();
     auto on_done = [&](const PutCompletion& c) { t_large = c.delivered_at; };
-    ASSERT_TRUE(nic0_.PostPut(src, dst, p.size(), rkey, false, on_done).ok());
+    ASSERT_TRUE(
+        nic0_.PostPut(nic1_, src, dst, p.size(), rkey, false, on_done).ok());
     engine_.Run();
     t_large -= before;
   }
@@ -136,7 +135,7 @@ TEST_F(NetTest, BadRkeyRejectedAtHardwareWithoutTouchingMemory) {
   Status seen;
   mem::RKey bogus{rkey.value ^ 0x1234};
   ASSERT_TRUE(nic0_
-                  .PostPut(src, dst, payload.size(), bogus, false,
+                  .PostPut(nic1_, src, dst, payload.size(), bogus, false,
                            [&](const PutCompletion& c) { seen = c.status; })
                   .ok());
   engine_.Run();
@@ -154,7 +153,7 @@ TEST_F(NetTest, PutBeyondRegionRejected) {
   const mem::VirtAddr src = MakeSource(host0_, payload);
   Status seen;
   ASSERT_TRUE(nic0_
-                  .PostPut(src, dst, payload.size(), rkey, false,
+                  .PostPut(nic1_, src, dst, payload.size(), rkey, false,
                            [&](const PutCompletion& c) { seen = c.status; })
                   .ok());
   engine_.Run();
@@ -163,7 +162,8 @@ TEST_F(NetTest, PutBeyondRegionRejected) {
 
 TEST_F(NetTest, InlinePutWritesImmediateValue) {
   auto [dst, rkey] = MakeTarget(host1_, 64);
-  ASSERT_TRUE(nic0_.PostInlinePut(0xCAFEBABEDEADBEEFull, dst, rkey).ok());
+  ASSERT_TRUE(
+      nic0_.PostInlinePut(nic1_, 0xCAFEBABEDEADBEEFull, dst, rkey).ok());
   engine_.Run();
   EXPECT_EQ(host1_.memory().LoadU64(dst).value(), 0xCAFEBABEDEADBEEFull);
 }
@@ -174,7 +174,7 @@ TEST_F(NetTest, SnapshotSemanticsProtectInFlightData) {
   auto [dst, rkey] = MakeTarget(host1_, 64);
   const std::vector<std::uint8_t> payload = {0x11, 0x22};
   const mem::VirtAddr src = MakeSource(host0_, payload);
-  ASSERT_TRUE(nic0_.PostPut(src, dst, 2, rkey).ok());
+  ASSERT_TRUE(nic0_.PostPut(nic1_, src, dst, 2, rkey).ok());
   ASSERT_TRUE(host0_.memory().StoreU8(src, 0xFF).ok());
   engine_.Run();
   EXPECT_EQ(host1_.memory().LoadU8(dst).value(), 0x11);
@@ -187,7 +187,8 @@ TEST_F(NetTest, OrderedDeliveryPreservesPostOrder) {
     const std::vector<std::uint8_t> p(64 + 512 * (7 - i), 0);  // varied sizes
     const mem::VirtAddr src = MakeSource(host0_, p);
     auto on_done = [&order, i](const PutCompletion&) { order.push_back(i); };
-    ASSERT_TRUE(nic0_.PostPut(src, dst, p.size(), rkey, false, on_done).ok());
+    ASSERT_TRUE(
+        nic0_.PostPut(nic1_, src, dst, p.size(), rkey, false, on_done).ok());
   }
   engine_.Run();
   for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
@@ -197,23 +198,25 @@ TEST_F(NetTest, StashingDeliversIntoLLC) {
   auto [dst, rkey] = MakeTarget(host1_, 4096);
   const std::vector<std::uint8_t> payload(512, 0x33);
   const mem::VirtAddr src = MakeSource(host0_, payload);
-  ASSERT_TRUE(nic0_.PostPut(src, dst, payload.size(), rkey).ok());
+  ASSERT_TRUE(nic0_.PostPut(nic1_, src, dst, payload.size(), rkey).ok());
   engine_.Run();
   EXPECT_TRUE(host1_.caches().ProbeLLC(dst));
   EXPECT_EQ(host1_.caches().stats().stash_lines, 8u);
 }
 
 TEST_F(NetTest, NonStashingDeliversToDram) {
-  nic1_.set_stash_to_llc(false);
-  auto [dst, rkey] = MakeTarget(host1_, 4096);
+  Host h0 = MakeHost(2), h1 = MakeHost(3);
+  Nic a(engine_, h0, NicConfig{}), b(engine_, h1, {.stash_to_llc = false});
+  ASSERT_TRUE(a.ConnectTo(b).ok());
+  auto [dst, rkey] = MakeTarget(h1, 4096);
   // Warm the line first so we can observe the invalidation.
-  host1_.caches().AccessLine(0, dst, cache::AccessKind::kLoad);
+  h1.caches().AccessLine(0, dst, cache::AccessKind::kLoad);
   const std::vector<std::uint8_t> payload(64, 0x44);
-  const mem::VirtAddr src = MakeSource(host0_, payload);
-  ASSERT_TRUE(nic0_.PostPut(src, dst, payload.size(), rkey).ok());
+  const mem::VirtAddr src = MakeSource(h0, payload);
+  ASSERT_TRUE(a.PostPut(b, src, dst, payload.size(), rkey).ok());
   engine_.Run();
-  EXPECT_FALSE(host1_.caches().ProbeLLC(dst));
-  EXPECT_FALSE(host1_.caches().ProbeL1(0, dst));
+  EXPECT_FALSE(h1.caches().ProbeLLC(dst));
+  EXPECT_FALSE(h1.caches().ProbeL1(0, dst));
 }
 
 TEST_F(NetTest, BackToBackPutsPipelineOnTheWire) {
@@ -228,18 +231,18 @@ TEST_F(NetTest, BackToBackPutsPipelineOnTheWire) {
     auto on_done = [&](const PutCompletion& c) {
       times.push_back(c.delivered_at);
     };
-    ASSERT_TRUE(nic0_.PostPut(src, dst, size, rkey, false, on_done).ok());
+    ASSERT_TRUE(
+        nic0_.PostPut(nic1_, src, dst, size, rkey, false, on_done).ok());
   }
   engine_.Run();
   ASSERT_EQ(times.size(), 2u);
-  const double serialize_ns = size * 8.0 / nic0_.config().wire_gbps;
+  const double serialize_ns = size * 8.0 / kWireGbps;
   EXPECT_GE(ToNanoseconds(times[1] - times[0]), serialize_ns * 0.9);
 }
 
 TEST_F(NetTest, UnorderedModeCanReorderButFenceRestoresOrder) {
   NicConfig cfg;
   cfg.enforce_write_ordering = false;
-  cfg.reorder_window_ns = 5000.0;
   Host h0 = MakeHost(2), h1 = MakeHost(3);
   sim::Engine eng;
   Nic a(eng, h0, cfg), b(eng, h1, cfg);
@@ -255,8 +258,8 @@ TEST_F(NetTest, UnorderedModeCanReorderButFenceRestoresOrder) {
   std::vector<int> order;
   for (int i = 0; i < 16; ++i) {
     auto on_done = [&order, i](const PutCompletion&) { order.push_back(i); };
-    ASSERT_TRUE(a.PostInlinePut(static_cast<std::uint64_t>(i), *dst + 8u * i,
-                                *rkey, /*fence=*/false, on_done)
+    ASSERT_TRUE(a.PostInlinePut(b, static_cast<std::uint64_t>(i),
+                                *dst + 8u * i, *rkey, /*fence=*/false, on_done)
                     .ok());
   }
   eng.Run();
@@ -270,50 +273,66 @@ TEST_F(NetTest, UnorderedModeCanReorderButFenceRestoresOrder) {
   std::vector<int> order2;
   for (int i = 0; i < 8; ++i) {
     auto on_done = [&order2, i](const PutCompletion&) { order2.push_back(i); };
-    ASSERT_TRUE(a.PostInlinePut(static_cast<std::uint64_t>(i), *dst + 8u * i,
-                                *rkey, false, on_done)
+    ASSERT_TRUE(a.PostInlinePut(b, static_cast<std::uint64_t>(i),
+                                *dst + 8u * i, *rkey, false, on_done)
                     .ok());
   }
   auto on_fenced = [&order2](const PutCompletion&) { order2.push_back(99); };
   ASSERT_TRUE(
-      a.PostInlinePut(99, *dst + 256, *rkey, /*fence=*/true, on_fenced).ok());
+      a.PostInlinePut(b, 99, *dst + 256, *rkey, /*fence=*/true, on_fenced)
+          .ok());
   eng.Run();
   ASSERT_FALSE(order2.empty());
   EXPECT_EQ(order2.back(), 99);
 }
 
 TEST_F(NetTest, UnconnectedNicFailsPrecondition) {
+  // A put the NIC cannot make completes at once with the error it returns.
   Host h = MakeHost(5);
   Nic lone(engine_, h, NicConfig{});
-  EXPECT_EQ(lone.PostInlinePut(1, 0x1000, mem::RKey{1}).code(),
+  Status delivered, completed;
+  EXPECT_EQ(lone.PostInlinePut(
+                    nic1_, 1, 0x1000, mem::RKey{1}, false,
+                    [&](const PutCompletion& c) { delivered = c.status; },
+                    [&](const PutCompletion& c) { completed = c.status; })
+                .code(),
             StatusCode::kFailedPrecondition);
+  EXPECT_EQ(delivered.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(completed.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(lone.puts_posted(), 0u);
 }
 
 TEST_F(NetTest, ZeroLengthPutRejected) {
   auto [dst, rkey] = MakeTarget(host1_, 64);
-  EXPECT_EQ(nic0_.PostPut(0, dst, 0, rkey).code(),
+  EXPECT_EQ(nic0_.PostPut(nic1_, 0, dst, 0, rkey).code(),
             StatusCode::kInvalidArgument);
 }
 
-TEST_F(NetTest, ControlChannelDeliversInOrderWithLatency) {
-  ControlChannel ctl(engine_, /*latency_us=*/15.0);
-  std::vector<std::uint8_t> seen;
-  PicoTime arrival = 0;
-  ctl.SetHandler(1, [&](std::vector<std::uint8_t> msg) {
-    seen.insert(seen.end(), msg.begin(), msg.end());
-    arrival = engine_.Now();
-  });
-  ASSERT_TRUE(ctl.Send(1, {1}).ok());
-  ASSERT_TRUE(ctl.Send(1, {2}).ok());
-  ASSERT_TRUE(ctl.Send(1, {3}).ok());
+TEST_F(NetTest, DmaReadOutsideArenaFailsWithoutOccupyingTheSendEngine) {
+  auto [dst, rkey] = MakeTarget(host1_, 64);
+  Status completed;
+  EXPECT_FALSE(nic0_
+                   .PostPut(nic1_, mem::HostBase(0) + GiB(1), dst, 8, rkey,
+                            false, nullptr,
+                            [&](const PutCompletion& c) {
+                              completed = c.status;
+                            })
+                   .ok());
+  EXPECT_FALSE(completed.ok());
+  EXPECT_EQ(nic0_.puts_posted(), 0u);
+  // The next put sees an idle send engine: it is delivered as if alone.
+  PicoTime delivered_at = 0;
+  ASSERT_TRUE(nic0_
+                  .PostInlinePut(nic1_, 7, dst, rkey, false,
+                                 [&](const PutCompletion& c) {
+                                   delivered_at = c.delivered_at;
+                                 })
+                  .ok());
   engine_.Run();
-  EXPECT_EQ(seen, (std::vector<std::uint8_t>{1, 2, 3}));
-  EXPECT_GE(arrival, Microseconds(15.0));
-}
-
-TEST_F(NetTest, ControlChannelUnknownHost) {
-  ControlChannel ctl(engine_);
-  EXPECT_EQ(ctl.Send(9, {1}).code(), StatusCode::kNotFound);
+  EXPECT_EQ(delivered_at,
+            Nanoseconds(kDoorbellNs) + Nanoseconds(kPerMessageNs) +
+                Nanoseconds(8 * 8.0 / kWireGbps) + Nanoseconds(kWireLatencyNs) +
+                Nanoseconds(kRxProcessingNs));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the UCX shim: protocol selection/thresholds, overhead shape,
-// window-limited pipelining in kUcx mode, flush semantics, and the kUser
-// bypass that Two-Chains uses.
+// window-limited pipelining in kUcx mode, puts the NIC refuses, and the
+// kUser bypass that Two-Chains uses.
 #include <gtest/gtest.h>
 
 #include "net/host.hpp"
@@ -16,9 +16,7 @@ class UcxsTest : public ::testing::Test {
   UcxsTest()
       : host0_(HostCfg(0)), host1_(HostCfg(1)),
         nic0_(engine_, host0_, net::NicConfig{}),
-        nic1_(engine_, host1_, net::NicConfig{}),
-        ctx0_(engine_, host0_, nic0_),
-        worker0_(ctx0_) {
+        nic1_(engine_, host1_, net::NicConfig{}) {
     EXPECT_TRUE(nic0_.ConnectTo(nic1_).ok());
     auto dst = host1_.memory().Allocate(MiB(1), 64, mem::Perm::kRW, "dst");
     EXPECT_TRUE(dst.ok());
@@ -43,57 +41,49 @@ class UcxsTest : public ::testing::Test {
   sim::Engine engine_;
   net::Host host0_, host1_;
   net::Nic nic0_, nic1_;
-  Context ctx0_;
-  Worker worker0_;
   mem::VirtAddr dst_ = 0, src_ = 0;
   mem::RKey rkey_;
 };
 
 TEST_F(UcxsTest, ProtocolThresholds) {
-  Endpoint ep(worker0_, PutMode::kUser);
-  const ProtocolConfig& cfg = ctx0_.config();
-  EXPECT_EQ(ep.SelectProtocol(64), Protocol::kShort);
-  EXPECT_EQ(ep.SelectProtocol(cfg.short_max), Protocol::kShort);
-  EXPECT_EQ(ep.SelectProtocol(cfg.short_max + 1), Protocol::kBcopy);
-  EXPECT_EQ(ep.SelectProtocol(cfg.bcopy_max), Protocol::kBcopy);
-  EXPECT_EQ(ep.SelectProtocol(cfg.bcopy_max + 1), Protocol::kZcopy);
-  EXPECT_EQ(ep.SelectProtocol(cfg.zcopy_max), Protocol::kZcopy);
-  EXPECT_EQ(ep.SelectProtocol(cfg.zcopy_max + 1), Protocol::kRndv);
-  EXPECT_EQ(ep.SelectProtocol(MiB(1)), Protocol::kRndv);
+  EXPECT_EQ(SelectProtocol(64), Protocol::kShort);
+  EXPECT_EQ(SelectProtocol(kShortMax), Protocol::kShort);
+  EXPECT_EQ(SelectProtocol(kShortMax + 1), Protocol::kBcopy);
+  EXPECT_EQ(SelectProtocol(kBcopyMax), Protocol::kBcopy);
+  EXPECT_EQ(SelectProtocol(kBcopyMax + 1), Protocol::kZcopy);
+  EXPECT_EQ(SelectProtocol(kZcopyMax), Protocol::kZcopy);
+  EXPECT_EQ(SelectProtocol(kZcopyMax + 1), Protocol::kRndv);
+  EXPECT_EQ(SelectProtocol(MiB(1)), Protocol::kRndv);
 }
 
 TEST_F(UcxsTest, ThresholdsPlacedForInjectedFrameBumps) {
-  // The defaults must make the paper's Indirect Put Injected frames cross
+  // The thresholds must make the paper's Indirect Put Injected frames cross
   // protocols at the 8-int and 256-int payloads (Fig. 7's bumps):
   // frame(n ints) ~ 1472 + 64 * ceil stuff; we check the intent directly:
-  Endpoint ep(worker0_, PutMode::kUser);
-  EXPECT_EQ(ep.SelectProtocol(1472), Protocol::kBcopy);   // 1-int injected
-  EXPECT_EQ(ep.SelectProtocol(1536), Protocol::kZcopy);   // 8-int injected
-  EXPECT_EQ(ep.SelectProtocol(2496), Protocol::kRndv);    // 256-int injected
-  EXPECT_EQ(ep.SelectProtocol(64), Protocol::kShort);     // 1-int local
+  EXPECT_EQ(SelectProtocol(1472), Protocol::kBcopy);   // 1-int injected
+  EXPECT_EQ(SelectProtocol(1536), Protocol::kZcopy);   // 8-int injected
+  EXPECT_EQ(SelectProtocol(2496), Protocol::kRndv);    // 256-int injected
+  EXPECT_EQ(SelectProtocol(64), Protocol::kShort);     // 1-int local
 }
 
 TEST_F(UcxsTest, JustCrossedThresholdCostsMore) {
   // A message 1 byte over a threshold pays more setup than one at the
   // threshold — the "just within the acceptable range" penalty.
-  Endpoint ep(worker0_, PutMode::kUser);
-  const ProtocolConfig& cfg = ctx0_.config();
-  EXPECT_GT(ep.EstimateOverhead(cfg.bcopy_max + 1),
-            ep.EstimateOverhead(cfg.bcopy_max));
-  EXPECT_GT(ep.EstimateOverhead(cfg.zcopy_max + 1),
-            ep.EstimateOverhead(cfg.zcopy_max));
+  Endpoint ep(engine_, nic0_, nic1_, PutMode::kUser);
+  EXPECT_GT(ep.EstimateOverhead(kBcopyMax + 1), ep.EstimateOverhead(kBcopyMax));
+  EXPECT_GT(ep.EstimateOverhead(kZcopyMax + 1), ep.EstimateOverhead(kZcopyMax));
 }
 
 TEST_F(UcxsTest, UcxModeCostsMoreThanUserMode) {
-  Endpoint ucx(worker0_, PutMode::kUcx);
-  Endpoint user(worker0_, PutMode::kUser);
+  Endpoint ucx(engine_, nic0_, nic1_, PutMode::kUcx);
+  Endpoint user(engine_, nic0_, nic1_, PutMode::kUser);
   for (std::uint64_t size : {64ull, 1024ull, 16384ull}) {
     EXPECT_GT(ucx.EstimateOverhead(size), user.EstimateOverhead(size));
   }
 }
 
 TEST_F(UcxsTest, PutDeliversThroughNic) {
-  Endpoint ep(worker0_, PutMode::kUser);
+  Endpoint ep(engine_, nic0_, nic1_, PutMode::kUser);
   ASSERT_TRUE(host0_.memory().StoreU64(src_, 0xABCD).ok());
   bool delivered = false;
   auto receipt = ep.PutNbi(src_, dst_, 8, rkey_, false,
@@ -106,12 +96,12 @@ TEST_F(UcxsTest, PutDeliversThroughNic) {
   engine_.Run();
   EXPECT_TRUE(delivered);
   EXPECT_EQ(host1_.memory().LoadU64(dst_).value(), 0xABCDu);
-  EXPECT_EQ(worker0_.ops_posted(), 1u);
-  EXPECT_EQ(worker0_.ops_completed(), 1u);
+  EXPECT_EQ(nic0_.puts_posted(), 1u);
+  EXPECT_EQ(ep.outstanding(), 0u);
 }
 
 TEST_F(UcxsTest, InlinePut) {
-  Endpoint ep(worker0_, PutMode::kUser);
+  Endpoint ep(engine_, nic0_, nic1_, PutMode::kUser);
   auto receipt = ep.PutInline(0x77, dst_ + 64, rkey_);
   ASSERT_TRUE(receipt.ok());
   engine_.Run();
@@ -119,8 +109,8 @@ TEST_F(UcxsTest, InlinePut) {
 }
 
 TEST_F(UcxsTest, WindowQueuesBeyondMaxOutstanding) {
-  Endpoint ep(worker0_, PutMode::kUcx);
-  const auto window = ctx0_.config().max_outstanding;
+  Endpoint ep(engine_, nic0_, nic1_, PutMode::kUcx);
+  const auto window = kMaxOutstanding;
   int queued = 0;
   int posted = 0;
   for (std::uint32_t i = 0; i < window + 8; ++i) {
@@ -132,51 +122,62 @@ TEST_F(UcxsTest, WindowQueuesBeyondMaxOutstanding) {
   EXPECT_EQ(queued, 8);
   engine_.Run();
   // Everything eventually delivered.
-  EXPECT_EQ(worker0_.ops_completed(), window + 8);
+  EXPECT_EQ(nic0_.puts_posted(), window + 8);
   EXPECT_EQ(ep.outstanding(), 0u);
 }
 
 TEST_F(UcxsTest, UserModeHasNoWindow) {
-  Endpoint ep(worker0_, PutMode::kUser);
+  Endpoint ep(engine_, nic0_, nic1_, PutMode::kUser);
   for (std::uint32_t i = 0; i < 64; ++i) {
     auto receipt = ep.PutNbi(src_, dst_ + 64ull * i, 64, rkey_);
     ASSERT_TRUE(receipt.ok());
     EXPECT_FALSE(receipt->queued);
   }
+  EXPECT_EQ(ep.outstanding(), 64u);
   engine_.Run();
-  EXPECT_EQ(worker0_.ops_completed(), 64u);
+  EXPECT_EQ(nic0_.puts_posted(), 64u);
+  EXPECT_EQ(ep.outstanding(), 0u);
 }
 
-TEST_F(UcxsTest, FlushWaitsForAllOps) {
-  Endpoint ep(worker0_, PutMode::kUcx);
-  for (int i = 0; i < 24; ++i) {
-    ASSERT_TRUE(ep.PutNbi(src_, dst_ + 64ull * i, 64, rkey_).ok());
+TEST_F(UcxsTest, PostTheNicCannotMakeCompletesAndFreesItsWindowSlot) {
+  // A put whose DMA read falls outside the sender's arena is refused by
+  // the NIC at post time. It must still complete, with the error, or it
+  // holds its window slot forever and strands every put queued behind it.
+  Endpoint ep(engine_, nic0_, nic1_, PutMode::kUcx);
+  const mem::VirtAddr past_arena = src_ + MiB(64);
+  std::uint32_t refused = 0;
+  for (std::uint32_t i = 0; i < kMaxOutstanding; ++i) {
+    auto receipt = ep.PutNbi(past_arena, dst_, 64, rkey_, false,
+                             [&](const net::PutCompletion& c) {
+                               if (!c.status.ok()) ++refused;
+                             });
+    ASSERT_TRUE(receipt.ok());
+    EXPECT_FALSE(receipt->queued);
   }
-  bool flushed = false;
-  ep.Flush([&] {
-    flushed = true;
-    EXPECT_EQ(ep.outstanding(), 0u);
-  });
-  EXPECT_FALSE(flushed);
+  ASSERT_TRUE(host0_.memory().StoreU64(src_, 0x5EED).ok());
+  bool delivered = false;
+  auto valid = ep.PutNbi(src_, dst_, 8, rkey_, false,
+                         [&](const net::PutCompletion& c) {
+                           EXPECT_TRUE(c.status.ok()) << c.status;
+                           delivered = true;
+                         });
+  ASSERT_TRUE(valid.ok());
+  EXPECT_TRUE(valid->queued);
   engine_.Run();
-  EXPECT_TRUE(flushed);
-}
-
-TEST_F(UcxsTest, FlushOnIdleEndpointFiresImmediately) {
-  Endpoint ep(worker0_, PutMode::kUser);
-  bool flushed = false;
-  ep.Flush([&] { flushed = true; });
-  EXPECT_TRUE(flushed);
+  EXPECT_EQ(refused, kMaxOutstanding);
+  EXPECT_TRUE(delivered);
+  EXPECT_EQ(host1_.memory().LoadU64(dst_).value(), 0x5EEDu);
+  EXPECT_EQ(ep.outstanding(), 0u);
 }
 
 TEST_F(UcxsTest, ZeroSizeRejected) {
-  Endpoint ep(worker0_, PutMode::kUser);
+  Endpoint ep(engine_, nic0_, nic1_, PutMode::kUser);
   EXPECT_EQ(ep.PutNbi(src_, dst_, 0, rkey_).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST_F(UcxsTest, BcopyScalesWithSize) {
-  Endpoint ep(worker0_, PutMode::kUser);
+  Endpoint ep(engine_, nic0_, nic1_, PutMode::kUser);
   // Within bcopy, overhead grows with bytes copied through the bounce
   // buffer.
   EXPECT_GT(ep.EstimateOverhead(1400), ep.EstimateOverhead(300));

@@ -103,6 +103,7 @@ check FabricOptions src/core/fabric.hpp '^## FabricOptions'
 check EngineConfig src/sim/engine.hpp '^## EngineConfig'
 check TreeConfig src/core/fabric.hpp '^## TreeConfig'
 check SwitchConfig src/net/switch.hpp '^## SwitchConfig'
+check NicConfig src/net/nic.hpp '^## NicConfig'
 check HierarchyConfig src/cache/config.hpp '^## HierarchyConfig'
 check OpenLoopConfig src/benchlib/openloop.hpp '^## OpenLoopConfig'
 
