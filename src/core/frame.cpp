@@ -87,18 +87,16 @@ StatusOr<std::vector<std::uint8_t>> PackFrame(
     std::span<const std::uint64_t> gotp_values,
     std::span<const std::uint8_t> code, std::span<const std::uint8_t> args,
     std::span<const std::uint8_t> usr) {
-  if (spec.by_handle) {
-    return InvalidArgument("by-handle frames are packed by PackHandleFrame");
+  const bool full_body = spec.injected && !spec.by_handle;
+  const std::size_t words =
+      spec.by_handle ? 1 : (full_body ? spec.got_slots : 0);
+  if (gotp_values.size() != words) {
+    return InvalidArgument(spec.by_handle ? "by-handle frame needs one handle"
+                                          : "GOTP value count mismatch");
   }
-  if (spec.injected) {
-    if (gotp_values.size() != spec.got_slots) {
-      return InvalidArgument("GOTP value count mismatch");
-    }
-    if (code.size() != spec.code_size) {
-      return InvalidArgument("code size mismatch");
-    }
-  } else if (!gotp_values.empty() || !code.empty()) {
-    return InvalidArgument("local frame cannot carry GOTP/code");
+  if (code.size() != (full_body ? spec.code_size : 0)) {
+    return InvalidArgument(full_body ? "code size mismatch"
+                                     : "only a full-body frame carries code");
   }
   if (args.size() != spec.args_size || usr.size() != spec.usr_size) {
     return InvalidArgument("payload size mismatch");
@@ -110,18 +108,20 @@ StatusOr<std::vector<std::uint8_t>> PackFrame(
   header.frame_len = static_cast<std::uint32_t>(layout.frame_len);
   header.args_size = static_cast<std::uint32_t>(spec.args_size);
   header.usr_size = static_cast<std::uint32_t>(spec.usr_size);
-  header.flags = static_cast<std::uint16_t>(
-      header.flags | (spec.injected ? kFlagInjected : 0));
+  // A by-handle frame is still an Injected Function invocation — the code
+  // just lives in the receiver's cache instead of the frame.
+  const int shape = spec.by_handle ? (kFlagInjected | kFlagByHandle)
+                                   : (spec.injected ? kFlagInjected : 0);
+  header.flags = static_cast<std::uint16_t>(header.flags | shape);
   WriteHeader(header, frame);
 
-  if (spec.injected) {
-    if (!gotp_values.empty()) {
-      std::memcpy(frame.data() + layout.gotp_off, gotp_values.data(),
-                  8 * gotp_values.size());
-    }
-    if (!code.empty()) {
-      std::memcpy(frame.data() + layout.code_off, code.data(), code.size());
-    }
+  if (!gotp_values.empty()) {
+    std::memcpy(frame.data() +
+                    (spec.by_handle ? layout.handle_off : layout.gotp_off),
+                gotp_values.data(), 8 * gotp_values.size());
+  }
+  if (!code.empty()) {
+    std::memcpy(frame.data() + layout.code_off, code.data(), code.size());
   }
   if (!args.empty()) {
     std::memcpy(frame.data() + layout.args_off, args.data(), args.size());
@@ -132,50 +132,6 @@ StatusOr<std::vector<std::uint8_t>> PackFrame(
   const std::uint64_t sig = SignalWord(header.sn);
   std::memcpy(frame.data() + layout.sig_off, &sig, 8);
   return frame;
-}
-
-StatusOr<std::vector<std::uint8_t>> PackHandleFrame(
-    const FrameSpec& spec, FrameHeader header, std::uint64_t handle,
-    std::span<const std::uint8_t> args, std::span<const std::uint8_t> usr) {
-  if (!spec.by_handle) {
-    return InvalidArgument("PackHandleFrame requires spec.by_handle");
-  }
-  if (args.size() != spec.args_size || usr.size() != spec.usr_size) {
-    return InvalidArgument("payload size mismatch");
-  }
-
-  const FrameLayout layout = FrameLayout::Compute(spec);
-  std::vector<std::uint8_t> frame(layout.frame_len, 0);
-
-  header.frame_len = static_cast<std::uint32_t>(layout.frame_len);
-  header.args_size = static_cast<std::uint32_t>(spec.args_size);
-  header.usr_size = static_cast<std::uint32_t>(spec.usr_size);
-  header.flags = static_cast<std::uint16_t>(header.flags | kFlagByHandle);
-  WriteHeader(header, frame);
-
-  std::memcpy(frame.data() + layout.handle_off, &handle, 8);
-  if (!args.empty()) {
-    std::memcpy(frame.data() + layout.args_off, args.data(), args.size());
-  }
-  if (!usr.empty()) {
-    std::memcpy(frame.data() + layout.usr_off, usr.data(), usr.size());
-  }
-  const std::uint64_t sig = SignalWord(header.sn);
-  std::memcpy(frame.data() + layout.sig_off, &sig, 8);
-  return frame;
-}
-
-StatusOr<std::uint64_t> ReadHandle(std::span<const std::uint8_t> frame,
-                                   const FrameHeader& header) {
-  if (!(header.flags & kFlagByHandle)) {
-    return FailedPrecondition("frame is not by-handle");
-  }
-  if (frame.size() < kHeaderBytes + 8) {
-    return DataLoss("by-handle frame truncated before handle");
-  }
-  std::uint64_t handle = 0;
-  std::memcpy(&handle, frame.data() + kHeaderBytes, 8);
-  return handle;
 }
 
 Status PatchPreSlot(std::span<std::uint8_t> frame, const FrameLayout& layout,

@@ -103,25 +103,18 @@ void WriteHeader(const FrameHeader& header, std::span<std::uint8_t> out);
 StatusOr<FrameHeader> ReadHeader(std::span<const std::uint8_t> bytes,
                                  std::uint64_t slot_capacity = 0);
 
-/// Builds a complete frame. Sizes in @p spec must match the spans. The PRE
-/// slot is left zero — the sender patches it with the receiver-side GOTP
-/// address once the target mailbox is known (or the receiver installs it in
-/// the hardened mode).
+/// Builds a complete frame of the shape @p spec names; sizes in @p spec
+/// must match the spans. A full-body frame carries @p gotp_values and
+/// @p code. A by-handle frame carries exactly one @p gotp_values word, the
+/// jam's 64-bit content handle, at handle_off (where GOTP would start).
+/// A Local frame carries neither. The PRE slot is left zero — the sender
+/// patches it with the receiver-side GOTP address once the target mailbox
+/// is known (or the receiver installs it in the hardened mode).
 StatusOr<std::vector<std::uint8_t>> PackFrame(
     const FrameSpec& spec, FrameHeader header,
     std::span<const std::uint64_t> gotp_values,
     std::span<const std::uint8_t> code, std::span<const std::uint8_t> args,
     std::span<const std::uint8_t> usr);
-
-/// Builds a slim invoke-by-handle frame (spec.by_handle must be set): the
-/// 64-bit content @p handle rides at kHeaderBytes in place of GOTP/CODE.
-StatusOr<std::vector<std::uint8_t>> PackHandleFrame(
-    const FrameSpec& spec, FrameHeader header, std::uint64_t handle,
-    std::span<const std::uint8_t> args, std::span<const std::uint8_t> usr);
-
-/// Reads the content handle out of a packed by-handle frame.
-StatusOr<std::uint64_t> ReadHandle(std::span<const std::uint8_t> frame,
-                                   const FrameHeader& header);
 
 /// Writes @p value into the PRE slot of a packed frame.
 Status PatchPreSlot(std::span<std::uint8_t> frame, const FrameLayout& layout,

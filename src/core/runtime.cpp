@@ -38,6 +38,28 @@ std::vector<std::uint8_t> CodeBlobOf(const jelf::LinkedImage& image) {
   return blob;
 }
 
+/// Runs the static verifier over a jam's code+rodata @p blob, whose first
+/// @p text_size bytes are instructions that link through @p got_slots GOT
+/// words. Returns the verification cost (~2 cycles per instruction).
+StatusOr<Cycles> VerifyJamCode(std::span<const std::uint8_t> blob,
+                               std::uint64_t text_size,
+                               std::uint32_t got_slots) {
+  // A blob smaller than its own text would wrap the unsigned rodata bound
+  // and neuter the verifier's lea escape check. LoadPackage's layout
+  // validation should make this unreachable; it stays as defense in depth.
+  if (blob.size() < text_size) {
+    return InvalidArgument(StrFormat(
+        "code blob (%zu B) smaller than its text (%llu B)", blob.size(),
+        static_cast<unsigned long long>(text_size)));
+  }
+  vm::VerifyLimits limits;
+  limits.got_slots = got_slots;
+  limits.rodata_bytes = blob.size() - text_size;
+  limits.pre_slot_offset = jelf::kPreambleSlotOffset;
+  TC_RETURN_IF_ERROR(vm::VerifyCode(blob.first(text_size), limits));
+  return static_cast<Cycles>(text_size / 4);
+}
+
 }  // namespace
 
 Runtime::Runtime(sim::Engine& engine, net::Host& host, net::Nic& nic,
@@ -450,20 +472,30 @@ StatusOr<const Runtime::ElementInfo*> Runtime::FindElement(
   return NotFound(StrFormat("jam '%s' (package not loaded?)", name.c_str()));
 }
 
+FrameSpec Runtime::SpecFor(std::uint16_t flags, std::uint32_t got_slots,
+                           std::uint64_t code_size, std::uint64_t args_size,
+                           std::uint64_t usr_size) const {
+  FrameSpec spec;
+  spec.by_handle = (flags & kFlagByHandle) != 0;
+  spec.injected = !spec.by_handle && (flags & kFlagInjected) != 0;
+  spec.args_size = args_size;
+  spec.usr_size = usr_size;
+  if (spec.injected) {
+    spec.got_slots = got_slots;
+    spec.code_size = code_size;
+    spec.split_code_data = config_.security.split_code_data_pages;
+  }
+  return spec;
+}
+
 StatusOr<FrameLayout> Runtime::LayoutFor(const std::string& name, Invoke mode,
                                          std::uint64_t args_bytes,
                                          std::uint64_t usr_bytes) const {
   TC_ASSIGN_OR_RETURN(const ElementInfo* elem, FindElement(name));
-  FrameSpec spec;
-  spec.injected = mode == Invoke::kInjected;
-  spec.args_size = args_bytes;
-  spec.usr_size = usr_bytes;
-  spec.split_code_data = config_.security.split_code_data_pages;
-  if (spec.injected) {
-    spec.got_slots = elem->injected_image.got_slot_count();
-    spec.code_size = elem->code_blob.size();
-  }
-  return FrameLayout::Compute(spec);
+  return FrameLayout::Compute(
+      SpecFor(mode == Invoke::kInjected ? kFlagInjected : 0,
+              elem->injected_image.got_slot_count(), elem->code_blob.size(),
+              args_bytes, usr_bytes));
 }
 
 std::uint32_t Runtime::DomainOfPoolCore(
@@ -506,24 +538,19 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
   PeerStats& pstats = stats_.per_peer[peer_id];
   TC_ASSIGN_OR_RETURN(const ElementInfo* elem, FindElement(name));
 
-  FrameSpec spec;
-  spec.injected = mode == Invoke::kInjected;
-  spec.args_size = args.size() * 8;
-  spec.usr_size = usr.size();
-  spec.split_code_data = config_.security.split_code_data_pages;
-  if (spec.injected) {
-    spec.got_slots = elem->injected_image.got_slot_count();
-    spec.code_size = elem->code_blob.size();
-  }
+  const std::uint32_t got_slots = elem->injected_image.got_slot_count();
+  const std::uint16_t shape = mode == Invoke::kInjected ? kFlagInjected : 0;
+  FrameSpec spec = SpecFor(shape, got_slots, elem->code_blob.size(),
+                           args.size() * 8, usr.size());
+  FrameLayout layout = FrameLayout::Compute(spec);
   // The full-body frame must fit the slot even when this send could go by
   // handle: a receiver that has evicted the jam NAKs the slim frame, and
   // the sender then resends it full-body. Checked before a sequence number
   // or a slot is used, since no later state makes such a frame fit.
-  const std::uint64_t full_len = FrameLayout::Compute(spec).frame_len;
-  if (full_len > config_.mailbox_slot_bytes) {
+  if (layout.frame_len > config_.mailbox_slot_bytes) {
     return InvalidArgument(StrFormat(
         "frame (%llu B) exceeds mailbox slot (%llu B)",
-        static_cast<unsigned long long>(full_len),
+        static_cast<unsigned long long>(layout.frame_len),
         static_cast<unsigned long long>(config_.mailbox_slot_bytes)));
   }
 
@@ -558,16 +585,15 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
                          peer.peer_handles.contains(elem->content_handle);
 
   std::vector<std::uint64_t> gotp;
+  std::span<const std::uint64_t> words;  // GOTP, or the one handle word
   std::span<const std::uint8_t> code;
   if (by_handle) {
-    spec.injected = false;
-    spec.by_handle = true;
-    spec.got_slots = 0;
-    spec.code_size = 0;
-    spec.split_code_data = false;  // no code rides along — nothing to split
+    spec = SpecFor(kFlagByHandle, 0, 0, spec.args_size, spec.usr_size);
+    layout = FrameLayout::Compute(spec);
+    words = {&elem->content_handle, 1};
   } else if (spec.injected) {
     code = elem->code_blob;
-    gotp.reserve(spec.got_slots);
+    gotp.reserve(got_slots);
     for (const auto& symbol : elem->injected_image.got_symbols) {
       if (config_.security.receiver_installs_got) {
         gotp.push_back(0);
@@ -581,6 +607,7 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
       }
       gotp.push_back(it->second);
     }
+    words = gotp;
   }
   // Local invocation needs the *receiver's* library binding; that is
   // checked at receive time (the receiver owns its dispatch vector).
@@ -589,24 +616,11 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
   header.sn = next_sn_++;
   header.elem_id = elem->elem_id;
   header.flags = extra_flags;
-  // A by-handle frame is still an Injected Function invocation — the code
-  // just lives in the receiver's cache instead of the frame.
-  if (by_handle) header.flags |= kFlagInjected;
 
-  std::vector<std::uint8_t> args_bytes(args.size() * 8);
-  if (!args.empty()) {
-    std::memcpy(args_bytes.data(), args.data(), args_bytes.size());
-  }
-  std::vector<std::uint8_t> frame;
-  if (by_handle) {
-    TC_ASSIGN_OR_RETURN(frame,
-                        PackHandleFrame(spec, header, elem->content_handle,
-                                        args_bytes, usr));
-  } else {
-    TC_ASSIGN_OR_RETURN(frame,
-                        PackFrame(spec, header, gotp, code, args_bytes, usr));
-  }
-  const FrameLayout layout = FrameLayout::Compute(spec);
+  const std::span<const std::uint8_t> args_bytes(
+      reinterpret_cast<const std::uint8_t*>(args.data()), args.size() * 8);
+  TC_ASSIGN_OR_RETURN(std::vector<std::uint8_t> frame,
+                      PackFrame(spec, header, words, code, args_bytes, usr));
 
   const mem::VirtAddr remote_slot_addr =
       peer.remote_bank_base[bank] +
@@ -1337,197 +1351,229 @@ void Runtime::ProcessFrame(const ReadyFrame& frame) {
   // payload, jam data) runs through the hierarchy synchronously below, so
   // the delta of the cross-domain ledger is exactly what this drain paid.
   const std::uint64_t remote0 = caches.stats().remote_penalty_cycles;
-  const auto remote_delta = [&caches, remote0] {
-    return caches.stats().remote_penalty_cycles - remote0;
-  };
 
-  // The poll/WFE loop re-reads the signal line; its final read plus the
-  // header fetch go through the cache hierarchy (this is where stashing
-  // vs DRAM delivery first shows up).
-  auto hdr_span = host_.memory().RawSpan(frame_addr, kHeaderBytes);
-  if (!hdr_span.ok()) {
-    ++stats_.security_rejections;
-    CompleteFrame(frame, msg, cycles, remote_delta());
-    return;
-  }
-  cycles += caches.Access(core, frame_addr, kHeaderBytes,
-                          cache::AccessKind::kLoad);
-  // Header validation is bounded by the mailbox slot: a frame_len larger
-  // than the slot could only have been written by a corrupted sender.
-  auto header = ReadHeader(*hdr_span, config_.mailbox_slot_bytes);
-  if (!header.ok()) {
-    ++stats_.security_rejections;
-    TC_WARN << "frame rejected: " << header.status();
-    CompleteFrame(frame, msg, cycles, remote_delta());
-    return;
-  }
-  msg.sn = header->sn;
-  msg.elem_id = header->elem_id;
-  msg.frame_len = header->frame_len;
-  msg.injected = (header->flags & kFlagInjected) != 0;
-  msg.by_handle = (header->flags & kFlagByHandle) != 0;
+  // Every way a frame can fail — unreadable header, inconsistent sizes, a
+  // stale signal word, or an invoke that cannot link or faults — ends the
+  // same way: one security rejection, and the frame completes unexecuted.
+  const Status processed = [&]() -> Status {
+    // The poll/WFE loop re-reads the signal line; its final read plus the
+    // header fetch go through the cache hierarchy (this is where stashing
+    // vs DRAM delivery first shows up).
+    TC_ASSIGN_OR_RETURN(const auto hdr_span,
+                        host_.memory().RawSpan(frame_addr, kHeaderBytes));
+    cycles += caches.Access(core, frame_addr, kHeaderBytes,
+                            cache::AccessKind::kLoad);
+    // Header validation is bounded by the mailbox slot: a frame_len larger
+    // than the slot could only have been written by a corrupted sender.
+    TC_ASSIGN_OR_RETURN(const FrameHeader header,
+                        ReadHeader(hdr_span, config_.mailbox_slot_bytes));
+    msg.sn = header.sn;
+    msg.elem_id = header.elem_id;
+    msg.frame_len = header.frame_len;
+    msg.injected = (header.flags & kFlagInjected) != 0;
+    msg.by_handle = (header.flags & kFlagByHandle) != 0;
 
-  // Signal word check (magic + SN echo). The signal line access cost.
-  cycles += caches.Access(core, frame_addr + header->frame_len - 8, 8,
-                          cache::AccessKind::kLoad);
-  auto sig = host_.memory().LoadU64(frame_addr + header->frame_len - 8);
-  if (!sig.ok() || *sig != SignalWord(header->sn)) {
+    // Signal word check (magic + SN echo). The signal line access cost.
+    const mem::VirtAddr sig_addr = frame_addr + header.frame_len - 8;
+    cycles += caches.Access(core, sig_addr, 8, cache::AccessKind::kLoad);
+    TC_ASSIGN_OR_RETURN(const std::uint64_t sig,
+                        host_.memory().LoadU64(sig_addr));
+    if (sig != SignalWord(header.sn)) {
+      return DataLoss(StrFormat("bad signal word for sn %u", header.sn));
+    }
+    if (!config_.fixed_size_frames) {
+      // Variable-size frames: the first wait only covered the header
+      // magic; model the second wait phase on the end-of-frame signal as
+      // one more poll iteration (same put => already visible).
+      cycles += config_.wait.poll_iteration_cycles;
+    }
+    TC_ASSIGN_OR_RETURN(const Cycles invoke_cycles,
+                        InvokeFrame(frame, header, msg));
+    cycles += invoke_cycles;
+    return Status::Ok();
+  }();
+  if (!processed.ok()) {
     ++stats_.security_rejections;
-    TC_WARN << "bad signal word for sn " << header->sn;
-    CompleteFrame(frame, msg, cycles, remote_delta());
-    return;
+    TC_WARN << "frame rejected: " << processed;
   }
-  if (!config_.fixed_size_frames) {
-    // Variable-size frames: the first wait only covered the header magic;
-    // model the second wait phase on the end-of-frame signal as one more
-    // poll iteration (same put => already visible).
-    cycles += config_.wait.poll_iteration_cycles;
-  }
-
-  auto invoke_cycles = InvokeFrame(frame, *header, msg);
-  if (!invoke_cycles.ok()) {
-    ++stats_.security_rejections;
-    TC_WARN << "invoke failed: " << invoke_cycles.status();
-  } else {
-    cycles += *invoke_cycles;
-  }
-  CompleteFrame(frame, msg, cycles, remote_delta());
+  CompleteFrame(frame, msg, cycles,
+                caches.stats().remote_penalty_cycles - remote0);
 }
 
 StatusOr<Cycles> Runtime::InvokeFrame(const ReadyFrame& frame,
                                       const FrameHeader& header,
                                       ReceivedMessage& msg) {
-  if ((header.flags & kFlagByHandle) != 0) {
-    if (!config_.jam_cache.enabled) {
-      return FailedPrecondition(
-          "by-handle frame received but the jam cache is disabled");
-    }
-    return InvokeByHandle(frame, header, msg);
-  }
-
   Cycles cycles = 0;
   const mem::VirtAddr frame_addr = SlotAddr(peers_[frame.peer], frame.slot);
   auto& caches = host_.caches();
   auto& memory = host_.memory();
   PoolCore& member = pool_[frame.pool];
   const std::uint32_t core = member.core_id;
+  const bool full_body = msg.injected && !msg.by_handle;
 
-  ElementInfo* elem = nullptr;
-  for (auto& e : elements_) {
-    if (e.elem_id == header.elem_id && e.kind == pkg::ElementKind::kJam) {
-      elem = &e;
-    }
-  }
-  if (elem == nullptr) {
-    return NotFound(StrFormat("unknown element id %u", header.elem_id));
-  }
-
-  FrameSpec spec;
-  spec.injected = msg.injected;
-  spec.args_size = header.args_size;
-  spec.usr_size = header.usr_size;
-  spec.split_code_data = config_.security.split_code_data_pages;
-  if (spec.injected) {
-    spec.got_slots = elem->injected_image.got_slot_count();
-    spec.code_size = elem->code_blob.size();
-  }
-  const FrameLayout layout = FrameLayout::Compute(spec);
-
+  // ---- where the code comes from --------------------------------------
+  // The only step that differs by shape. It ends with the entry point and
+  // the code+rodata window the jam may execute from (empty for a Local
+  // frame, whose entry lies in a loaded library).
+  ElementInfo* elem = nullptr;  // full-body and Local frames
+  FrameLayout layout;
+  mem::VirtAddr code = 0;
+  std::uint64_t code_size = 0;
   mem::VirtAddr entry = 0;
-  if (msg.injected) {
-    // code_size is the full blob (text..rodata); a blob smaller than its
-    // own text would wrap the unsigned rodata bound below and neuter the
-    // verifier's lea escape check. LoadPackage's layout validation should
-    // make this unreachable — keep it as defense in depth.
-    const std::uint64_t text_bytes = elem->injected_image.text.size();
-    if (spec.code_size < text_bytes) {
-      return InvalidArgument(StrFormat(
-          "jam '%s': code blob (%llu B) smaller than its text (%llu B)",
-          elem->name.c_str(),
-          static_cast<unsigned long long>(spec.code_size),
-          static_cast<unsigned long long>(text_bytes)));
-    }
-    if (config_.security.verify_injected_code) {
-      TC_ASSIGN_OR_RETURN(const auto code_span,
-                          memory.RawSpan(frame_addr + layout.code_off,
-                                         text_bytes));
-      vm::VerifyLimits limits;
-      limits.got_slots = spec.got_slots;
-      limits.rodata_bytes = spec.code_size - text_bytes;
-      limits.pre_slot_offset = jelf::kPreambleSlotOffset;
-      TC_RETURN_IF_ERROR(vm::VerifyCode(code_span, limits));
-      cycles += text_bytes / 4;  // ~2 cy / instruction
-    }
-    if (config_.security.receiver_installs_got) {
-      // §V: receiver inserts the GOT pointer from a secure location.
-      TC_ASSIGN_OR_RETURN(const mem::VirtAddr table,
-                          ReceiverGotFor(*elem, host_.core(core)));
-      cycles += caches.Access(core, frame_addr + layout.pre_off, 8,
-                              cache::AccessKind::kStore);
-      TC_RETURN_IF_ERROR(
-          memory.DmaWrite(frame_addr + layout.pre_off,
-                          std::span<const std::uint8_t>(
-                              reinterpret_cast<const std::uint8_t*>(&table),
-                              8)));
-    }
-    if (config_.security.split_code_data_pages) {
-      // W^X around execution: code pages RX, data pages RW.
-      cycles += 2 * kMprotectCycles;
-      TC_RETURN_IF_ERROR(memory.Protect(frame_addr, layout.args_off,
-                                        mem::Perm::kRX));
-      TC_RETURN_IF_ERROR(memory.Protect(
-          frame_addr + layout.args_off, layout.frame_len - layout.args_off,
-          config_.security.read_only_args ? mem::Perm::kRead
-                                          : mem::Perm::kRW));
-    }
-    entry = frame_addr + layout.code_off + elem->entry_offset;
-  } else {
-    if (elem->local_entry == 0) {
+  if (msg.by_handle) {
+    if (!config_.jam_cache.enabled) {
       return FailedPrecondition(
-          StrFormat("jam '%s' has no local-function binding on this host",
-                    elem->name.c_str()));
+          "by-handle frame received but the jam cache is disabled");
     }
-    cycles += kDispatchCycles;
-    entry = elem->local_entry;
+    layout = FrameLayout::Compute(
+        SpecFor(header.flags, 0, 0, header.args_size, header.usr_size));
+    // The 64-bit content handle rides in place of GOTP.
+    cycles += caches.Access(core, frame_addr + layout.handle_off, 8,
+                            cache::AccessKind::kLoad);
+    TC_ASSIGN_OR_RETURN(const std::uint64_t handle,
+                        memory.LoadU64(frame_addr + layout.handle_off));
+    const auto it = jam_cache_.find(handle);
+    if (it == jam_cache_.end() || it->second.elem_id != header.elem_id) {
+      // Miss — cold cache, eviction, content drift after a reload, or a
+      // handle naming content this cache holds for another element than
+      // the header claims (an honest sender only produces matched pairs,
+      // and the full-body resend re-establishes which element the bytes
+      // belong to). The frame is *not* executed (its code never
+      // travelled); the slot's NAK bit rides home in the bank flag and the
+      // sender resends full-body. Not an error and not a security
+      // rejection: the protocol is designed to degrade this way.
+      ++jam_stats_.misses;
+      ++jam_stats_.naks_sent;
+      msg.cache_miss = true;
+      const std::uint32_t bank = frame.slot / config_.mailboxes_per_bank;
+      peers_[frame.peer].bank_nak_mask[bank] |=
+          1u << (frame.slot % config_.mailboxes_per_bank);
+      return cycles;
+    }
+    JamCacheEntry& hit = it->second;
+    ++jam_stats_.hits;
+    ++hit.invokes;
+    hit.last_used = ++jam_cache_tick_;
+    code = hit.image.code_addr;
+    code_size = hit.image.code_size;
+    entry = code + hit.entry_offset;
+
+    // The per-hit link is a PRE-slot validation of the resident image —
+    // the table lookup that replaces the full per-invoke GOT rewrite. The
+    // code was verified at install; verify_cached_invokes re-verifies the
+    // resident bytes on every hit, the same pass a full-body arrival pays.
+    cycles += kJamCacheHitRelinkCycles;
+    cycles += caches.Access(core, hit.image.pre_addr, 8,
+                            cache::AccessKind::kLoad);
+    TC_RETURN_IF_ERROR(jelf::RelinkCachedImage(memory, hit.image));
+    if (config_.security.verify_cached_invokes) {
+      TC_ASSIGN_OR_RETURN(const auto blob, memory.RawSpan(code, code_size));
+      TC_ASSIGN_OR_RETURN(
+          const Cycles verified,
+          VerifyJamCode(blob, hit.text_size, hit.image.got_slots));
+      cycles += verified;
+    }
+
+    // Savings ledger: what the same invoke would have cost full-body.
+    const FrameLayout full = FrameLayout::Compute(
+        SpecFor(kFlagInjected, hit.image.got_slots, code_size,
+                header.args_size, header.usr_size));
+    jam_stats_.bytes_saved += full.frame_len - layout.frame_len;
+    if (hit.cold_link_cycles > kJamCacheHitRelinkCycles) {
+      jam_stats_.link_cycles_saved +=
+          hit.cold_link_cycles - kJamCacheHitRelinkCycles;
+    }
+  } else {
+    for (auto& e : elements_) {
+      if (e.elem_id == header.elem_id && e.kind == pkg::ElementKind::kJam) {
+        elem = &e;
+      }
+    }
+    if (elem == nullptr) {
+      return NotFound(StrFormat("unknown element id %u", header.elem_id));
+    }
+    const std::uint32_t got_slots = elem->injected_image.got_slot_count();
+    layout = FrameLayout::Compute(
+        SpecFor(header.flags, got_slots, elem->code_blob.size(),
+                header.args_size, header.usr_size));
+    if (full_body) {
+      code = frame_addr + layout.code_off;
+      code_size = elem->code_blob.size();
+      entry = code + elem->entry_offset;
+      if (config_.security.verify_injected_code) {
+        TC_ASSIGN_OR_RETURN(const auto blob, memory.RawSpan(code, code_size));
+        TC_ASSIGN_OR_RETURN(
+            const Cycles verified,
+            VerifyJamCode(blob, elem->injected_image.text.size(), got_slots));
+        cycles += verified;
+      }
+      if (config_.security.receiver_installs_got) {
+        // §V: receiver inserts the GOT pointer from a secure location.
+        TC_ASSIGN_OR_RETURN(const mem::VirtAddr table,
+                            ReceiverGotFor(*elem, host_.core(core)));
+        cycles += caches.Access(core, frame_addr + layout.pre_off, 8,
+                                cache::AccessKind::kStore);
+        TC_RETURN_IF_ERROR(
+            memory.DmaWrite(frame_addr + layout.pre_off,
+                            std::span<const std::uint8_t>(
+                                reinterpret_cast<const std::uint8_t*>(&table),
+                                8)));
+      }
+    } else {
+      if (elem->local_entry == 0) {
+        return FailedPrecondition(
+            StrFormat("jam '%s' has no local-function binding on this host",
+                      elem->name.c_str()));
+      }
+      cycles += kDispatchCycles;
+      entry = elem->local_entry;
+    }
   }
 
-  if ((header.flags & kFlagNoExecute) == 0) {
-    vm::Interpreter interp(
-        memory, caches, core, &natives_,
-        msg.injected
-            ? ConfinedExec(frame_addr + layout.code_off, spec.code_size)
-            : ConfinedExec(0, 0));
+  // ---- seal, execute, restore: the same for every shape ----------------
+  // W^X around execution: the pages holding the frame's code turn RX and
+  // its ARGS/USR pages RW, or read-only under read_only_args.
+  const bool split = config_.security.split_code_data_pages;
+  if (split && full_body) {
+    cycles += 2 * kMprotectCycles;
+    TC_RETURN_IF_ERROR(memory.Protect(frame_addr, layout.args_off,
+                                      mem::Perm::kRX));
+    TC_RETURN_IF_ERROR(memory.Protect(
+        frame_addr + layout.args_off, layout.frame_len - layout.args_off,
+        config_.security.read_only_args ? mem::Perm::kRead : mem::Perm::kRW));
+  }
+
+  const bool execute = (header.flags & kFlagNoExecute) == 0;
+  vm::ExecResult result;
+  if (execute) {
+    vm::Interpreter interp(memory, caches, core, &natives_,
+                           ConfinedExec(code, code_size));
     const std::uint64_t args[3] = {frame_addr + layout.args_off,
                                    frame_addr + layout.usr_off,
                                    header.usr_size};
-    const vm::ExecResult result =
-        interp.Execute(entry, args, member.stack_top);
+    result = interp.Execute(entry, args, member.stack_top);
     host_.core(core).CountInstructions(result.instructions);
     msg.instructions = result.instructions;
-    if (!result.status.ok()) {
-      // Restore mailbox permissions before surfacing the fault.
-      if (config_.security.split_code_data_pages) {
-        (void)memory.Protect(frame_addr, layout.frame_len, mem::Perm::kRWX);
-      }
-      return Status(result.status.code(),
-                    StrFormat("jam '%s' faulted: %s", elem->name.c_str(),
-                              result.status.message().c_str()));
-    }
-    cycles += result.cycles;
-    msg.executed = true;
-    msg.return_value = result.return_value;
   }
-
-  if (config_.security.split_code_data_pages) {
+  // The mailbox rests RWX between frames, also after a fault.
+  if (split && !msg.by_handle) {
     cycles += kMprotectCycles;
     TC_RETURN_IF_ERROR(
         memory.Protect(frame_addr, layout.frame_len, mem::Perm::kRWX));
   }
+  if (!result.status.ok()) {
+    return Status(result.status.code(),
+                  StrFormat("jam %u faulted: %s", header.elem_id,
+                            result.status.message().c_str()));
+  }
+  cycles += result.cycles;
+  msg.executed = execute;
+  msg.return_value = result.return_value;
 
-  // Send-once, invoke-many: a full-body injected arrival is the install
-  // point of the jam cache — link the post-GOT-rewrite image once so
-  // every later invoke of this content can ride a slim by-handle frame.
-  if (msg.injected && config_.jam_cache.enabled) {
+  // Send-once, invoke-many: a full-body arrival is the install point of
+  // the jam cache — link the post-GOT-rewrite image once so every later
+  // invoke of this content can ride a slim by-handle frame.
+  if (full_body && config_.jam_cache.enabled) {
     auto install = InstallInJamCache(*elem);
     if (install.ok()) {
       cycles += *install;
@@ -1537,123 +1583,6 @@ StatusOr<Cycles> Runtime::InvokeFrame(const ReadyFrame& frame,
       TC_WARN << "jam-cache install of '" << elem->name
               << "' failed: " << install.status();
     }
-  }
-  return cycles;
-}
-
-StatusOr<Cycles> Runtime::InvokeByHandle(const ReadyFrame& frame,
-                                         const FrameHeader& header,
-                                         ReceivedMessage& msg) {
-  Cycles cycles = 0;
-  const mem::VirtAddr frame_addr = SlotAddr(peers_[frame.peer], frame.slot);
-  auto& caches = host_.caches();
-  auto& memory = host_.memory();
-  PoolCore& member = pool_[frame.pool];
-  const std::uint32_t core = member.core_id;
-
-  // The 64-bit content handle rides at kHeaderBytes (in place of GOTP).
-  cycles += caches.Access(core, frame_addr + kHeaderBytes, 8,
-                          cache::AccessKind::kLoad);
-  TC_ASSIGN_OR_RETURN(const std::uint64_t handle,
-                      memory.LoadU64(frame_addr + kHeaderBytes));
-
-  FrameSpec spec;
-  spec.by_handle = true;
-  spec.args_size = header.args_size;
-  spec.usr_size = header.usr_size;
-  const FrameLayout layout = FrameLayout::Compute(spec);
-
-  // Miss — cold cache, eviction, content drift after a reload, or a frame
-  // whose claimed element does not match the cached content. The frame is
-  // *not* executed (its code never travelled); instead the slot's NAK bit
-  // rides home in the bank flag and the sender resends full-body. Not an
-  // error and not a security rejection: the protocol is designed to
-  // degrade this way.
-  const auto nak = [&]() -> Cycles {
-    ++jam_stats_.misses;
-    ++jam_stats_.naks_sent;
-    msg.cache_miss = true;
-    PeerState& p = peers_[frame.peer];
-    const std::uint32_t bank = frame.slot / config_.mailboxes_per_bank;
-    p.bank_nak_mask[bank] |= 1u << (frame.slot % config_.mailboxes_per_bank);
-    return cycles;
-  };
-
-  const auto it = jam_cache_.find(handle);
-  if (it == jam_cache_.end()) return nak();
-
-  JamCacheEntry& entry = it->second;
-  if (entry.elem_id != header.elem_id) {
-    // Cross-namespace handle trick: the handle names content this cache
-    // holds, but the header claims a different element. An honest sender
-    // can only produce matched pairs, so degrade to the NAK path — the
-    // full-body resend re-establishes which element the bytes belong to —
-    // instead of executing cached code under a forged identity.
-    return nak();
-  }
-  ++jam_stats_.hits;
-  ++entry.invokes;
-  entry.last_used = ++jam_cache_tick_;
-
-  // The per-hit link is a PRE-slot validation of the resident image — the
-  // table lookup that replaces the full per-invoke GOT rewrite. No code
-  // verification (done at install), no GOT install, and no W^X flips: the
-  // cached code pages never see the mailbox.
-  cycles += kJamCacheHitRelinkCycles;
-  cycles += caches.Access(core, entry.image.pre_addr, 8,
-                          cache::AccessKind::kLoad);
-  TC_RETURN_IF_ERROR(jelf::RelinkCachedImage(memory, entry.image));
-
-  if (config_.security.verify_cached_invokes) {
-    // Paranoid mode: a cached image must be *exactly* as constrained as a
-    // full-body frame, so re-verify the resident bytes on every hit (the
-    // same pass a full-body arrival would pay, over the same window).
-    TC_ASSIGN_OR_RETURN(
-        const auto resident,
-        memory.RawSpan(entry.image.code_addr, entry.text_size));
-    vm::VerifyLimits limits;
-    limits.got_slots = entry.image.got_slots;
-    limits.rodata_bytes = entry.image.code_size - entry.text_size;
-    limits.pre_slot_offset = jelf::kPreambleSlotOffset;
-    TC_RETURN_IF_ERROR(vm::VerifyCode(resident, limits));
-    cycles += entry.text_size / 4;
-  }
-
-  // Savings ledger: what the same invoke would have cost full-body.
-  FrameSpec full;
-  full.injected = true;
-  full.got_slots = entry.image.got_slots;
-  full.code_size = entry.image.code_size;
-  full.args_size = header.args_size;
-  full.usr_size = header.usr_size;
-  full.split_code_data = config_.security.split_code_data_pages;
-  const FrameLayout full_layout = FrameLayout::Compute(full);
-  jam_stats_.bytes_saved += full_layout.frame_len - layout.frame_len;
-  if (entry.cold_link_cycles > kJamCacheHitRelinkCycles) {
-    jam_stats_.link_cycles_saved +=
-        entry.cold_link_cycles - kJamCacheHitRelinkCycles;
-  }
-
-  if ((header.flags & kFlagNoExecute) == 0) {
-    vm::Interpreter interp(
-        memory, caches, core, &natives_,
-        ConfinedExec(entry.image.code_addr, entry.image.code_size));
-    const std::uint64_t args[3] = {frame_addr + layout.args_off,
-                                   frame_addr + layout.usr_off,
-                                   header.usr_size};
-    const vm::ExecResult result = interp.Execute(
-        entry.image.code_addr + entry.entry_offset, args, member.stack_top);
-    host_.core(core).CountInstructions(result.instructions);
-    msg.instructions = result.instructions;
-    if (!result.status.ok()) {
-      return Status(result.status.code(),
-                    StrFormat("cached jam (handle %llx) faulted: %s",
-                              static_cast<unsigned long long>(handle),
-                              result.status.message().c_str()));
-    }
-    cycles += result.cycles;
-    msg.executed = true;
-    msg.return_value = result.return_value;
   }
   return cycles;
 }
@@ -1670,17 +1599,9 @@ StatusOr<Cycles> Runtime::InstallInJamCache(ElementInfo& elem) {
     // just covered, and every later by-handle invoke executes it with no
     // body on the wire at all. Verify-at-install keeps the invariant
     // "nothing unverified is ever executable" on the fast path too.
-    if (elem.code_blob.size() < text_bytes) {
-      return InvalidArgument("code blob smaller than its text");
-    }
-    vm::VerifyLimits limits;
-    limits.got_slots = elem.injected_image.got_slot_count();
-    limits.rodata_bytes = elem.code_blob.size() - text_bytes;
-    limits.pre_slot_offset = jelf::kPreambleSlotOffset;
-    TC_RETURN_IF_ERROR(vm::VerifyCode(
-        std::span<const std::uint8_t>(elem.code_blob).first(text_bytes),
-        limits));
-    cycles += text_bytes / 4;
+    TC_ASSIGN_OR_RETURN(cycles,
+                        VerifyJamCode(elem.code_blob, text_bytes,
+                                      elem.injected_image.got_slot_count()));
   }
 
   // Capacity pressure: evict the entry with the fewest invokes (ties:
@@ -1823,15 +1744,10 @@ void Runtime::ForgetPeerHandles() {
   for (PeerState& peer : peers_) peer.peer_handles.clear();
 }
 
-bool Runtime::PeerHasJamHandle(PeerId peer,
-                               const std::string& name) const noexcept {
-  if (peer >= peers_.size()) return false;
-  for (const auto& elem : elements_) {
-    if (elem.name == name && elem.kind == pkg::ElementKind::kJam) {
-      return peers_[peer].peer_handles.contains(elem.content_handle);
-    }
-  }
-  return false;
+bool Runtime::PeerHasJamHandle(PeerId peer, const std::string& name) const {
+  const auto elem = FindElement(name);
+  return peer < peers_.size() && elem.ok() &&
+         peers_[peer].peer_handles.contains((*elem)->content_handle);
 }
 
 StatusOr<mem::VirtAddr> Runtime::ReceiverGotFor(ElementInfo& elem,

@@ -554,7 +554,7 @@ class Runtime {
   /// True when the sender believes @p peer holds the cached image of jam
   /// @p name (i.e. the next Send would go by-handle). False for unknown
   /// jams or peers.
-  bool PeerHasJamHandle(PeerId peer, const std::string& name) const noexcept;
+  bool PeerHasJamHandle(PeerId peer, const std::string& name) const;
   /// Number of connected peers (== size of stats().per_peer).
   std::uint32_t peer_count() const noexcept {
     return static_cast<std::uint32_t>(peers_.size());
@@ -855,6 +855,13 @@ class Runtime {
   StatusOr<PeerId> AttachPeer(Runtime& remote);
 
   StatusOr<const ElementInfo*> FindElement(const std::string& name) const;
+  /// The wire shape of a frame whose header flags are @p flags
+  /// (kFlagInjected, kFlagByHandle): a full-body frame also carries
+  /// @p got_slots GOTP words and a @p code_size CODE blob, padded to its
+  /// own pages under split_code_data_pages.
+  FrameSpec SpecFor(std::uint16_t flags, std::uint32_t got_slots,
+                    std::uint64_t code_size, std::uint64_t args_size,
+                    std::uint64_t usr_size) const;
 
   /// The pool member whose *affinity* (peer, bank) is — the stable default
   /// home, so a bank's frames always land in the cache next to the core
@@ -942,7 +949,11 @@ class Runtime {
   /// The memory domain of pool member @p pool_index's core.
   std::uint32_t DomainOfPoolCore(std::uint32_t pool_index) const noexcept;
 
-  /// Executes the frame body; returns cycles burned and fills @p msg.
+  /// Runs one validated frame of any shape: resolves where its code
+  /// comes from (the frame's CODE after verify and GOT install, the Local
+  /// library entry, or the cached image after relink), then seals, executes,
+  /// restores and installs the same way for all three. Returns the cycles
+  /// burned and fills @p msg; a by-handle miss NAKs and returns unexecuted.
   StatusOr<Cycles> InvokeFrame(const ReadyFrame& frame,
                                const FrameHeader& header,
                                ReceivedMessage& msg);
@@ -954,11 +965,6 @@ class Runtime {
 
   // ---------------------------------------------------------- jam cache
 
-  /// By-handle invoke: serve the frame from the cached image (hit) or
-  /// record a NAK for the slot (miss — no execution, no error).
-  StatusOr<Cycles> InvokeByHandle(const ReadyFrame& frame,
-                                  const FrameHeader& header,
-                                  ReceivedMessage& msg);
   /// Memoizes @p elem's post-GOT-rewrite image under its content handle
   /// after a full-body injected invoke (evicting under capacity pressure).
   /// Returns the cycles the install cost (zero when already resident).

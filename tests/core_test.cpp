@@ -153,7 +153,8 @@ TEST(FrameCodecTest, HandleFrameRoundTrip) {
   header.elem_id = 3;
   const std::vector<std::uint8_t> args(16, 0xAB);
   const std::vector<std::uint8_t> usr = {1, 2, 3, 4, 5};
-  auto frame = PackHandleFrame(spec, header, 0xFEEDC0DEDEADBEEFull, args, usr);
+  const std::vector<std::uint64_t> handle = {0xFEEDC0DEDEADBEEFull};
+  auto frame = PackFrame(spec, header, handle, {}, args, usr);
   ASSERT_TRUE(frame.ok()) << frame.status();
 
   // A by-handle frame drops GOTP/PRE/CODE: header + handle + args + usr +
@@ -166,18 +167,20 @@ TEST(FrameCodecTest, HandleFrameRoundTrip) {
   auto parsed = ReadHeader(*frame);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_TRUE(parsed->flags & kFlagByHandle);
-  auto handle = ReadHandle(*frame, *parsed);
-  ASSERT_TRUE(handle.ok());
-  EXPECT_EQ(*handle, 0xFEEDC0DEDEADBEEFull);
+  EXPECT_TRUE(parsed->flags & kFlagInjected);
+  std::uint64_t carried = 0;
+  std::memcpy(&carried, frame->data() + layout.handle_off, 8);
+  EXPECT_EQ(carried, 0xFEEDC0DEDEADBEEFull);
   EXPECT_EQ((*frame)[layout.args_off], 0xAB);
   EXPECT_EQ((*frame)[layout.usr_off], 1);
 
-  // PackFrame refuses by-handle specs; ReadHandle refuses full frames.
-  EXPECT_FALSE(PackFrame(spec, header, {}, {}, args, usr).ok());
-  FrameHeader full = *parsed;
-  full.flags = static_cast<std::uint16_t>(full.flags & ~kFlagByHandle);
-  EXPECT_EQ(ReadHandle(*frame, full).status().code(),
-            StatusCode::kFailedPrecondition);
+  // A by-handle frame carries exactly its one handle word and no code.
+  EXPECT_EQ(PackFrame(spec, header, {}, {}, args, usr).status().code(),
+            StatusCode::kInvalidArgument);
+  const std::vector<std::uint64_t> two = {1, 2};
+  EXPECT_FALSE(PackFrame(spec, header, two, {}, args, usr).ok());
+  const std::vector<std::uint8_t> code(8, 0);
+  EXPECT_FALSE(PackFrame(spec, header, handle, code, args, usr).ok());
 }
 
 TEST(FrameCodecTest, PreSlotPatching) {

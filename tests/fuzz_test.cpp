@@ -587,11 +587,10 @@ class RuntimeFuzzTest : public ::testing::Test {
     FrameHeader header;
     header.sn = sn;
     header.elem_id = elem_id;
-    header.flags = kFlagInjected;
     const std::span<const std::uint8_t> args_bytes(
         reinterpret_cast<const std::uint8_t*>(args_words.data()),
         args_words.size() * 8);
-    return PackHandleFrame(spec, header, handle, args_bytes, usr);
+    return PackFrame(spec, header, {&handle, 1}, {}, args_bytes, usr);
   }
 
   std::unique_ptr<Fabric> fabric_;
