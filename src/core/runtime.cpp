@@ -1531,13 +1531,18 @@ StatusOr<Cycles> Runtime::InvokeFrame(const ReadyFrame& frame,
   }
 
   // ---- seal, execute, restore: the same for every shape ----------------
-  // W^X around execution: the pages holding the frame's code turn RX and
-  // its ARGS/USR pages RW, or read-only under read_only_args.
+  // W^X around execution: the pages holding a full-body frame's code turn
+  // RX, and every frame's ARGS/USR pages RW, or read-only under
+  // read_only_args. A by-handle or Local frame's header shares its first
+  // data page and is sealed with it.
   const bool split = config_.security.split_code_data_pages;
-  if (split && full_body) {
-    cycles += 2 * kMprotectCycles;
-    TC_RETURN_IF_ERROR(memory.Protect(frame_addr, layout.args_off,
-                                      mem::Perm::kRX));
+  if (split) {
+    if (full_body) {
+      cycles += kMprotectCycles;
+      TC_RETURN_IF_ERROR(memory.Protect(frame_addr, layout.args_off,
+                                        mem::Perm::kRX));
+    }
+    cycles += kMprotectCycles;
     TC_RETURN_IF_ERROR(memory.Protect(
         frame_addr + layout.args_off, layout.frame_len - layout.args_off,
         config_.security.read_only_args ? mem::Perm::kRead : mem::Perm::kRW));
@@ -1556,7 +1561,7 @@ StatusOr<Cycles> Runtime::InvokeFrame(const ReadyFrame& frame,
     msg.instructions = result.instructions;
   }
   // The mailbox rests RWX between frames, also after a fault.
-  if (split && !msg.by_handle) {
+  if (split) {
     cycles += kMprotectCycles;
     TC_RETURN_IF_ERROR(
         memory.Protect(frame_addr, layout.frame_len, mem::Perm::kRWX));
@@ -1570,10 +1575,11 @@ StatusOr<Cycles> Runtime::InvokeFrame(const ReadyFrame& frame,
   msg.executed = execute;
   msg.return_value = result.return_value;
 
-  // Send-once, invoke-many: a full-body arrival is the install point of
-  // the jam cache — link the post-GOT-rewrite image once so every later
-  // invoke of this content can ride a slim by-handle frame.
-  if (full_body && config_.jam_cache.enabled) {
+  // Send-once, invoke-many: an executed full-body frame is the install
+  // point of the jam cache — link the post-GOT-rewrite image once so every
+  // later invoke of this content can ride a slim by-handle frame. A
+  // delivery-only frame installs nothing, so it never evicts a hot entry.
+  if (full_body && execute && config_.jam_cache.enabled) {
     auto install = InstallInJamCache(*elem);
     if (install.ok()) {
       cycles += *install;
@@ -1665,8 +1671,8 @@ Cycles Runtime::ColdLinkCyclesFor(const ElementInfo& elem) const noexcept {
   // The per-invoke link work a cache hit skips: the sender's GOTP pack
   // (one namespace lookup per slot), plus whatever the security mode adds
   // on every full-body arrival — code verification, the receiver GOT
-  // install, and the W^X permission flips (two before execution, one
-  // restore after).
+  // install, and the code-page flip. A hit pays the data-page flip and the
+  // restore like every other frame.
   Cycles cycles = static_cast<Cycles>(elem.injected_image.got_slot_count()) *
                   kGotLookupCycles;
   if (config_.security.verify_injected_code) {
@@ -1676,9 +1682,7 @@ Cycles Runtime::ColdLinkCyclesFor(const ElementInfo& elem) const noexcept {
     cycles += static_cast<Cycles>(elem.injected_image.got_slot_count()) *
               kGotLookupCycles;
   }
-  if (config_.security.split_code_data_pages) {
-    cycles += 3 * kMprotectCycles;
-  }
+  if (config_.security.split_code_data_pages) cycles += kMprotectCycles;
   return cycles;
 }
 

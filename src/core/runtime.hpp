@@ -179,7 +179,7 @@ struct JamCacheStats {
   /// frame_len, accumulated per hit.
   std::uint64_t bytes_saved = 0;
   /// Link cycles hits avoided: the cold per-invoke link cost (GOTP pack,
-  /// verification, permission flips) minus the hit relink cost.
+  /// verification, the code-page flip) minus the hit relink cost.
   std::uint64_t link_cycles_saved = 0;
   // Sender side.
   std::uint64_t by_handle_sends = 0;  ///< slim frames posted
@@ -993,7 +993,7 @@ class Runtime {
   void ResendAfterNak(PeerId peer, PeerState::PendingByHandle entry);
   /// The per-invoke link cost a cache hit skips for @p elem: sender GOTP
   /// pack plus whatever the security mode adds (verification, receiver
-  /// GOT install, permission flips).
+  /// GOT install, the code-page flip).
   Cycles ColdLinkCyclesFor(const ElementInfo& elem) const noexcept;
   /// The interpreter config for one invoke: config_.exec, plus — when
   /// security.confine_control_flow is on — exec windows covering the

@@ -23,12 +23,15 @@ struct SecurityPolicy {
   bool receiver_installs_got = false;
 
   /// "Separate the user data payload area from the rest of the message ...
-  /// writable data will not reside on executable pages." Frames pad
-  /// ARGS/USR to a fresh page; the receiver flips the code pages to RX and
-  /// the data pages to RW around execution instead of leaving RWX.
+  /// writable data will not reside on executable pages." Full-body frames
+  /// pad ARGS/USR to a fresh page. Around every execution, whatever the
+  /// frame's shape, the receiver flips the frame's code pages (full-body
+  /// only) to RX and its data pages to RW, then restores the mailbox's
+  /// resting RWX.
   bool split_code_data_pages = false;
 
-  /// Make the ARGS block read-only during execution.
+  /// Make the ARGS/USR pages read-only during execution, in every frame
+  /// shape (applies with split_code_data_pages).
   bool read_only_args = false;
 
   /// Enforce the X page bit on instruction fetch (costs a page-permission

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "common/log.hpp"
 #include "common/strfmt.hpp"
@@ -78,8 +79,10 @@ Status Nic::Launch(Nic& dst, PutRequest& put) {
   }
   const std::uint64_t size = put.inline_op ? sizeof(put.source) : put.size;
   if (size == 0) return InvalidArgument("zero-length put");
+  if (size > UINT32_MAX) return InvalidArgument("put larger than 4 GiB");
   Op op;
-  op.bytes.resize(size);
+  op.bytes = std::make_unique_for_overwrite<std::uint8_t[]>(size);
+  op.size = static_cast<std::uint32_t>(size);
 
   // Sender pipeline, the same for cabled and switched puts. Doorbell: the
   // posting CPU writes the WQE to the HCA over PCIe.
@@ -93,7 +96,7 @@ Status Nic::Launch(Nic& dst, PutRequest& put) {
   t = std::max(t, tx_free_at_);
   t += Nanoseconds(kPerMessageNs);
   if (put.inline_op) {
-    std::memcpy(op.bytes.data(), &put.source, size);
+    std::memcpy(op.bytes.get(), &put.source, size);
   } else {
     t += Nanoseconds(kDmaReadOverheadNs);
     t += GbpsToDuration(kPcieGbps, size);
@@ -102,7 +105,7 @@ Status Nic::Launch(Nic& dst, PutRequest& put) {
     // so the model snapshots at post time — the sender contract for put_nbi
     // is that the buffer must be stable until local completion anyway.
     TC_RETURN_IF_ERROR(host_.memory().DmaRead(
-        put.source, std::span<std::uint8_t>(op.bytes.data(), size)));
+        put.source, std::span<std::uint8_t>(op.bytes.get(), size)));
   }
   tx_free_at_ = t;
   op.remote_addr = put.remote_addr;
@@ -174,66 +177,68 @@ void Nic::Arrive(Op op, Nic* src, PicoTime arrival) {
   // wire is backed up. From here on the op touches only destination state;
   // the sender learns the true delivery time via the completion event one
   // wire latency later.
-  engine_.ScheduleAtOn(
-      lane_, arrival,
-      [this, src, op = std::move(op)]() mutable {
-        const PicoTime rx_start = std::max(engine_.Now(), rx_busy_until_);
-        rx_busy_until_ = rx_start + GbpsToDuration(kPcieGbps, op.bytes.size());
-        src->DeliverAt(rx_start + Nanoseconds(kRxProcessingNs), std::move(op),
-                       this);
-      },
-      "nic.rx");
+  auto rx = [this, src, op = std::move(op)]() mutable {
+    const PicoTime rx_start = std::max(engine_.Now(), rx_busy_until_);
+    rx_busy_until_ = rx_start + GbpsToDuration(kPcieGbps, op.size);
+    src->DeliverAt(rx_start + Nanoseconds(kRxProcessingNs), std::move(op),
+                   this);
+  };
+  static_assert(sizeof(rx) <= sim::SmallFn::kInlineBytes &&
+                    std::is_nothrow_move_constructible_v<decltype(rx)>,
+                "a put's receive event must not allocate");
+  engine_.ScheduleAtOn(lane_, arrival, std::move(rx), "nic.rx");
 }
 
 void Nic::DeliverAt(PicoTime when, Op op, Nic* dst) {
   // Runs on the destination lane (called from the nic.rx event there);
   // ScheduleAt inherits that lane.
-  engine_.ScheduleAt(
-      when,
-      [this, dst, op = std::move(op)]() mutable {
-        const std::uint64_t size = op.bytes.size();
-        PutCompletion completion;
-        completion.delivered_at = engine_.Now();
-        completion.ecn_marked = op.ecn_marked;
-        // Count marks on every arrival (before validation): the fabric
-        // mark ledger reconciles against switch-side marking, which has
-        // no view of rkey validity.
-        if (op.ecn_marked) ++dst->ecn_marks_delivered_;
+  auto deliver = [this, dst, op = std::move(op)]() mutable {
+    const std::uint64_t size = op.size;
+    PutCompletion completion;
+    completion.delivered_at = engine_.Now();
+    completion.ecn_marked = op.ecn_marked;
+    // Count marks on every arrival (before validation): the fabric
+    // mark ledger reconciles against switch-side marking, which has
+    // no view of rkey validity.
+    if (op.ecn_marked) ++dst->ecn_marks_delivered_;
 
-        // Hardware-level rkey validation at the target HCA.
-        Status valid = dst->host_.regions().Validate(
-            op.rkey, op.remote_addr, size, mem::RemoteAccess::kWrite);
-        if (!valid.ok()) {
-          ++dst->rkey_rejections_;
-          TC_DEBUG << "put rejected: " << valid;
-          completion.status = std::move(valid);
-          if (op.on_delivered) op.on_delivered(completion);
-          FinishOp(std::move(op), completion);
-          return;
-        }
+    // Hardware-level rkey validation at the target HCA.
+    Status valid = dst->host_.regions().Validate(
+        op.rkey, op.remote_addr, size, mem::RemoteAccess::kWrite);
+    if (!valid.ok()) {
+      ++dst->rkey_rejections_;
+      TC_DEBUG << "put rejected: " << valid;
+      completion.status = std::move(valid);
+      if (op.on_delivered) op.on_delivered(completion);
+      FinishOp(std::move(op), completion);
+      return;
+    }
 
-        // DMA write into target memory, then the cache action that the
-        // whole paper hinges on: stash into the target's home-domain LLC
-        // slice or push to (that domain's) DRAM.
-        Status wr = dst->host_.memory().DmaWrite(
-            op.remote_addr,
-            std::span<const std::uint8_t>(op.bytes.data(), size));
-        if (!wr.ok()) {
-          completion.status = wr;
-          if (op.on_delivered) op.on_delivered(completion);
-          FinishOp(std::move(op), completion);
-          return;
-        }
-        if (dst->config_.stash_to_llc) {
-          dst->host_.caches().StashDeliver(op.remote_addr, size);
-        } else {
-          dst->host_.caches().DramDeliver(op.remote_addr, size);
-        }
-        dst->bytes_delivered_ += size;
-        if (op.on_delivered) op.on_delivered(completion);
-        FinishOp(std::move(op), completion);
-      },
-      "nic.deliver");
+    // DMA write into target memory, then the cache action that the
+    // whole paper hinges on: stash into the target's home-domain LLC
+    // slice or push to (that domain's) DRAM.
+    Status wr = dst->host_.memory().DmaWrite(
+        op.remote_addr,
+        std::span<const std::uint8_t>(op.bytes.get(), size));
+    if (!wr.ok()) {
+      completion.status = wr;
+      if (op.on_delivered) op.on_delivered(completion);
+      FinishOp(std::move(op), completion);
+      return;
+    }
+    if (dst->config_.stash_to_llc) {
+      dst->host_.caches().StashDeliver(op.remote_addr, size);
+    } else {
+      dst->host_.caches().DramDeliver(op.remote_addr, size);
+    }
+    dst->bytes_delivered_ += size;
+    if (op.on_delivered) op.on_delivered(completion);
+    FinishOp(std::move(op), completion);
+  };
+  static_assert(sizeof(deliver) <= sim::SmallFn::kInlineBytes &&
+                    std::is_nothrow_move_constructible_v<decltype(deliver)>,
+                "a put's delivery event must not allocate");
+  engine_.ScheduleAt(when, std::move(deliver), "nic.deliver");
 }
 
 void Nic::FinishOp(Op op, const PutCompletion& completion) {

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -195,9 +196,14 @@ class Nic {
  private:
   friend class Switch;
 
+  /// One put in flight. Kept to 104 B so the nic.rx and nic.deliver
+  /// events (two pointers and an Op) fit sim::SmallFn's inline buffer.
   struct Op {
-    std::vector<std::uint8_t> bytes;
+    /// The payload snapshot: `size` bytes DMA-read at post time, or an
+    /// inline put's 8-byte value.
+    std::unique_ptr<std::uint8_t[]> bytes;
     mem::VirtAddr remote_addr;
+    std::uint32_t size;
     mem::RKey rkey;
     bool inline_op;
     /// Set (once) by the first congested switch on the path; surfaces to

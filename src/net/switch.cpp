@@ -86,7 +86,7 @@ void Switch::ScheduleIngress(Nic::Op op, Nic* src, Nic* dst,
 void Switch::Ingress(Transit t) {
   const PicoTime now = engine_.Now();
   PurgeReleased(now);
-  const std::uint64_t size = t.op.bytes.size();
+  const std::uint64_t size = t.op.size;
   // Hold when the shared buffer cannot take the frame — or when earlier
   // frames are already held, so a small frame can never overtake a big
   // one that is waiting (order within a path is preserved). A frame
@@ -120,7 +120,7 @@ void Switch::Admit(Transit t, PicoTime now) {
     return;
   }
   Port& port = ports_[port_idx];
-  const std::uint64_t size = t.op.bytes.size();
+  const std::uint64_t size = t.op.size;
 
   buffer_used_ += size;
   peak_buffer_bytes_ = std::max(peak_buffer_bytes_, buffer_used_);
@@ -177,7 +177,7 @@ void Switch::ArmWake() {
         const PicoTime now = engine_.Now();
         PurgeReleased(now);
         while (!pending_.empty()) {
-          const std::uint64_t size = pending_.front().op.bytes.size();
+          const std::uint64_t size = pending_.front().op.size;
           const bool fits =
               buffer_used_ + size <= config_.buffer_bytes ||
               (buffer_used_ == 0 && size > config_.buffer_bytes);

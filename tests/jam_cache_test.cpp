@@ -2,13 +2,15 @@
 // testbed — the by-handle fast path, the miss -> NAK -> resend degrade
 // path, capacity eviction under thrash, reload/re-sync invalidation (a
 // reloaded package must never execute a stale cached image), hardened
-// security modes over cached images, and exactly-once under a stealing,
-// hotplugging receiver pool with the cache armed.
+// security modes over cached images, the W^X seal binding alike on
+// full-body, by-handle and Local frames, and exactly-once under a
+// stealing, hotplugging receiver pool with the cache armed.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,42 @@ JamCacheConfig CacheOn(std::uint32_t capacity = 8) {
   return config;
 }
 
+// Two probe jams beside the bench package's. `probe` returns the page
+// permissions its ARGS and USR blocks have while it runs, as
+// (args << 4) | usr, through the test native tc_page_perms. `poke` stores
+// to args[1] only when args[0] == 1, so a warm-up invoke can execute.
+constexpr const char* kJamProbe = R"AMC(
+extern long tc_page_perms(long* addr);
+long jam_probe(long* args, long* usr, long usr_bytes) {
+  return tc_page_perms(args) * 16 + tc_page_perms(usr);
+}
+)AMC";
+constexpr const char* kJamPoke = R"AMC(
+long jam_poke(long* args, char* usr, long usr_bytes) {
+  if (args[0] == 1) args[1] = 5;
+  return 77;
+}
+)AMC";
+
+/// Defines tc_page_perms on @p rt: the permission bits of the page that
+/// holds its argument. Must run before a package linking it is loaded.
+Status RegisterPagePermsNative(Runtime& rt) {
+  TC_ASSIGN_OR_RETURN(
+      const std::uint32_t index,
+      rt.natives().Register("tc_page_perms", [](vm::NativeFrame& f) -> Status {
+        TC_ASSIGN_OR_RETURN(const mem::Perm perms,
+                            f.memory().PagePerms(f.Arg(0)));
+        f.SetResult(static_cast<std::uint64_t>(perms));
+        return Status::Ok();
+      }));
+  return rt.ns().Define("tc_page_perms", vm::MakeNativeHandle(index));
+}
+
+/// What `probe` returns when both its blocks sit on pages with @p perms.
+std::uint64_t ProbeResult(mem::Perm perms) {
+  return static_cast<std::uint64_t>(perms) * 17;
+}
+
 class JamCacheTest : public ::testing::Test {
  protected:
   static FabricOptions Options(std::uint32_t capacity = 8) {
@@ -37,9 +75,18 @@ class JamCacheTest : public ::testing::Test {
     return options;
   }
 
+  /// Wires the two hosts, defines tc_page_perms on both, and loads the
+  /// bench package plus the probe jams.
   void SetUpFabric(FabricOptions options = Options()) {
     fabric_ = std::make_unique<Fabric>(options);
-    auto pkg = bench::BuildBenchPackage();
+    ASSERT_TRUE(fabric_->SyncNamespaces().ok());  // wires and initializes
+    for (std::uint32_t host = 0; host < 2; ++host) {
+      ASSERT_TRUE(RegisterPagePermsNative(fabric_->runtime(host)).ok());
+    }
+    pkg::PackageBuilder builder = bench::MakeBenchPackageBuilder();
+    ASSERT_TRUE(builder.AddSourceFile("jam_probe.amc", kJamProbe).ok());
+    ASSERT_TRUE(builder.AddSourceFile("jam_poke.amc", kJamPoke).ok());
+    auto pkg = builder.Build("tcbench_probes");
     ASSERT_TRUE(pkg.ok()) << pkg.status();
     ASSERT_TRUE(fabric_->LoadPackage(*pkg).ok());
   }
@@ -48,19 +95,29 @@ class JamCacheTest : public ::testing::Test {
   /// miss completes without executing; its full-body resend follows).
   StatusOr<ReceivedMessage> SendAndRun(const std::string& jam,
                                        std::vector<std::uint64_t> args,
-                                       std::vector<std::uint8_t> usr) {
-    std::optional<ReceivedMessage> executed;
+                                       std::vector<std::uint8_t> usr,
+                                       Invoke mode = Invoke::kInjected) {
+    return SendAndComplete(jam, args, usr, mode, /*need_executed=*/true);
+  }
+
+  /// Sends one jam and runs until a frame of it completes — executed or
+  /// not — other than a by-handle miss (whose full-body resend follows).
+  StatusOr<ReceivedMessage> SendAndComplete(const std::string& jam,
+                                            std::vector<std::uint64_t> args,
+                                            std::vector<std::uint8_t> usr,
+                                            Invoke mode = Invoke::kInjected,
+                                            bool need_executed = false) {
+    std::optional<ReceivedMessage> done;
     fabric_->runtime(1).SetOnExecuted([&](const ReceivedMessage& msg) {
-      if (msg.executed) executed = msg;
+      if (!msg.cache_miss && (msg.executed || !need_executed)) done = msg;
     });
-    TC_ASSIGN_OR_RETURN(
-        const SendReceipt receipt,
-        fabric_->runtime(0).Send(jam, Invoke::kInjected, args, usr));
+    TC_ASSIGN_OR_RETURN(const SendReceipt receipt,
+                        fabric_->runtime(0).Send(jam, mode, args, usr));
     last_receipt_ = receipt;
-    fabric_->RunUntil([&] { return executed.has_value(); });
+    fabric_->RunUntil([&] { return done.has_value(); });
     fabric_->runtime(1).SetOnExecuted(nullptr);
-    if (!executed.has_value()) return Internal("message never executed");
-    return *executed;
+    if (!done.has_value()) return Internal("message never completed");
+    return *done;
   }
 
   std::vector<std::uint8_t> SumPayload(std::uint64_t* expect_out) {
@@ -307,15 +364,30 @@ TEST_F(JamCacheTest, HitPathUnderHardenedSecurityModes) {
 
 TEST_F(JamCacheTest, SecurityModeGridKeepsCachedPathExact) {
   // The full security-mode × cache grid: under every policy tier the
-  // by-handle image must behave exactly like the full-body frame —
-  // verify-on-install (Hardened) and verify-on-every-invoke
-  // (verify_cached_invokes) change the cost, never the result.
+  // by-handle image and the Local library entry must behave exactly like
+  // the full-body frame — verify-on-install (Hardened) and
+  // verify-on-every-invoke (verify_cached_invokes) change the cost, never
+  // the result, and the W^X seal gives every shape's ARGS and USR pages
+  // the same permissions while the jam runs.
   struct Mode {
     const char* name;
     SecurityPolicy policy;
   };
   std::vector<Mode> modes;
   modes.push_back({"paper-default", SecurityPolicy::PaperDefault()});
+  {
+    SecurityPolicy sealed;
+    sealed.split_code_data_pages = true;
+    sealed.enforce_exec_permission = true;
+    sealed.read_only_args = true;
+    modes.push_back({"w^x+read-only-args", sealed});
+  }
+  {
+    SecurityPolicy writable;
+    writable.split_code_data_pages = true;
+    writable.enforce_exec_permission = true;
+    modes.push_back({"w^x", writable});
+  }
   modes.push_back({"hardened", SecurityPolicy::Hardened()});
   {
     SecurityPolicy paranoid = SecurityPolicy::Hardened();
@@ -346,7 +418,88 @@ TEST_F(JamCacheTest, SecurityModeGridKeepsCachedPathExact) {
     EXPECT_EQ(receiver.stats().security_rejections, 0u) << mode.name;
     EXPECT_EQ(receiver.PeekU64("sum_results", 1).value(), expect)
         << mode.name;
+    auto local = SendAndRun("ssum", {0}, usr, Invoke::kLocal);
+    ASSERT_TRUE(local.ok()) << mode.name << ": " << local.status();
+    EXPECT_FALSE(local->injected) << mode.name;
+    EXPECT_EQ(local->return_value, expect) << mode.name;
+
+    // The seal: ARGS/USR pages read as the mailbox's resting rwx unless
+    // split_code_data_pages flips them, and then alike in every shape.
+    const mem::Perm data_pages =
+        !mode.policy.split_code_data_pages ? mem::Perm::kRWX
+        : mode.policy.read_only_args       ? mem::Perm::kRead
+                                           : mem::Perm::kRW;
+    const struct {
+      const char* shape;
+      Invoke mode;
+      bool by_handle;
+    } shapes[] = {{"full-body", Invoke::kInjected, false},
+                  {"by-handle", Invoke::kInjected, true},
+                  {"local", Invoke::kLocal, false}};
+    for (const auto& shape : shapes) {
+      auto probe = SendAndRun("probe", {0}, usr, shape.mode);
+      ASSERT_TRUE(probe.ok()) << mode.name << " " << shape.shape << ": "
+                              << probe.status();
+      EXPECT_EQ(probe->by_handle, shape.by_handle)
+          << mode.name << " " << shape.shape;
+      EXPECT_EQ(probe->return_value, ProbeResult(data_pages))
+          << mode.name << " " << shape.shape << " saw "
+          << mem::PermString(static_cast<mem::Perm>(probe->return_value >> 4))
+          << " ARGS, "
+          << mem::PermString(static_cast<mem::Perm>(probe->return_value & 15))
+          << " USR";
+    }
+    EXPECT_EQ(receiver.stats().security_rejections, 0u) << mode.name;
   }
+}
+
+TEST_F(JamCacheTest, HardenedStoreToArgsFaultsInEveryShape) {
+  // Under Hardened() ARGS are read-only while the jam runs, so a store
+  // into them faults whether the jam came in the frame, from the cache by
+  // handle, or from the Local library: the frame completes unexecuted and
+  // counts as a security rejection.
+  FabricOptions options = Options();
+  options.runtime.security = SecurityPolicy::Hardened();
+  SetUpFabric(options);
+  Runtime& receiver = fabric_->runtime(1);
+
+  // Cold full-body frame that stores: faults, so nothing is installed.
+  auto full = SendAndComplete("poke", {1, 0}, {});
+  ASSERT_TRUE(full.ok()) << full.status();
+  EXPECT_FALSE(full->by_handle);
+  EXPECT_FALSE(full->executed);
+  EXPECT_EQ(receiver.stats().security_rejections, 1u);
+  EXPECT_EQ(receiver.jam_cache_stats().installs, 0u);
+
+  // A frame that does not store executes. The sender already believed
+  // the peer held the image, so it goes by handle, misses, and its
+  // full-body resend executes and installs.
+  auto warm = SendAndRun("poke", {0, 0}, {});
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  EXPECT_EQ(warm->return_value, 77u);
+  EXPECT_EQ(receiver.jam_cache_stats().installs, 1u);
+
+  auto by_handle = SendAndComplete("poke", {1, 0}, {});
+  ASSERT_TRUE(by_handle.ok()) << by_handle.status();
+  EXPECT_TRUE(by_handle->by_handle);
+  EXPECT_FALSE(by_handle->executed);
+  EXPECT_EQ(receiver.stats().security_rejections, 2u);
+
+  auto local = SendAndComplete("poke", {1, 0}, {}, Invoke::kLocal);
+  ASSERT_TRUE(local.ok()) << local.status();
+  EXPECT_FALSE(local->injected);
+  EXPECT_FALSE(local->executed);
+  EXPECT_EQ(receiver.stats().security_rejections, 3u);
+
+  // Every fault restored the mailbox: the next frames of each shape run.
+  auto hot = SendAndRun("poke", {0, 0}, {});
+  ASSERT_TRUE(hot.ok()) << hot.status();
+  EXPECT_TRUE(hot->by_handle);
+  EXPECT_EQ(hot->return_value, 77u);
+  auto local_ok = SendAndRun("poke", {0, 0}, {}, Invoke::kLocal);
+  ASSERT_TRUE(local_ok.ok()) << local_ok.status();
+  EXPECT_EQ(local_ok->return_value, 77u);
+  EXPECT_EQ(receiver.stats().security_rejections, 3u);
 }
 
 TEST_F(JamCacheTest, VerifyCachedInvokesChargesEveryHit) {
@@ -415,27 +568,48 @@ TEST_F(JamCacheTest, EvictionResendReverifiesUnderHardenedPolicy) {
 }
 
 TEST_F(JamCacheTest, NoExecuteFramesNeverGoByHandle) {
-  SetUpFabric();
+  SetUpFabric(Options(/*capacity=*/1));
   Runtime& sender = fabric_->runtime(0);
-  std::optional<ReceivedMessage> done;
-  fabric_->runtime(1).SetOnExecuted(
-      [&](const ReceivedMessage& msg) { done = msg; });
-  for (int i = 0; i < 2; ++i) {
-    done.reset();
+  Runtime& receiver = fabric_->runtime(1);
+  // Sends one delivery-only frame and runs until it completes.
+  const auto deliver_only = [&](const std::string& jam,
+                                std::span<const std::uint8_t> usr) {
+    std::optional<ReceivedMessage> done;
+    receiver.SetOnExecuted([&](const ReceivedMessage& msg) { done = msg; });
     const std::vector<std::uint64_t> args = {0};
-    auto receipt =
-        sender.Send("ssum", Invoke::kInjected, args, {},
-                    static_cast<std::uint16_t>(kFlagNoExecute));
-    ASSERT_TRUE(receipt.ok()) << receipt.status();
+    auto receipt = sender.Send(jam, Invoke::kInjected, args, usr,
+                               static_cast<std::uint16_t>(kFlagNoExecute));
+    EXPECT_TRUE(receipt.ok()) << receipt.status();
     // Delivery-only frames must pay full freight: the receiver skips
     // invocation entirely, so a by-handle miss could never be serviced.
-    EXPECT_FALSE(receipt->by_handle);
+    EXPECT_FALSE(receipt.ok() && receipt->by_handle) << jam;
     fabric_->RunUntil([&] { return done.has_value(); });
-    ASSERT_TRUE(done.has_value());
-    EXPECT_FALSE(done->executed);
-  }
-  fabric_->runtime(1).SetOnExecuted(nullptr);
+    receiver.SetOnExecuted(nullptr);
+    ASSERT_TRUE(done.has_value()) << jam;
+    EXPECT_FALSE(done->executed) << jam;
+  };
+  for (int i = 0; i < 2; ++i) deliver_only("ssum", {});
   EXPECT_EQ(sender.jam_cache_stats().by_handle_sends, 0u);
+  // Nor do they install: the cache holds only what executed.
+  EXPECT_EQ(receiver.jam_cache_stats().installs, 0u);
+  EXPECT_EQ(receiver.JamCacheSize(), 0u);
+
+  // So delivery-only traffic cannot evict a hot entry, even at capacity 1.
+  std::uint64_t expect = 0;
+  const std::vector<std::uint8_t> usr = SumPayload(&expect);
+  ASSERT_TRUE(SendAndRun("ssum", {0}, usr).ok());
+  auto warm = SendAndRun("ssum", {0}, usr);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  EXPECT_TRUE(warm->by_handle);
+  deliver_only("iput", usr);
+  EXPECT_EQ(receiver.jam_cache_stats().installs, 1u);
+  EXPECT_EQ(receiver.jam_cache_stats().evictions, 0u);
+  auto hot = SendAndRun("ssum", {0}, usr);
+  ASSERT_TRUE(hot.ok()) << hot.status();
+  EXPECT_TRUE(hot->by_handle);
+  EXPECT_EQ(hot->return_value, expect);
+  EXPECT_EQ(receiver.jam_cache_stats().hits, 2u);
+  EXPECT_EQ(receiver.jam_cache_stats().misses, 0u);
 }
 
 // --------------------------------------------- pool scheduler integration
