@@ -351,7 +351,6 @@ StatusOr<OpenLoopResult> RunKvOpenLoop(const OpenLoopConfig& config) {
   core::FabricOptions opts;
   opts.hosts = config.client_hosts + config.shards;
   opts.topology = core::Topology::kFullMesh;
-  opts.runtime = config.runtime;
   opts.runtime.jam_cache = config.jam_cache;
   opts.engine.lanes = config.lanes;
   auto fabric = std::make_unique<core::Fabric>(opts);
@@ -392,10 +391,7 @@ StatusOr<OpenLoopResult> RunKvOpenLoop(const OpenLoopConfig& config) {
     }
   }
 
-  if (config.preload) {
-    Status warm = Preload(ctx);
-    if (!warm.ok()) return warm;
-  }
+  if (Status warm = Preload(ctx); !warm.ok()) return warm;
 
   // Baselines so the measured window excludes preload traffic.
   std::uint64_t wire_base = 0;

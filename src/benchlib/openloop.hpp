@@ -41,22 +41,18 @@ struct OpenLoopConfig {
   double zipf_theta = 1.0;
   /// Fraction of requests that are kv_put (the rest are kv_get).
   double put_fraction = 0.10;
-  /// Measured requests (after the optional preload).
+  /// Measured requests (after the unmeasured preload that writes every
+  /// key once, closed-loop, so gets hit a warm store).
   std::uint64_t requests = 20'000;
   /// Offered load in requests per simulated microsecond. Arrivals are a
   /// merged Poisson process: exponential gaps with mean 1/rate.
   double offered_rate_mops = 1.0;
-  /// Write every key once (closed-loop, unmeasured) before the measured
-  /// window, so gets hit a warm store.
-  bool preload = true;
   std::uint64_t seed = 1;
-  /// Receiver-side jam cache on the shard hosts (off = every injection
+  /// Receiver-side jam cache of the shard hosts (off = every injection
   /// carries the full jam body; on = hot path degenerates to slim
-  /// invoke-by-handle frames).
+  /// invoke-by-handle frames). Every host runs the default RuntimeConfig
+  /// with this jam_cache.
   core::JamCacheConfig jam_cache{};
-  /// Runtime template for every host (jam_cache above overrides its
-  /// jam_cache member).
-  core::RuntimeConfig runtime{};
   /// Engine executor lanes (FabricOptions.engine.lanes): >1 shards event
   /// execution by host under conservative lookahead. The driver keeps all
   /// per-host state single-writer, so results are byte-identical at every
@@ -93,8 +89,8 @@ struct OpenLoopResult {
   std::vector<std::uint64_t> per_shard_executed;  ///< size = shards
 };
 
-/// Builds the fabric, loads the jamlib package, optionally preloads the
-/// keyspace, then drives the measured open-loop window. Configuration
+/// Builds the fabric, loads the jamlib package, preloads the keyspace,
+/// then drives the measured open-loop window. Configuration
 /// errors return a Status; in-run failures come back in result.error.
 StatusOr<OpenLoopResult> RunKvOpenLoop(const OpenLoopConfig& config);
 

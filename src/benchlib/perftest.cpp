@@ -350,8 +350,7 @@ StatusOr<PingPongResult> RunRawPutPingPong(core::Fabric& fabric,
         ucxs::PutMode::kUcx);
   }
 
-  const cpu::WaitModelConfig wait_cfg = fabric.runtime(0).config().wait;
-  cpu::WaitModel wait(wait_cfg, kCoreClock);
+  const cpu::WaitModel wait(fabric.runtime(0).config().wait.mode);
 
   PingPongResult result;
   result.one_way = LatencySample(config.iterations);

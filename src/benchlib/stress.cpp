@@ -11,23 +11,20 @@ void ApplyStress(core::Fabric& fabric, const StressConfig& config) {
   // the whole run reproducible from the seed.
   for (std::uint32_t i = 0; i < fabric.size(); ++i) {
     auto dram_rng = std::make_shared<Xoshiro256>(config.seed + 11 * i);
-    const StressConfig cfg = config;
-    fabric.host(i).caches().SetDramContentionHook(
-        [dram_rng, cfg]() -> Cycles {
-          double extra = dram_rng->NextExponential(cfg.dram_extra_mean_cycles);
-          if (dram_rng->NextBernoulli(cfg.dram_spike_probability)) {
-            extra += dram_rng->NextPareto(cfg.dram_spike_scale_cycles,
-                                          cfg.dram_spike_alpha);
-          }
-          return static_cast<Cycles>(extra);
-        });
+    fabric.host(i).caches().SetDramContentionHook([dram_rng]() -> Cycles {
+      double extra = dram_rng->NextExponential(kDramExtraMeanCycles);
+      if (dram_rng->NextBernoulli(kDramSpikeProbability)) {
+        extra += dram_rng->NextPareto(kDramSpikeScaleCycles, kDramSpikeAlpha);
+      }
+      return static_cast<Cycles>(extra);
+    });
 
     auto preempt_rng = std::make_shared<Xoshiro256>(config.seed + 101 * i);
     fabric.runtime(i).SetPreemptionHook(
-        [preempt_rng, cfg]() -> PicoTime {
-          if (!preempt_rng->NextBernoulli(cfg.preempt_probability)) return 0;
-          return Microseconds(preempt_rng->NextPareto(cfg.preempt_scale_us,
-                                                      cfg.preempt_alpha));
+        [preempt_rng, p = config.preempt_probability]() -> PicoTime {
+          if (!preempt_rng->NextBernoulli(p)) return 0;
+          return Microseconds(
+              preempt_rng->NextPareto(kPreemptScaleUs, kPreemptAlpha));
         });
   }
 }

@@ -18,22 +18,24 @@
 
 namespace twochains::bench {
 
+/// Mean extra DRAM latency per access (core cycles), exponential.
+inline constexpr double kDramExtraMeanCycles = 200.0;
+/// Frequent large DRAM spikes (row conflicts / queueing behind the stress
+/// workload): probability per access and Pareto tail (cycles). This is the
+/// noise source stashing dodges.
+inline constexpr double kDramSpikeProbability = 0.05;
+inline constexpr double kDramSpikeScaleCycles = 4000.0;
+inline constexpr double kDramSpikeAlpha = 1.6;
+/// Pareto delay (us) of one receiver preemption. Hits stash and non-stash
+/// alike; kept moderate so it shapes the spread without masking the DRAM
+/// asymmetry.
+inline constexpr double kPreemptScaleUs = 2.5;
+inline constexpr double kPreemptAlpha = 2.2;
+
 struct StressConfig {
   std::uint64_t seed = 0x57e55ull;
-  /// Mean extra DRAM latency per access (core cycles), exponential.
-  double dram_extra_mean_cycles = 200.0;
-  /// Frequent large DRAM spikes (row conflicts / queueing behind the
-  /// stress workload): probability per access and Pareto tail (cycles).
-  /// This is the noise source stashing dodges.
-  double dram_spike_probability = 0.05;
-  double dram_spike_scale_cycles = 4000.0;
-  double dram_spike_alpha = 1.6;
-  /// Receiver preemption per message: probability and Pareto delay (us).
-  /// Hits stash and non-stash alike; kept moderate so it shapes the spread
-  /// without masking the DRAM asymmetry.
+  /// Receiver preemption probability per message.
   double preempt_probability = 0.002;
-  double preempt_scale_us = 2.5;
-  double preempt_alpha = 2.2;
 };
 
 /// Installs the interference hooks on every host of the fabric (seeded

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cstring>
 #include <limits>
 #include <new>
@@ -18,18 +17,16 @@ namespace twochains::cache {
 static_assert(sizeof(CacheLevel) == 32,
               "a wider CacheLevel costs peak RSS (see the member comment)");
 
-CacheLevel::CacheLevel(const LevelConfig& config, std::uint64_t line_bytes)
-    : line_shift_(Log2(line_bytes)),
-      ways_(std::max<std::uint32_t>(config.ways, 1)),
+CacheLevel::CacheLevel(const LevelConfig& config)
+    : ways_(std::max<std::uint32_t>(config.ways, 1)),
       sets_(static_cast<std::uint32_t>(std::bit_floor(std::clamp<std::uint64_t>(
-          config.size_bytes / (line_bytes * ways_), 1,
+          config.size_bytes / (kCacheLineBytes * ways_), 1,
           std::numeric_limits<std::uint32_t>::max())))),
       hit_cycles_(config.hit_cycles) {
-  assert(IsPowerOfTwo(line_bytes));
   if (ways_ != config.ways ||
-      std::uint64_t{sets_} * ways_ * line_bytes != config.size_bytes) {
+      std::uint64_t{sets_} * ways_ * kCacheLineBytes != config.size_bytes) {
     TC_WARN << "cache: " << config.name << " (" << config.size_bytes
-            << " B, " << config.ways << " ways of " << line_bytes
+            << " B, " << config.ways << " ways of " << kCacheLineBytes
             << " B lines) is not a power-of-two number of sets; modeling "
             << sets_ << " sets x " << ways_ << " ways";
   }
@@ -40,8 +37,7 @@ CacheLevel::CacheLevel(const LevelConfig& config, std::uint64_t line_bytes)
 }
 
 CacheLevel::CacheLevel(CacheLevel&& other) noexcept
-    : line_shift_(other.line_shift_),
-      ways_(other.ways_),
+    : ways_(other.ways_),
       sets_(other.sets_),
       population_(other.population_),
       hit_cycles_(other.hit_cycles_),
@@ -89,11 +85,10 @@ bool CacheLevel::Invalidate(mem::VirtAddr addr) noexcept {
 void CacheLevel::InvalidateRange(mem::VirtAddr addr,
                                  std::uint64_t size) noexcept {
   if (size == 0) return;
-  const std::uint64_t line_bytes = 1ull << line_shift_;
-  const std::uint64_t first = AlignDown(addr, line_bytes);
-  const std::uint64_t last = AlignUp(addr + size, line_bytes);
+  const std::uint64_t first = AlignDown(addr, kCacheLineBytes);
+  const std::uint64_t last = AlignUp(addr + size, kCacheLineBytes);
   for (std::uint64_t a = first; a < last && population_ != 0;
-       a += line_bytes) {
+       a += kCacheLineBytes) {
     Invalidate(a);
   }
 }

@@ -12,11 +12,11 @@ namespace twochains::cache {
 
 class CacheLevel {
  public:
-  /// @p line_bytes must be a power of two. A geometry the level cannot
-  /// model (no ways, or a size that is not a power-of-two number of sets
-  /// of ways*line_bytes) is clamped to at least one way and the largest
+  /// Lines are kCacheLineBytes. A geometry the level cannot model (no
+  /// ways, or a size that is not a power-of-two number of sets of
+  /// ways * kCacheLineBytes) is clamped to at least one way and the largest
   /// power-of-two set count that fits (at least one), with a warning.
-  CacheLevel(const LevelConfig& config, std::uint64_t line_bytes);
+  explicit CacheLevel(const LevelConfig& config);
   /// The tag array is one mapping with one owner: a move hands it over,
   /// and there is no copy.
   CacheLevel(CacheLevel&& other) noexcept;
@@ -77,8 +77,8 @@ class CacheLevel {
  private:
   /// A way holds its line number plus one, so 0 marks an empty way and
   /// line 0 stays cacheable (a 64 B line number is below 2^58: no wrap).
-  std::uint64_t KeyOf(mem::VirtAddr addr) const noexcept {
-    return (addr >> line_shift_) + 1;
+  static std::uint64_t KeyOf(mem::VirtAddr addr) noexcept {
+    return addr / kCacheLineBytes + 1;
   }
   std::uint64_t* SetOf(std::uint64_t key) const noexcept {
     return tags_ + ((key - 1) & (sets_ - 1)) * ways_;
@@ -93,7 +93,6 @@ class CacheLevel {
 
   // 32 bytes in all (static_assert in the .cpp): every host holds one level
   // per core per private cache, so each byte here is paid many times.
-  unsigned line_shift_;  // log2 of the line size
   std::uint32_t ways_;
   std::uint32_t sets_;
   // Valid lines across every set, kept by InsertAbsent, Invalidate and

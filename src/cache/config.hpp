@@ -2,9 +2,12 @@
 //
 // Defaults reproduce the paper's testbed (§VI-C): 4-core Arm server,
 // 1 MB dedicated L2 per core, 1 MB L3 shared per 2-core cluster, 8 MB shared
-// LLC, DDR4-2666 DRAM, 64 B lines, core clock 2.6 GHz. Level hit latencies
-// are modeled in core cycles; DRAM in nanoseconds (converted via the core
-// clock). All values are data, so ablation benches can sweep them.
+// LLC, DDR4-2666 DRAM, 64 B lines (kCacheLineBytes), core clock 2.6 GHz
+// (kCoreClock). Level hit latencies are modeled in core cycles; DRAM in
+// nanoseconds, converted once via the core clock. The machine's fixed costs
+// are the k* constants below; the config keeps the geometry tests use to
+// isolate levels and the core and domain counts the multi-core scenarios
+// set.
 #pragma once
 
 #include <cstdint>
@@ -22,22 +25,35 @@ struct LevelConfig {
   Cycles hit_cycles = 10;  ///< latency when the lookup hits at this level
 };
 
-/// Stream prefetcher knobs.
+/// Cores sharing one L3 (a cluster).
+inline constexpr std::uint32_t kCoresPerCluster = 2;
+/// Extra cycles when a core's access must be satisfied by another domain's
+/// LLC slice or DRAM (the cross-socket interconnect hop). Copies already
+/// resident in the core's private/cluster levels are local and never pay
+/// it.
+inline constexpr Cycles kRemotePenaltyCycles = 60;
+/// Loaded DRAM access latency before contention (DDR4-2666).
+inline constexpr double kDramLatencyNs = 88.0;
+/// kDramLatencyNs in core cycles (229), what every DRAM fill pays.
+inline constexpr Cycles kDramCycles =
+    kCoreClock.ToCycles(Nanoseconds(kDramLatencyNs));
+/// Consecutive-line misses needed before a prefetch stream counts as
+/// trained.
+inline constexpr std::uint32_t kPrefetchTrainMisses = 2;
+/// Concurrent prefetch streams tracked per core.
+inline constexpr std::uint32_t kPrefetchStreams = 8;
+/// Cost of an access covered by a trained stream (data arrived in L2
+/// ahead of use; what remains is the L2-ish fill latency).
+inline constexpr Cycles kPrefetchCoveredCycles = 14;
+
+/// Stream prefetcher switch (the stream model itself is the k* constants
+/// above).
 struct PrefetcherConfig {
   bool enabled = true;
-  /// Consecutive-line misses needed before a stream counts as trained.
-  std::uint32_t train_misses = 2;
-  /// Concurrent streams tracked per core.
-  std::uint32_t streams = 8;
-  /// Cost of an access covered by a trained stream (data arrived in L2
-  /// ahead of use; what remains is the L2-ish fill latency).
-  Cycles covered_cycles = 14;
 };
 
 struct HierarchyConfig {
   std::uint32_t cores = 4;
-  std::uint32_t cores_per_cluster = 2;
-  std::uint64_t line_bytes = kCacheLineBytes;
 
   /// Memory domains (NUMA nodes): cores split into contiguous blocks of
   /// CoresPerDomain(), the LLC splits into one slice per domain (a line is
@@ -45,11 +61,6 @@ struct HierarchyConfig {
   /// the host arena), and DRAM behind each slice is that domain's local
   /// memory. 1 = the paper's single-socket testbed.
   std::uint32_t domains = 1;
-  /// Extra cycles when a core's access must be satisfied by another
-  /// domain's LLC slice or DRAM (the cross-socket interconnect hop).
-  /// Copies already resident in the core's private/cluster levels are
-  /// local and never pay it.
-  Cycles remote_penalty_cycles = 60;
 
   std::uint32_t CoresPerDomain() const noexcept {
     const std::uint32_t n = domains == 0 ? 1 : domains;
@@ -68,17 +79,7 @@ struct HierarchyConfig {
   LevelConfig l3{"L3", MiB(1), 16, 30};
   LevelConfig llc{"LLC", MiB(8), 16, 55};
 
-  /// Loaded DRAM access latency (nanoseconds) before contention.
-  double dram_latency_ns = 88.0;
-
   PrefetcherConfig prefetch{};
-
-  ClockDomain core_clock = kCoreClock;
-
-  /// DRAM latency in core cycles.
-  Cycles DramCycles() const noexcept {
-    return core_clock.ToCycles(Nanoseconds(dram_latency_ns));
-  }
 };
 
 /// Where an access was satisfied (for statistics and tests).

@@ -14,8 +14,8 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig& config)
   assert(config_.cores >= 1);
   if (config_.domains == 0) config_.domains = 1;
   if (config_.domains > 1 &&
-      config_.CoresPerDomain() % config_.cores_per_cluster != 0) {
-    TC_WARN << "cache: a " << config_.cores_per_cluster
+      config_.CoresPerDomain() % kCoresPerCluster != 0) {
+    TC_WARN << "cache: a " << kCoresPerCluster
             << "-core cluster straddles the " << config_.domains
             << "-domain boundary (cores_per_domain="
             << config_.CoresPerDomain()
@@ -23,19 +23,18 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig& config)
                "cluster-local hits to read as domain-local";
   }
   const std::uint32_t clusters =
-      (config_.cores + config_.cores_per_cluster - 1) /
-      config_.cores_per_cluster;
+      (config_.cores + kCoresPerCluster - 1) / kCoresPerCluster;
   l1_.reserve(config_.cores);
   l2_.reserve(config_.cores);
   prefetchers_.reserve(config_.cores);
   for (std::uint32_t c = 0; c < config_.cores; ++c) {
-    l1_.emplace_back(config_.l1, config_.line_bytes);
-    l2_.emplace_back(config_.l2, config_.line_bytes);
-    prefetchers_.emplace_back(config_.prefetch, config_.line_bytes);
+    l1_.emplace_back(config_.l1);
+    l2_.emplace_back(config_.l2);
+    prefetchers_.emplace_back(config_.prefetch);
   }
   l3_.reserve(clusters);
   for (std::uint32_t c = 0; c < clusters; ++c) {
-    l3_.emplace_back(config_.l3, config_.line_bytes);
+    l3_.emplace_back(config_.l3);
   }
   // The LLC is physically distributed across domains: each slice holds the
   // lines homed in its domain, with the total capacity split evenly —
@@ -45,13 +44,13 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig& config)
   // one way here, as CacheLevel clamps it (with a warning).
   LevelConfig slice = config_.llc;
   const std::uint64_t way_bytes =
-      config_.line_bytes * std::max<std::uint32_t>(slice.ways, 1);
+      kCacheLineBytes * std::max<std::uint32_t>(slice.ways, 1);
   const std::uint64_t sets = std::bit_floor(std::max<std::uint64_t>(
       config_.llc.size_bytes / config_.domains / way_bytes, 1));
   slice.size_bytes = sets * way_bytes;
   llc_.reserve(config_.domains);
   for (std::uint32_t d = 0; d < config_.domains; ++d) {
-    llc_.emplace_back(slice, config_.line_bytes);
+    llc_.emplace_back(slice);
   }
 }
 
@@ -90,7 +89,7 @@ Cycles CacheHierarchy::MissL1(std::uint32_t core, mem::VirtAddr addr,
     llc.Insert(addr);  // prefetch fills percolate into the home slice
     ++stats_.prefetch_covered;
     if (level) *level = HitLevel::kPrefetchCovered;
-    return config_.prefetch.covered_cycles;
+    return kPrefetchCoveredCycles;
   }
 
   if (l3.Lookup(addr)) {
@@ -110,9 +109,9 @@ Cycles CacheHierarchy::MissL1(std::uint32_t core, mem::VirtAddr addr,
     if (level) *level = HitLevel::kLLC;
     Cycles cost = llc.hit_cycles();
     if (remote) {
-      cost += config_.remote_penalty_cycles;
+      cost += kRemotePenaltyCycles;
       ++stats_.remote_accesses;
-      stats_.remote_penalty_cycles += config_.remote_penalty_cycles;
+      stats_.remote_penalty_cycles += kRemotePenaltyCycles;
     }
     return cost;
   }
@@ -124,11 +123,11 @@ Cycles CacheHierarchy::MissL1(std::uint32_t core, mem::VirtAddr addr,
   llc.InsertAbsent(addr);
   ++stats_.dram_accesses;
   if (level) *level = HitLevel::kDram;
-  Cycles cost = config_.DramCycles();
+  Cycles cost = kDramCycles;
   if (remote) {
-    cost += config_.remote_penalty_cycles;
+    cost += kRemotePenaltyCycles;
     ++stats_.remote_accesses;
-    stats_.remote_penalty_cycles += config_.remote_penalty_cycles;
+    stats_.remote_penalty_cycles += kRemotePenaltyCycles;
   }
   if (dram_contention_) cost += dram_contention_();
   return cost;
@@ -138,7 +137,7 @@ Cycles CacheHierarchy::AccessLines(std::uint32_t core, mem::VirtAddr addr,
                                    std::uint64_t size, AccessKind kind,
                                    HitLevel* last_level) noexcept {
   if (size == 0) return 0;
-  const std::uint64_t line = config_.line_bytes;
+  constexpr std::uint64_t line = kCacheLineBytes;
   const std::uint64_t first = AlignDown(addr, line);
   const std::uint64_t last = AlignUp(addr + size, line);
   Cycles total = 0;
@@ -165,7 +164,7 @@ void CacheHierarchy::StashDeliver(mem::VirtAddr addr,
   // each line's home domain's LLC slice — the cache closest to the cores
   // that own the bank when placement is domain-aware.
   InvalidateUpper(addr, size);
-  const std::uint64_t line = config_.line_bytes;
+  constexpr std::uint64_t line = kCacheLineBytes;
   const std::uint64_t first = AlignDown(addr, line);
   const std::uint64_t last = AlignUp(addr + size, line);
   for (std::uint64_t a = first; a < last; a += line) {
@@ -181,7 +180,7 @@ void CacheHierarchy::DramDeliver(mem::VirtAddr addr,
   // Every slice, not just the home one: lines inserted before a domain
   // mapper was installed may sit in slice 0.
   for (auto& slice : llc_) slice.InvalidateRange(addr, size);
-  const std::uint64_t line = config_.line_bytes;
+  constexpr std::uint64_t line = kCacheLineBytes;
   stats_.dma_invalidated_lines +=
       (AlignUp(addr + size, line) - AlignDown(addr, line)) / line;
 }

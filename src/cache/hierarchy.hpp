@@ -17,7 +17,7 @@
 // slice per memory domain, and a line is cached in the slice of its *home*
 // domain (where its bytes live in the host arena, resolved through the
 // domain mapper the owning net::Host installs). An access that must be
-// satisfied by a remote domain's slice or DRAM pays remote_penalty_cycles
+// satisfied by a remote domain's slice or DRAM pays kRemotePenaltyCycles
 // on top — the cross-socket hop — while copies already resident in the
 // core's private/cluster levels stay free. NIC stash delivery therefore
 // lands in the home domain's slice, which is what makes bank placement a
@@ -71,7 +71,7 @@ class CacheHierarchy {
   /// returns inline.
   Cycles Access(std::uint32_t core, mem::VirtAddr addr, std::uint64_t size,
                 AccessKind kind, HitLevel* last_level = nullptr) noexcept {
-    const std::uint64_t line = config_.line_bytes;
+    constexpr std::uint64_t line = kCacheLineBytes;
     if (size != 0 && size <= line && (addr & (line - 1)) + size <= line) {
       return AccessLine(core, AlignDown(addr, line), kind, last_level);
     }
@@ -150,8 +150,8 @@ class CacheHierarchy {
   }
 
  private:
-  std::uint32_t ClusterOf(std::uint32_t core) const noexcept {
-    return core / config_.cores_per_cluster;
+  static std::uint32_t ClusterOf(std::uint32_t core) noexcept {
+    return core / kCoresPerCluster;
   }
 
   /// Access's walk over every line of a multi-line or empty range.

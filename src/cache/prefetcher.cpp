@@ -2,15 +2,12 @@
 
 namespace twochains::cache {
 
-StreamPrefetcher::StreamPrefetcher(const PrefetcherConfig& config,
-                                   std::uint64_t line_bytes)
-    : config_(config),
-      line_bytes_(line_bytes),
-      streams_(config.streams) {}
+StreamPrefetcher::StreamPrefetcher(const PrefetcherConfig& config)
+    : config_(config), streams_(kPrefetchStreams) {}
 
 bool StreamPrefetcher::OnDemandMiss(mem::VirtAddr addr) noexcept {
   if (!config_.enabled) return false;
-  const std::uint64_t line = addr / line_bytes_;
+  const std::uint64_t line = addr / kCacheLineBytes;
   ++tick_;
 
   // Look for a stream expecting exactly this line.
@@ -19,8 +16,8 @@ bool StreamPrefetcher::OnDemandMiss(mem::VirtAddr addr) noexcept {
       s.run += 1;
       s.next_line = line + 1;
       s.lru = tick_;
-      if (s.run == config_.train_misses) ++trained_;
-      if (s.run >= config_.train_misses) {
+      if (s.run == kPrefetchTrainMisses) ++trained_;
+      if (s.run >= kPrefetchTrainMisses) {
         ++covered_;
         return true;  // prefetch engine ran ahead of the demand stream
       }

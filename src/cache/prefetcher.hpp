@@ -1,11 +1,12 @@
 // Per-core stream prefetcher model.
 //
-// Detects runs of consecutive-line demand misses. Once a stream has seen
-// `train_misses` consecutive lines, subsequent accesses on the stream are
-// "covered": the prefetch engine fetched them ahead of use, so the demand
-// access pays only the covered cost instead of LLC/DRAM latency. This is the
-// mechanism behind the paper's observation that the stash/non-stash latency
-// gap narrows "once the message size is large enough to trigger the
+// Detects runs of consecutive-line demand misses, tracking up to
+// kPrefetchStreams streams. Once a stream has seen kPrefetchTrainMisses
+// consecutive lines, subsequent accesses on the stream are "covered": the
+// prefetch engine fetched them ahead of use, so the demand access pays only
+// the covered cost instead of LLC/DRAM latency. This is the mechanism
+// behind the paper's observation that the stash/non-stash latency gap
+// narrows "once the message size is large enough to trigger the
 // prefetcher" (§VII-B).
 #pragma once
 
@@ -19,8 +20,7 @@ namespace twochains::cache {
 
 class StreamPrefetcher {
  public:
-  explicit StreamPrefetcher(const PrefetcherConfig& config,
-                            std::uint64_t line_bytes);
+  explicit StreamPrefetcher(const PrefetcherConfig& config);
 
   /// Reports an L2 demand miss on the line containing @p addr. Returns true
   /// if a trained stream covers this line (the fill was prefetched). Always
@@ -42,7 +42,6 @@ class StreamPrefetcher {
   };
 
   PrefetcherConfig config_;
-  std::uint64_t line_bytes_;
   std::vector<Stream> streams_;
   std::uint64_t tick_ = 0;
   std::uint64_t covered_ = 0;

@@ -9,24 +9,24 @@ namespace twochains::core {
 
 namespace {
 
-// Laned execution needs a nonzero safe horizon: the smallest cross-host
-// event delta is the wire propagation latency, so that is the default
-// lookahead. A zero-latency wire leaves no horizon — fall back to a
-// single executor (results are identical either way, only slower).
+// The laned engine's safe horizon is the smallest cross-host event delta:
+// the direct-cable latency, or on a tree the smaller switch-cable latency
+// (every switch hop is one switch-cable latency in the future).
+PicoTime LookaheadFor(const FabricOptions& options) {
+  double min_latency_ns = net::kWireLatencyNs;
+  if (options.topology == Topology::kTree) {
+    min_latency_ns = std::min(min_latency_ns,
+                              std::max(0.0, options.switches.wire_latency_ns));
+  }
+  return Nanoseconds(min_latency_ns);
+}
+
+// A zero-latency cable leaves no horizon — fall back to a single executor
+// (results are identical either way, only slower).
 sim::EngineConfig EngineConfigFor(const FabricOptions& options) {
   sim::EngineConfig cfg = options.engine;
   if (cfg.lanes == 0) cfg.lanes = 1;
-  if (cfg.lookahead_ps == 0) {
-    double min_latency_ns = net::kWireLatencyNs;
-    if (options.topology == Topology::kTree) {
-      // Every switch hop is one switch-cable latency in the future, so
-      // the safe horizon is the smallest cable in the fabric.
-      min_latency_ns = std::min(min_latency_ns,
-                                std::max(0.0, options.switches.wire_latency_ns));
-    }
-    cfg.lookahead_ps = Nanoseconds(min_latency_ns);
-  }
-  if (cfg.lanes > 1 && cfg.lookahead_ps == 0) {
+  if (cfg.lanes > 1 && LookaheadFor(options) == 0) {
     TC_WARN << "fabric: zero wire latency leaves no safe lookahead; "
                "running single-lane";
     cfg.lanes = 1;
@@ -37,7 +37,8 @@ sim::EngineConfig EngineConfigFor(const FabricOptions& options) {
 }  // namespace
 
 Fabric::Fabric(FabricOptions options)
-    : options_(std::move(options)), engine_(EngineConfigFor(options_)) {
+    : options_(std::move(options)),
+      engine_(EngineConfigFor(options_), LookaheadFor(options_)) {
   if (options_.hosts == 0) {
     TC_WARN << "fabric: hosts=0 is not a fabric; building 1 host";
     options_.hosts = 1;
@@ -84,12 +85,11 @@ Fabric::Fabric(FabricOptions options)
 
   nodes_.reserve(options_.hosts);
   for (std::uint32_t i = 0; i < options_.hosts; ++i) {
-    net::HostConfig host_cfg = options_.host_overrides.empty()
-                                   ? options_.host
-                                   : options_.host_overrides[i];
-    host_cfg.host_id = static_cast<int>(i);
+    const net::HostConfig& host_cfg = options_.host_overrides.empty()
+                                          ? options_.host
+                                          : options_.host_overrides[i];
     Node node;
-    node.host = std::make_unique<net::Host>(host_cfg);
+    node.host = std::make_unique<net::Host>(static_cast<int>(i), host_cfg);
     node.nic = std::make_unique<net::Nic>(engine_, *node.host, options_.nic);
     node.nic->set_lane(i);
     const RuntimeConfig& runtime_cfg = options_.runtime_overrides.empty()

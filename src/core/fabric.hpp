@@ -68,17 +68,17 @@ struct FabricOptions {
   TreeConfig tree{};
   /// Knobs applied to every switch of a kTree fabric (ignored otherwise).
   net::SwitchConfig switches{};
-  /// Template for every host; host_id is overridden per host.
+  /// Template for every host (host i gets id i).
   net::HostConfig host{};
   /// Optional per-host overrides; when non-empty must have `hosts` entries
   /// (a size mismatch fails every Load* with kInvalidArgument).
   std::vector<net::HostConfig> host_overrides;
   net::NicConfig nic{};
   /// Event-engine execution config. `engine.lanes > 1` shards event
-  /// execution by host lane under conservative lookahead; when
-  /// `engine.lookahead_ps` is 0 the fabric derives the safe horizon from
-  /// the NIC wire latency (the smallest cross-host event delta). Results
-  /// are byte-identical at every lane count.
+  /// execution by host lane under conservative lookahead; the fabric
+  /// derives the safe horizon from its smallest cable latency (the
+  /// smallest cross-host event delta). Results are byte-identical at every
+  /// lane count.
   sim::EngineConfig engine{};
   RuntimeConfig runtime{};
   /// Optional per-host runtime overrides (same contract as host_overrides):

@@ -39,7 +39,6 @@ enum FrameFlags : std::uint16_t {
   kFlagInjected = 1 << 0,     ///< GOTP/CODE sections present
   kFlagNoExecute = 1 << 1,    ///< deliver + signal but skip invocation
                               ///< (the paper's "without-execution" mode)
-  kFlagReceiverGot = 1 << 2,  ///< ignore GOTP; receiver installs its own GOT
   kFlagByHandle = 1 << 3,     ///< slim invoke-by-handle frame: GOTP/CODE are
                               ///< dropped and a 64-bit content handle names
                               ///< the receiver's cached, pre-linked image

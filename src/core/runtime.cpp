@@ -68,8 +68,6 @@ Runtime::Runtime(sim::Engine& engine, net::Host& host, net::Nic& nic,
 
 Status Runtime::Initialize() {
   if (initialized_) return FailedPrecondition("already initialized");
-  config_.exec.enforce_exec_permission =
-      config_.security.enforce_exec_permission;
 
   // Receiver pool: cores receiver_core .. receiver_core+receiver_cores-1,
   // validated against the cache model's core count (the host builds one
@@ -147,8 +145,6 @@ Status Runtime::Initialize() {
   for (std::uint32_t i = 0; i < config_.receiver_cores; ++i) {
     PoolCore& member = pool_[i];
     member.core_id = config_.receiver_core + i;
-    member.wait_model = std::make_unique<cpu::WaitModel>(
-        config_.wait, host_.core(member.core_id).clock());
     // The execution stack lives in the pool core's own memory domain so
     // jam locals never cross the interconnect (hint 0 = flat placement).
     const mem::DomainId stack_domain =
@@ -353,6 +349,26 @@ Status Runtime::LoadPackage(const pkg::Package& package, bool allow_reload) {
     elements_.push_back(std::move(info));
   };
 
+  // Every jam is checked before anything loads. Layout validation must
+  // precede CodeBlobOf: a hostile package with got_offset < text.size()
+  // would otherwise overflow the blob copy (the blob is got_offset bytes,
+  // the memcpy is text.size()). And a frame names its jam by element id,
+  // which is unique only within a package: a jam may not take an id that
+  // a loaded jam of another name holds, or the receiver would run one jam
+  // with the other's layout. The same name is a reload, replaced in place.
+  for (const auto& elem : package.elements) {
+    if (elem.kind != pkg::ElementKind::kJam) continue;
+    TC_RETURN_IF_ERROR(jelf::ValidateImageLayout(elem.injected_image));
+    for (const auto& existing : elements_) {
+      if (existing.kind == pkg::ElementKind::kJam &&
+          existing.elem_id == elem.element_id && existing.name != elem.name) {
+        return AlreadyExists(StrFormat(
+            "jam '%s' has element id %u, which loaded jam '%s' holds",
+            elem.name.c_str(), elem.element_id, existing.name.c_str()));
+      }
+    }
+  }
+
   // Rieds first: they provide the interfaces jams link against.
   for (const auto& elem : package.elements) {
     if (elem.kind != pkg::ElementKind::kRied) continue;
@@ -367,7 +383,8 @@ Status Runtime::LoadPackage(const pkg::Package& package, bool allow_reload) {
     const auto init = lib.exports.find(init_symbol);
     if (init != lib.exports.end()) {
       vm::Interpreter interp(host_.memory(), host_.caches(),
-                             config_.receiver_core, &natives_, config_.exec);
+                             config_.receiver_core, &natives_,
+                             ExecFor(/*confine=*/false));
       const auto r = interp.Execute(init->second, {}, pool_[0].stack_top);
       if (!r.status.ok()) {
         return Status(r.status.code(),
@@ -398,10 +415,6 @@ Status Runtime::LoadPackage(const pkg::Package& package, bool allow_reload) {
   }
   for (const auto& elem : package.elements) {
     if (elem.kind != pkg::ElementKind::kJam) continue;
-    // Layout validation must precede CodeBlobOf: a hostile package with
-    // got_offset < text.size() would otherwise overflow the blob copy
-    // (the blob is got_offset bytes, the memcpy is text.size()).
-    TC_RETURN_IF_ERROR(jelf::ValidateImageLayout(elem.injected_image));
     ElementInfo info;
     info.kind = elem.kind;
     info.elem_id = elem.element_id;
@@ -1325,7 +1338,8 @@ std::uint32_t Runtime::PendingRehomes() const noexcept {
 void Runtime::BeginProcess(const ReadyFrame& frame, PicoTime waited) {
   PoolCore& member = pool_[frame.pool];
   auto& core = host_.core(member.core_id);
-  const cpu::WaitOutcome outcome = member.wait_model->Wait(waited);
+  const cpu::WaitOutcome outcome =
+      cpu::WaitModel(config_.wait.mode).Wait(waited);
   core.Charge(outcome.cycles_burned, cpu::CycleClass::kWait);
   member.wait_stats.Record(waited, outcome);
   // Detection happens detection_delay after the signal became visible; we
@@ -1385,7 +1399,7 @@ void Runtime::ProcessFrame(const ReadyFrame& frame) {
       // Variable-size frames: the first wait only covered the header
       // magic; model the second wait phase on the end-of-frame signal as
       // one more poll iteration (same put => already visible).
-      cycles += config_.wait.poll_iteration_cycles;
+      cycles += cpu::kPollIterationCycles;
     }
     TC_ASSIGN_OR_RETURN(const Cycles invoke_cycles,
                         InvokeFrame(frame, header, msg));
@@ -1486,7 +1500,8 @@ StatusOr<Cycles> Runtime::InvokeFrame(const ReadyFrame& frame,
   } else {
     for (auto& e : elements_) {
       if (e.elem_id == header.elem_id && e.kind == pkg::ElementKind::kJam) {
-        elem = &e;
+        elem = &e;  // LoadPackage keeps jam ids unique on a host
+        break;
       }
     }
     if (elem == nullptr) {
@@ -1552,7 +1567,7 @@ StatusOr<Cycles> Runtime::InvokeFrame(const ReadyFrame& frame,
   vm::ExecResult result;
   if (execute) {
     vm::Interpreter interp(memory, caches, core, &natives_,
-                           ConfinedExec(code, code_size));
+                           ExecFor(/*confine=*/true, code, code_size));
     const std::uint64_t args[3] = {frame_addr + layout.args_off,
                                    frame_addr + layout.usr_off,
                                    header.usr_size};
@@ -1686,10 +1701,12 @@ Cycles Runtime::ColdLinkCyclesFor(const ElementInfo& elem) const noexcept {
   return cycles;
 }
 
-vm::ExecConfig Runtime::ConfinedExec(mem::VirtAddr code_base,
-                                     std::uint64_t code_size) const {
-  vm::ExecConfig exec = config_.exec;
-  if (!config_.security.confine_control_flow) return exec;
+vm::ExecConfig Runtime::ExecFor(bool confine, mem::VirtAddr code_base,
+                                std::uint64_t code_size) const {
+  vm::ExecConfig exec;
+  exec.max_instructions = config_.max_instructions;
+  exec.enforce_exec_permission = config_.security.enforce_exec_permission;
+  if (!confine || !config_.security.confine_control_flow) return exec;
   exec.exec_windows.reserve(library_windows_.size() + 1);
   if (code_size != 0) {
     exec.exec_windows.push_back(vm::MemWindow{code_base, code_size});

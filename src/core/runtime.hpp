@@ -272,9 +272,9 @@ struct RuntimeConfig {
   /// Send the signal word as a separate fenced put (required when the
   /// transport does not guarantee write ordering, Fig. 1).
   bool separate_signal_put = false;
-  /// Interpreter limits for executing jams; enforce_exec_permission is
-  /// overwritten from `security` at Initialize().
-  vm::ExecConfig exec{};
+  /// Runaway bound: interpreted instructions one jam run (or ried init)
+  /// may retire before it faults.
+  std::uint64_t max_instructions = 50'000'000;
 };
 
 /// How a jam is invoked (§IV-B).
@@ -712,7 +712,6 @@ class Runtime {
   /// to it.
   struct PoolCore {
     std::uint32_t core_id = 0;
-    std::unique_ptr<cpu::WaitModel> wait_model;
     cpu::WaitStats wait_stats;
     mem::VirtAddr stack_top = 0;
     bool processing = false;
@@ -995,12 +994,14 @@ class Runtime {
   /// pack plus whatever the security mode adds (verification, receiver
   /// GOT install, the code-page flip).
   Cycles ColdLinkCyclesFor(const ElementInfo& elem) const noexcept;
-  /// The interpreter config for one invoke: config_.exec, plus — when
-  /// security.confine_control_flow is on — exec windows covering the
-  /// frame's (or cached image's) code span and every loaded library, the
-  /// only memory a verified jam may legitimately fetch instructions from.
-  vm::ExecConfig ConfinedExec(mem::VirtAddr code_base,
-                              std::uint64_t code_size) const;
+  /// The interpreter config for one run: max_instructions and the
+  /// policy's X-bit check, plus — for a jam invoke (@p confine) under
+  /// security.confine_control_flow — exec windows covering the frame's (or
+  /// cached image's) code span and every loaded library, the only memory a
+  /// verified jam may legitimately fetch instructions from. Ried init runs
+  /// unconfined.
+  vm::ExecConfig ExecFor(bool confine, mem::VirtAddr code_base = 0,
+                         std::uint64_t code_size = 0) const;
 
   sim::Engine& engine_;
   net::Host& host_;

@@ -1,7 +1,7 @@
 // CPU core model: cycle accounting per activity class.
 //
 // The simulator charges work to cores in cycles; a core converts cycles to
-// simulated time through its clock domain and keeps per-class counters so
+// simulated time at kCoreClock and keeps per-class counters so
 // benchmarks can report, e.g., "cycles spent waiting for active messages"
 // separately from execution — the quantity Figures 13/14 of the paper plot.
 #pragma once
@@ -39,16 +39,14 @@ struct PerfCounters {
 
 class CpuCore {
  public:
-  CpuCore(std::uint32_t id, ClockDomain clock = kCoreClock) noexcept
-      : id_(id), clock_(clock) {}
+  explicit CpuCore(std::uint32_t id) noexcept : id_(id) {}
 
   std::uint32_t id() const noexcept { return id_; }
-  const ClockDomain& clock() const noexcept { return clock_; }
 
   /// Records @p cycles of work in class @p cls; returns its duration.
   PicoTime Charge(Cycles cycles, CycleClass cls) noexcept {
     counters_.cycles[static_cast<std::size_t>(cls)] += cycles;
-    return clock_.ToPicos(cycles);
+    return kCoreClock.ToPicos(cycles);
   }
 
   void CountInstructions(std::uint64_t n) noexcept {
@@ -61,7 +59,6 @@ class CpuCore {
 
  private:
   std::uint32_t id_;
-  ClockDomain clock_;
   PerfCounters counters_;
 };
 

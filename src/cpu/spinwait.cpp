@@ -11,28 +11,26 @@ void WaitStats::Record(PicoTime waited, const WaitOutcome& outcome) noexcept {
 
 WaitOutcome WaitModel::Wait(PicoTime wait_duration) const noexcept {
   WaitOutcome out;
-  switch (config_.mode) {
+  switch (mode_) {
     case WaitMode::kPoll: {
-      // The loop re-checks every poll_iteration_cycles; the write becomes
+      // The loop re-checks every kPollIterationCycles; the write becomes
       // visible partway through an iteration, so detection lands at the next
       // iteration boundary. Cycles burn for the full wait plus the final
       // check.
-      const PicoTime iter = clock_.ToPicos(config_.poll_iteration_cycles);
-      const PicoTime phase = iter == 0 ? 0 : wait_duration % iter;
+      constexpr PicoTime iter = kCoreClock.ToPicos(kPollIterationCycles);
+      const PicoTime phase = wait_duration % iter;
       const PicoTime to_boundary = phase == 0 ? 0 : iter - phase;
       out.detection_delay = to_boundary;
-      out.cycles_burned = clock_.ToCycles(wait_duration + to_boundary) +
-                          config_.poll_iteration_cycles;
+      out.cycles_burned = kCoreClock.ToCycles(wait_duration + to_boundary) +
+                          kPollIterationCycles;
       break;
     }
     case WaitMode::kWfe: {
       // Arm the monitor, halt, wake on the DMA write to the monitored line.
-      out.detection_delay = clock_.ToPicos(config_.wfe_wakeup_cycles);
-      const std::uint64_t waited_us =
-          wait_duration / kPicosPerMicro;
-      out.cycles_burned = config_.wfe_entry_cycles +
-                          config_.wfe_wakeup_cycles +
-                          waited_us * config_.wfe_halted_cycles_per_us;
+      out.detection_delay = kCoreClock.ToPicos(kWfeWakeupCycles);
+      const std::uint64_t waited_us = wait_duration / kPicosPerMicro;
+      out.cycles_burned = kWfeEntryCycles + kWfeWakeupCycles +
+                          waited_us * kWfeHaltedCyclesPerUs;
       break;
     }
   }

@@ -27,20 +27,22 @@ namespace twochains::cpu {
 
 enum class WaitMode : std::uint8_t { kPoll, kWfe };
 
+/// Cycles for one poll-loop iteration (cached load, compare, branch).
+inline constexpr Cycles kPollIterationCycles = 10;
+/// Cycles from the monitored-line write until execution resumes after WFE
+/// (event propagation + pipeline restart).
+inline constexpr Cycles kWfeWakeupCycles = 40;
+/// Cycles to arm the monitor and enter WFE (SEVL/WFE preamble).
+inline constexpr Cycles kWfeEntryCycles = 24;
+/// Residual cycle burn while waiting, per whole microsecond waited: the WFE
+/// loop is check/WFE/wake/re-check, and wakes fire on any monitor-line
+/// activity (evictions, timer events, global SEV), plus the runtime's
+/// progress path keeps ticking between sleeps — the core does not go fully
+/// dark.
+inline constexpr Cycles kWfeHaltedCyclesPerUs = 400;
+
 struct WaitModelConfig {
   WaitMode mode = WaitMode::kPoll;
-  /// Cycles for one poll-loop iteration (cached load, compare, branch).
-  Cycles poll_iteration_cycles = 10;
-  /// Cycles from the monitored-line write until execution resumes after WFE
-  /// (event propagation + pipeline restart).
-  Cycles wfe_wakeup_cycles = 40;
-  /// Cycles to arm the monitor and enter WFE (SEVL/WFE preamble).
-  Cycles wfe_entry_cycles = 24;
-  /// Residual cycle burn while waiting, per microsecond: the WFE loop is
-  /// check/WFE/wake/re-check, and wakes fire on any monitor-line activity
-  /// (evictions, timer events, global SEV), plus the runtime's progress
-  /// path keeps ticking between sleeps — the core does not go fully dark.
-  Cycles wfe_halted_cycles_per_us = 400;
 };
 
 /// Outcome of one wait episode.
@@ -98,21 +100,17 @@ struct WaitStats {
   void Record(PicoTime waited, const WaitOutcome& outcome) noexcept;
 };
 
+/// The wait of one core at kCoreClock.
 class WaitModel {
  public:
-  WaitModel(const WaitModelConfig& config, ClockDomain clock) noexcept
-      : config_(config), clock_(clock) {}
-
-  const WaitModelConfig& config() const noexcept { return config_; }
-  WaitMode mode() const noexcept { return config_.mode; }
+  explicit WaitModel(WaitMode mode) noexcept : mode_(mode) {}
 
   /// Models a wait episode in which the signal becomes visible
   /// @p wait_duration after the wait began.
   WaitOutcome Wait(PicoTime wait_duration) const noexcept;
 
  private:
-  WaitModelConfig config_;
-  ClockDomain clock_;
+  WaitMode mode_;
 };
 
 }  // namespace twochains::cpu

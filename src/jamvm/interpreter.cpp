@@ -199,7 +199,7 @@ ExecResult Interpreter::Execute(mem::VirtAddr entry,
   const std::uint64_t max_instructions = config_.max_instructions;
   const bool check_exec = config_.enforce_exec_permission;
   const bool confined = !config_.exec_windows.empty();
-  const std::uint64_t line_mask = ~(caches_.config().line_bytes - 1);
+  constexpr std::uint64_t line_mask = ~(kCacheLineBytes - 1);
 
   mem::VirtAddr pc = entry;
   std::uint64_t instructions = 0;

@@ -111,11 +111,12 @@ struct MemWindow {
   }
 };
 
+/// Fixed pipeline cost per instruction, on top of memory-system cycles.
+inline constexpr Cycles kBaseCyclesPerInstr = 1;
+
 struct ExecConfig {
   /// Hard cap on interpreted instructions (runaway-jam failsafe).
   std::uint64_t max_instructions = 50'000'000;
-  /// Fixed pipeline cost per instruction, on top of memory-system cycles.
-  Cycles base_cycles_per_instr = 1;
   /// Check the X permission of every page an instruction fetch touches
   /// (the W^X security mode relies on this; the paper's default mailbox is
   /// RWX).
@@ -162,8 +163,6 @@ class Interpreter {
   ExecResult Execute(mem::VirtAddr entry, std::span<const std::uint64_t> args,
                      mem::VirtAddr stack_top);
 
-  const ExecConfig& config() const noexcept { return config_; }
-
  private:
   friend class NativeFrame;
 
@@ -192,7 +191,7 @@ class Interpreter {
                      std::uint64_t transfers) const noexcept {
     const Cycles transfer_cycles =
         config_.exec_windows.empty() ? 0 : config_.confine_branch_cycles;
-    return cycles_ + instructions * config_.base_cycles_per_instr +
+    return cycles_ + instructions * kBaseCyclesPerInstr +
            transfers * transfer_cycles;
   }
 

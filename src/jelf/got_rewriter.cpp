@@ -90,8 +90,7 @@ std::uint64_t ComputeJamHandle(std::span<const std::uint8_t> code,
 
 StatusOr<CachedJamImage> LinkCachedImage(
     mem::HostMemory& memory, std::span<const std::uint64_t> gotp_values,
-    std::span<const std::uint8_t> code, std::string_view tag,
-    mem::DomainId domain_hint) {
+    std::span<const std::uint8_t> code, std::string_view tag) {
   if (code.empty()) return InvalidArgument("cached jam has no code");
 
   // Mirror the frame prefix layout (FrameLayout::Compute without the
@@ -101,8 +100,7 @@ StatusOr<CachedJamImage> LinkCachedImage(
   const std::uint64_t total = code_off + code.size();
 
   TC_ASSIGN_OR_RETURN(const mem::VirtAddr base,
-                      memory.Allocate(total, 16, mem::Perm::kRWX, tag,
-                                      domain_hint));
+                      memory.Allocate(total, 16, mem::Perm::kRWX, tag));
   CachedJamImage image;
   image.base = base;
   image.size = total;
@@ -123,12 +121,11 @@ StatusOr<CachedJamImage> LinkCachedImage(
   return image;
 }
 
-Status RelinkCachedImage(mem::HostMemory& memory, const CachedJamImage& image,
-                         mem::VirtAddr gotp_addr) {
+Status RelinkCachedImage(mem::HostMemory& memory, const CachedJamImage& image) {
   if (image.base == 0 || image.code_size == 0) {
     return FailedPrecondition("cached image not linked");
   }
-  const mem::VirtAddr target = gotp_addr != 0 ? gotp_addr : image.gotp_addr;
+  const mem::VirtAddr target = image.gotp_addr;
   TC_ASSIGN_OR_RETURN(const std::uint64_t current,
                       memory.LoadU64(image.pre_addr));
   if (current != target) {

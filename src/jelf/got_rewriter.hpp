@@ -78,15 +78,12 @@ std::uint64_t ComputeJamHandle(std::span<const std::uint8_t> code,
 /// Pages are RWX like mailbox banks (the interpreter fetch path checks X).
 StatusOr<CachedJamImage> LinkCachedImage(
     mem::HostMemory& memory, std::span<const std::uint64_t> gotp_values,
-    std::span<const std::uint8_t> code, std::string_view tag,
-    mem::DomainId domain_hint = 0);
+    std::span<const std::uint8_t> code, std::string_view tag);
 
 /// The per-hit relink: validates the cached image and re-points its PRE
-/// slot (at @p gotp_addr when nonzero, e.g. a sealed receiver-built GOT;
-/// at the embedded GOTP table otherwise). This is the table-lookup-cost
+/// slot at the embedded GOTP table. This is the table-lookup-cost
 /// replacement for the full per-invoke GOT rewrite.
-Status RelinkCachedImage(mem::HostMemory& memory, const CachedJamImage& image,
-                         mem::VirtAddr gotp_addr = 0);
+Status RelinkCachedImage(mem::HostMemory& memory, const CachedJamImage& image);
 
 /// Releases a cached image's allocation.
 Status ReleaseCachedImage(mem::HostMemory& memory,

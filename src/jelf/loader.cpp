@@ -104,7 +104,7 @@ StatusOr<LoadedLibrary> LoadLibrary(mem::HostMemory& memory,
                                     const LinkedImage& image,
                                     HostNamespace& ns,
                                     const LoadOptions& options) {
-  if (options.enforce_section_permissions && !image.page_aligned) {
+  if (!image.page_aligned) {
     return FailedPrecondition(
         "section permissions require a page-aligned image "
         "(link with page_align_sections)");
@@ -204,29 +204,27 @@ StatusOr<LoadedLibrary> LoadLibrary(mem::HostMemory& memory,
   // that could not be sealed must not stay resolvable half-sealed. (Exports
   // that *overrode* earlier definitions cannot restore the old value; the
   // override option is a deliberate hot-swap escape hatch.)
-  if (options.enforce_section_permissions) {
-    const auto seal = [&](std::uint64_t off, std::uint64_t len,
-                          mem::Perm perm) -> Status {
-      if (len == 0) return Status::Ok();
-      return memory.Protect(base + off, len, perm);
-    };
-    Status st = seal(0, image.rodata_offset, mem::Perm::kRX);
-    if (st.ok()) {
-      st = seal(image.rodata_offset, image.got_offset - image.rodata_offset,
-                mem::Perm::kRead);
-    }
-    if (st.ok()) {
-      st = seal(image.got_offset, image.data_offset - image.got_offset,
-                options.got_read_only ? mem::Perm::kRead : mem::Perm::kRW);
-    }
-    if (st.ok()) {
-      st = seal(image.data_offset, image.total_size - image.data_offset,
-                mem::Perm::kRW);
-    }
-    if (!st.ok()) {
-      rollback();
-      return st;
-    }
+  const auto seal = [&](std::uint64_t off, std::uint64_t len,
+                        mem::Perm perm) -> Status {
+    if (len == 0) return Status::Ok();
+    return memory.Protect(base + off, len, perm);
+  };
+  Status st = seal(0, image.rodata_offset, mem::Perm::kRX);
+  if (st.ok()) {
+    st = seal(image.rodata_offset, image.got_offset - image.rodata_offset,
+              mem::Perm::kRead);
+  }
+  if (st.ok()) {
+    st = seal(image.got_offset, image.data_offset - image.got_offset,
+              options.got_read_only ? mem::Perm::kRead : mem::Perm::kRW);
+  }
+  if (st.ok()) {
+    st = seal(image.data_offset, image.total_size - image.data_offset,
+              mem::Perm::kRW);
+  }
+  if (!st.ok()) {
+    rollback();
+    return st;
   }
 
   return lib;

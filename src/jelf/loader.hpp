@@ -53,9 +53,9 @@ struct LoadedLibrary {
   std::map<std::string, mem::VirtAddr> exports;  ///< absolute VAs
 };
 
+/// LoadLibrary always seals W^X section permissions (text RX, rodata R,
+/// GOT RW, data RW), so the image must be page-aligned.
 struct LoadOptions {
-  /// Enforce W^X section permissions (requires a page-aligned image).
-  bool enforce_section_permissions = true;
   /// Make the GOT read-only after binding (§V: receiver-side GOT hardening).
   bool got_read_only = false;
   /// Permit this library's exports to replace existing namespace entries

@@ -17,9 +17,6 @@
 namespace twochains::net {
 
 struct HostConfig {
-  /// Identity of this host; also seeds the arena's virtual base so two
-  /// hosts' address spaces never alias.
-  int host_id = 0;
   /// Arena size. With NUMA domains the arena splits evenly, so every
   /// *domain slice* (memory_bytes / domains) must still fit the largest
   /// single allocation (e.g. a loaded library).
@@ -37,11 +34,12 @@ struct HostConfig {
 /// engine runs.
 class Host {
  public:
-  /// Builds arena + hierarchy + cores from @p config. The cache model's
-  /// domain mapper is wired to HostMemory::DomainOf at construction.
-  explicit Host(const HostConfig& config)
-      : config_(config),
-        memory_(config.host_id, config.memory_bytes,
+  /// Builds arena + hierarchy + cores from @p config. @p id names the
+  /// host and seeds its arena's virtual base, so two hosts' address spaces
+  /// never alias. The cache model's domain mapper is wired to
+  /// HostMemory::DomainOf at construction.
+  Host(int id, const HostConfig& config)
+      : memory_(id, config.memory_bytes,
                 std::max<std::uint32_t>(config.cache.domains, 1)),
         caches_(config.cache) {
     // The arena's domain slices and the cache model's domains are the same
@@ -50,15 +48,14 @@ class Host {
         [mem = &memory_](mem::VirtAddr addr) { return mem->DomainOf(addr); });
     cores_.reserve(config.cache.cores);
     for (std::uint32_t c = 0; c < config.cache.cores; ++c) {
-      cores_.emplace_back(c, config.cache.core_clock);
+      cores_.emplace_back(c);
     }
   }
 
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
 
-  int id() const noexcept { return config_.host_id; }
-  const HostConfig& config() const noexcept { return config_; }
+  int id() const noexcept { return memory_.host_id(); }
 
   /// The arena (CPU + DMA access planes, domain-aware allocation).
   mem::HostMemory& memory() noexcept { return memory_; }
@@ -77,7 +74,6 @@ class Host {
   }
 
  private:
-  HostConfig config_;
   mem::HostMemory memory_;
   cache::CacheHierarchy caches_;
   mem::RegionRegistry regions_;

@@ -31,7 +31,7 @@ Status Nic::ConnectTo(Nic& peer) {
     return AlreadyExists(StrFormat(
         "hosts %d and %d are already cabled — a duplicate cable would "
         "shadow the existing link's wire state",
-        host_.config().host_id, peer.host_.config().host_id));
+        host_.id(), peer.host_.id()));
   }
   links_.push_back(Link{&peer});
   peer.links_.push_back(Link{this});

@@ -542,9 +542,10 @@ struct Engine::Impl {
   }
 };
 
-Engine::Engine(EngineConfig config) : impl_(std::make_unique<Impl>()) {
+Engine::Engine(EngineConfig config, PicoTime lookahead_ps)
+    : impl_(std::make_unique<Impl>()) {
   impl_->config = config;
-  impl_->lookahead = std::max<PicoTime>(1, config.lookahead_ps);
+  impl_->lookahead = std::max<PicoTime>(1, lookahead_ps);
   impl_->Reconfigure(1);
 }
 

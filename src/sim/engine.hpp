@@ -15,11 +15,12 @@
 // Scale-out: the event population is partitioned into per-host *lanes*
 // (`SetVirtualLanes`); with `EngineConfig::lanes > 1` the lanes are sharded
 // across that many executor threads and executed in conservative-lookahead
-// windows — a lane may run ahead of the global clock by up to
-// `lookahead_ps`, the minimum cross-lane scheduling latency (link latency in
-// the fabric). Cross-lane schedules post to the target lane's inbox and are
-// merged in (time, lane, sequence) order, so results are byte-identical to
-// the single-lane engine at every lane count. See docs/ARCHITECTURE.md.
+// windows — a lane may run ahead of the global clock by up to the
+// constructor's `lookahead_ps`, the minimum cross-lane scheduling latency
+// (core::Fabric derives it from the smallest cable latency). Cross-lane
+// schedules post to the target lane's inbox and are merged in (time, lane,
+// sequence) order, so results are byte-identical to the single-lane engine
+// at every lane count. See docs/ARCHITECTURE.md.
 #pragma once
 
 #include <cstddef>
@@ -142,14 +143,17 @@ class SmallFn {
 /// the docs gate (tools/check_docs.sh) keeps that table honest.
 struct EngineConfig {
   std::uint32_t lanes = 1;
-  PicoTime lookahead_ps = 0;
 };
 
 class Engine {
  public:
   using Callback = SmallFn;
 
-  explicit Engine(EngineConfig config = {});
+  /// @p lookahead_ps is the horizon laned runs may execute ahead of the
+  /// global clock (clamped to >= 1 ps). It must not exceed the smallest
+  /// cross-lane scheduling delay, or laned runs diverge from the scalar
+  /// order; core::Fabric derives it from its cables.
+  explicit Engine(EngineConfig config = {}, PicoTime lookahead_ps = 1);
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -170,7 +174,7 @@ class Engine {
 
   /// As ScheduleAt/ScheduleAfter, but the event executes on virtual lane
   /// @p lane. Cross-lane schedules from inside a callback must respect the
-  /// lookahead horizon (when >= Now() + lookahead_ps).
+  /// lookahead horizon (when >= Now() + Lookahead()).
   void ScheduleAtOn(std::uint32_t lane, PicoTime when, Callback cb,
                     const char* tag = nullptr);
   void ScheduleAfterOn(std::uint32_t lane, PicoTime delay, Callback cb,

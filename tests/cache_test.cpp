@@ -25,7 +25,7 @@ LevelConfig TinyLevel(std::uint64_t size, std::uint32_t ways, Cycles lat) {
 // ------------------------------------------------------------ CacheLevel
 
 TEST(CacheLevelTest, MissThenHit) {
-  CacheLevel c(TinyLevel(KiB(4), 4, 7), kLine);
+  CacheLevel c(TinyLevel(KiB(4), 4, 7));
   EXPECT_FALSE(c.Lookup(0x1000));
   c.Insert(0x1000);
   EXPECT_TRUE(c.Lookup(0x1000));
@@ -36,7 +36,7 @@ TEST(CacheLevelTest, MissThenHit) {
 
 TEST(CacheLevelTest, LruEvictionOrder) {
   // 4-way, and addresses chosen to land in the same set: stride = sets*line.
-  CacheLevel c(TinyLevel(KiB(4), 4, 1), kLine);
+  CacheLevel c(TinyLevel(KiB(4), 4, 1));
   const std::uint64_t stride = c.sets() * kLine;
   // Fill the set with 4 lines.
   for (std::uint64_t i = 0; i < 4; ++i) c.Insert(i * stride);
@@ -52,14 +52,14 @@ TEST(CacheLevelTest, LruEvictionOrder) {
 }
 
 TEST(CacheLevelTest, InsertIsIdempotentForPresentLine) {
-  CacheLevel c(TinyLevel(KiB(4), 4, 1), kLine);
+  CacheLevel c(TinyLevel(KiB(4), 4, 1));
   c.Insert(0x2000);
   c.Insert(0x2000);
   EXPECT_EQ(c.PopulationCount(), 1u);
 }
 
 TEST(CacheLevelTest, InvalidateRemovesLine) {
-  CacheLevel c(TinyLevel(KiB(4), 4, 1), kLine);
+  CacheLevel c(TinyLevel(KiB(4), 4, 1));
   c.Insert(0x3000);
   EXPECT_TRUE(c.Invalidate(0x3000));
   EXPECT_FALSE(c.Probe(0x3000));
@@ -67,7 +67,7 @@ TEST(CacheLevelTest, InvalidateRemovesLine) {
 }
 
 TEST(CacheLevelTest, InvalidateRangeCoversPartialLines) {
-  CacheLevel c(TinyLevel(KiB(4), 4, 1), kLine);
+  CacheLevel c(TinyLevel(KiB(4), 4, 1));
   c.Insert(0x1000);
   c.Insert(0x1040);
   c.Insert(0x1080);
@@ -79,7 +79,7 @@ TEST(CacheLevelTest, InvalidateRangeCoversPartialLines) {
 }
 
 TEST(CacheLevelTest, ClearEmptiesEverything) {
-  CacheLevel c(TinyLevel(KiB(4), 4, 1), kLine);
+  CacheLevel c(TinyLevel(KiB(4), 4, 1));
   for (std::uint64_t i = 0; i < 32; ++i) c.Insert(i * kLine);
   EXPECT_GT(c.PopulationCount(), 0u);
   c.Clear();
@@ -87,7 +87,7 @@ TEST(CacheLevelTest, ClearEmptiesEverything) {
 }
 
 TEST(CacheLevelTest, PopulationNeverExceedsCapacity) {
-  CacheLevel c(TinyLevel(KiB(4), 4, 1), kLine);
+  CacheLevel c(TinyLevel(KiB(4), 4, 1));
   Xoshiro256 rng(42);
   for (int i = 0; i < 10000; ++i) {
     c.Insert(rng.NextBelow(1 << 20) * kLine);
@@ -105,7 +105,7 @@ TEST(CacheLevelTest, LookupMatchesAReferenceLru) {
   // every step (invalidations of an empty level return on that count).
   // The reference is one most-recent-first list per set.
   constexpr std::uint32_t kWays = 4;
-  CacheLevel c(TinyLevel(KiB(2), kWays, 1), kLine);  // 8 sets
+  CacheLevel c(TinyLevel(KiB(2), kWays, 1));  // 8 sets
   std::vector<std::vector<std::uint64_t>> ref(c.sets());
   std::uint64_t population = 0;  // lines across the reference's sets
   Xoshiro256 rng(0x1F0);
@@ -151,21 +151,21 @@ TEST(CacheLevelTest, LookupMatchesAReferenceLru) {
 
 TEST(CacheLevelTest, ClampsGeometryItCannotModelInEveryBuild) {
   // No ways: one way, so the 4 KiB level is 64 one-line sets.
-  CacheLevel no_ways(TinyLevel(KiB(4), 0, 1), kLine);
+  CacheLevel no_ways(TinyLevel(KiB(4), 0, 1));
   EXPECT_EQ(no_ways.ways(), 1u);
   EXPECT_EQ(no_ways.sets(), 64u);
   no_ways.Insert(0x1000);
   EXPECT_TRUE(no_ways.Probe(0x1000));
 
   // Smaller than one set: one set of its ways.
-  CacheLevel tiny(TinyLevel(kLine, 4, 1), kLine);
+  CacheLevel tiny(TinyLevel(kLine, 4, 1));
   EXPECT_EQ(tiny.sets(), 1u);
   for (std::uint64_t i = 0; i < 6; ++i) tiny.Insert(i * kLine);
   EXPECT_EQ(tiny.PopulationCount(), 4u);
 
   // Three sets: the largest power of two that fits, and every set it
   // reports fills.
-  CacheLevel three(TinyLevel(3 * 4 * kLine, 4, 1), kLine);
+  CacheLevel three(TinyLevel(3 * 4 * kLine, 4, 1));
   EXPECT_EQ(three.sets(), 2u);
   for (std::uint64_t i = 0; i < 64; ++i) three.Insert(i * kLine);
   EXPECT_EQ(three.PopulationCount(), three.sets() * three.ways());
@@ -182,7 +182,7 @@ class CacheLevelPropertyTest : public ::testing::TestWithParam<std::uint32_t> {}
 
 TEST_P(CacheLevelPropertyTest, SetKeepsMostRecentWays) {
   const std::uint32_t ways = GetParam();
-  CacheLevel c(TinyLevel(ways * 8 * kLine, ways, 1), kLine);  // 8 sets
+  CacheLevel c(TinyLevel(ways * 8 * kLine, ways, 1));  // 8 sets
   const std::uint64_t stride = c.sets() * kLine;
   const int n = static_cast<int>(ways) + 5;
   for (int i = 0; i < n; ++i) c.Insert(static_cast<std::uint64_t>(i) * stride);
@@ -200,8 +200,7 @@ INSTANTIATE_TEST_SUITE_P(Ways, CacheLevelPropertyTest,
 
 TEST(PrefetcherTest, CoversAfterTraining) {
   PrefetcherConfig cfg;
-  cfg.train_misses = 2;
-  StreamPrefetcher p(cfg, kLine);
+  StreamPrefetcher p(cfg);
   EXPECT_FALSE(p.OnDemandMiss(0x0));     // run=1
   EXPECT_TRUE(p.OnDemandMiss(0x40));     // run=2: trained, covered
   EXPECT_TRUE(p.OnDemandMiss(0x80));
@@ -211,8 +210,7 @@ TEST(PrefetcherTest, CoversAfterTraining) {
 
 TEST(PrefetcherTest, NonSequentialMissesNeverCover) {
   PrefetcherConfig cfg;
-  cfg.train_misses = 2;
-  StreamPrefetcher p(cfg, kLine);
+  StreamPrefetcher p(cfg);
   Xoshiro256 rng(3);
   int covered = 0;
   for (int i = 0; i < 200; ++i) {
@@ -224,9 +222,7 @@ TEST(PrefetcherTest, NonSequentialMissesNeverCover) {
 
 TEST(PrefetcherTest, TracksMultipleConcurrentStreams) {
   PrefetcherConfig cfg;
-  cfg.train_misses = 2;
-  cfg.streams = 4;
-  StreamPrefetcher p(cfg, kLine);
+  StreamPrefetcher p(cfg);
   // Interleave two streams; both should train and cover.
   EXPECT_FALSE(p.OnDemandMiss(0x0));
   EXPECT_FALSE(p.OnDemandMiss(0x100000));
@@ -239,7 +235,7 @@ TEST(PrefetcherTest, TracksMultipleConcurrentStreams) {
 TEST(PrefetcherTest, DisabledNeverCovers) {
   PrefetcherConfig cfg;
   cfg.enabled = false;
-  StreamPrefetcher p(cfg, kLine);
+  StreamPrefetcher p(cfg);
   for (int i = 0; i < 10; ++i) {
     EXPECT_FALSE(p.OnDemandMiss(static_cast<std::uint64_t>(i) * kLine));
   }
@@ -247,8 +243,7 @@ TEST(PrefetcherTest, DisabledNeverCovers) {
 
 TEST(PrefetcherTest, ResetForgetsTraining) {
   PrefetcherConfig cfg;
-  cfg.train_misses = 2;
-  StreamPrefetcher p(cfg, kLine);
+  StreamPrefetcher p(cfg);
   p.OnDemandMiss(0x0);
   p.OnDemandMiss(0x40);
   p.Reset();
@@ -260,12 +255,10 @@ TEST(PrefetcherTest, ResetForgetsTraining) {
 HierarchyConfig SmallHierarchy() {
   HierarchyConfig cfg;
   cfg.cores = 4;
-  cfg.cores_per_cluster = 2;
   cfg.l1 = LevelConfig{"L1", KiB(4), 4, 2};
   cfg.l2 = LevelConfig{"L2", KiB(16), 8, 12};
   cfg.l3 = LevelConfig{"L3", KiB(32), 16, 30};
   cfg.llc = LevelConfig{"LLC", KiB(64), 16, 55};
-  cfg.dram_latency_ns = 88.0;
   cfg.prefetch.enabled = false;  // most tests want raw level behaviour
   return cfg;
 }
@@ -275,7 +268,7 @@ TEST(HierarchyTest, ColdAccessGoesToDram) {
   HitLevel level;
   const Cycles cost = h.AccessLine(0, 0x10000, AccessKind::kLoad, &level);
   EXPECT_EQ(level, HitLevel::kDram);
-  EXPECT_EQ(cost, h.config().DramCycles());
+  EXPECT_EQ(cost, kDramCycles);
   EXPECT_EQ(h.stats().dram_accesses, 1u);
 }
 
@@ -407,7 +400,6 @@ TEST(HierarchyTest, PrefetcherNarrowsTheStashGapOnLongStreams) {
   // to similar cost with and without stashing.
   auto cfg = SmallHierarchy();
   cfg.prefetch.enabled = true;
-  cfg.prefetch.train_misses = 2;
   const std::uint64_t big = KiB(32);
   CacheHierarchy stash(cfg), nostash(cfg);
   stash.StashDeliver(0x80000, big);
@@ -488,7 +480,7 @@ TEST(HierarchyTest, DramContentionHookAddsCost) {
   HitLevel level;
   const Cycles cost = h.AccessLine(0, 0x90000, AccessKind::kLoad, &level);
   EXPECT_EQ(level, HitLevel::kDram);
-  EXPECT_EQ(cost, h.config().DramCycles() + 1000);
+  EXPECT_EQ(cost, kDramCycles + 1000);
   // LLC hits are immune to DRAM contention — the stashing tail-latency
   // mechanism of Figures 11/12.
   const Cycles again = h.AccessLine(0, 0x90000, AccessKind::kLoad, &level);
@@ -506,8 +498,9 @@ TEST(HierarchyTest, ClearColdStartsEverything) {
 }
 
 TEST(HierarchyTest, PaperGeometryDramCycles) {
-  HierarchyConfig cfg;  // paper defaults: 88 ns @ 2.6 GHz ~ 229 cycles
-  EXPECT_NEAR(static_cast<double>(cfg.DramCycles()), 88e-9 * 2.6e9, 2.0);
+  // 88 ns at 2.6 GHz, rounded up to whole cycles.
+  EXPECT_NEAR(static_cast<double>(kDramCycles), 88e-9 * 2.6e9, 2.0);
+  EXPECT_EQ(kDramCycles, 229u);
 }
 
 TEST(HierarchyTest, StoreMissesBehaveLikeLoads) {
@@ -528,7 +521,6 @@ constexpr mem::VirtAddr kDomain1Base = 0x100000;
 HierarchyConfig DomainHierarchy() {
   HierarchyConfig cfg = SmallHierarchy();
   cfg.domains = 2;
-  cfg.remote_penalty_cycles = 100;
   return cfg;
 }
 
@@ -582,9 +574,9 @@ TEST(DomainHierarchyTest, RemoteDramAccessPaysThePenalty) {
   const Cycles cost = h.AccessLine(0, kDomain1Base, AccessKind::kLoad,
                                    &level);
   EXPECT_EQ(level, HitLevel::kDram);
-  EXPECT_EQ(cost, h.config().DramCycles() + 100);
+  EXPECT_EQ(cost, kDramCycles + kRemotePenaltyCycles);
   EXPECT_EQ(h.stats().remote_accesses, 1u);
-  EXPECT_EQ(h.stats().remote_penalty_cycles, 100u);
+  EXPECT_EQ(h.stats().remote_penalty_cycles, kRemotePenaltyCycles);
   // The locally cached copy absorbs the hop: the next touch is a plain
   // L1 hit.
   const Cycles again = h.AccessLine(0, kDomain1Base, AccessKind::kLoad,
@@ -601,7 +593,7 @@ TEST(DomainHierarchyTest, LocalDomainAccessPaysNoPenalty) {
   const Cycles cost = h.AccessLine(2, kDomain1Base, AccessKind::kLoad,
                                    &level);
   EXPECT_EQ(level, HitLevel::kDram);
-  EXPECT_EQ(cost, h.config().DramCycles());
+  EXPECT_EQ(cost, kDramCycles);
   EXPECT_EQ(h.stats().remote_accesses, 0u);
 }
 
@@ -619,7 +611,7 @@ TEST(DomainHierarchyTest, StashTargetsTheHomeDomainSlice) {
   const Cycles remote = h.AccessLine(0, kDomain1Base + 64,
                                      AccessKind::kLoad, &level);
   EXPECT_EQ(level, HitLevel::kLLC);
-  EXPECT_EQ(remote, h.config().llc.hit_cycles + 100);
+  EXPECT_EQ(remote, h.config().llc.hit_cycles + kRemotePenaltyCycles);
   EXPECT_EQ(h.stats().remote_accesses, 1u);
 }
 
@@ -650,14 +642,12 @@ TEST(DomainHierarchyTest, DramDeliverEvictsTheHomeSlice) {
 TEST(DomainHierarchyTest, SingleDomainNeverChargesThePenalty) {
   // domains=1 with a mapper that claims everything homes in domain 7:
   // the clamp pins it to slice 0 and no access is ever remote.
-  HierarchyConfig cfg = SmallHierarchy();
-  cfg.remote_penalty_cycles = 100;
-  CacheHierarchy h(cfg);
+  CacheHierarchy h(SmallHierarchy());
   h.SetDomainMapper([](mem::VirtAddr) { return 7u; });
   HitLevel level;
   const Cycles cost = h.AccessLine(0, 0x40000, AccessKind::kLoad, &level);
   EXPECT_EQ(level, HitLevel::kDram);
-  EXPECT_EQ(cost, h.config().DramCycles());
+  EXPECT_EQ(cost, kDramCycles);
   EXPECT_EQ(h.stats().remote_accesses, 0u);
 }
 
@@ -675,7 +665,7 @@ TEST(DomainHierarchyTest, StashedDrainCheaperWhenDomainLocal) {
       remote.Access(0, kDomain1Base, 1024, AccessKind::kLoad);
   EXPECT_LT(local_cost, remote_cost);
   EXPECT_EQ(remote_cost - local_cost,
-            16 * local.config().remote_penalty_cycles);
+            16 * kRemotePenaltyCycles);
 }
 
 }  // namespace

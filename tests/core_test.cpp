@@ -548,6 +548,53 @@ TEST_F(TwoChainsTest, LoadPackagesPerHostOverloading) {
   EXPECT_EQ(received->return_value, 18u);
 }
 
+TEST_F(TwoChainsTest, SecondPackageCannotTakeALoadedJamId) {
+  // Element ids are unique only within a package: the bench package holds
+  // ried kvstore 0, ssum 1, iput 2 and nop 3, and a second package's ids
+  // restart at 0. A frame names its jam by id, so a host must refuse a jam
+  // that reuses a loaded jam's id under another name, or frames for ssum
+  // would run the other jam with ssum's layout.
+  SetUpFabric();
+  pkg::PackageBuilder builder;
+  ASSERT_TRUE(builder
+                  .AddSourceFile("jam_ten.amc",
+                                 "long jam_ten(long* args, char* usr, "
+                                 "long usr_bytes) { return 1010; }\n")
+                  .ok());
+  ASSERT_TRUE(builder
+                  .AddSourceFile("jam_eleven.amc",
+                                 "long jam_eleven(long* args, char* usr, "
+                                 "long usr_bytes) { return 1011; }\n")
+                  .ok());
+  auto other = builder.Build("other");
+  ASSERT_TRUE(other.ok()) << other.status();
+  ASSERT_EQ(other->Find(pkg::ElementKind::kJam, "eleven")->element_id, 1u);
+
+  const Status st = fabric_->runtime(1).LoadPackage(*other);
+  EXPECT_EQ(st.code(), StatusCode::kAlreadyExists) << st;
+  EXPECT_NE(std::string(st.message()).find("'eleven'"), std::string::npos)
+      << st;
+  EXPECT_NE(std::string(st.message()).find("'ssum'"), std::string::npos)
+      << st;
+  // Nothing of the refused package loaded, not even its first jam, whose
+  // id 0 belongs to a ried.
+  EXPECT_EQ(fabric_->runtime(1)
+                .LayoutFor("ten", Invoke::kInjected, 8, 0)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+
+  // ssum still runs as ssum.
+  std::vector<std::uint8_t> usr(16);
+  const std::uint64_t words[2] = {20, 22};
+  std::memcpy(usr.data(), words, sizeof(words));
+  auto msg = SendAndRun("ssum", Invoke::kInjected, {0}, usr);
+  ASSERT_TRUE(msg.ok()) << msg.status();
+  EXPECT_TRUE(msg->executed);
+  EXPECT_EQ(msg->return_value, 42u);
+  EXPECT_EQ(fabric_->runtime(1).stats().security_rejections, 0u);
+}
+
 TEST_F(TwoChainsTest, LoadPackagesCountMismatchRejected) {
   auto package = bench::BuildBenchPackage();
   ASSERT_TRUE(package.ok());

@@ -2,6 +2,8 @@
 // substrate of Figures 13 and 14 (latency parity, large cycle savings).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cpu/core.hpp"
 #include "cpu/spinwait.hpp"
 
@@ -32,64 +34,73 @@ TEST(CpuCoreTest, InstructionAndMessageCounters) {
   EXPECT_EQ(core.counters().instructions, 0u);
 }
 
-WaitModelConfig PollConfig() {
-  WaitModelConfig cfg;
-  cfg.mode = WaitMode::kPoll;
-  cfg.poll_iteration_cycles = 10;
-  return cfg;
-}
-
-WaitModelConfig WfeConfig() {
-  WaitModelConfig cfg;
-  cfg.mode = WaitMode::kWfe;
-  cfg.wfe_wakeup_cycles = 130;
-  cfg.wfe_entry_cycles = 24;
-  cfg.wfe_halted_cycles_per_us = 12;
-  return cfg;
-}
-
 TEST(WaitModelTest, PollBurnsTheFullWaitInCycles) {
-  WaitModel poll(PollConfig(), kCoreClock);
+  WaitModel poll(WaitMode::kPoll);
   const PicoTime wait = Microseconds(1.0);  // 2600 cycles
   const WaitOutcome out = poll.Wait(wait);
   // Burned at least the full wait duration.
   EXPECT_GE(out.cycles_burned, kCoreClock.ToCycles(wait));
   // Detection at the next iteration boundary: strictly less than one
   // iteration away.
-  EXPECT_LT(out.detection_delay, kCoreClock.ToPicos(10));
+  EXPECT_LT(out.detection_delay, kCoreClock.ToPicos(kPollIterationCycles));
 }
 
-TEST(WaitModelTest, WfeBurnsAlmostNothing) {
-  WaitModel wfe(WfeConfig(), kCoreClock);
-  const PicoTime wait = Microseconds(1.0);
-  const WaitOutcome out = wfe.Wait(wait);
-  // entry + wakeup + 1us of halted residual = 24 + 130 + 12.
-  EXPECT_EQ(out.cycles_burned, 24u + 130u + 12u);
-  EXPECT_EQ(out.detection_delay, kCoreClock.ToPicos(130));
+TEST(WaitModelTest, WfeBurnsEntryWakeupAndResidual) {
+  WaitModel wfe(WaitMode::kWfe);
+  const WaitOutcome out = wfe.Wait(Microseconds(1.0));
+  // entry + wakeup + 1 us of halted residual = 24 + 40 + 400.
+  EXPECT_EQ(out.cycles_burned,
+            kWfeEntryCycles + kWfeWakeupCycles + kWfeHaltedCyclesPerUs);
+  EXPECT_EQ(out.cycles_burned, 464u);
+  EXPECT_EQ(out.detection_delay, kCoreClock.ToPicos(kWfeWakeupCycles));
 }
 
-TEST(WaitModelTest, WfeCycleAdvantageGrowsWithWaitTime) {
-  WaitModel poll(PollConfig(), kCoreClock);
-  WaitModel wfe(WfeConfig(), kCoreClock);
-  double prev_ratio = 0.0;
-  for (double us : {0.5, 1.0, 2.0, 5.0, 10.0}) {
-    const auto p = poll.Wait(Microseconds(us));
-    const auto w = wfe.Wait(Microseconds(us));
-    const double ratio = static_cast<double>(p.cycles_burned) /
-                         static_cast<double>(w.cycles_burned);
-    EXPECT_GT(ratio, prev_ratio);  // monotone in wait length
-    prev_ratio = ratio;
+TEST(WaitModelTest, WfeCycleAdvantageAtTheRealCosts) {
+  // POLL burns the wait rounded up to its next iteration boundary, plus
+  // the final check. WFE burns entry + wakeup plus kWfeHaltedCyclesPerUs
+  // per *whole* microsecond waited, so below 1 us the residual charges
+  // nothing and WFE's advantage is largest; from 1 us on the ratio climbs
+  // toward the 2600 cycles of a microsecond over the residual rate (6.5x).
+  WaitModel poll(WaitMode::kPoll);
+  WaitModel wfe(WaitMode::kWfe);
+  struct Row {
+    double us;
+    Cycles poll_cycles;
+  };
+  const Row rows[] = {
+      {0.5, 1320}, {1.0, 2620}, {2.0, 5220}, {5.0, 13020}, {10.0, 26019}};
+  const double asymptote =
+      static_cast<double>(kCoreClock.ToCycles(Microseconds(1.0))) /
+      static_cast<double>(kWfeHaltedCyclesPerUs);
+  std::vector<double> ratios;
+  for (const Row& row : rows) {
+    const auto p = poll.Wait(Microseconds(row.us));
+    const auto w = wfe.Wait(Microseconds(row.us));
+    const auto whole_us = static_cast<Cycles>(row.us);
+    EXPECT_EQ(p.cycles_burned, row.poll_cycles) << row.us << " us";
+    EXPECT_EQ(w.cycles_burned, kWfeEntryCycles + kWfeWakeupCycles +
+                                   whole_us * kWfeHaltedCyclesPerUs)
+        << row.us << " us";
+    ratios.push_back(static_cast<double>(p.cycles_burned) /
+                     static_cast<double>(w.cycles_burned));
   }
-  // At 10 us the advantage is enormous (paper sees 2.5-3.8x for *whole-run*
-  // counts which include execution; the wait portion alone is far larger).
-  EXPECT_GT(prev_ratio, 50.0);
+  EXPECT_NEAR(ratios[0], 20.625, 1e-9);  // 0.5 us: 1320 / 64
+  for (std::size_t i = 1; i < ratios.size(); ++i) {
+    EXPECT_LT(ratios[i], ratios[0]) << rows[i].us << " us";
+    EXPECT_LT(ratios[i], asymptote) << rows[i].us << " us";
+    if (i > 1) {
+      EXPECT_GT(ratios[i], ratios[i - 1]) << rows[i].us << " us";
+    }
+  }
+  EXPECT_NEAR(ratios[1], 2620.0 / 464.0, 1e-9);   // 5.65x
+  EXPECT_NEAR(ratios[4], 26019.0 / 4064.0, 1e-9);  // 6.40x
 }
 
 TEST(WaitModelTest, WfeLatencyPenaltyIsBounded) {
   // The paper: "up to 1.5% latency penalty". For a 2 us one-way message the
   // fixed wake-up penalty must stay in single-digit percent.
-  WaitModel poll(PollConfig(), kCoreClock);
-  WaitModel wfe(WfeConfig(), kCoreClock);
+  WaitModel poll(WaitMode::kPoll);
+  WaitModel wfe(WaitMode::kWfe);
   const PicoTime wait = Microseconds(2.0);
   const auto p = poll.Wait(wait);
   const auto w = wfe.Wait(wait);
@@ -99,8 +110,8 @@ TEST(WaitModelTest, WfeLatencyPenaltyIsBounded) {
 }
 
 TEST(WaitModelTest, PollDetectionAlignsToIterationBoundary) {
-  WaitModel poll(PollConfig(), kCoreClock);
-  const PicoTime iter = kCoreClock.ToPicos(10);
+  WaitModel poll(WaitMode::kPoll);
+  const PicoTime iter = kCoreClock.ToPicos(kPollIterationCycles);
   // A wait of exactly k iterations is detected with zero added delay.
   const auto exact = poll.Wait(iter * 3);
   EXPECT_EQ(exact.detection_delay, 0u);
@@ -112,8 +123,8 @@ TEST(WaitModelTest, PollDetectionAlignsToIterationBoundary) {
 TEST(WaitStatsTest, RecordAccumulatesEpisodes) {
   // The per-core ledger a pooled receiver keeps: each wait episode folds
   // its idle time, detection delay, and cycle burn into the totals.
-  WaitModel poll(PollConfig(), kCoreClock);
-  WaitModel wfe(WfeConfig(), kCoreClock);
+  WaitModel poll(WaitMode::kPoll);
+  WaitModel wfe(WaitMode::kWfe);
   WaitStats stats;
   const PicoTime w1 = Microseconds(1.0);
   const PicoTime w2 = Microseconds(2.5);
@@ -129,7 +140,7 @@ TEST(WaitStatsTest, RecordAccumulatesEpisodes) {
 
 TEST(WaitStatsTest, IndependentLedgersDoNotBleed) {
   // Two pool cores waiting on the same model keep separate books.
-  WaitModel poll(PollConfig(), kCoreClock);
+  WaitModel poll(WaitMode::kPoll);
   WaitStats a, b;
   a.Record(Microseconds(1.0), poll.Wait(Microseconds(1.0)));
   EXPECT_EQ(a.episodes, 1u);
@@ -142,13 +153,13 @@ TEST(WaitStatsTest, IndependentLedgersDoNotBleed) {
 }
 
 TEST(WaitModelTest, ZeroWaitEdgeCases) {
-  WaitModel poll(PollConfig(), kCoreClock);
-  WaitModel wfe(WfeConfig(), kCoreClock);
+  WaitModel poll(WaitMode::kPoll);
+  WaitModel wfe(WaitMode::kWfe);
   const auto p = poll.Wait(0);
   EXPECT_EQ(p.detection_delay, 0u);
-  EXPECT_EQ(p.cycles_burned, 10u);  // one final check
+  EXPECT_EQ(p.cycles_burned, kPollIterationCycles);  // one final check
   const auto w = wfe.Wait(0);
-  EXPECT_EQ(w.cycles_burned, 24u + 130u);
+  EXPECT_EQ(w.cycles_burned, kWfeEntryCycles + kWfeWakeupCycles);
 }
 
 }  // namespace

@@ -60,7 +60,7 @@ struct ModelResult {
 enum class Drive { kRun, kUntilSteps };
 
 ModelResult RunModel(std::uint32_t lanes, Drive drive) {
-  Engine e(EngineConfig{lanes, kLook});
+  Engine e(EngineConfig{lanes}, kLook);
   e.SetVirtualLanes(kHosts);
   ModelResult r;
   for (std::uint32_t i = 0; i < kHosts; ++i) {
@@ -118,7 +118,7 @@ TEST(LaneEngineTest, RunUntilSteppingMatchesScalarSteppingAtEveryLaneCount) {
 }
 
 TEST(LaneEngineTest, CrossLaneScheduleAtExactlyTheHorizonSeesSenderState) {
-  Engine e(EngineConfig{2, kLook});
+  Engine e(EngineConfig{2}, kLook);
   e.SetVirtualLanes(2);
   std::uint64_t shared = 0;  // written on lane 0 strictly before lane 1 reads
   std::uint64_t observed = 0;
@@ -140,7 +140,7 @@ TEST(LaneEngineTest, CrossLaneScheduleAtExactlyTheHorizonSeesSenderState) {
 }
 
 TEST(LaneEngineTest, StopFromOneLaneHaltsAllAndTheRunIsResumable) {
-  Engine e(EngineConfig{2, kLook});
+  Engine e(EngineConfig{2}, kLook);
   e.SetVirtualLanes(2);
   int early = 0, late = 0;
   // Lane 1 is the lagging lane: one lone event that pulls the plug while
@@ -226,7 +226,7 @@ TEST(LaneEngineTest, EventHookSeesTagsAndDoesNotPerturbExecution) {
 }
 
 TEST(LaneEngineTest, EngineConfigConstructsTheLanedExecutor) {
-  Engine e({.lanes = 4, .lookahead_ps = kLook});
+  Engine e({.lanes = 4}, kLook);
   e.SetVirtualLanes(8);
   EXPECT_EQ(e.VirtualLanes(), 8u);
   EXPECT_EQ(e.ExecutorShards(), 4u);

@@ -3,6 +3,7 @@
 // the owning sender, and per-peer stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -448,6 +449,35 @@ TEST(FabricTest, SwitchConfigClampsBadKnobs) {
   EXPECT_LE(sw.config().ecn_threshold_bytes, sw.config().buffer_bytes);
   EXPECT_DOUBLE_EQ(sw.config().forward_latency_ns, 0.0);
   EXPECT_DOUBLE_EQ(sw.config().wire_latency_ns, 0.0);
+}
+
+// The laned engine's horizon is derived, never set: the smallest cable
+// latency in the fabric, the smallest cross-host event delta.
+TEST(FabricTest, LookaheadIsTheSmallestCableLatency) {
+  EXPECT_EQ(Fabric(SmallOptions(3)).engine().Lookahead(),
+            Nanoseconds(net::kWireLatencyNs));
+  EXPECT_EQ(Fabric(SmallOptions(3, Topology::kStar)).engine().Lookahead(),
+            Nanoseconds(net::kWireLatencyNs));
+  // A tree: min(net::kWireLatencyNs, switches.wire_latency_ns).
+  for (const double switch_ns : {100.0, 250.0, 400.0}) {
+    FabricOptions options = TreeOptions(4, 2, 2);
+    options.switches.wire_latency_ns = switch_ns;
+    EXPECT_EQ(Fabric(options).engine().Lookahead(),
+              Nanoseconds(std::min(net::kWireLatencyNs, switch_ns)))
+        << switch_ns << " ns switch cables";
+  }
+}
+
+TEST(FabricTest, ZeroLatencyTreeRunsOneExecutorShard) {
+  FabricOptions options = TreeOptions(4, 2, 2);
+  options.engine.lanes = 4;
+  EXPECT_EQ(Fabric(options).engine().ExecutorShards(), 4u);
+  // Zero-latency switch cables leave no safe horizon: the fabric falls
+  // back to one executor, and the engine keeps its 1 ps floor.
+  options.switches.wire_latency_ns = 0;
+  Fabric fabric(options);
+  EXPECT_EQ(fabric.engine().ExecutorShards(), 1u);
+  EXPECT_EQ(fabric.engine().Lookahead(), 1u);
 }
 
 // ----------------------------------------------- adaptive bank windows

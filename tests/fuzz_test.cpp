@@ -493,7 +493,7 @@ class RuntimeFuzzTest : public ::testing::Test {
     options.runtime.mailbox_slot_bytes = KiB(64);
     // A mutated-but-verified mutant may still loop; bound the damage the
     // way a deployment would (high enough for ried auto-init at load).
-    options.runtime.exec.max_instructions = 2'000'000;
+    options.runtime.max_instructions = 2'000'000;
     SecurityPolicy policy = SecurityPolicy::Hardened();
     policy.verify_cached_invokes = true;  // the full-paranoia receiver
     options.runtime.security = policy;

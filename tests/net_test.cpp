@@ -23,13 +23,9 @@ class NetTest : public ::testing::Test {
     EXPECT_TRUE(nic0_.ConnectTo(nic1_).ok());
   }
 
-  static HostConfig MakeHostConfig(int id) {
-    HostConfig cfg;
-    cfg.host_id = id;
-    cfg.memory_bytes = MiB(16);
-    return cfg;
+  static Host MakeHost(int id) {
+    return Host(id, HostConfig{.memory_bytes = MiB(16)});
   }
-  Host MakeHost(int id) { return Host(MakeHostConfig(id)); }
 
   /// Allocates a buffer on @p host, RDMA-registers it for write, returns
   /// (addr, rkey).

@@ -14,7 +14,7 @@ namespace {
 class UcxsTest : public ::testing::Test {
  protected:
   UcxsTest()
-      : host0_(HostCfg(0)), host1_(HostCfg(1)),
+      : host0_(0, HostCfg()), host1_(1, HostCfg()),
         nic0_(engine_, host0_, net::NicConfig{}),
         nic1_(engine_, host1_, net::NicConfig{}) {
     EXPECT_TRUE(nic0_.ConnectTo(nic1_).ok());
@@ -31,11 +31,8 @@ class UcxsTest : public ::testing::Test {
     src_ = *src;
   }
 
-  static net::HostConfig HostCfg(int id) {
-    net::HostConfig cfg;
-    cfg.host_id = id;
-    cfg.memory_bytes = MiB(8);
-    return cfg;
+  static net::HostConfig HostCfg() {
+    return net::HostConfig{.memory_bytes = MiB(8)};
   }
 
   sim::Engine engine_;

@@ -4,8 +4,10 @@
 # be documented in docs/TUNING.md, and every knob row there must name a
 # field that still exists. Fails (listing the missing or stale names)
 # when a field is added without a docs entry or deleted with its row
-# left behind, so the tuning page can never silently rot. Pure
-# grep/sed — no build needed, POSIX awk suffices.
+# left behind, so the tuning page can never silently rot. Likewise every
+# constant docs/*.md or README.md cites as a backticked `ns::kName` must
+# still be defined under src/. Pure grep/sed — no build needed, POSIX
+# awk suffices.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -106,6 +108,42 @@ check SwitchConfig src/net/switch.hpp '^## SwitchConfig'
 check NicConfig src/net/nic.hpp '^## NicConfig'
 check HierarchyConfig src/cache/config.hpp '^## HierarchyConfig'
 check OpenLoopConfig src/benchlib/openloop.hpp '^## OpenLoopConfig'
+check StressConfig src/benchlib/stress.hpp '^## StressConfig'
+
+# Constants the docs cite by name, such as `cache::kDramCycles`: some file
+# under src/ that opens namespace twochains::<ns> must define kName, as a
+# const/constexpr variable or an enumerator. A family pattern such as
+# `net::k*` names no single constant and is skipped.
+stale_constants=""
+cited=0
+while read -r ref; do
+  [ -z "$ref" ] && continue
+  cited=$((cited + 1))
+  ns="${ref%::*}"
+  name="${ref##*::}"
+  defined=0
+  while read -r file; do
+    [ -z "$file" ] && continue
+    if grep -Eq "^namespace twochains::$ns \{" "$file" &&
+      grep -Eq "(const|constexpr)[^;(]* $name *(=|\{|;)|^ *$name *(=|,)" \
+        "$file"; then
+      defined=1
+      break
+    fi
+  done < <(grep -rlw -- "$name" src || true)
+  [ "$defined" -eq 1 ] || stale_constants="$stale_constants $ref"
+done < <(cat docs/*.md README.md |
+  { grep -oE '`[a-z_]+(::[a-z_]+)*::k[A-Za-z0-9_]+`' || true; } |
+  tr -d '`' | sort -u)
+if [ "$cited" -eq 0 ]; then
+  echo "FAIL: found no cited constants in the docs (script rot?)"
+  fail=1
+elif [ -n "$stale_constants" ]; then
+  echo "FAIL: docs cite constants nothing under src/ defines:$stale_constants"
+  fail=1
+else
+  echo "OK: all $cited constants the docs cite are defined under src/"
+fi
 
 # docs/SECURITY.md is the threat-model page: every SecurityPolicy knob
 # must be covered there too (the guarantee table), so a new mitigation
