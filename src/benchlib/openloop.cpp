@@ -26,12 +26,17 @@ struct Pending {
   bool is_get = false;
 };
 
+/// One request waiting on its link, with the instant it arrived.
+struct Queued {
+  jamlib::KvRequest request;
+  PicoTime arrival = 0;
+};
+
 /// One (client host, shard) link's open-loop state: the overflow queue
 /// requests wait in when flow control blocks, and whether a slot waiter
 /// is already parked on the runtime.
 struct Link {
-  std::deque<Pending> backlog_meta;
-  std::deque<jamlib::KvRequest> backlog;
+  std::deque<Queued> backlog;
   bool waiting = false;
 };
 
@@ -141,10 +146,10 @@ void DrainLink(const std::shared_ptr<Ctx>& ctx, std::uint32_t client,
       }
       return;
     }
-    const jamlib::KvRequest request = link.backlog.front();
-    const Pending meta = link.backlog_meta.front();
+    const jamlib::KvRequest request = link.backlog.front().request;
+    const Pending meta{link.backlog.front().arrival,
+                       request.op == jamlib::KvOp::kGet};
     link.backlog.pop_front();
-    link.backlog_meta.pop_front();
     const std::vector<std::uint64_t> args = jamlib::KvArgsFor(request);
     const auto receipt = rt.Send(peer, jamlib::KvJamFor(request.op),
                                  core::Invoke::kInjected, args, {});
@@ -203,9 +208,7 @@ void Arrive(const std::shared_ptr<Ctx>& ctx, std::uint32_t client) {
   const std::uint32_t shard = ctx->shard_map.ShardOf(request.key);
   Link& link = cs.links[shard];
   if (!link.backlog.empty() || link.waiting) ++cs.queued;
-  link.backlog.push_back(request);
-  link.backlog_meta.push_back(
-      Pending{ctx->fabric->engine().Now(), request.op == jamlib::KvOp::kGet});
+  link.backlog.push_back(Queued{request, ctx->fabric->engine().Now()});
   cs.queue_peak = std::max<std::uint64_t>(cs.queue_peak, link.backlog.size());
   DrainLink(ctx, client, shard);
 

@@ -185,7 +185,8 @@ StatusOr<PeerId> Runtime::AttachPeer(Runtime& remote) {
   // Bank homes: the affinity owner, unless that member is quiesced right
   // now — a peer can connect mid-hotplug — in which case the bank starts
   // life on a survivor (ReviveCore later restores the affinity map).
-  peer.bank_home.reserve(config_.banks);
+  // Claims start at the home owner.
+  std::vector<RecvBank> slice(config_.banks);
   for (std::uint32_t b = 0; b < config_.banks; ++b) {
     const std::uint32_t affinity = PoolIndexFor(id, b);
     std::uint32_t home = affinity;
@@ -193,9 +194,9 @@ StatusOr<PeerId> Runtime::AttachPeer(Runtime& remote) {
       home = PickReshardTarget(DomainOfPoolCore(affinity));
       if (home == kInvalidPoolIndex) home = affinity;  // pre-StartReceiver
     }
-    peer.bank_home.push_back(home);
+    slice[b].home = home;
+    slice[b].claim = home;
   }
-  peer.bank_pending_home.assign(config_.banks, kInvalidPoolIndex);
 
   // Reactive mailbox slice for this peer: pinned, remotely writable, and
   // (paper default) executable — "we ... mark all mailbox pages with read,
@@ -203,23 +204,18 @@ StatusOr<PeerId> Runtime::AttachPeer(Runtime& remote) {
   // bank, each placed in the memory domain of the pool core that owns the
   // bank, so the NIC's stash lands in the LLC slice next to the core that
   // will drain it (flat placement with the knob off: everything domain 0).
-  peer.bank_base.reserve(config_.banks);
-  peer.bank_rkey_own.reserve(config_.banks);
   for (std::uint32_t b = 0; b < config_.banks; ++b) {
+    RecvBank& bank = slice[b];
     const mem::DomainId bank_domain =
-        config_.domain_aware_placement
-            ? DomainOfPoolCore(peer.bank_home[b])
-            : 0;
+        config_.domain_aware_placement ? DomainOfPoolCore(bank.home) : 0;
     const std::string tag = StrFormat("tc:mailboxes:p%u:b%u", id, b);
-    TC_ASSIGN_OR_RETURN(const mem::VirtAddr base,
+    TC_ASSIGN_OR_RETURN(bank.base,
                         memory.Allocate(bank_bytes, mem::kPageSize,
                                         mem::Perm::kRWX, tag, bank_domain));
-    TC_ASSIGN_OR_RETURN(const mem::RKey rkey,
+    TC_ASSIGN_OR_RETURN(bank.rkey,
                         host_.regions().RegisterRegion(
-                            base, bank_bytes, mem::RemoteAccess::kWrite,
+                            bank.base, bank_bytes, mem::RemoteAccess::kWrite,
                             tag));
-    peer.bank_base.push_back(base);
-    peer.bank_rkey_own.push_back(rkey);
   }
 
   // Sender-side bank flags for this peer, set remotely by its receiver;
@@ -241,7 +237,7 @@ StatusOr<PeerId> Runtime::AttachPeer(Runtime& remote) {
   for (std::uint32_t b = 0; b < config_.banks; ++b) {
     TC_RETURN_IF_ERROR(memory.StoreU64(peer.flag_base + 8ull * b, 1));
   }
-  peer.bank_open.assign(config_.banks, 1);
+  peer.send_banks.resize(config_.banks);  // open, remote window at Connect
 
   // Send staging ring toward this peer (one slot per mailbox), packed by
   // the sender core — its domain.
@@ -255,21 +251,14 @@ StatusOr<PeerId> Runtime::AttachPeer(Runtime& remote) {
   peer.endpoint = std::make_unique<ucxs::Endpoint>(
       engine_, nic_, remote.nic_, ucxs::PutMode::kUser);
 
-  peer.bank_cursor.assign(config_.banks, 0);
-  peer.delivered_at.assign(TotalSlots(), kNotDelivered);
-  // Claims start at the home owner.
-  peer.bank_claim = peer.bank_home;
-  peer.bank_in_flight.assign(config_.banks, 0);
-  peer.bank_ready.assign(config_.banks, 0);
-  peer.bank_nak_mask.assign(config_.banks, 0);
-  peer.bank_ecn.assign(config_.banks, 0);
-  peer.bank_close_at.assign(config_.banks, 0);
   // Adaptive window state: starts wide open at the full bank budget.
   peer.cwnd_milli = static_cast<std::uint64_t>(config_.banks) * 1000;
   peer.cwnd_min_seen = peer.cwnd_milli;
   peer.cwnd_max_seen = peer.cwnd_milli;
 
   peers_.push_back(std::move(peer));
+  banks_.insert(banks_.end(), slice.begin(), slice.end());
+  delivered_at_.resize(delivered_at_.size() + TotalSlots(), kNotDelivered);
   stats_.per_peer.emplace_back();
   return id;
 }
@@ -308,12 +297,16 @@ StatusOr<std::pair<PeerId, PeerId>> Runtime::Connect(Runtime& a, Runtime& b) {
   PeerState& pb = b.peers_[id_of_a];
   pa.remote_id = id_of_a;
   pb.remote_id = id_of_b;
-  pa.remote_bank_base = pb.bank_base;
-  pa.remote_bank_rkey = pb.bank_rkey_own;
+  for (std::uint32_t k = 0; k < a.config_.banks; ++k) {
+    const RecvBank& in_a = a.banks_[a.BankIndex(id_of_b, k)];
+    const RecvBank& in_b = b.banks_[b.BankIndex(id_of_a, k)];
+    pa.send_banks[k].remote_base = in_b.base;
+    pa.send_banks[k].remote_rkey = in_b.rkey;
+    pb.send_banks[k].remote_base = in_a.base;
+    pb.send_banks[k].remote_rkey = in_a.rkey;
+  }
   pa.peer_flag_base = pb.flag_base;
   pa.peer_flag_rkey = pb.flag_rkey_own;
-  pb.remote_bank_base = pa.bank_base;
-  pb.remote_bank_rkey = pa.bank_rkey_own;
   pb.peer_flag_base = pa.flag_base;
   pb.peer_flag_rkey = pa.flag_rkey_own;
   return std::make_pair(id_of_b, id_of_a);
@@ -521,11 +514,11 @@ bool Runtime::HasFreeSlot(PeerId peer) const {
   const PeerState& p = peers_[peer];
   // Opening another bank must also clear the adaptive congestion window
   // (mid-bank fills were admitted when their bank opened).
-  if (p.send_in_bank == 0 && !AdaptiveAdmits(p)) return false;
+  if (p.send_in_bank == 0 && !AdaptiveAdmits(peer)) return false;
   // Mid-bank the current bank is open by construction (it only closes when
   // its last slot is posted); at a bank boundary only the next bank in
   // strict rotation may start.
-  return p.bank_open[p.send_bank] != 0;
+  return p.send_banks[p.send_bank].open;
 }
 
 void Runtime::NotifyWhenSlotFree(PeerId peer, std::function<void()> cb) {
@@ -570,14 +563,14 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
   // Bank choice: strict round-robin fills send_bank.
   const std::uint32_t in_bank = peer.send_in_bank;
   const std::uint32_t bank = peer.send_bank;
-  if (peer.bank_open[bank] == 0) {
+  if (!peer.send_banks[bank].open) {
     ++pstats.send_stalls;
     return ResourceExhausted(StrFormat("bank %u flag not returned", bank));
   }
   // Adaptive admission: opening a fresh bank needs window headroom over
   // the banks already closed toward this peer (mid-bank fills ride the
   // admission their bank got).
-  if (in_bank == 0 && !AdaptiveAdmits(peer)) {
+  if (in_bank == 0 && !AdaptiveAdmits(peer_id)) {
     ++stats_.adaptive_refusals;
     ++pstats.send_stalls;
     return ResourceExhausted(
@@ -636,7 +629,7 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
                       PackFrame(spec, header, words, code, args_bytes, usr));
 
   const mem::VirtAddr remote_slot_addr =
-      peer.remote_bank_base[bank] +
+      peer.send_banks[bank].remote_base +
       static_cast<std::uint64_t>(in_bank) * config_.mailbox_slot_bytes;
   if (spec.injected && !config_.security.receiver_installs_got) {
     // PRE -> the GOTP table as it will sit in the *receiver's* mailbox.
@@ -688,7 +681,7 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
   const std::uint64_t sig_word = SignalWord(header.sn);
   const std::uint64_t sig_off = layout.sig_off;
   const PicoTime proto_overhead = endpoint->EstimateOverhead(frame.size());
-  auto mailbox_rkey = peer.remote_bank_rkey[bank];
+  auto mailbox_rkey = peer.send_banks[bank].remote_rkey;
   // Homed to this host's lane: Send may be called from outside any lane
   // (preload pumps, drivers), and the post path mutates sender NIC state.
   engine_.ScheduleAfterOn(
@@ -724,11 +717,11 @@ StatusOr<SendReceipt> Runtime::Send(PeerId peer_id, const std::string& name,
   // Flow control: after filling a bank, close it until the flag returns.
   ++peer.send_in_bank;
   if (peer.send_in_bank == config_.mailboxes_per_bank) {
-    peer.bank_open[bank] = 0;
+    peer.send_banks[bank].open = false;
     // The flag-return RTT sample starts at bank close; it covers the last
     // frame's flight plus the receiver's drain — the congestion signal
     // the adaptive window reacts to.
-    peer.bank_close_at[bank] = engine_.Now();
+    peer.send_banks[bank].closed_at = engine_.Now();
     TC_RETURN_IF_ERROR(
         host_.memory().StoreU64(peer.flag_base + 8ull * bank, 0));
     peer.send_bank = (bank + 1) % config_.banks;
@@ -775,25 +768,25 @@ void Runtime::OnFrameDelivered(PeerId from, std::uint32_t slot,
                                PicoTime delivered_at, bool ecn_marked) {
   if (from >= peers_.size()) return;
   ++stats_.per_peer[from].messages_delivered;
-  PeerState& p = peers_[from];
-  p.delivered_at[slot] = delivered_at;
+  delivered_at_[SlotIndex(from, slot)] = delivered_at;
   // The bank's current claim holder gets first crack at the frame; with
   // stealing active, every other pool member then gets a deterministic
   // chance to notice a backlog it could relieve.
-  const std::uint32_t bank = slot / config_.mailboxes_per_bank;
+  const std::uint32_t index =
+      BankIndex(from, slot / config_.mailboxes_per_bank);
   if (ecn_marked) {
     // A switch on the path marked this frame: remember it against the
     // bank so the mark goes home (exactly once) with the bank's flag.
     ++stats_.ecn_marks_seen;
-    if (config_.adaptive.enabled) p.bank_ecn[bank] = 1;
+    if (config_.adaptive.enabled) banks_[index].ecn = true;
   }
   // A frame behind the bank's head becomes ready when the cursor reaches
   // it (CompleteFrame pushes it then).
-  if (slot % config_.mailboxes_per_bank == p.bank_cursor[bank]) {
-    PushReadyHead(from, bank);
+  if (slot % config_.mailboxes_per_bank == banks_[index].cursor) {
+    PushReadyHead(index);
   }
-  const std::uint32_t holder = ClaimOf(from, bank);
-  ++p.bank_ready[bank];
+  const std::uint32_t holder = banks_[index].claim;
+  ++banks_[index].ready;
   MaybeBeginNext(holder);
   OfferStealOpportunities(holder);
 }
@@ -832,7 +825,7 @@ void Runtime::OnBankFlag(PeerId peer, std::uint32_t bank) {
   const bool ece = word.ok() && (*word & 4) != 0;
   if (ece) ++stats_.ecn_echoes_seen;
   if (config_.adaptive.enabled) AdaptiveOnFlag(p, bank, ece);
-  p.bank_open[bank] = 1;
+  p.send_banks[bank].open = true;
   if (!p.slot_waiters.empty()) {
     auto waiters = std::move(p.slot_waiters);
     p.slot_waiters.clear();
@@ -840,22 +833,20 @@ void Runtime::OnBankFlag(PeerId peer, std::uint32_t bank) {
   }
 }
 
-bool Runtime::AdaptiveAdmits(const PeerState& peer) const noexcept {
+bool Runtime::AdaptiveAdmits(PeerId peer) const noexcept {
   if (!config_.adaptive.enabled) return true;
-  std::uint32_t closed = 0;
-  for (std::uint32_t b = 0; b < config_.banks; ++b) {
-    if (peer.bank_open[b] == 0) ++closed;
-  }
   // floor(cwnd) never drops below one bank, and the gate always
   // passes with nothing closed — the window can throttle, never deadlock.
-  return closed < std::max<std::uint64_t>(1, peer.cwnd_milli / 1000);
+  return ClosedSendBanks(peer) <
+         std::max<std::uint64_t>(1, peers_[peer].cwnd_milli / 1000);
 }
 
 void Runtime::AdaptiveOnFlag(PeerState& peer, std::uint32_t bank, bool ece) {
   const PicoTime now = engine_.Now();
-  if (peer.bank_close_at[bank] != 0) {
-    const PicoTime rtt = now - peer.bank_close_at[bank];
-    peer.bank_close_at[bank] = 0;
+  SendBank& closing = peer.send_banks[bank];
+  if (closing.closed_at != 0) {
+    const PicoTime rtt = now - closing.closed_at;
+    closing.closed_at = 0;
     peer.rtt_last = rtt;
     if (peer.rtt_min == 0 || rtt < peer.rtt_min) peer.rtt_min = rtt;
   }
@@ -968,8 +959,7 @@ void Runtime::MaybeBeginNext(std::uint32_t pool_index) {
   }
   ReadyFrame frame = *best;
   frame.pool = pool_index;
-  peers_[frame.peer].bank_in_flight[frame.slot / config_.mailboxes_per_bank] =
-      1;
+  banks_[BankOf(frame)].in_flight = true;
   PicoTime waited = 0;
   if (member.idle_since.has_value() &&
       frame.delivered_at >= *member.idle_since) {
@@ -980,14 +970,12 @@ void Runtime::MaybeBeginNext(std::uint32_t pool_index) {
   BeginProcess(frame, waited);
 }
 
-void Runtime::PushReadyHead(PeerId peer, std::uint32_t bank) {
-  const PeerState& p = peers_[peer];
-  if (p.bank_in_flight[bank] != 0) return;
-  const PicoTime at =
-      p.delivered_at[bank * config_.mailboxes_per_bank + p.bank_cursor[bank]];
+void Runtime::PushReadyHead(std::uint32_t index) {
+  if (banks_[index].in_flight) return;
+  const PicoTime at = HeadDeliveredAt(index);
   if (at == kNotDelivered) return;
-  std::vector<ReadyHead>& heap = pool_[p.bank_claim[bank]].ready;
-  heap.push_back(ReadyHead{at, peer, bank});
+  std::vector<ReadyHead>& heap = pool_[banks_[index].claim].ready;
+  heap.push_back(ReadyHead{at, index});
   std::push_heap(heap.begin(), heap.end(), std::greater<>());
 }
 
@@ -996,12 +984,10 @@ std::optional<Runtime::ReadyFrame> Runtime::ReadyHeadOf(
   std::vector<ReadyHead>& heap = pool_[pool_index].ready;
   while (!heap.empty()) {
     const ReadyHead& top = heap.front();
-    const PeerState& p = peers_[top.peer];
-    const std::uint32_t head =
-        top.bank * config_.mailboxes_per_bank + p.bank_cursor[top.bank];
-    if (p.bank_claim[top.bank] == pool_index &&
-        p.bank_in_flight[top.bank] == 0 && p.delivered_at[head] == top.at) {
-      return ReadyFrame{top.peer, head, top.at};
+    const RecvBank& bank = banks_[top.index];
+    if (bank.claim == pool_index && !bank.in_flight &&
+        HeadDeliveredAt(top.index) == top.at) {
+      return HeadFrame(top.index);
     }
     std::pop_heap(heap.begin(), heap.end(), std::greater<>());
     heap.pop_back();
@@ -1012,19 +998,11 @@ std::optional<Runtime::ReadyFrame> Runtime::ReadyHeadOf(
 std::optional<Runtime::ReadyFrame> Runtime::ScanBankHeads(
     std::uint32_t pool_index) const {
   std::optional<ReadyFrame> best;
-  for (PeerId peer = 0; peer < peers_.size(); ++peer) {
-    const PeerState& p = peers_[peer];
-    for (std::uint32_t bank = 0; bank < config_.banks; ++bank) {
-      if (ClaimOf(peer, bank) != pool_index) continue;
-      if (p.bank_in_flight[bank] != 0) continue;
-      const std::uint32_t head =
-          bank * config_.mailboxes_per_bank + p.bank_cursor[bank];
-      const PicoTime at = p.delivered_at[head];
-      if (at == kNotDelivered) continue;
-      if (!best.has_value() || at < best->delivered_at) {
-        best = ReadyFrame{peer, head, at};
-      }
-    }
+  for (std::uint32_t i = 0; i < banks_.size(); ++i) {
+    if (banks_[i].claim != pool_index || banks_[i].in_flight) continue;
+    const PicoTime at = HeadDeliveredAt(i);
+    if (at == kNotDelivered) continue;
+    if (!best.has_value() || at < best->delivered_at) best = HeadFrame(i);
   }
   return best;
 }
@@ -1055,10 +1033,8 @@ Status Runtime::CheckReadyIndexForTest() {
 
 std::uint64_t Runtime::ClaimBacklog(std::uint32_t pool_index) const noexcept {
   std::uint64_t backlog = 0;
-  for (const PeerState& p : peers_) {
-    for (std::uint32_t bank = 0; bank < config_.banks; ++bank) {
-      if (p.bank_claim[bank] == pool_index) backlog += p.bank_ready[bank];
-    }
+  for (const RecvBank& bank : banks_) {
+    if (bank.claim == pool_index) backlog += bank.ready;
   }
   return backlog;
 }
@@ -1066,10 +1042,8 @@ std::uint64_t Runtime::ClaimBacklog(std::uint32_t pool_index) const noexcept {
 std::uint32_t Runtime::StolenBanksHeld(
     std::uint32_t pool_index) const noexcept {
   std::uint32_t held = 0;
-  for (const PeerState& p : peers_) {
-    for (std::uint32_t b = 0; b < config_.banks; ++b) {
-      held += p.bank_claim[b] == pool_index && p.bank_home[b] != pool_index;
-    }
+  for (const RecvBank& bank : banks_) {
+    held += bank.claim == pool_index && bank.home != pool_index;
   }
   return held;
 }
@@ -1141,17 +1115,11 @@ std::optional<Runtime::ReadyFrame> Runtime::TrySteal(std::uint32_t thief) {
   // its drain — including the flag return — until the claim reverts. A
   // bank can be stolen onward (even back by its home owner, which
   // settles the claim home).
-  peers_[best->peer].bank_claim[best->slot / config_.mailboxes_per_bank] =
-      thief;
+  banks_[BankOf(*best)].claim = thief;
   member.steal_armed = true;
   ++member.wait_stats.banks_stolen;
   ++pool_[chosen].wait_stats.banks_donated;
   return best;
-}
-
-void Runtime::ReleaseBankClaim(PeerId peer, std::uint32_t bank) {
-  PeerState& p = peers_[peer];
-  p.bank_claim[bank] = p.bank_home[bank];
 }
 
 std::uint32_t Runtime::PickReshardTarget(std::uint32_t preferred_domain) {
@@ -1172,31 +1140,28 @@ std::uint32_t Runtime::PickReshardTarget(std::uint32_t preferred_domain) {
   return candidates[reshard_cursor_++ % candidates.size()];
 }
 
-void Runtime::ApplyBankHome(PeerId peer, std::uint32_t bank,
-                            std::uint32_t new_home) {
-  PeerState& p = peers_[peer];
-  p.bank_pending_home[bank] = kInvalidPoolIndex;
-  const std::uint32_t old_home = p.bank_home[bank];
+void Runtime::ApplyBankHome(std::uint32_t index, std::uint32_t new_home) {
+  RecvBank& bank = banks_[index];
+  bank.pending_home = kInvalidPoolIndex;
+  const std::uint32_t old_home = bank.home;
   if (old_home == new_home) return;  // e.g. a revive cancelling a quiesce
   // The claim follows the new owner; a steal lease on the bank is
   // superseded — a permanent handoff outranks a revertible claim.
-  p.bank_claim[bank] = new_home;
-  p.bank_home[bank] = new_home;
+  bank.claim = new_home;
+  bank.home = new_home;
   ++pool_[old_home].wait_stats.banks_resharded_out;
   ++pool_[new_home].wait_stats.banks_resharded_in;
-  PushReadyHead(peer, bank);
+  PushReadyHead(index);
 }
 
-void Runtime::RehomeBank(PeerId peer, std::uint32_t bank,
-                         std::uint32_t new_home) {
-  PeerState& p = peers_[peer];
-  if (p.bank_in_flight[bank] != 0) {
+void Runtime::RehomeBank(std::uint32_t index, std::uint32_t new_home) {
+  if (banks_[index].in_flight) {
     // Mid-frame banks never change hands; the handoff applies the moment
     // the frame completes (CompleteFrame), preserving in-bank order.
-    p.bank_pending_home[bank] = new_home;
+    banks_[index].pending_home = new_home;
     return;
   }
-  ApplyBankHome(peer, bank, new_home);
+  ApplyBankHome(index, new_home);
 }
 
 void Runtime::FinishQuiesce(std::uint32_t pool_index) {
@@ -1210,14 +1175,11 @@ void Runtime::FinishQuiesce(std::uint32_t pool_index) {
   // Any steal lease the member still holds reverts to the banks' home
   // owners — nothing may stay parked on a core that will never scan again
   // — and each owner gets woken to pick the backlog up.
-  for (PeerId peer = 0; peer < peers_.size(); ++peer) {
-    PeerState& p = peers_[peer];
-    for (std::uint32_t bank = 0; bank < config_.banks; ++bank) {
-      if (p.bank_claim[bank] != pool_index) continue;
-      ReleaseBankClaim(peer, bank);
-      PushReadyHead(peer, bank);
-      MaybeBeginNext(p.bank_home[bank]);
-    }
+  for (std::uint32_t i = 0; i < banks_.size(); ++i) {
+    if (banks_[i].claim != pool_index) continue;
+    banks_[i].claim = banks_[i].home;
+    PushReadyHead(i);
+    MaybeBeginNext(banks_[i].home);
   }
 }
 
@@ -1244,15 +1206,10 @@ StatusOr<std::uint64_t> Runtime::QuiesceCore(std::uint32_t pool_index) {
   // banks, including the one mid-frame — is what the handoff must drain
   // without loss; the invariant harness holds the protocol to that.
   std::uint64_t stranded = 0;
-  for (PeerId peer = 0; peer < peers_.size(); ++peer) {
-    PeerState& p = peers_[peer];
-    for (std::uint32_t bank = 0; bank < config_.banks; ++bank) {
-      if (p.bank_home[bank] != pool_index) continue;
-      stranded += p.bank_ready[bank];
-      const std::uint32_t target =
-          PickReshardTarget(host_.memory().DomainOf(p.bank_base[bank]));
-      RehomeBank(peer, bank, target);
-    }
+  for (std::uint32_t i = 0; i < banks_.size(); ++i) {
+    if (banks_[i].home != pool_index) continue;
+    stranded += banks_[i].ready;
+    RehomeBank(i, PickReshardTarget(host_.memory().DomainOf(banks_[i].base)));
   }
   stats_.frames_drained_during_quiesce += stranded;
 
@@ -1289,16 +1246,13 @@ Status Runtime::ReviveCore(std::uint32_t pool_index) {
   // affinity owner is someone else — even ones re-sharded here from a
   // still-quiesced sibling — stay where they are until *their* owner
   // revives.
-  for (PeerId peer = 0; peer < peers_.size(); ++peer) {
-    PeerState& p = peers_[peer];
-    for (std::uint32_t bank = 0; bank < config_.banks; ++bank) {
-      if (PoolIndexFor(peer, bank) != pool_index) continue;
-      if (p.bank_home[bank] == pool_index &&
-          p.bank_pending_home[bank] == kInvalidPoolIndex) {
-        continue;
-      }
-      RehomeBank(peer, bank, pool_index);
+  for (std::uint32_t i = 0; i < banks_.size(); ++i) {
+    if (PoolIndexFor(i / config_.banks, i % config_.banks) != pool_index ||
+        (banks_[i].home == pool_index &&
+         banks_[i].pending_home == kInvalidPoolIndex)) {
+      continue;
     }
+    RehomeBank(i, pool_index);
   }
   if (!member.processing && !member.idle_since.has_value()) {
     member.idle_since = engine_.Now();
@@ -1317,20 +1271,14 @@ std::uint32_t Runtime::ActivePoolCores() const noexcept {
 
 std::uint32_t Runtime::BanksHomedTo(std::uint32_t pool_index) const noexcept {
   std::uint32_t homed = 0;
-  for (const PeerState& p : peers_) {
-    for (const std::uint32_t home : p.bank_home) {
-      if (home == pool_index) ++homed;
-    }
-  }
+  for (const RecvBank& bank : banks_) homed += bank.home == pool_index;
   return homed;
 }
 
 std::uint32_t Runtime::PendingRehomes() const noexcept {
   std::uint32_t pending = 0;
-  for (const PeerState& p : peers_) {
-    for (const std::uint32_t target : p.bank_pending_home) {
-      if (target != kInvalidPoolIndex) ++pending;
-    }
+  for (const RecvBank& bank : banks_) {
+    pending += bank.pending_home != kInvalidPoolIndex;
   }
   return pending;
 }
@@ -1360,7 +1308,7 @@ void Runtime::ProcessFrame(const ReadyFrame& frame) {
   Cycles cycles = kValidateCycles;
   auto& caches = host_.caches();
   const std::uint32_t core = pool_[frame.pool].core_id;
-  const mem::VirtAddr frame_addr = SlotAddr(peers_[frame.peer], frame.slot);
+  const mem::VirtAddr frame_addr = SlotAddr(frame.peer, frame.slot);
   // Everything this frame's processing touches (header, signal, code,
   // payload, jam data) runs through the hierarchy synchronously below, so
   // the delta of the cross-domain ledger is exactly what this drain paid.
@@ -1418,7 +1366,7 @@ StatusOr<Cycles> Runtime::InvokeFrame(const ReadyFrame& frame,
                                       const FrameHeader& header,
                                       ReceivedMessage& msg) {
   Cycles cycles = 0;
-  const mem::VirtAddr frame_addr = SlotAddr(peers_[frame.peer], frame.slot);
+  const mem::VirtAddr frame_addr = SlotAddr(frame.peer, frame.slot);
   auto& caches = host_.caches();
   auto& memory = host_.memory();
   PoolCore& member = pool_[frame.pool];
@@ -1459,8 +1407,7 @@ StatusOr<Cycles> Runtime::InvokeFrame(const ReadyFrame& frame,
       ++jam_stats_.misses;
       ++jam_stats_.naks_sent;
       msg.cache_miss = true;
-      const std::uint32_t bank = frame.slot / config_.mailboxes_per_bank;
-      peers_[frame.peer].bank_nak_mask[bank] |=
+      banks_[BankOf(frame)].nak_mask |=
           1u << (frame.slot % config_.mailboxes_per_bank);
       return cycles;
     }
@@ -1726,13 +1673,12 @@ Status Runtime::InjectRawFrame(PeerId from, std::uint32_t slot,
   if (bytes.size() > config_.mailbox_slot_bytes) {
     return InvalidArgument("frame larger than the mailbox slot");
   }
-  PeerState& p = peers_[from];
-  if (p.delivered_at[slot] != kNotDelivered) {
+  if (delivered_at_[SlotIndex(from, slot)] != kNotDelivered) {
     return FailedPrecondition("slot still holds an undrained frame");
   }
   // The hostile put lands like any RDMA write: straight through the DMA
   // plane, no content checks — the receiver pipeline is the only defense.
-  TC_RETURN_IF_ERROR(host_.memory().DmaWrite(SlotAddr(p, slot), bytes));
+  TC_RETURN_IF_ERROR(host_.memory().DmaWrite(SlotAddr(from, slot), bytes));
   engine_.ScheduleAfterOn(
       nic_.lane(), 1,
       [this, from, slot] { OnFrameDelivered(from, slot, engine_.Now()); },
@@ -1809,7 +1755,7 @@ void Runtime::CompleteFrame(const ReadyFrame& frame,
   // cross-domain, or flat placement) counts as remote, and the penalty
   // cycles its processing actually paid land in both stat planes.
   const std::uint32_t frame_domain =
-      host_.memory().DomainOf(SlotAddr(peers_[frame.peer], frame.slot));
+      host_.memory().DomainOf(SlotAddr(frame.peer, frame.slot));
   if (frame_domain != DomainOfPoolCore(frame.pool)) {
     ++pool_[frame.pool].wait_stats.frames_drained_remote;
   }
@@ -1827,56 +1773,46 @@ void Runtime::CompleteFrame(const ReadyFrame& frame,
         // is per bank. The flag goes home exactly when the whole bank has
         // been drained — by the claim holder of record, whether that is
         // the home owner or a thief that took the bank over.
-        PeerState& p = peers_[frame.peer];
-        const std::uint32_t bank = frame.slot / config_.mailboxes_per_bank;
+        const std::uint32_t index = BankOf(frame);
+        RecvBank& bank = banks_[index];
         // The bank's home as this frame executed. A quiesce/revive that
-        // wanted to move it mid-frame is parked in bank_pending_home and
+        // wanted to move it mid-frame is parked in pending_home and
         // applies below, after this frame's bookkeeping settles.
-        const std::uint32_t home = p.bank_home[bank];
-        p.bank_in_flight[bank] = 0;
-        --p.bank_ready[bank];
-        p.delivered_at[frame.slot] = kNotDelivered;
+        const std::uint32_t home = bank.home;
+        bank.in_flight = false;
+        --bank.ready;
+        delivered_at_[SlotIndex(frame.peer, frame.slot)] = kNotDelivered;
         if (frame.pool != home) ++pool_[frame.pool].wait_stats.frames_stolen;
         const bool bank_drained =
-            p.bank_cursor[bank] == config_.mailboxes_per_bank - 1;
-        if (bank_drained) {
-          if (p.bank_claim[bank] != home) {
-            ++stats_.banks_drained_stolen;
-          } else {
-            ++stats_.banks_drained_owner;
-          }
-          ReleaseBankClaim(frame.peer, bank);
-        }
-        p.bank_cursor[bank] =
-            (p.bank_cursor[bank] + 1) % config_.mailboxes_per_bank;
-        if (p.bank_claim[bank] != home && p.bank_ready[bank] == 0) {
-          // The steal lease covers the backlog the thief took the bank
-          // for. Once no delivered frame of the bank remains, the claim
-          // reverts to the home owner so fresh fills land with their
-          // stash locality intact (a full drain already reverted above,
-          // on the flag-return path).
-          ReleaseBankClaim(frame.peer, bank);
-        }
+            bank.cursor == config_.mailboxes_per_bank - 1;
+        if (bank_drained && bank.claim != home) ++stats_.banks_drained_stolen;
+        if (bank_drained && bank.claim == home) ++stats_.banks_drained_owner;
+        bank.cursor = (bank.cursor + 1) % config_.mailboxes_per_bank;
+        // A steal lease ends at the full drain (the flag goes home below),
+        // and also once no delivered frame of the bank remains: the lease
+        // covers the backlog the thief took the bank for, and fresh fills
+        // should land with their stash locality intact.
+        if (bank_drained || bank.ready == 0) bank.claim = home;
         pool_[frame.pool].processing = false;
         // Deferred hotplug handoff: a quiesce/revive that hit this bank
         // mid-frame applies now that the frame is done — the one moment
         // the "never change hands mid-frame" rule allows.
         std::uint32_t rehomed_to = kInvalidPoolIndex;
-        if (p.bank_pending_home[bank] != kInvalidPoolIndex) {
-          rehomed_to = p.bank_pending_home[bank];
+        if (bank.pending_home != kInvalidPoolIndex) {
+          rehomed_to = bank.pending_home;
           if (pool_[rehomed_to].state != PoolCoreState::kActive) {
             // The deferred target itself left the pool meanwhile (a second
             // quiesce); re-pick among whoever is active now.
-            rehomed_to = PickReshardTarget(
-                host_.memory().DomainOf(p.bank_base[bank]));
+            rehomed_to =
+                PickReshardTarget(host_.memory().DomainOf(bank.base));
           }
           if (rehomed_to != kInvalidPoolIndex) {
-            ApplyBankHome(frame.peer, bank, rehomed_to);
+            ApplyBankHome(index, rehomed_to);
           }
         }
         // The bank's next head, if already delivered, is ready now: index
         // it under whoever claims the bank after the bookkeeping above.
-        PushReadyHead(frame.peer, bank);
+        PushReadyHead(index);
         // This completion may have been the drain a quiesce was waiting
         // for: with its frame done (and its bank re-homed), the member
         // leaves the pool for good.
@@ -1885,7 +1821,7 @@ void Runtime::CompleteFrame(const ReadyFrame& frame,
           FinishQuiesce(frame.pool);
         }
         if (bank_drained) {
-          Status st = ReturnBankFlag(frame.peer, bank);
+          Status st = ReturnBankFlag(index);
           if (!st.ok()) TC_WARN << "flag return failed: " << st;
         } else if (msg.cache_miss) {
           // A jam-cache miss mid-bank cannot wait for the drain flag —
@@ -1893,7 +1829,7 @@ void Runtime::CompleteFrame(const ReadyFrame& frame,
           // Push a NAK-only flag word (bit 0 clear) immediately so the
           // full-body resend leaves now. A miss on the drain slot rides
           // the ReturnBankFlag word above instead.
-          Status st = SendNakFlag(frame.peer, bank);
+          Status st = SendNakFlag(index);
           if (!st.ok()) TC_WARN << "NAK push failed: " << st;
         }
         if (on_executed_) on_executed_(msg);
@@ -1943,28 +1879,23 @@ RuntimeStats Runtime::stats() const {
 }
 
 std::uint64_t Runtime::InFlightFrames() const noexcept {
-  // Counted from slot occupancy, independently of bank_ready, so the
+  // Counted from slot occupancy, independently of RecvBank::ready, so the
   // soak suite's leak check compares two separate records.
   std::uint64_t in_flight = 0;
-  for (const PeerState& p : peers_) {
-    for (const PicoTime at : p.delivered_at) in_flight += at != kNotDelivered;
-  }
+  for (const PicoTime at : delivered_at_) in_flight += at != kNotDelivered;
   return in_flight;
 }
 
 std::uint32_t Runtime::ClosedSendBanks(PeerId peer) const noexcept {
   if (peer >= peers_.size()) return 0;
   std::uint32_t closed = 0;
-  for (const std::uint8_t open : peers_[peer].bank_open) {
-    if (open == 0) ++closed;
-  }
+  for (const SendBank& bank : peers_[peer].send_banks) closed += !bank.open;
   return closed;
 }
 
-Status Runtime::ReturnBankFlag(PeerId peer_id, std::uint32_t bank) {
-  if (peer_id >= peers_.size()) return FailedPrecondition("not wired");
-  PeerState& peer = peers_[peer_id];
-  ++stats_.per_peer[peer_id].bank_flags_returned;
+Status Runtime::ReturnBankFlag(std::uint32_t index) {
+  RecvBank& bank = banks_[index];
+  ++stats_.per_peer[index / config_.banks].bank_flags_returned;
   // Bit 0 opens the bank; bit 1 is unused. Bits [32, 64) carry the
   // per-slot jam-cache NAK mask: "these by-handle frames named content I
   // do not have — resend them full-body".
@@ -1972,30 +1903,30 @@ Status Runtime::ReturnBankFlag(PeerId peer_id, std::uint32_t bank) {
   // Bit 2 echoes a switch ECN mark home (ECE): a frame of this bank
   // arrived marked since the last return. Echoed exactly once — the
   // accumulator clears here — so the fabric-wide echo ledger reconciles.
-  if (peer.bank_ecn[bank] != 0) {
+  if (bank.ecn) {
     flag_word |= 4ull;
-    peer.bank_ecn[bank] = 0;
+    bank.ecn = false;
     ++stats_.ecn_echoes_sent;
   }
-  flag_word |= static_cast<std::uint64_t>(peer.bank_nak_mask[bank]) << 32;
-  peer.bank_nak_mask[bank] = 0;
-  return PutFlagWord(peer, bank, flag_word);
+  flag_word |= static_cast<std::uint64_t>(bank.nak_mask) << 32;
+  bank.nak_mask = 0;
+  return PutFlagWord(index, flag_word);
 }
 
-Status Runtime::SendNakFlag(PeerId peer_id, std::uint32_t bank) {
-  if (peer_id >= peers_.size()) return FailedPrecondition("not wired");
-  PeerState& peer = peers_[peer_id];
-  if (peer.bank_nak_mask[bank] == 0) return Status::Ok();
+Status Runtime::SendNakFlag(std::uint32_t index) {
+  RecvBank& bank = banks_[index];
+  if (bank.nak_mask == 0) return Status::Ok();
   // Bit 0 stays clear: this put does NOT reopen the bank — it only ships
   // the accumulated NAK bits so the sender can resend full-body at once.
   const std::uint64_t flag_word =
-      static_cast<std::uint64_t>(peer.bank_nak_mask[bank]) << 32;
-  peer.bank_nak_mask[bank] = 0;
-  return PutFlagWord(peer, bank, flag_word);
+      static_cast<std::uint64_t>(bank.nak_mask) << 32;
+  bank.nak_mask = 0;
+  return PutFlagWord(index, flag_word);
 }
 
-Status Runtime::PutFlagWord(PeerState& peer, std::uint32_t bank,
-                            std::uint64_t word) {
+Status Runtime::PutFlagWord(std::uint32_t index, std::uint64_t word) {
+  const PeerState& peer = peers_[index / config_.banks];
+  const std::uint32_t bank = index % config_.banks;
   Runtime* peer_rt = peer.runtime;
   const PeerId our_id = peer.remote_id;
   return peer.endpoint

@@ -216,7 +216,7 @@ enum class PoolCoreState : std::uint8_t {
 };
 
 /// Sentinel pool index ("no member"): re-shard target when no core is
-/// active, and the bank_pending_home resting value.
+/// active, and the RecvBank::pending_home resting value.
 inline constexpr std::uint32_t kInvalidPoolIndex = ~std::uint32_t{0};
 
 /// Every knob of one runtime. docs/TUNING.md documents each with its
@@ -689,21 +689,19 @@ class Runtime {
     /// Pool member processing this frame (set when the frame is claimed).
     std::uint32_t pool = 0;
   };
-  /// PeerState::delivered_at value of a slot that holds no frame.
+  /// delivered_at_ value of a slot that holds no frame.
   static constexpr PicoTime kNotDelivered = ~PicoTime{0};
 
-  /// One ready-heap entry: (peer, bank)'s head was delivered at @p at when
-  /// the entry was pushed. Ordered by (at, peer, bank), which is the
-  /// scheduler's choice among ready heads: earliest delivered, ties to the
-  /// lowest (peer, bank).
+  /// One ready-heap entry: bank @p index's head was delivered at @p at
+  /// when the entry was pushed. banks_ is peer-major, so ordering by
+  /// (at, index) is ordering by (at, peer, bank), the scheduler's choice
+  /// among ready heads: earliest delivered, ties to the lowest (peer, bank).
   struct ReadyHead {
     PicoTime at = 0;
-    PeerId peer = 0;
-    std::uint32_t bank = 0;
+    std::uint32_t index = 0;
     friend bool operator>(const ReadyHead& a, const ReadyHead& b) noexcept {
       if (a.at != b.at) return a.at > b.at;
-      if (a.peer != b.peer) return a.peer > b.peer;
-      return a.bank > b.bank;
+      return a.index > b.index;
     }
   };
 
@@ -731,24 +729,71 @@ class Runtime {
     std::vector<ReadyHead> ready;
   };
 
+  /// One inbound mailbox bank: a row of the claim table
+  /// (docs/RUNTIME_LIFECYCLE.md). Each bank is allocated and registered on
+  /// its own, so it can live in the memory domain of the pool core that
+  /// owns it.
+  struct RecvBank {
+    mem::VirtAddr base = 0;  ///< own memory; the peer puts here
+    mem::RKey rkey;
+    /// Next in-bank slot to serve (frames stay ordered within a bank;
+    /// banks are independent so the pool can drain them in parallel).
+    std::uint32_t cursor = 0;
+    /// The pool member that owns the bank's drain and flag return. Starts
+    /// at the affinity owner (PoolIndexFor) and moves only through hotplug
+    /// re-sharding (QuiesceCore migrates it to a survivor, ReviveCore
+    /// restores it); a steal never touches it.
+    std::uint32_t home = 0;
+    /// Deferred re-home target: where a quiesce/revive wanted to move the
+    /// bank while one of its frames was in flight (kInvalidPoolIndex
+    /// otherwise). The handoff applies the moment that frame completes,
+    /// preserving the "a bank mid-frame never changes hands" rule.
+    std::uint32_t pending_home = kInvalidPoolIndex;
+    /// The pool member serving the bank's frames. Equal to home unless
+    /// the bank is stolen, so always equal to it while stealing is off.
+    std::uint32_t claim = 0;
+    /// Delivered-and-unprocessed frames, so steal and re-shard decisions
+    /// read the backlog without scanning slots.
+    std::uint32_t ready = 0;
+    /// NAK accumulator: bit i set when the frame in in-bank slot i was a
+    /// by-handle cache miss. Rides home in bits [32, 64) of the flag word
+    /// at flag-return time, then clears.
+    std::uint32_t nak_mask = 0;
+    /// True while a frame of the bank is being processed. Guards every
+    /// handoff, steal and re-shard alike: no two cores ever serve the
+    /// bank concurrently and the head is never double-begun.
+    bool in_flight = false;
+    /// A frame arrived carrying a switch mark (set only while the adaptive
+    /// config is enabled); echoed home as bit 2 of the flag word at
+    /// return time, then cleared.
+    bool ecn = false;
+  };
+
+  /// One outbound bank toward a peer: its window in the peer's memory and
+  /// the local mirror of its flag word.
+  struct SendBank {
+    mem::VirtAddr remote_base = 0;  ///< peer memory
+    mem::RKey remote_rkey;
+    bool open = true;  ///< local mirror of the flag word
+    /// When the bank was closed (engine time; 0 = not closed): the
+    /// flag-return RTT sample is now - closed_at.
+    PicoTime closed_at = 0;
+  };
+
   /// Everything this runtime holds per connected peer: the outbound path
-  /// (endpoint, staging ring, bank-flag mirror, remote mailbox windows,
-  /// remote namespace) and the inbound path (this runtime's mailbox bank
-  /// slices that the peer writes, plus where to return that peer's bank
-  /// flags). Mailbox banks are allocated and registered *per bank* so each
-  /// bank can live in the memory domain of the pool core that owns it.
+  /// (endpoint, staging ring, send banks, remote namespace) and where to
+  /// return that peer's bank flags. The banks the peer writes into are
+  /// rows of banks_.
   struct PeerState {
     Runtime* runtime = nullptr;
     PeerId remote_id = kInvalidPeer;  ///< our slot in the peer's table
     std::unique_ptr<ucxs::Endpoint> endpoint;
 
     // Outbound: sending to this peer.
-    std::vector<mem::VirtAddr> remote_bank_base;  ///< peer memory, per bank
-    std::vector<mem::RKey> remote_bank_rkey;
+    std::vector<SendBank> send_banks;
     mem::VirtAddr staging_base = 0;         ///< own memory
     mem::VirtAddr flag_base = 0;   ///< own memory; the peer sets these words
     mem::RKey flag_rkey_own;
-    std::vector<std::uint8_t> bank_open;  ///< local mirror of flag words
     std::uint32_t send_bank = 0;     ///< bank currently being filled
     std::uint32_t send_in_bank = 0;  ///< next slot within send_bank
     std::vector<std::function<void()>> slot_waiters;
@@ -759,9 +804,6 @@ class Runtime {
     std::uint64_t cwnd_milli = 0;
     std::uint64_t cwnd_min_seen = 0;  ///< observed window low-water mark
     std::uint64_t cwnd_max_seen = 0;  ///< observed window high-water mark
-    /// When each bank was closed (engine time; 0 = not closed): the
-    /// flag-return RTT sample is now - bank_close_at[bank].
-    std::vector<PicoTime> bank_close_at;
     PicoTime rtt_last = 0;  ///< most recent flag-return RTT
     PicoTime rtt_min = 0;   ///< smallest RTT seen (0 until first sample)
     /// One multiplicative decrease per RTT: echoes before this instant
@@ -785,49 +827,9 @@ class Runtime {
     };
     std::map<std::uint32_t, PendingByHandle> pending_by_handle;
 
-    // Inbound: receiving from this peer.
-    std::vector<mem::VirtAddr> bank_base;  ///< own memory; the peer puts here
-    std::vector<mem::RKey> bank_rkey_own;
+    // Where this peer's bank flags go home to.
     mem::VirtAddr peer_flag_base = 0;  ///< peer memory (flag return target)
     mem::RKey peer_flag_rkey;
-    /// Next in-bank slot to serve, per bank (frames stay ordered within a
-    /// bank; banks are independent so the pool can drain them in parallel).
-    std::vector<std::uint32_t> bank_cursor;
-    /// Per slot: when its frame was delivered, or kNotDelivered from the
-    /// frame's completion until the next delivery.
-    std::vector<PicoTime> delivered_at;
-    /// Current *home* of each bank: the pool member that owns its drain
-    /// and flag return. Starts at the affinity owner (PoolIndexFor) and
-    /// moves only through hotplug re-sharding (QuiesceCore migrates it to
-    /// a survivor, ReviveCore restores it) — a steal never touches it.
-    std::vector<std::uint32_t> bank_home;
-    /// Deferred re-home target for a bank whose frame was in flight when a
-    /// quiesce/revive wanted to move it (kInvalidPoolIndex otherwise); the
-    /// handoff applies the moment the frame completes, preserving the
-    /// "a bank mid-frame never changes hands" rule.
-    std::vector<std::uint32_t> bank_pending_home;
-    /// Pool member currently claiming each bank: the one that serves its
-    /// frames. Equal to bank_home unless the bank is stolen, so always
-    /// equal to it while stealing is off.
-    std::vector<std::uint32_t> bank_claim;
-    /// 1 while a frame of this bank is being processed. Guards every
-    /// handoff — steal and re-shard alike: a bank mid-frame cannot change
-    /// hands, so no two cores ever serve the same bank concurrently and
-    /// the head is never double-begun.
-    std::vector<std::uint8_t> bank_in_flight;
-    /// Delivered-and-unprocessed frames per bank, so steal and re-shard
-    /// decisions read a bank's backlog without scanning its slots.
-    std::vector<std::uint32_t> bank_ready;
-    /// Per-bank NAK accumulator: bit i set when the frame in in-bank slot
-    /// i was a by-handle cache miss. Rides home in bits [32, 64) of the
-    /// bank flag word at flag-return time, then clears. Only the jam
-    /// cache's by-handle path sets bits.
-    std::vector<std::uint32_t> bank_nak_mask;
-    /// Receiver-side ECN accumulator: 1 when a frame of this bank arrived
-    /// carrying a switch mark; echoed home as bit 2 of the bank's flag
-    /// word at return time, then cleared. Set only while the adaptive
-    /// config is enabled.
-    std::vector<std::uint8_t> bank_ecn;
   };
 
   std::uint32_t TotalSlots() const {
@@ -836,11 +838,34 @@ class Runtime {
   /// Largest ready backlog one claim holder could accumulate: every slot
   /// of every connected peer's inbound slice.
   std::uint32_t MaxStealBacklog() const noexcept {
-    return static_cast<std::uint32_t>(peers_.size()) * config_.banks *
-           config_.mailboxes_per_bank;
+    return static_cast<std::uint32_t>(delivered_at_.size());
   }
-  mem::VirtAddr SlotAddr(const PeerState& peer, std::uint32_t slot) const {
-    return peer.bank_base[slot / config_.mailboxes_per_bank] +
+  /// banks_ index of @p peer's inbound bank @p bank.
+  std::uint32_t BankIndex(PeerId peer, std::uint32_t bank) const noexcept {
+    return peer * config_.banks + bank;
+  }
+  /// banks_ index of the bank @p frame arrived in.
+  std::uint32_t BankOf(const ReadyFrame& frame) const noexcept {
+    return BankIndex(frame.peer, frame.slot / config_.mailboxes_per_bank);
+  }
+  /// delivered_at_ index of @p peer's inbound slot @p slot.
+  std::uint32_t SlotIndex(PeerId peer, std::uint32_t slot) const noexcept {
+    return peer * TotalSlots() + slot;
+  }
+  /// When bank @p index's head slot was delivered, or kNotDelivered.
+  PicoTime HeadDeliveredAt(std::uint32_t index) const noexcept {
+    return delivered_at_[index * config_.mailboxes_per_bank +
+                         banks_[index].cursor];
+  }
+  /// Bank @p index's head as a frame to serve.
+  ReadyFrame HeadFrame(std::uint32_t index) const noexcept {
+    return ReadyFrame{index / config_.banks,
+                      (index % config_.banks) * config_.mailboxes_per_bank +
+                          banks_[index].cursor,
+                      HeadDeliveredAt(index)};
+  }
+  mem::VirtAddr SlotAddr(PeerId peer, std::uint32_t slot) const {
+    return banks_[BankIndex(peer, slot / config_.mailboxes_per_bank)].base +
            static_cast<std::uint64_t>(slot % config_.mailboxes_per_bank) *
                config_.mailbox_slot_bytes;
   }
@@ -867,17 +892,12 @@ class Runtime {
   /// that executes them. The peer offset staggers different peers'
   /// same-numbered banks across cores, so shallow traffic from many peers
   /// still spreads. Hotplug re-sharding overrides this per bank via
-  /// bank_home; ReviveCore restores it.
+  /// RecvBank::home; ReviveCore restores it.
   std::uint32_t PoolIndexFor(PeerId peer, std::uint32_t bank) const noexcept {
     return static_cast<std::uint32_t>(
         (static_cast<std::uint64_t>(peer) + bank) % pool_.size());
   }
 
-  /// The pool member currently responsible for (peer, bank): the claim
-  /// holder, which is the home owner unless the bank is stolen.
-  std::uint32_t ClaimOf(PeerId peer, std::uint32_t bank) const noexcept {
-    return peers_[peer].bank_claim[bank];
-  }
   /// Ready frames across every bank pool member @p pool_index claims.
   std::uint64_t ClaimBacklog(std::uint32_t pool_index) const noexcept;
 
@@ -888,15 +908,15 @@ class Runtime {
   /// Sender-side admission gate: true when the adaptive window (or, with
   /// the adaptive config off, the plain bank budget) admits opening
   /// another bank toward this peer. Only consulted at bank boundaries.
-  bool AdaptiveAdmits(const PeerState& peer) const noexcept;
+  bool AdaptiveAdmits(PeerId peer) const noexcept;
   /// AIMD window update on a returned bank flag: samples the flag RTT
   /// from the bank's close stamp, shrinks multiplicatively on an ECN echo
   /// (at most once per RTT), grows additively on a clean return.
   void AdaptiveOnFlag(PeerState& peer, std::uint32_t bank, bool ece);
   void MaybeBeginNext(std::uint32_t pool_index);
-  /// Pushes (peer, bank)'s head onto its claim holder's ready heap when the
-  /// head is delivered and the bank is not mid-frame.
-  void PushReadyHead(PeerId peer, std::uint32_t bank);
+  /// Pushes bank @p index's head onto its claim holder's ready heap when
+  /// the head is delivered and the bank is not mid-frame.
+  void PushReadyHead(std::uint32_t index);
   /// Earliest-delivered ready bank head among the banks @p pool_index
   /// claims, if any: the top of its ready heap once the entries the claim
   /// table contradicts (claim moved, bank mid-frame, head no longer
@@ -911,22 +931,19 @@ class Runtime {
   /// — claims that sibling's oldest ready bank head. Returns the stolen
   /// bank's head frame, or nothing (which disarms the Schmitt trigger).
   std::optional<ReadyFrame> TrySteal(std::uint32_t thief);
-  /// Reverts (peer, bank)'s claim to its home owner — called when the
-  /// bank's flag returns (fully drained) or its stolen backlog empties.
-  void ReleaseBankClaim(PeerId peer, std::uint32_t bank);
   /// Re-shard target for a bank whose bytes live in @p preferred_domain:
   /// an active survivor in that domain when domain_aware_placement can
   /// find one, any active member otherwise, rotating a cursor through the
   /// candidate list for balance. Returns kInvalidPoolIndex when no member
   /// is active (callers guard against that before re-homing).
   std::uint32_t PickReshardTarget(std::uint32_t preferred_domain);
-  /// Applies a bank-home migration *now*: moves the home and the claim
-  /// (superseding any steal lease) to @p new_home and bumps the re-shard
-  /// counters. Callers must ensure the bank is not mid-frame.
-  void ApplyBankHome(PeerId peer, std::uint32_t bank, std::uint32_t new_home);
-  /// Re-homes (peer, bank) to @p new_home: immediately when idle, else
-  /// deferred until its in-flight frame completes (bank_pending_home).
-  void RehomeBank(PeerId peer, std::uint32_t bank, std::uint32_t new_home);
+  /// Applies bank @p index's home migration *now*: moves the home and the
+  /// claim (superseding any steal lease) to @p new_home and bumps the
+  /// re-shard counters. Callers must ensure the bank is not mid-frame.
+  void ApplyBankHome(std::uint32_t index, std::uint32_t new_home);
+  /// Re-homes bank @p index to @p new_home: immediately when idle, else
+  /// deferred until its in-flight frame completes (RecvBank::pending_home).
+  void RehomeBank(std::uint32_t index, std::uint32_t new_home);
   /// kDraining -> kQuiesced: releases every steal claim the member still
   /// holds so no bank stays parked on a core that will never serve again.
   void FinishQuiesce(std::uint32_t pool_index);
@@ -940,11 +957,11 @@ class Runtime {
   /// paid (delta of the hierarchy's ledger across ProcessFrame).
   void CompleteFrame(const ReadyFrame& frame, const ReceivedMessage& msg,
                      Cycles cycles, std::uint64_t remote_penalty_cycles);
-  /// Returns @p bank's flag to @p peer.
-  Status ReturnBankFlag(PeerId peer, std::uint32_t bank);
-  /// Puts @p word into @p peer's flag word for @p bank; the peer's
-  /// OnBankFlag runs when the put completes.
-  Status PutFlagWord(PeerState& peer, std::uint32_t bank, std::uint64_t word);
+  /// Returns bank @p index's flag to the peer that fills it.
+  Status ReturnBankFlag(std::uint32_t index);
+  /// Puts @p word into the flag word of bank @p index at the peer that
+  /// fills it; the peer's OnBankFlag runs when the put completes.
+  Status PutFlagWord(std::uint32_t index, std::uint64_t word);
   /// The memory domain of pool member @p pool_index's core.
   std::uint32_t DomainOfPoolCore(std::uint32_t pool_index) const noexcept;
 
@@ -982,11 +999,11 @@ class Runtime {
   /// served; a mid-bank NAK push leaves them pending.
   void HandleNakMask(PeerId peer, std::uint32_t bank, std::uint32_t mask,
                      bool retire_served);
-  /// Pushes @p bank's accumulated NAK bits to @p peer immediately in a
-  /// NAK-only flag word (bit 0 clear — the bank is not reopened). Used
-  /// when a by-handle miss lands mid-bank, so the full-body resend does
-  /// not have to wait for the drain flag.
-  Status SendNakFlag(PeerId peer, std::uint32_t bank);
+  /// Pushes bank @p index's accumulated NAK bits to its peer immediately
+  /// in a NAK-only flag word (bit 0 clear — the bank is not reopened).
+  /// Used when a by-handle miss lands mid-bank, so the full-body resend
+  /// does not have to wait for the drain flag.
+  Status SendNakFlag(std::uint32_t index);
   /// One NAKed invoke's full-body resend (parks on NotifyWhenSlotFree
   /// when flow control refuses it right now).
   void ResendAfterNak(PeerId peer, PeerState::PendingByHandle entry);
@@ -1013,6 +1030,13 @@ class Runtime {
   std::vector<PoolCore> pool_;
 
   std::vector<PeerState> peers_;
+  /// The claim table: every peer's inbound banks, peer-major (bank b of
+  /// peer p at p * config_.banks + b). Grows at every Connect, so callers
+  /// hold indices across it, never references.
+  std::vector<RecvBank> banks_;
+  /// Per inbound slot, in the same order: when its frame was delivered,
+  /// or kNotDelivered from the frame's completion until the next delivery.
+  std::vector<PicoTime> delivered_at_;
 
   jelf::HostNamespace ns_;
   vm::NativeTable natives_;

@@ -111,6 +111,7 @@ Status Nic::Launch(Nic& dst, PutRequest& put) {
   op.remote_addr = put.remote_addr;
   op.rkey = put.rkey;
   op.inline_op = put.inline_op;
+  op.dst_host = static_cast<std::uint32_t>(dst.host_.id());
   op.on_delivered = std::move(put.on_delivered);
   op.on_complete = std::move(put.on_complete);
   ++puts_posted_;
@@ -135,7 +136,7 @@ Status Nic::Launch(Nic& dst, PutRequest& put) {
     // starts serializing (cut-through: the switch sees the head while the
     // tail is still on this wire). The cable latency keeps the cross-lane
     // schedule at or beyond the engine's lookahead horizon.
-    uplink_.sw->ScheduleIngress(std::move(op), this, &dst,
+    uplink_.sw->ScheduleIngress(std::move(op), this,
                                 wire_start + Nanoseconds(uplink_.latency_ns));
     return Status::Ok();
   }

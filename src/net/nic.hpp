@@ -196,8 +196,9 @@ class Nic {
  private:
   friend class Switch;
 
-  /// One put in flight. Kept to 104 B so the nic.rx and nic.deliver
-  /// events (two pointers and an Op) fit sim::SmallFn's inline buffer.
+  /// One put in flight. Kept to 104 B so the nic.rx, nic.deliver and
+  /// switch.ingress events (two pointers and an Op) fit sim::SmallFn's
+  /// inline buffer.
   struct Op {
     /// The payload snapshot: `size` bytes DMA-read at post time, or an
     /// inline put's 8-byte value.
@@ -209,6 +210,8 @@ class Nic {
     /// Set (once) by the first congested switch on the path; surfaces to
     /// the sender and receiver via PutCompletion::ecn_marked.
     bool ecn_marked = false;
+    /// Host id of the destination NIC: what switches route on.
+    std::uint32_t dst_host = 0;
     DeliveredFn on_delivered;
     DeliveredFn on_complete;
     /// Uncontended delivery estimate from post time; when rx contention

@@ -1,6 +1,7 @@
 #include "net/switch.hpp"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "common/log.hpp"
@@ -59,28 +60,26 @@ Status Switch::SetRoute(const Nic* dst, std::uint32_t port) {
     return InvalidArgument(StrFormat("%s: route to port %u but only %zu ports",
                                      name_.c_str(), port, ports_.size()));
   }
+  const auto host = static_cast<std::uint32_t>(dst->host_.id());
   for (auto& route : routes_) {
-    if (route.first == dst) {
+    if (route.first == host) {
       route.second = port;
       return Status::Ok();
     }
   }
-  routes_.emplace_back(dst, port);
+  routes_.emplace_back(host, port);
   return Status::Ok();
 }
 
-void Switch::ScheduleIngress(Nic::Op op, Nic* src, Nic* dst,
-                             PicoTime head_arrival) {
-  engine_.ScheduleAtOn(
-      lane_, head_arrival,
-      [this, src, dst, op = std::move(op)]() mutable {
-        Transit t;
-        t.op = std::move(op);
-        t.src = src;
-        t.dst = dst;
-        Ingress(std::move(t));
-      },
-      "switch.ingress");
+void Switch::ScheduleIngress(Nic::Op op, Nic* src, PicoTime head_arrival) {
+  auto ingress = [this, src, op = std::move(op)]() mutable {
+    Ingress(Transit{std::move(op), src});
+  };
+  static_assert(sizeof(ingress) <= sim::SmallFn::kInlineBytes &&
+                    std::is_nothrow_move_constructible_v<decltype(ingress)>,
+                "a switch hop's ingress event must not allocate");
+  engine_.ScheduleAtOn(lane_, head_arrival, std::move(ingress),
+                       "switch.ingress");
 }
 
 void Switch::Ingress(Transit t) {
@@ -104,10 +103,9 @@ void Switch::Ingress(Transit t) {
 }
 
 void Switch::Admit(Transit t, PicoTime now) {
-  const Nic* dst = t.dst;
   std::uint32_t port_idx = ports_.size();
   for (const auto& route : routes_) {
-    if (route.first == dst) {
+    if (route.first == t.op.dst_host) {
       port_idx = route.second;
       break;
     }
@@ -153,7 +151,7 @@ void Switch::Admit(Transit t, PicoTime now) {
   } else {
     // Switch-to-switch: hand the head over head-timed, so an uncontended
     // multi-hop path costs exactly the sum of its latencies.
-    port.next->ScheduleIngress(std::move(t.op), t.src, t.dst, start + wire);
+    port.next->ScheduleIngress(std::move(t.op), t.src, start + wire);
   }
 }
 

@@ -97,7 +97,7 @@ class Switch {
   /// spine -> ToR downlink) at @p gbps.
   std::uint32_t AttachSwitch(Switch& next, double gbps);
 
-  /// Frames destined to @p dst leave through @p port.
+  /// Frames destined to @p dst's host leave through @p port.
   Status SetRoute(const Nic* dst, std::uint32_t port);
 
   std::uint32_t port_count() const noexcept {
@@ -141,7 +141,6 @@ class Switch {
   struct Transit {
     Nic::Op op;
     Nic* src = nullptr;
-    Nic* dst = nullptr;
   };
 
   /// One admitted frame's buffer reservation: released (lazily, on the
@@ -157,7 +156,7 @@ class Switch {
   /// schedules the ingress event on this switch's lane at the instant the
   /// frame head arrives. @p head_arrival must be >= the caller's now plus
   /// the engine lookahead (one cable latency guarantees it).
-  void ScheduleIngress(Nic::Op op, Nic* src, Nic* dst, PicoTime head_arrival);
+  void ScheduleIngress(Nic::Op op, Nic* src, PicoTime head_arrival);
 
   /// Runs on this switch's lane when a frame head arrives: admit (or hold
   /// under buffer pressure) and forward.
@@ -176,8 +175,9 @@ class Switch {
   std::uint32_t lane_ = 0;
 
   std::vector<Port> ports_;
-  /// dst NIC -> egress port, linear (fabrics are small and wire-up-time).
-  std::vector<std::pair<const Nic*, std::uint32_t>> routes_;
+  /// Destination host id -> egress port, linear (fabrics are small and
+  /// wire-up-time).
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> routes_;
 
   std::uint64_t buffer_used_ = 0;
   std::priority_queue<Release, std::vector<Release>, std::greater<Release>>

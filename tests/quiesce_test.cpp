@@ -10,7 +10,8 @@
 // reconciling (stranded backlog reported == frames_drained_during_quiesce,
 // per-core re-shard mirrors == banks_resharded) — plus byte-identical
 // reruns on a seed subsample and directed cases pinning re-shard/restore
-// counts, NUMA-preferring placement, and the error paths.
+// counts, NUMA-preferring placement, a peer connecting mid-quiesce, and
+// the error paths.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -329,6 +330,66 @@ TEST(QuiesceApiTest, ReshardPrefersSameDomainSurvivors) {
   for (std::uint32_t m = 0; m < 4; ++m) {
     EXPECT_EQ(hub.BanksHomedTo(m), 1u) << "member " << m;
   }
+}
+
+/// A peer that connects while a pool core is quiesced homes the banks
+/// whose affinity owner is dark on a survivor; the revive then restores
+/// the affinity map for that peer too.
+TEST(QuiesceApiTest, PeerConnectingWhileQuiescedHomesOnSurvivors) {
+  sim::Engine engine;
+  const net::HostConfig host_config;
+  net::Host hub_host(0, host_config);
+  net::Host spoke_host(1, host_config);
+  net::Nic hub_nic(engine, hub_host, {});
+  net::Nic spoke_nic(engine, spoke_host, {});
+  ASSERT_TRUE(hub_nic.ConnectTo(spoke_nic).ok());
+  RuntimeConfig hub_config;
+  hub_config.receiver_cores = 2;
+  hub_config.sender_core = 2;
+  Runtime hub(engine, hub_host, hub_nic, hub_config);
+  Runtime spoke(engine, spoke_host, spoke_nic, RuntimeConfig{});
+  ASSERT_TRUE(hub.Initialize().ok());
+  ASSERT_TRUE(spoke.Initialize().ok());
+
+  ASSERT_TRUE(hub.QuiesceCore(1).ok());
+  const auto ids = Runtime::Connect(hub, spoke);
+  ASSERT_TRUE(ids.ok()) << ids.status();
+  // Default shape, 2 banks: bank 1's affinity owner is core 1, which is
+  // dark, so both banks start on core 0.
+  EXPECT_EQ(hub.BanksHomedTo(0), 2u);
+  EXPECT_EQ(hub.BanksHomedTo(1), 0u);
+  for (Runtime* rt : {&hub, &spoke}) {
+    ASSERT_TRUE(rt->LoadPackage(BenchPackage()).ok());
+  }
+  ASSERT_TRUE(Runtime::SyncNamespaces(hub, spoke).ok());
+  ASSERT_TRUE(hub.StartReceiver().ok());
+  ASSERT_TRUE(spoke.StartReceiver().ok());
+
+  std::vector<std::uint64_t> executed(2, 0);
+  hub.SetOnExecuted([&](const ReceivedMessage& msg) {
+    if (msg.executed) ++executed[msg.pool];
+  });
+  // 16 sends fill both banks; the run drains them and returns the flags.
+  const auto send_both_banks = [&] {
+    const std::vector<std::uint64_t> args = {0};
+    const std::vector<std::uint8_t> usr(64, 1);
+    for (int i = 0; i < 16; ++i) {
+      const auto sent =
+          spoke.Send(ids->second, "ssum", Invoke::kInjected, args, usr);
+      ASSERT_TRUE(sent.ok()) << sent.status();
+    }
+    engine.Run();
+  };
+
+  send_both_banks();
+  EXPECT_EQ(executed, (std::vector<std::uint64_t>{16, 0}));
+
+  ASSERT_TRUE(hub.ReviveCore(1).ok());
+  EXPECT_EQ(hub.BanksHomedTo(0), 1u);
+  EXPECT_EQ(hub.BanksHomedTo(1), 1u);
+  EXPECT_EQ(hub.stats().banks_resharded, 1u);
+  send_both_banks();
+  EXPECT_EQ(executed, (std::vector<std::uint64_t>{24, 8}));
 }
 
 }  // namespace

@@ -8,8 +8,8 @@
 // returned only after a full drain and accounted to exactly one drainer,
 // nothing left claimed or in flight at drain — plus byte-identical reruns
 // on a seed subsample, and directed cases pinning that a skewed pool
-// actually steals, a balanced one never does, and stealing shortens the
-// skewed drain.
+// actually steals, a balanced one never does, stealing shortens the
+// skewed drain, and same-instant heads are served in (peer, bank) order.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -166,6 +166,55 @@ TEST(StealInvariantTest, BalancedPoolNeverSteals) {
   EXPECT_EQ(result.hub.steals, 0u);
   EXPECT_EQ(result.hub.frames_stolen, 0u);
   EXPECT_EQ(result.hub.banks_drained_stolen, 0u);
+}
+
+/// The ready heap's tie order: bank heads delivered at the same instant
+/// are served lowest (peer, bank) first, not in delivery order.
+TEST(ReadyHeapTest, SameInstantHeadsServeLowestPeerBankFirst) {
+  PoolTopology topo;
+  topo.spokes = 2;
+  topo.receiver_cores = 1;
+  topo.banks = 2;
+  topo.mailboxes_per_bank = 4;
+  Fabric fabric(MakePoolOptions(topo));
+  ASSERT_TRUE(fabric.LoadPackage(BenchPackage()).ok());
+  Runtime& hub = fabric.runtime(0);
+  std::vector<std::pair<PeerId, std::uint32_t>> served;
+  hub.SetOnExecuted([&](const ReceivedMessage& msg) {
+    EXPECT_TRUE(msg.executed);
+    EXPECT_TRUE(hub.CheckReadyIndexForTest().ok());
+    served.emplace_back(msg.from, msg.slot);
+  });
+
+  // Valid Local ssum frames, injected before the engine runs, so all
+  // three land at the same instant: (peer 0, bank 0), (peer 1, bank 0),
+  // then (peer 0, bank 1).
+  const pkg::BuiltElement* ssum =
+      BenchPackage().Find(pkg::ElementKind::kJam, "ssum");
+  ASSERT_NE(ssum, nullptr);
+  FrameSpec spec;
+  spec.args_size = 8;
+  spec.usr_size = 8;
+  const std::vector<std::uint8_t> args(8, 0);
+  const std::vector<std::uint8_t> usr(8, 1);
+  const std::vector<std::pair<PeerId, std::uint32_t>> injected = {
+      {0, 0}, {1, 0}, {0, 4}};
+  for (std::uint32_t i = 0; i < injected.size(); ++i) {
+    FrameHeader header;
+    header.sn = i + 1;
+    header.elem_id = ssum->element_id;
+    const auto frame = PackFrame(spec, header, {}, {}, args, usr);
+    ASSERT_TRUE(frame.ok()) << frame.status();
+    const auto [peer, slot] = injected[i];
+    ASSERT_TRUE(hub.InjectRawFrame(peer, slot, *frame).ok());
+  }
+  fabric.Run();
+
+  // The first delivery finds the core idle and begins at once; the other
+  // two wait in the heap and tie on delivered_at.
+  const std::vector<std::pair<PeerId, std::uint32_t>> expected = {
+      {0, 0}, {0, 4}, {1, 0}};
+  EXPECT_EQ(served, expected);
 }
 
 }  // namespace

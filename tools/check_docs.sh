@@ -6,7 +6,9 @@
 # when a field is added without a docs entry or deleted with its row
 # left behind, so the tuning page can never silently rot. Likewise every
 # constant docs/*.md or README.md cites as a backticked `ns::kName` must
-# still be defined under src/. Pure grep/sed — no build needed, POSIX
+# still be defined under src/, and every bank-record field they cite as
+# `RecvBank::name` or `SendBank::name` must still be a field of that
+# record in src/core/runtime.hpp. Pure grep/sed — no build needed, POSIX
 # awk suffices.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -14,17 +16,19 @@ cd "$(dirname "$0")/.."
 TUNING=docs/TUNING.md
 fail=0
 
-# Member names of a struct: 2-space-indented declarations ending in
-# "= default;", "{...};", or ";" (member functions have "(" after the
-# name and never match; function bodies are indented deeper).
-fields_of() { # struct_name file
-  awk -v struct="$1" '
-    $0 ~ "^struct " struct " \\{" { in_struct = 1; next }
-    in_struct && /^\};/ { in_struct = 0 }
+# Member names of a struct: declarations indented 2 spaces past the
+# struct line, ending in "= default;", "{...};", or ";" (member functions
+# have "(" after the name and never match; function bodies are indented
+# deeper). A struct nested in a class passes its own indent, "  ".
+fields_of() { # struct_name file [indent]
+  local indent="${3:-}"
+  awk -v struct="$1" -v indent="$indent" '
+    $0 ~ "^" indent "struct " struct " \\{" { in_struct = 1; next }
+    in_struct && $0 ~ "^" indent "\\};" { in_struct = 0 }
     in_struct { sub(/\/\/.*/, ""); print }
   ' "$2" |
   sed -n -E \
-    's/^  [A-Za-z_][A-Za-z0-9_:<>, *]*[A-Za-z0-9_>] +([a-z_][a-z0-9_]*) *(= .*|\{.*|;*) *;? *$/\1/p'
+    "s/^$indent  [A-Za-z_][A-Za-z0-9_:<>, *]*[A-Za-z0-9_>] +([a-z_][a-z0-9_]*) *(= .*|\\{.*|;*) *;? *\$/\\1/p"
 }
 
 # Lines of every "## ..." section whose heading matches the pattern
@@ -61,8 +65,10 @@ check() { # struct_name file heading_regex [exclude_regex]
   while read -r field; do
     [ -z "$field" ] && continue
     found=$((found + 1))
-    # Documented as `field` or as a dotted path like `steal.field`.
-    if ! printf '%s' "$sections" | grep -Eq "\`([a-z_]+\.)?$field\`"; then
+    # Documented as `field` or as a dotted path like `steal.field`. A
+    # here-string, not a pipe: under pipefail, grep -q exiting at its first
+    # match can SIGPIPE the writer and read as a miss.
+    if ! grep -Eq "\`([a-z_]+\.)?$field\`" <<< "$sections"; then
       missing="$missing $field"
     fi
   done <<< "$fields"
@@ -143,6 +149,37 @@ elif [ -n "$stale_constants" ]; then
   fail=1
 else
   echo "OK: all $cited constants the docs cite are defined under src/"
+fi
+
+# Bank-record fields the docs cite, such as `RecvBank::claim`: the record,
+# nested in Runtime, must still declare that field.
+stale_fields=""
+cited=0
+for record in RecvBank SendBank; do
+  fields="$(fields_of "$record" src/core/runtime.hpp "  ")"
+  if [ -z "$fields" ]; then
+    echo "FAIL: extracted no fields from Runtime::$record (script rot?)"
+    fail=1
+    continue
+  fi
+  while read -r name; do
+    [ -z "$name" ] && continue
+    cited=$((cited + 1))
+    if ! grep -qxF "$name" <<< "$fields"; then
+      stale_fields="$stale_fields $record::$name"
+    fi
+  done < <(cat docs/*.md README.md |
+    { grep -oE "\`$record::[a-z_]+\`" || true; } |
+    sed -E "s/^\`$record::|\`\$//g" | sort -u)
+done
+if [ "$cited" -eq 0 ]; then
+  echo "FAIL: found no cited bank-record fields in the docs (script rot?)"
+  fail=1
+elif [ -n "$stale_fields" ]; then
+  echo "FAIL: docs cite bank-record fields runtime.hpp lacks:$stale_fields"
+  fail=1
+else
+  echo "OK: all $cited bank-record fields the docs cite are declared"
 fi
 
 # docs/SECURITY.md is the threat-model page: every SecurityPolicy knob
