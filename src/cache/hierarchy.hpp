@@ -56,6 +56,7 @@ struct HierarchyStats {
     return l1_hits + l2_hits + l3_hits + llc_hits + prefetch_covered +
            dram_accesses;
   }
+  bool operator==(const HierarchyStats&) const = default;
 };
 
 class CacheHierarchy {

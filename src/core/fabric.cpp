@@ -1,6 +1,10 @@
 #include "core/fabric.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <system_error>
+#include <thread>
 
 #include "common/log.hpp"
 #include "common/strfmt.hpp"
@@ -32,6 +36,40 @@ sim::EngineConfig EngineConfigFor(const FabricOptions& options) {
     cfg.lanes = 1;
   }
   return cfg;
+}
+
+/// Runs job(0) .. job(n - 1) on up to min(n, hardware threads) threads,
+/// the caller's among them; each idle thread takes the next index. Jobs
+/// must not share unsynchronised state. An exception a job throws is
+/// rethrown here after every thread has joined (the lowest index's, if
+/// several throw). With one thread this is a loop in index order.
+void RunIndexed(std::size_t n, const std::function<void(std::size_t)>& job) {
+  std::atomic<std::size_t> next{0};
+  std::vector<std::exception_ptr> thrown(n);
+  const auto work = [&] {
+    for (std::size_t i = next++; i < n; i = next++) {
+      try {
+        job(i);
+      } catch (...) {
+        thrown[i] = std::current_exception();
+      }
+    }
+  };
+  const std::size_t threads = std::min<std::size_t>(
+      n, std::max(1u, std::thread::hardware_concurrency()));
+  std::vector<std::thread> helpers;
+  helpers.reserve(threads > 0 ? threads - 1 : 0);
+  try {
+    while (helpers.size() + 1 < threads) helpers.emplace_back(work);
+  } catch (const std::system_error&) {
+    // Fewer helpers than asked for: the threads already running, and
+    // this one, still take every index.
+  }
+  work();
+  for (std::thread& helper : helpers) helper.join();
+  for (const std::exception_ptr& e : thrown) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
 }  // namespace
@@ -250,11 +288,18 @@ Status Fabric::LoadPackages(const std::vector<const pkg::Package*>& per_host) {
     return InvalidArgument(StrFormat("need %zu packages, got %zu",
                                      nodes_.size(), per_host.size()));
   }
-  TC_RETURN_IF_ERROR(WireUp());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (per_host[i] == nullptr) return InvalidArgument("null package");
-    TC_RETURN_IF_ERROR(nodes_[i].runtime->LoadPackage(*per_host[i]));
+  if (std::find(per_host.begin(), per_host.end(), nullptr) != per_host.end()) {
+    return InvalidArgument("null package");
   }
+  TC_RETURN_IF_ERROR(WireUp());
+  // A host's load touches only its own memory, caches, namespace, natives
+  // and runtime tables, never the engine or another host, so the hosts
+  // load concurrently and each ends in the state a serial load leaves.
+  std::vector<Status> loaded(nodes_.size(), Status::Ok());
+  RunIndexed(nodes_.size(), [&](std::size_t i) {
+    loaded[i] = nodes_[i].runtime->LoadPackage(*per_host[i]);
+  });
+  for (const Status& st : loaded) TC_RETURN_IF_ERROR(st);
   TC_RETURN_IF_ERROR(SyncNamespaces());
   for (auto& node : nodes_) {
     TC_RETURN_IF_ERROR(node.runtime->StartReceiver());

@@ -105,7 +105,17 @@ class Fabric {
 
   /// Loads a *different* package on each host (same element names, possibly
   /// different implementations — the paper's per-process "function
-  /// overloading", §IV). @p per_host must have one entry per host.
+  /// overloading", §IV). @p per_host must have one non-null entry per host;
+  /// otherwise no host loads anything.
+  ///
+  /// The hosts load concurrently, on up to one thread per hardware thread
+  /// (the caller's among them), and each ends in the state a serial load in
+  /// host order leaves: a load touches only its own host. So a native a
+  /// ried init calls must not share unsynchronised state across hosts.
+  /// Every host attempts its load even if another's fails; the lowest
+  /// failing host's Status is returned, and then no namespace is synced
+  /// and no receiver started. An exception a load throws is rethrown here
+  /// once every host has finished.
   Status LoadPackages(const std::vector<const pkg::Package*>& per_host);
 
   /// Re-runs the cluster-wide namespace exchange over every connected pair

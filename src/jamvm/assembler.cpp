@@ -10,6 +10,7 @@
 #include "common/bitops.hpp"
 #include "common/strfmt.hpp"
 #include "jamvm/isa.hpp"
+#include "mem/address.hpp"
 
 namespace twochains::vm {
 namespace {
@@ -216,7 +217,21 @@ class Assembler {
         StrFormat("%s:%d: %s", obj_.source_name.c_str(), line, msg.c_str()));
   }
 
-  std::vector<std::uint8_t>& Cur() { return obj_.section(section_); }
+  /// The current section, to append to. Bytes now follow the pending zero
+  /// tail of .data, so it is written out first.
+  std::vector<std::uint8_t>& Cur() {
+    if (section_ == SectionKind::kData && obj_.data_zero_tail > 0) {
+      obj_.data.resize(obj_.DataExtent(), 0);
+      obj_.data_zero_tail = 0;
+    }
+    return obj_.section(section_);
+  }
+
+  /// Offset of the next byte in the current section, zero tail included.
+  std::uint64_t Here() const {
+    return section_ == SectionKind::kData ? obj_.DataExtent()
+                                          : obj_.section(section_).size();
+  }
 
   Status Parse(std::string_view source) {
     int line_no = 0;
@@ -258,7 +273,7 @@ class Assembler {
         if (sym.defined) return Err(line, "duplicate label '" + name + "'");
         sym.defined = true;
         sym.section = section_;
-        sym.offset = Cur().size();
+        sym.offset = Here();
         sym.kind = section_ == SectionKind::kText ? SymbolKind::kFunc
                                                   : SymbolKind::kObject;
         return Status::Ok();
@@ -267,7 +282,7 @@ class Assembler {
     Symbol sym;
     sym.name = std::move(name);
     sym.section = section_;
-    sym.offset = Cur().size();
+    sym.offset = Here();
     sym.defined = true;
     sym.global = false;  // upgraded by .global
     sym.kind = section_ == SectionKind::kText ? SymbolKind::kFunc
@@ -312,16 +327,14 @@ class Assembler {
       if (!n || *n <= 0 || !IsPowerOfTwo(static_cast<std::uint64_t>(*n))) {
         return Err(line_no, ".align needs a power of two");
       }
-      auto& sec = Cur();
+      const std::uint64_t align = static_cast<std::uint64_t>(*n);
       if (section_ == SectionKind::kText) {
         // Pad code with nops to keep the instruction stream decodable.
-        while (sec.size() % static_cast<std::uint64_t>(*n) != 0) {
+        while (obj_.text.size() % align != 0) {
           EmitRaw(Instr{Opcode::kNop, 0, 0, 0, 0});
         }
       } else {
-        while (sec.size() % static_cast<std::uint64_t>(*n) != 0) {
-          sec.push_back(0);
-        }
+        TC_RETURN_IF_ERROR(PadZeros((align - Here() % align) % align, line_no));
       }
       return Status::Ok();
     }
@@ -366,10 +379,25 @@ class Assembler {
     if (name == ".space") {
       const auto n = ParseInt(rest);
       if (!n || *n < 0) return Err(line_no, ".space needs a size");
-      Cur().resize(Cur().size() + static_cast<std::size_t>(*n), 0);
-      return Status::Ok();
+      return PadZeros(static_cast<std::uint64_t>(*n), line_no);
     }
     return Err(line_no, "unknown directive '" + std::string(name) + "'");
+  }
+
+  /// Appends @p n zero bytes. In .data they join the zero tail, which is
+  /// written out only when a byte follows it. A section past one host's
+  /// address range could never load; refusing it also keeps the tail count
+  /// and the linker's layout sums from wrapping.
+  Status PadZeros(std::uint64_t n, int line_no) {
+    if (n > mem::kHostAddressStride - Here()) {
+      return Err(line_no, "section would exceed a host's address range");
+    }
+    if (section_ == SectionKind::kData) {
+      obj_.data_zero_tail += n;
+    } else {
+      Cur().resize(Cur().size() + n, 0);
+    }
+    return Status::Ok();
   }
 
   void EmitRaw(const Instr& instr) {

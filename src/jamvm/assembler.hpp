@@ -8,7 +8,9 @@
 //   .align N                         pad section to N bytes (pow2)
 //   .byte V,... | .half V,... | .word V,... | .quad V|SYM[+OFF],...
 //   .asciz "STR"                     NUL-terminated string (escapes \n\t\0\\\")
-//   .space N                         N zero bytes
+//   .space N                         N zero bytes (in .data, a run that
+//                                    ends the section stays a count:
+//                                    ObjectCode::data_zero_tail)
 //   LABEL:                           define LABEL at current position
 //
 // Instructions follow the ISA mnemonics (isa.hpp); operand shapes:

@@ -61,8 +61,16 @@ struct ObjectCode {
   std::vector<std::uint8_t> text;
   std::vector<std::uint8_t> rodata;
   std::vector<std::uint8_t> data;
+  /// Zero bytes that end the .data section after `data`, kept as a count
+  /// (a trailing `.space` or `.align` that no byte follows).
+  std::uint64_t data_zero_tail = 0;
   std::vector<Symbol> symbols;
   std::vector<Reloc> relocs;
+
+  /// Bytes .data spans when laid out: the written bytes and the zero tail.
+  std::uint64_t DataExtent() const noexcept {
+    return data.size() + data_zero_tail;
+  }
 
   std::vector<std::uint8_t>& section(SectionKind kind) {
     switch (kind) {

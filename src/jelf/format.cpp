@@ -1,6 +1,7 @@
 #include "jelf/format.hpp"
 
 #include "common/byte_io.hpp"
+#include "mem/address.hpp"
 
 namespace twochains::jelf {
 namespace {
@@ -48,6 +49,7 @@ std::vector<std::uint8_t> SerializeObject(const vm::ObjectCode& object) {
   WriteBlob(w, object.text);
   WriteBlob(w, object.rodata);
   WriteBlob(w, object.data);
+  w.U64(object.data_zero_tail);
   w.U32(static_cast<std::uint32_t>(object.symbols.size()));
   for (const auto& sym : object.symbols) {
     w.LengthPrefixedString(sym.name);
@@ -76,6 +78,10 @@ StatusOr<vm::ObjectCode> ParseObject(std::span<const std::uint8_t> bytes) {
   TC_ASSIGN_OR_RETURN(obj.text, ReadBlob(r));
   TC_ASSIGN_OR_RETURN(obj.rodata, ReadBlob(r));
   TC_ASSIGN_OR_RETURN(obj.data, ReadBlob(r));
+  TC_ASSIGN_OR_RETURN(obj.data_zero_tail, r.U64());
+  if (obj.data_zero_tail > mem::kHostAddressStride - obj.data.size()) {
+    return DataLoss("object .data exceeds a host's address range");
+  }
   TC_ASSIGN_OR_RETURN(const auto nsyms, r.U32());
   for (std::uint32_t i = 0; i < nsyms; ++i) {
     vm::Symbol sym;

@@ -3,11 +3,12 @@
 //
 //   magic "JELF" | version u16 | type u8 (0=object, 1=image) | payload
 //
-// Object payloads carry sections + symbols + relocations (assembler
-// output); image payloads carry the linked layout + GOT symbol list +
-// exports + fixups (linker output). Both round-trip byte-exactly, so
-// packages can be "installed" to byte blobs and loaded elsewhere — which is
-// exactly what a ried shipped to a remote host is.
+// Object payloads carry sections (with .data's zero-tail count) + symbols
+// + relocations (assembler output); image payloads carry the linked
+// layout + GOT symbol list + exports + fixups (linker output). Both
+// round-trip byte-exactly, so packages can be "installed" to byte blobs
+// and loaded elsewhere — which is exactly what a ried shipped to a remote
+// host is.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,5 @@
 #include "jelf/linker.hpp"
 
-#include <array>
 #include <cstring>
 #include <map>
 
@@ -28,19 +27,10 @@ std::uint64_t SectionAlign(vm::SectionKind kind) {
 }
 
 /// Length of @p bytes up to and including its last non-zero byte: the part
-/// of an object's .data an image stores. Scans back a page at a time
-/// against a zero page, then byte-wise inside the last non-zero page.
+/// of an object's .data an image stores. A `.space` that ends the section
+/// is a count on the object, not bytes here, so the scan is short.
 std::size_t StoredPrefix(std::span<const std::uint8_t> bytes) {
-  static constexpr std::array<std::uint8_t, mem::kPageSize> kZeroPage{};
   std::size_t end = bytes.size();
-  while (end > 0) {
-    const std::size_t chunk = (end - 1) % kZeroPage.size() + 1;
-    if (std::memcmp(bytes.data() + end - chunk, kZeroPage.data(), chunk) !=
-        0) {
-      break;
-    }
-    end -= chunk;
-  }
   while (end > 0 && bytes[end - 1] == 0) --end;
   return end;
 }
@@ -56,9 +46,10 @@ StatusOr<LinkedImage> Link(std::span<const vm::ObjectCode> objects,
   image.page_aligned = options.page_align_sections;
 
   // ---- 1. merge sections, remembering per-object placements ----------
-  // .data is laid out over its full extent (data_end) but stored only up
-  // to its last non-zero byte: a zero gap before a later object's bytes is
-  // materialised, a trailing zero run never is (ELF .bss, same layout).
+  // .data is laid out over its full extent (data_end, each object's zero
+  // tail included) but stored only up to its last non-zero byte: a zero
+  // gap before a later object's bytes is materialised, a trailing zero run
+  // never is (ELF .bss, same layout).
   std::vector<Placement> place(objects.size());
   std::uint64_t data_end = 0;
   for (std::size_t i = 0; i < objects.size(); ++i) {
@@ -67,7 +58,7 @@ StatusOr<LinkedImage> Link(std::span<const vm::ObjectCode> objects,
       return DataLoss(StrFormat("%s: text size not instruction aligned",
                                 obj.source_name.c_str()));
     }
-    if (options.forbid_writable_data && !obj.data.empty()) {
+    if (options.forbid_writable_data && obj.DataExtent() != 0) {
       return InvalidArgument(
           StrFormat("%s: writable .data is not allowed in a jam "
                     "(jams are stateless mobile code)",
@@ -87,7 +78,7 @@ StatusOr<LinkedImage> Link(std::span<const vm::ObjectCode> objects,
 
     data_end = AlignUp(data_end, SectionAlign(vm::SectionKind::kData));
     place[i].data = data_end;
-    data_end += obj.data.size();
+    data_end += obj.DataExtent();
     const std::size_t stored = StoredPrefix(obj.data);
     if (stored > 0) {
       image.data.resize(place[i].data);

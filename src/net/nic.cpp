@@ -211,7 +211,7 @@ void Nic::DeliverAt(PicoTime when, Op op, Nic* dst) {
       TC_DEBUG << "put rejected: " << valid;
       completion.status = std::move(valid);
       if (op.on_delivered) op.on_delivered(completion);
-      FinishOp(std::move(op), completion);
+      FinishOp(std::move(op), std::move(completion));
       return;
     }
 
@@ -224,7 +224,7 @@ void Nic::DeliverAt(PicoTime when, Op op, Nic* dst) {
     if (!wr.ok()) {
       completion.status = wr;
       if (op.on_delivered) op.on_delivered(completion);
-      FinishOp(std::move(op), completion);
+      FinishOp(std::move(op), std::move(completion));
       return;
     }
     if (dst->config_.stash_to_llc) {
@@ -234,7 +234,7 @@ void Nic::DeliverAt(PicoTime when, Op op, Nic* dst) {
     }
     dst->bytes_delivered_ += size;
     if (op.on_delivered) op.on_delivered(completion);
-    FinishOp(std::move(op), completion);
+    FinishOp(std::move(op), std::move(completion));
   };
   static_assert(sizeof(deliver) <= sim::SmallFn::kInlineBytes &&
                     std::is_nothrow_move_constructible_v<decltype(deliver)>,
@@ -242,7 +242,7 @@ void Nic::DeliverAt(PicoTime when, Op op, Nic* dst) {
   engine_.ScheduleAt(when, std::move(deliver), "nic.deliver");
 }
 
-void Nic::FinishOp(Op op, const PutCompletion& completion) {
+void Nic::FinishOp(Op op, PutCompletion completion) {
   // The sender-side CQE: one wire latency after delivery (the ack's return
   // trip), back on this NIC's lane — which is also what keeps the schedule
   // inside the lookahead horizon when lanes run in parallel. Skipped
@@ -250,14 +250,16 @@ void Nic::FinishOp(Op op, const PutCompletion& completion) {
   // post-time fence estimate already covers the real delivery time.
   const PicoTime deliver = completion.delivered_at;
   if (!op.on_complete && deliver <= op.est_deliver) return;
-  engine_.ScheduleAtOn(
-      lane_, deliver + Nanoseconds(kWireLatencyNs),
-      [this, deliver, completion,
-       on_complete = std::move(op.on_complete)]() mutable {
-        last_delivery_at_ = std::max(last_delivery_at_, deliver);
-        if (on_complete) on_complete(completion);
-      },
-      "nic.complete");
+  auto complete = [this, deliver, completion = std::move(completion),
+                   on_complete = std::move(op.on_complete)]() mutable {
+    last_delivery_at_ = std::max(last_delivery_at_, deliver);
+    if (on_complete) on_complete(completion);
+  };
+  static_assert(sizeof(complete) <= sim::SmallFn::kInlineBytes &&
+                    std::is_nothrow_move_constructible_v<decltype(complete)>,
+                "a put's completion event must not allocate");
+  engine_.ScheduleAtOn(lane_, deliver + Nanoseconds(kWireLatencyNs),
+                       std::move(complete), "nic.complete");
 }
 
 }  // namespace twochains::net

@@ -246,7 +246,7 @@ class Nic {
   /// it in true arrival order, then it is delivered.
   void Arrive(Op op, Nic* src, PicoTime arrival);
   void DeliverAt(PicoTime when, Op op, Nic* dst);
-  void FinishOp(Op op, const PutCompletion& completion);
+  void FinishOp(Op op, PutCompletion completion);
 
   sim::Engine& engine_;
   Host& host_;

@@ -9,6 +9,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "benchlib/perftest.hpp"
@@ -374,6 +376,142 @@ TEST(FabricTest, MismatchedMailboxShapesFailAtLoad) {
     EXPECT_EQ(fabric.LoadPackage(*package).code(),
               StatusCode::kInvalidArgument)
         << "mismatch " << i;
+  }
+}
+
+// ------------------------------------------------ parallel package load
+
+/// (from, sn, return value, instructions, slot, delivered, completed).
+using CompletionLog =
+    std::vector<std::tuple<PeerId, std::uint32_t, std::uint64_t,
+                           std::uint64_t, std::uint32_t, PicoTime, PicoTime>>;
+
+/// Each executed frame @p fabric's host @p hub logs while every spoke sends
+/// it @p rounds ssum frames, one at a time.
+CompletionLog SsumCompletions(Fabric& fabric, std::uint32_t hub, int rounds) {
+  CompletionLog log;
+  for (int r = 0; r < rounds; ++r) {
+    for (std::uint32_t src = 0; src < fabric.size(); ++src) {
+      if (src == hub) continue;
+      std::vector<std::uint8_t> usr(64, static_cast<std::uint8_t>(src + r));
+      auto msg = SendAndRun(fabric, src, hub, "ssum", {}, usr);
+      EXPECT_TRUE(msg.ok()) << msg.status();
+      if (!msg.ok()) return log;
+      log.emplace_back(msg->from, msg->sn, msg->return_value,
+                       msg->instructions, msg->slot, msg->delivered_at,
+                       msg->completed_at);
+    }
+  }
+  return log;
+}
+
+/// @p package with jam @p jam's GOT pulled inside its text: a layout
+/// Runtime::LoadPackage refuses before it loads any element.
+pkg::Package WithBrokenJam(const pkg::Package& package,
+                           const std::string& jam) {
+  pkg::Package hostile = package;
+  for (auto& elem : hostile.elements) {
+    if (elem.kind == pkg::ElementKind::kJam && elem.name == jam) {
+      elem.injected_image.got_offset = elem.injected_image.text.size() / 2;
+    }
+  }
+  return hostile;
+}
+
+TEST(FabricTest, ParallelLoadLeavesTheStateOfAReverseSerialLoad) {
+  // Fabric::LoadPackage loads the hosts concurrently. Loading them one by
+  // one on this thread, last host first, must leave every host's
+  // namespace, arena and cache model the same, and the same traffic must
+  // then run the same way, down to the picosecond.
+  auto package = bench::BuildBenchPackage();
+  ASSERT_TRUE(package.ok()) << package.status();
+  const FabricOptions options = SmallOptions(5, Topology::kStar, 0);
+  Fabric parallel(options);
+  ASSERT_TRUE(parallel.LoadPackage(*package).ok());
+  Fabric serial(options);
+  ASSERT_TRUE(serial.SyncNamespaces().ok());  // wires and initializes
+  for (std::uint32_t i = serial.size(); i-- > 0;) {
+    ASSERT_TRUE(serial.runtime(i).LoadPackage(*package).ok()) << "host " << i;
+  }
+  ASSERT_TRUE(serial.SyncNamespaces().ok());
+  for (std::uint32_t i = 0; i < serial.size(); ++i) {
+    ASSERT_TRUE(serial.runtime(i).StartReceiver().ok()) << "host " << i;
+  }
+
+  for (std::uint32_t i = 0; i < options.hosts; ++i) {
+    EXPECT_EQ(parallel.runtime(i).ns().entries(),
+              serial.runtime(i).ns().entries())
+        << "host " << i;
+    EXPECT_EQ(parallel.host(i).memory().allocated_bytes(),
+              serial.host(i).memory().allocated_bytes())
+        << "host " << i;
+    const cache::CacheHierarchy& p = parallel.host(i).caches();
+    const cache::CacheHierarchy& s = serial.host(i).caches();
+    EXPECT_GT(p.stats().TotalAccesses(), 0u) << "host " << i;
+    EXPECT_TRUE(p.stats() == s.stats()) << "host " << i;
+    for (std::uint32_t core = 0; core < p.config().cores; ++core) {
+      EXPECT_EQ(p.PopulationL1(core), s.PopulationL1(core)) << i << "/" << core;
+      EXPECT_EQ(p.PopulationL2(core), s.PopulationL2(core)) << i << "/" << core;
+      EXPECT_EQ(p.PopulationL3(core), s.PopulationL3(core)) << i << "/" << core;
+    }
+  }
+  const auto parallel_log = SsumCompletions(parallel, 0, 3);
+  EXPECT_EQ(parallel_log.size(), 12u);
+  EXPECT_EQ(parallel_log, SsumCompletions(serial, 0, 3));
+}
+
+TEST(FabricTest, NullPackageEntryLoadsNoHost) {
+  // Every entry is checked before any host loads: the hosts ahead of the
+  // null entry stay as unloaded as a fabric that was only wired, so a
+  // corrected call can still load them all.
+  auto package = bench::BuildBenchPackage();
+  ASSERT_TRUE(package.ok()) << package.status();
+  const FabricOptions options = SmallOptions(3);
+  Fabric fabric(options);
+  EXPECT_EQ(fabric.LoadPackages({&*package, &*package, nullptr}).code(),
+            StatusCode::kInvalidArgument);
+  Fabric wired(options);
+  ASSERT_TRUE(wired.SyncNamespaces().ok());
+  ASSERT_TRUE(fabric.SyncNamespaces().ok());
+  for (std::uint32_t i = 0; i < options.hosts; ++i) {
+    EXPECT_EQ(fabric.runtime(i).ns().entries(),
+              wired.runtime(i).ns().entries())
+        << "host " << i;
+    EXPECT_EQ(fabric.host(i).memory().allocated_bytes(),
+              wired.host(i).memory().allocated_bytes())
+        << "host " << i;
+  }
+  EXPECT_TRUE(fabric.LoadPackage(*package).ok());
+}
+
+TEST(FabricTest, FailedHostLoadsReturnTheLowestHostsError) {
+  // Hosts 1 and 3 get packages their runtimes refuse. Every host still
+  // attempts its load: host 1's error comes back, and hosts 0, 2 and 4
+  // end exactly as in a fabric where every load succeeded.
+  auto package = bench::BuildBenchPackage();
+  ASSERT_TRUE(package.ok()) << package.status();
+  const pkg::Package bad_nop = WithBrokenJam(*package, "nop");
+  const pkg::Package bad_ssum = WithBrokenJam(*package, "ssum");
+  const FabricOptions options = SmallOptions(5);
+  Fabric fabric(options);
+  const Status st = fabric.LoadPackages(
+      {&*package, &bad_nop, &*package, &bad_ssum, &*package});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
+  EXPECT_NE(st.message().find("nop"), std::string::npos) << st;
+  EXPECT_EQ(st.message().find("ssum"), std::string::npos) << st;
+
+  Fabric loaded(options);
+  ASSERT_TRUE(loaded.LoadPackage(*package).ok());
+  Fabric wired(options);
+  ASSERT_TRUE(wired.SyncNamespaces().ok());
+  for (std::uint32_t i = 0; i < options.hosts; ++i) {
+    Fabric& expect = (i == 1 || i == 3) ? wired : loaded;
+    EXPECT_EQ(fabric.runtime(i).ns().entries(),
+              expect.runtime(i).ns().entries())
+        << "host " << i;
+    EXPECT_EQ(fabric.host(i).memory().allocated_bytes(),
+              expect.host(i).memory().allocated_bytes())
+        << "host " << i;
   }
 }
 

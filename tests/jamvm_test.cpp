@@ -254,6 +254,9 @@ TEST(AssemblerTest, Errors) {
   EXPECT_FALSE(Assemble(".align 3").ok());              // not pow2
   EXPECT_FALSE(Assemble("ldg t0, helper").ok());        // missing '@'
   EXPECT_FALSE(Assemble("ldd t0, sp+16").ok());         // missing brackets
+  // Past one host's address range, whether written out or kept as a count.
+  EXPECT_FALSE(Assemble(".data\n.byte 1\n.space 1099511627776").ok());
+  EXPECT_FALSE(Assemble(".rodata\n.byte 1\n.space 1099511627776").ok());
   const auto err = Assemble("add a0, a1", "unit.s").status();
   EXPECT_NE(err.message().find("unit.s:1"), std::string::npos);
 }
@@ -279,6 +282,72 @@ TEST(AssemblerTest, AlignPadsTextWithNops) {
   const auto pad = Decode(obj->text.data() + 8);
   ASSERT_TRUE(pad.has_value());
   EXPECT_EQ(pad->op, Opcode::kNop);
+}
+
+// A zero run that ends .data stays a count on the object (the bench's
+// ried_kvstore heap is 16 MiB of it); it is written out only when a byte
+// follows it, and labels and alignment count it either way.
+TEST(AssemblerTest, TrailingSpaceStaysACount) {
+  auto obj = Assemble(R"(
+    .data
+    a: .quad 7
+    .space 16777216
+  )");
+  ASSERT_TRUE(obj.ok()) << obj.status();
+  EXPECT_EQ(obj->data.size(), 8u);
+  EXPECT_EQ(obj->data_zero_tail, 16777216u);
+  EXPECT_EQ(obj->DataExtent(), 16777224u);
+}
+
+TEST(AssemblerTest, SpaceFollowedByDataIsWrittenOut) {
+  auto obj = Assemble(R"(
+    .data
+    .space 16
+    b: .quad 9
+  )");
+  ASSERT_TRUE(obj.ok()) << obj.status();
+  EXPECT_EQ(obj->data_zero_tail, 0u);
+  ASSERT_EQ(obj->data.size(), 24u);
+  for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(obj->data[i], 0u) << i;
+  EXPECT_EQ(obj->data[16], 9u);
+  EXPECT_EQ(obj->FindSymbol("b")->offset, 16u);
+}
+
+TEST(AssemblerTest, LabelAfterPendingSpaceCountsIt) {
+  auto obj = Assemble(R"(
+    .data
+    a: .byte 1
+    .space 100
+    b: .space 8
+    c:
+    .text
+    f: lea a0, c
+  )");
+  ASSERT_TRUE(obj.ok()) << obj.status();
+  EXPECT_EQ(obj->FindSymbol("b")->offset, 101u);
+  EXPECT_EQ(obj->FindSymbol("c")->offset, 109u);
+  EXPECT_EQ(obj->data.size(), 1u);
+  EXPECT_EQ(obj->data_zero_tail, 108u);
+}
+
+TEST(AssemblerTest, AlignAfterSpaceCountsThePendingRun) {
+  auto obj = Assemble(R"(
+    .data
+    a: .byte 1
+    .space 3
+    .align 8
+    b: .quad 2
+    .space 3
+    .align 16
+  )");
+  ASSERT_TRUE(obj.ok()) << obj.status();
+  EXPECT_EQ(obj->FindSymbol("b")->offset, 8u);
+  ASSERT_EQ(obj->data.size(), 16u);
+  EXPECT_EQ(obj->data[0], 1u);
+  for (std::size_t i = 1; i < 8; ++i) EXPECT_EQ(obj->data[i], 0u) << i;
+  EXPECT_EQ(obj->data[8], 2u);
+  EXPECT_EQ(obj->data_zero_tail, 16u);  // 3 zeros, then 13 to reach 32
+  EXPECT_EQ(obj->DataExtent(), 32u);
 }
 
 // --------------------------------------------------------- disassembler

@@ -151,6 +151,15 @@ TEST(LinkerTest, JamOptionsForbidWritableData) {
   auto image = Link(std::vector<vm::ObjectCode>{*with_data}, jam_opts);
   ASSERT_FALSE(image.ok());
   EXPECT_EQ(image.status().code(), StatusCode::kInvalidArgument);
+  // A .data of zeros only is still writable data, though the object keeps
+  // it as a count and writes no byte of it.
+  auto zeros_only = vm::Assemble(".data\ng: .space 8\n.text\nf: ret");
+  ASSERT_TRUE(zeros_only.ok());
+  ASSERT_TRUE(zeros_only->data.empty());
+  EXPECT_EQ(Link(std::vector<vm::ObjectCode>{*zeros_only}, jam_opts)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(LinkerTest, CompactLayoutForJams) {
@@ -326,6 +335,7 @@ TEST(FormatTest, ObjectRoundTrip) {
     s: .asciz "two-chains"
     .data
     g: .quad s
+    .space 4096
     .text
     .global f
     f:
@@ -340,6 +350,7 @@ TEST(FormatTest, ObjectRoundTrip) {
   EXPECT_EQ(parsed->text, obj.text);
   EXPECT_EQ(parsed->rodata, obj.rodata);
   EXPECT_EQ(parsed->data, obj.data);
+  EXPECT_EQ(parsed->data_zero_tail, 4096u);
   EXPECT_EQ(parsed->symbols.size(), obj.symbols.size());
   EXPECT_EQ(parsed->relocs.size(), obj.relocs.size());
   for (std::size_t i = 0; i < obj.relocs.size(); ++i) {

@@ -174,7 +174,8 @@ TEST(PackageGoldenTest, ZeroFilledGlobalsMatchGoldenBytes) {
   // Golden copy of the serialized package: its size and FNV-1a digest.
   // Zero tails are not serialized, and total_size rounds the trailing heap
   // up to a page, so the layout is pinned directly too: the assembled .data
-  // extent fails on a wrong .space count anywhere, heap's included.
+  // extent (written bytes plus the trailing zero count) fails on a wrong
+  // .space count anywhere, heap's included.
   EXPECT_EQ(bytes.size(), 1088u);
   EXPECT_EQ(Fnv1a(bytes), 0x82394477e3d28cc4ull);
   ASSERT_EQ(pkg->elements.size(), 1u);
@@ -186,7 +187,7 @@ TEST(PackageGoldenTest, ZeroFilledGlobalsMatchGoldenBytes) {
   EXPECT_EQ(ried.exports.at("heap").offset, 4432u);
   const auto compiled = amcc::Compile(kRiedZeroFill, "ried_fill.rdc");
   ASSERT_TRUE(compiled.ok()) << compiled.status();
-  EXPECT_EQ(compiled->object.data.size(), 16777552u);
+  EXPECT_EQ(compiled->object.DataExtent(), 16777552u);
 }
 
 TEST(PackageBuilderErrorsTest, MissingEntrySymbol) {
