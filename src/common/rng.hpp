@@ -33,15 +33,6 @@ class Xoshiro256 {
   /// Uniform double in [0, 1).
   double NextDouble() noexcept;
 
-  /// Uniform in [lo, hi] inclusive. Covers the full u64 domain:
-  /// NextInRange(0, UINT64_MAX) is a raw Next() draw (the naive
-  /// `hi - lo + 1` bound would wrap to 0 there and degenerate to `lo`).
-  std::uint64_t NextInRange(std::uint64_t lo, std::uint64_t hi) noexcept {
-    const std::uint64_t span = hi - lo;  // inclusive width minus one
-    if (span == ~std::uint64_t{0}) return Next();
-    return lo + NextBelow(span + 1);
-  }
-
   /// True with probability p (clamped to [0,1]).
   bool NextBernoulli(double p) noexcept { return NextDouble() < p; }
 

@@ -2,29 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace twochains {
-
-void RunningStat::Add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStat::variance() const noexcept {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStat::stddev() const noexcept { return std::sqrt(variance()); }
 
 PicoTime LatencySample::Percentile(double q) const {
   if (samples_.empty()) return 0;
@@ -58,23 +37,6 @@ double LatencySample::MeanNanos() const {
 
 PicoTime LatencySample::Min() const { return Percentile(0.0); }
 PicoTime LatencySample::Max() const { return Percentile(1.0); }
-
-Histogram::Histogram(std::vector<double> boundaries)
-    : boundaries_(std::move(boundaries)),
-      counts_(boundaries_.size() + 1, 0) {
-  for (std::size_t i = 1; i < boundaries_.size(); ++i) {
-    if (boundaries_[i] <= boundaries_[i - 1]) {
-      throw std::invalid_argument("Histogram boundaries must ascend");
-    }
-  }
-}
-
-void Histogram::Add(double x) noexcept {
-  const auto it =
-      std::upper_bound(boundaries_.begin(), boundaries_.end(), x);
-  counts_[static_cast<std::size_t>(it - boundaries_.begin())]++;
-  ++total_;
-}
 
 double MegabytesPerSecond(std::uint64_t bytes, PicoTime duration) noexcept {
   if (duration == 0) return 0.0;

@@ -4,7 +4,7 @@
 // message rates, bandwidths, and the derived "tail latency spread"
 // (tail - median) / median (its Eq. 1). LatencySample keeps the raw samples
 // (benchmark iteration counts here are modest) and computes exact order
-// statistics; RunningStat provides streaming mean/variance for tests.
+// statistics.
 #pragma once
 
 #include <cstddef>
@@ -14,26 +14,6 @@
 #include "common/units.hpp"
 
 namespace twochains {
-
-/// Streaming mean / variance / extrema (Welford's algorithm).
-class RunningStat {
- public:
-  void Add(double x) noexcept;
-  std::size_t count() const noexcept { return n_; }
-  double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const noexcept;
-  double stddev() const noexcept;
-  double min() const noexcept { return n_ ? min_ : 0.0; }
-  double max() const noexcept { return n_ ? max_ : 0.0; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Collects latency samples (picoseconds) and reports order statistics.
 class LatencySample {
@@ -71,24 +51,6 @@ class LatencySample {
  private:
   mutable std::vector<PicoTime> samples_;
   mutable bool sorted_ = false;
-};
-
-/// Fixed-boundary histogram used by property tests to sanity-check the
-/// interference model's distribution shape.
-class Histogram {
- public:
-  /// Buckets: [0,b0), [b0,b1), ..., [b_{n-1}, inf). Boundaries ascending.
-  explicit Histogram(std::vector<double> boundaries);
-
-  void Add(double x) noexcept;
-  std::size_t BucketCount() const noexcept { return counts_.size(); }
-  std::uint64_t BucketValue(std::size_t i) const { return counts_.at(i); }
-  std::uint64_t TotalCount() const noexcept { return total_; }
-
- private:
-  std::vector<double> boundaries_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 /// Converts bytes moved over a duration into MB/s (decimal megabytes,

@@ -1,5 +1,5 @@
-// In-memory object-code model shared by the assembler, the JELF serializer,
-// the static linker, and the GOT rewriter.
+// In-memory object-code model shared by the assembler, the static linker,
+// and the GOT rewriter.
 //
 // An ObjectCode is the output of assembling one source unit: three section
 // byte vectors, a symbol table, and relocations against symbols whose final

@@ -70,10 +70,11 @@ struct LoadOptions {
 
 /// Structural validation of a LinkedImage's declared layout: sections in
 /// order (text, rodata, GOT, data), none overlapping, everything inside
-/// total_size, exports and fixups in-image. Packages cross the wire
-/// (pkg::ParsePackage), so these offsets are attacker-controlled — a
-/// hostile image with got_offset < text.size() would otherwise wrap the
-/// verifier's rodata bound and overflow the injectable-blob copy.
+/// total_size, exports and fixups in-image. Runtime::LoadPackage is where
+/// any package enters a host, and it runs this over every image before
+/// loading, so the offsets are not trusted — a hostile image with
+/// got_offset < text.size() would otherwise wrap the verifier's rodata
+/// bound and overflow the injectable-blob copy.
 Status ValidateImageLayout(const LinkedImage& image);
 
 /// Loads @p image into @p memory, binding against (and extending)

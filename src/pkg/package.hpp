@@ -20,9 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -45,9 +42,6 @@ struct BuiltElement {
   /// Rieds: the page-aligned library image. For jams this is empty — local
   /// invocation uses the package's combined local library instead.
   jelf::LinkedImage ried_image;
-
-  /// Generated assembly (diagnostics).
-  std::string asm_text;
 };
 
 struct Package {
@@ -59,7 +53,6 @@ struct Package {
   jelf::LinkedImage local_library;
 
   const BuiltElement* Find(ElementKind kind, const std::string& name) const;
-  const BuiltElement* FindById(std::uint32_t element_id) const;
 
   /// The generated package header (paper: "the build process generates a
   /// package header file"): element IDs and entry symbols as C text.
@@ -85,27 +78,5 @@ class PackageBuilder {
   };
   std::vector<SourceFile> sources_;
 };
-
-/// In-memory "install directory": packages serialized to byte blobs, as the
-/// paper's install path makes packages addressable by name at runtime.
-class InstallRegistry {
- public:
-  Status Install(const Package& package);
-  StatusOr<Package> Load(const std::string& name) const;
-  bool Contains(const std::string& name) const {
-    return blobs_.contains(name);
-  }
-
-  /// Raw bytes (what a ried shipped to a remote host looks like on the
-  /// wire).
-  StatusOr<std::vector<std::uint8_t>> Blob(const std::string& name) const;
-
- private:
-  std::map<std::string, std::vector<std::uint8_t>> blobs_;
-};
-
-/// Package <-> bytes (jelf-based container).
-std::vector<std::uint8_t> SerializePackage(const Package& package);
-StatusOr<Package> ParsePackage(std::span<const std::uint8_t> bytes);
 
 }  // namespace twochains::pkg

@@ -1,5 +1,5 @@
 // Tests for the JELF toolchain layer: static linking, the GOT rewrite,
-// serialization round trips, dynamic loading with namespace binding, and
+// layout validation, dynamic loading with namespace binding, and
 // library hot-swap rebinding — the remote-linking machinery of §III.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "jamvm/assembler.hpp"
 #include "jamvm/interpreter.hpp"
 #include "jamvm/isa.hpp"
-#include "jelf/format.hpp"
 #include "jelf/got_rewriter.hpp"
 #include "jelf/image.hpp"
 #include "jelf/linker.hpp"
@@ -188,7 +187,8 @@ TEST(LinkerTest, EmptyLinkRejected) {
 // A well-formed image exercising every section: rodata, a GOT slot, and
 // writable data. Tests below mutate one field at a time and expect
 // ValidateImageLayout to call out exactly that corruption — the same gate
-// the runtime runs over attacker-supplied package layouts.
+// Runtime::LoadPackage, where any package enters a host, runs over every
+// image a package carries.
 LinkedImage LayoutFixture() {
   return MustLink({MustAssemble(R"(
     .extern ext
@@ -326,75 +326,6 @@ TEST(GotRewriterTest, IdempotentOnRewrittenImage) {
   EXPECT_EQ(again->rewritten, 0u);
 }
 
-// --------------------------------------------------------------- format
-
-TEST(FormatTest, ObjectRoundTrip) {
-  auto obj = MustAssemble(R"(
-    .extern helper
-    .rodata
-    s: .asciz "two-chains"
-    .data
-    g: .quad s
-    .space 4096
-    .text
-    .global f
-    f:
-      ldg t0, @helper
-      lea a0, s
-      ret
-  )", "roundtrip.s");
-  const auto bytes = SerializeObject(obj);
-  auto parsed = ParseObject(bytes);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->source_name, obj.source_name);
-  EXPECT_EQ(parsed->text, obj.text);
-  EXPECT_EQ(parsed->rodata, obj.rodata);
-  EXPECT_EQ(parsed->data, obj.data);
-  EXPECT_EQ(parsed->data_zero_tail, 4096u);
-  EXPECT_EQ(parsed->symbols.size(), obj.symbols.size());
-  EXPECT_EQ(parsed->relocs.size(), obj.relocs.size());
-  for (std::size_t i = 0; i < obj.relocs.size(); ++i) {
-    EXPECT_EQ(parsed->relocs[i].kind, obj.relocs[i].kind);
-    EXPECT_EQ(parsed->relocs[i].symbol, obj.relocs[i].symbol);
-    EXPECT_EQ(parsed->relocs[i].offset, obj.relocs[i].offset);
-  }
-}
-
-TEST(FormatTest, ImageRoundTrip) {
-  auto image = MustLink({MustAssemble(R"(
-    .extern helper
-    .global f
-    f:
-      ldg t0, @helper
-      ret
-  )")});
-  const auto bytes = SerializeImage(image);
-  auto parsed = ParseImage(bytes);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->name, image.name);
-  EXPECT_EQ(parsed->text, image.text);
-  EXPECT_EQ(parsed->got_symbols, image.got_symbols);
-  EXPECT_EQ(parsed->got_offset, image.got_offset);
-  EXPECT_EQ(parsed->total_size, image.total_size);
-  EXPECT_EQ(parsed->exports.size(), image.exports.size());
-}
-
-TEST(FormatTest, CorruptionDetected) {
-  auto obj = MustAssemble("f: ret");
-  auto bytes = SerializeObject(obj);
-  bytes[0] ^= 0xFF;  // break magic
-  EXPECT_EQ(ParseObject(bytes).status().code(), StatusCode::kDataLoss);
-
-  auto good = SerializeObject(obj);
-  good.resize(good.size() / 2);  // truncate
-  EXPECT_EQ(ParseObject(good).status().code(), StatusCode::kDataLoss);
-
-  // Wrong record type.
-  auto image = MustLink({obj});
-  EXPECT_EQ(ParseObject(SerializeImage(image)).status().code(),
-            StatusCode::kDataLoss);
-}
-
 // --------------------------------------------------------------- loader
 
 class LoaderTest : public ::testing::Test {
@@ -525,7 +456,6 @@ TEST_F(LoaderTest, ZeroTailIsNotStoredAndReadsZeroOnReusedPages) {
   EXPECT_EQ(lib.total_size, 1056768u);
   EXPECT_EQ(lib.exports.at("a").offset, 4096u);
   EXPECT_EQ(lib.exports.at("b").offset, 4168u);
-  EXPECT_LT(SerializeImage(lib).size(), KiB(4));
 
   // Dirty the pages the library will land on, then give them back.
   auto dirty = mem_.Allocate(lib.total_size, mem::kPageSize, mem::Perm::kRW,

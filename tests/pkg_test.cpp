@@ -1,6 +1,6 @@
 // Tests for the package builder: canonical naming, dual-variant jam builds
 // (local + GOT-rewritten injected), ried libraries, header generation, and
-// package serialization round trips.
+// the golden layout of zero-filled globals.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -71,7 +71,6 @@ TEST_F(BuiltPackageTest, ElementsAndIds) {
   EXPECT_EQ(jam->entry_symbol, "jam_append");
   EXPECT_EQ(ried->entry_symbol, "ried_array");
   EXPECT_NE(jam->element_id, ried->element_id);
-  EXPECT_EQ(pkg_.FindById(jam->element_id), jam);
   EXPECT_EQ(pkg_.Find(ElementKind::kJam, "array"), nullptr);
 }
 
@@ -112,41 +111,6 @@ TEST_F(BuiltPackageTest, GeneratedHeaderListsElements) {
   EXPECT_NE(header.find("jam_append"), std::string::npos);
 }
 
-TEST_F(BuiltPackageTest, SerializationRoundTrip) {
-  const auto bytes = SerializePackage(pkg_);
-  auto parsed = ParsePackage(bytes);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->name, pkg_.name);
-  ASSERT_EQ(parsed->elements.size(), pkg_.elements.size());
-  for (std::size_t i = 0; i < pkg_.elements.size(); ++i) {
-    EXPECT_EQ(parsed->elements[i].name, pkg_.elements[i].name);
-    EXPECT_EQ(parsed->elements[i].entry_symbol,
-              pkg_.elements[i].entry_symbol);
-    EXPECT_EQ(parsed->elements[i].injected_image.text,
-              pkg_.elements[i].injected_image.text);
-  }
-  EXPECT_EQ(parsed->local_library.text, pkg_.local_library.text);
-}
-
-TEST_F(BuiltPackageTest, CorruptedBlobDetected) {
-  auto bytes = SerializePackage(pkg_);
-  bytes[1] ^= 0xFF;
-  EXPECT_FALSE(ParsePackage(bytes).ok());
-}
-
-TEST_F(BuiltPackageTest, InstallRegistry) {
-  InstallRegistry registry;
-  ASSERT_TRUE(registry.Install(pkg_).ok());
-  EXPECT_EQ(registry.Install(pkg_).code(), StatusCode::kAlreadyExists);
-  EXPECT_TRUE(registry.Contains("demo"));
-  EXPECT_FALSE(registry.Contains("nope"));
-  auto loaded = registry.Load("demo");
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->name, "demo");
-  EXPECT_EQ(registry.Load("nope").status().code(), StatusCode::kNotFound);
-  EXPECT_TRUE(registry.Blob("demo").ok());
-}
-
 // Zero-initialised globals assemble to `.space` directives along all three
 // codegen paths: a padded string, a partly initialised list, and a plain
 // array (16 MiB here, the size of ried_kvstore's heap).
@@ -170,16 +134,19 @@ TEST(PackageGoldenTest, ZeroFilledGlobalsMatchGoldenBytes) {
   ASSERT_TRUE(builder.AddSourceFile("ried_fill.rdc", kRiedZeroFill).ok());
   auto pkg = builder.Build("fill");
   ASSERT_TRUE(pkg.ok()) << pkg.status();
-  const std::vector<std::uint8_t> bytes = SerializePackage(*pkg);
-  // Golden copy of the serialized package: its size and FNV-1a digest.
-  // Zero tails are not serialized, and total_size rounds the trailing heap
-  // up to a page, so the layout is pinned directly too: the assembled .data
-  // extent (written bytes plus the trailing zero count) fails on a wrong
-  // .space count anywhere, heap's included.
-  EXPECT_EQ(bytes.size(), 1088u);
-  EXPECT_EQ(Fnv1a(bytes), 0x82394477e3d28cc4ull);
   ASSERT_EQ(pkg->elements.size(), 1u);
   const jelf::LinkedImage& ried = pkg->elements[0].ried_image;
+  // Golden copy of the ried image's stored bytes (text, rodata, data): their
+  // size and FNV-1a digest. The zero tail is not stored, and total_size
+  // rounds the trailing heap up to a page, so the layout is pinned directly
+  // too: the assembled .data extent (written bytes plus the trailing zero
+  // count) fails on a wrong .space count anywhere, heap's included.
+  std::vector<std::uint8_t> stored = ried.text;
+  stored.insert(stored.end(), ried.rodata.begin(), ried.rodata.end());
+  stored.insert(stored.end(), ried.data.begin(), ried.data.end());
+  EXPECT_EQ(stored.size(), 641u);
+  EXPECT_EQ(ried.data.size(), 41u);
+  EXPECT_EQ(Fnv1a(stored), 0x82392fc65a2fd120ull);
   EXPECT_EQ(ried.total_size, 16785408u);
   EXPECT_EQ(ried.data_offset, 4096u);
   EXPECT_EQ(ried.exports.at("tag").offset, 4096u);

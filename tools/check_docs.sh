@@ -6,8 +6,10 @@
 # when a field is added without a docs entry or deleted with its row
 # left behind, so the tuning page can never silently rot. Likewise every
 # constant docs/*.md or README.md cites as a backticked `ns::kName` must
-# still be defined under src/, and every bank-record field they cite as
-# `RecvBank::name` or `SendBank::name` must still be a field of that
+# still be defined under src/, every function or type they cite by
+# qualified name, such as `jelf::ValidateImageLayout`, must still be
+# declared by a header under src/, and every bank-record field they cite
+# as `RecvBank::name` or `SendBank::name` must still be a field of that
 # record in src/core/runtime.hpp. Pure grep/sed — no build needed, POSIX
 # awk suffices.
 set -euo pipefail
@@ -149,6 +151,49 @@ elif [ -n "$stale_constants" ]; then
   fail=1
 else
   echo "OK: all $cited constants the docs cite are defined under src/"
+fi
+
+# Functions and types the docs cite by qualified name, such as
+# `jelf::ValidateImageLayout`, `Runtime::InvokeFrame` or
+# `bench::PaperFabric()`: a header under src/ whose code (comments
+# stripped) opens namespace twochains::<qualifier>, or declares a class or
+# struct <qualifier>, must declare the name as a type or a function. A
+# cited name starts upper-case or ends in "()"; constants and bank-record
+# fields have their own checks.
+cited_re='`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)*::'
+cited_re="$cited_re"'([A-Z][A-Za-z0-9_]*(\(\))?|[a-z_][A-Za-z0-9_]*\(\))`'
+stale_names=""
+cited=0
+while read -r ref; do
+  [ -z "$ref" ] && continue
+  cited=$((cited + 1))
+  path="${ref%()}"
+  name="${path##*::}"
+  qual="${path%::*}"
+  qual="${qual##*::}"
+  scope="^namespace twochains::([a-z_]+::)*$qual \{|(class|struct) $qual( |\$)"
+  decl="(class|struct|enum( class)?|using) $name( |\$)"
+  decl="$decl|(^|[^A-Za-z0-9_.>:])$name *\("
+  declared=0
+  while read -r file; do
+    [ -z "$file" ] && continue
+    code="$(sed -E 's://.*$::' "$file")"
+    if grep -Eq "$scope" <<< "$code" && grep -Eq "$decl" <<< "$code"; then
+      declared=1
+      break
+    fi
+  done < <(grep -rlw --include='*.hpp' -- "$name" src || true)
+  [ "$declared" -eq 1 ] || stale_names="$stale_names $ref"
+done < <(cat docs/*.md README.md |
+  { grep -oE "$cited_re" || true; } | tr -d '`' | sort -u)
+if [ "$cited" -eq 0 ]; then
+  echo "FAIL: found no cited functions or types in the docs (script rot?)"
+  fail=1
+elif [ -n "$stale_names" ]; then
+  echo "FAIL: docs cite functions or types no src/ header declares:$stale_names"
+  fail=1
+else
+  echo "OK: all $cited functions and types the docs cite are declared in src/"
 fi
 
 # Bank-record fields the docs cite, such as `RecvBank::claim`: the record,
