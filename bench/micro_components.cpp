@@ -148,7 +148,7 @@ void BM_AmccCompile(benchmark::State& state) {
   )";
   for (auto _ : state) {
     auto result = amcc::Compile(source, "bench.amc");
-    benchmark::DoNotOptimize(result->object.text.size());
+    benchmark::DoNotOptimize(result->text.size());
   }
 }
 BENCHMARK(BM_AmccCompile);

@@ -24,10 +24,10 @@ std::string Type::ToString() const {
   return s;
 }
 
-StatusOr<CompileResult> Compile(std::string_view source,
-                                const std::string& unit_name) {
+StatusOr<vm::ObjectCode> Compile(std::string_view source,
+                                 const std::string& unit_name) {
   TC_ASSIGN_OR_RETURN(const Unit unit, Parse(source, unit_name));
-  TC_ASSIGN_OR_RETURN(std::string asm_text, GenerateAsm(unit));
+  TC_ASSIGN_OR_RETURN(const std::string asm_text, GenerateAsm(unit));
   auto object = vm::Assemble(asm_text, unit_name);
   if (!object.ok()) {
     // An assembler rejection of generated code is a compiler bug; surface
@@ -36,10 +36,7 @@ StatusOr<CompileResult> Compile(std::string_view source,
                               object.status().message().c_str(),
                               asm_text.c_str()));
   }
-  CompileResult result;
-  result.object = std::move(object).value();
-  result.asm_text = std::move(asm_text);
-  return result;
+  return object;
 }
 
 }  // namespace twochains::amcc

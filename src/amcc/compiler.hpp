@@ -15,13 +15,8 @@
 
 namespace twochains::amcc {
 
-struct CompileResult {
-  vm::ObjectCode object;
-  std::string asm_text;  ///< generated assembly (diagnostics / tests)
-};
-
 /// Compiles one AMC translation unit.
-StatusOr<CompileResult> Compile(std::string_view source,
-                                const std::string& unit_name);
+StatusOr<vm::ObjectCode> Compile(std::string_view source,
+                                 const std::string& unit_name);
 
 }  // namespace twochains::amcc

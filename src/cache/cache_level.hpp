@@ -1,4 +1,4 @@
-// A single set-associative, LRU cache level (tag array only — the simulator
+// A single set-associative, LRU cache level (tags only — the simulator
 // keeps data in HostMemory; caches model *where* bytes live, not the bytes).
 #pragma once
 
@@ -13,12 +13,14 @@ namespace twochains::cache {
 class CacheLevel {
  public:
   /// Lines are kCacheLineBytes. A geometry the level cannot model (no
-  /// ways, or a size that is not a power-of-two number of sets of
-  /// ways * kCacheLineBytes) is clamped to at least one way and the largest
-  /// power-of-two set count that fits (at least one), with a warning.
+  /// ways, more than 65536 ways, or a size that is not a power-of-two
+  /// number of sets of ways * kCacheLineBytes) is clamped to 1..65536 ways
+  /// and the largest power-of-two set count that fits (at least one), with
+  /// a warning. A level needing 2^32 - 1 or more pool keys (a cache of
+  /// about 256 GiB) throws std::bad_alloc.
   explicit CacheLevel(const LevelConfig& config);
-  /// The tag array is one mapping with one owner: a move hands it over,
-  /// and there is no copy.
+  /// The tags are one mapping with one owner: a move hands it over, and
+  /// there is no copy.
   CacheLevel(CacheLevel&& other) noexcept;
   CacheLevel& operator=(CacheLevel&&) = delete;
   CacheLevel(const CacheLevel&) = delete;
@@ -30,8 +32,8 @@ class CacheLevel {
   /// a no-op.
   bool Lookup(mem::VirtAddr addr) noexcept {
     const std::uint64_t key = KeyOf(addr);
-    std::uint64_t* set = SetOf(key);
-    if (set[0] == key) return true;
+    SetHead& set = SetOf(key);
+    if (set.mru == key) return true;
     return LookupBehindMru(key, set);
   }
 
@@ -46,18 +48,10 @@ class CacheLevel {
   /// Insert for a line the caller knows is absent (its Lookup just missed
   /// and nothing touched this level since): installs it at MRU without
   /// searching the set again.
-  void InsertAbsent(mem::VirtAddr addr) noexcept {
-    const std::uint64_t key = KeyOf(addr);
-    std::uint64_t* set = SetOf(key);
-    // Shift everything down one way; LRU (last way) falls out, so only a
-    // set with an empty way gains a line.
-    population_ += set[ways_ - 1] == 0;
-    for (std::uint32_t i = ways_ - 1; i > 0; --i) set[i] = set[i - 1];
-    set[0] = key;
-  }
+  void InsertAbsent(mem::VirtAddr addr) noexcept;
 
   /// Drops the line containing @p addr if present. Returns true if dropped.
-  /// An empty level returns at once.
+  /// An empty level returns at once, and so does an empty set.
   bool Invalidate(mem::VirtAddr addr) noexcept;
 
   /// Invalidates every line intersecting [addr, addr+size). An empty level
@@ -75,38 +69,62 @@ class CacheLevel {
   std::uint64_t PopulationCount() const noexcept { return population_; }
 
  private:
+  /// One set. The MRU line's key sits in the head itself, so an MRU hit
+  /// is one load and compare and an empty set (mru 0) answers in one load.
+  /// When the set first holds a second line it is given a block of the
+  /// level's pool for ways 1..: min(ways - 1, 3) keys, grown once to
+  /// ways - 1, most recent first with the valid keys in front. A set keeps
+  /// its block until Clear, however many lines it later drops.
+  struct SetHead {
+    std::uint64_t mru;        // key of the MRU line; 0 = the set is empty
+    std::uint32_t block;      // pool index of the block's first key
+    std::uint16_t behind;     // valid keys in the block (lines - 1, or 0)
+    std::uint16_t capacity;   // keys the block holds; 0 = no block yet
+  };
+
   /// A way holds its line number plus one, so 0 marks an empty way and
   /// line 0 stays cacheable (a 64 B line number is below 2^58: no wrap).
   static std::uint64_t KeyOf(mem::VirtAddr addr) noexcept {
     return addr / kCacheLineBytes + 1;
   }
-  std::uint64_t* SetOf(std::uint64_t key) const noexcept {
-    return tags_ + ((key - 1) & (sets_ - 1)) * ways_;
+  SetHead& SetOf(std::uint64_t key) const noexcept {
+    return heads_[(key - 1) & (sets_ - 1)];
   }
-  std::size_t TagBytes() const noexcept {
-    return std::size_t{sets_} * ways_ * sizeof(std::uint64_t);
+  /// Pool keys the level can hand out at most (see the .cpp).
+  std::size_t PoolKeys() const noexcept;
+  std::size_t MapBytes() const noexcept {
+    return std::size_t{sets_} * sizeof(SetHead) +
+           PoolKeys() * sizeof(std::uint64_t);
   }
 
-  /// Lookup's search of ways 1.. of @p set; a hit moves the line to the
-  /// MRU way.
-  bool LookupBehindMru(std::uint64_t key, std::uint64_t* set) noexcept;
+  /// Lookup's search of @p set's block; a hit moves the line to the head.
+  bool LookupBehindMru(std::uint64_t key, SetHead& set) noexcept;
+  /// Gives @p set its first block, or moves its keys to a full-size one.
+  void GrowBlock(SetHead& set) noexcept;
 
-  // 32 bytes in all (static_assert in the .cpp): every host holds one level
+  // 48 bytes in all (static_assert in the .cpp): every host holds one level
   // per core per private cache, so each byte here is paid many times.
   std::uint32_t ways_;
   std::uint32_t sets_;
   // Valid lines across every set, kept by InsertAbsent, Invalidate and
   // Clear; zero lets an invalidation skip the level.
   std::uint32_t population_ = 0;
+  // Pool keys carved so far: blocks are handed out in the order sets first
+  // need them, so the pool's touched pages follow the lines held, not the
+  // sets touched.
+  std::uint32_t pool_top_ = 0;
+  // First-size blocks given back when their set grew, linked through each
+  // one's first key; kNoBlock ends the list.
+  std::uint32_t free_blocks_;
   Cycles hit_cycles_;
-  // Each set is a contiguous slice of `ways_` keys, most recently used
-  // first, with its empty ways (0) at the end. A private anonymous mapping,
-  // so at every size construction writes nothing, a set nothing touches
-  // never faults its page in, and the pages go back at destruction. calloc
-  // would serve an L1's 8 KiB from the heap: zero-filled on every reuse,
-  // and in a process that builds fabric after fabric, heap and peak RSS
-  // would grow with each one.
-  std::uint64_t* tags_ = nullptr;
+  // One private anonymous mapping: sets_ heads, then the pool. At every
+  // size construction writes nothing, a page nothing touches is never
+  // faulted in, and the pages go back at destruction. calloc would serve
+  // an L1's tags from the heap: zero-filled on every reuse, and in a
+  // process that builds fabric after fabric, heap and peak RSS would grow
+  // with each one.
+  SetHead* heads_ = nullptr;
+  std::uint64_t* pool_ = nullptr;
 };
 
 }  // namespace twochains::cache

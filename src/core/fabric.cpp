@@ -6,6 +6,10 @@
 #include <system_error>
 #include <thread>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/log.hpp"
 #include "common/strfmt.hpp"
 
@@ -43,6 +47,9 @@ sim::EngineConfig EngineConfigFor(const FabricOptions& options) {
 /// must not share unsynchronised state. An exception a job throws is
 /// rethrown here after every thread has joined (the lowest index's, if
 /// several throw). With one thread this is a loop in index order.
+/// Under glibc, what jobs freed in the helper threads' malloc arenas goes
+/// back to the system after the join; kept, it would stay resident until
+/// some later call's threads reused those arenas.
 void RunIndexed(std::size_t n, const std::function<void(std::size_t)>& job) {
   std::atomic<std::size_t> next{0};
   std::vector<std::exception_ptr> thrown(n);
@@ -67,6 +74,9 @@ void RunIndexed(std::size_t n, const std::function<void(std::size_t)>& job) {
   }
   work();
   for (std::thread& helper : helpers) helper.join();
+#if defined(__GLIBC__)
+  if (!helpers.empty()) malloc_trim(0);
+#endif
   for (const std::exception_ptr& e : thrown) {
     if (e) std::rethrow_exception(e);
   }

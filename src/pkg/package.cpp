@@ -71,7 +71,7 @@ StatusOr<Package> PackageBuilder::Build(const std::string& package_name) const {
 
   std::uint32_t next_id = 0;
   for (const auto& sf : sources_) {
-    TC_ASSIGN_OR_RETURN(const amcc::CompileResult compiled,
+    TC_ASSIGN_OR_RETURN(const vm::ObjectCode object,
                         amcc::Compile(sf.source, sf.file_name));
     BuiltElement elem;
     elem.kind = sf.kind;
@@ -80,8 +80,8 @@ StatusOr<Package> PackageBuilder::Build(const std::string& package_name) const {
     elem.entry_symbol =
         (sf.kind == ElementKind::kJam ? "jam_" : "ried_") + sf.element_name;
 
-    if (compiled.object.FindSymbol(elem.entry_symbol) == nullptr ||
-        !compiled.object.FindSymbol(elem.entry_symbol)->defined) {
+    if (object.FindSymbol(elem.entry_symbol) == nullptr ||
+        !object.FindSymbol(elem.entry_symbol)->defined) {
       return NotFound(StrFormat(
           "%s: canonical entry symbol '%s' is not defined",
           sf.file_name.c_str(), elem.entry_symbol.c_str()));
@@ -94,16 +94,16 @@ StatusOr<Package> PackageBuilder::Build(const std::string& package_name) const {
       jam_opts.page_align_sections = false;
       jam_opts.forbid_writable_data = true;
       TC_ASSIGN_OR_RETURN(elem.injected_image,
-                          jelf::Link({&compiled.object, 1}, jam_opts));
+                          jelf::Link({&object, 1}, jam_opts));
       TC_ASSIGN_OR_RETURN(const auto stats,
                           jelf::RewriteGotAccesses(elem.injected_image));
       (void)stats;
-      jam_objects.push_back(compiled.object);
+      jam_objects.push_back(object);
     } else {
       jelf::LinkOptions ried_opts;
       ried_opts.image_name = package_name + ".ried." + sf.element_name;
       TC_ASSIGN_OR_RETURN(elem.ried_image,
-                          jelf::Link({&compiled.object, 1}, ried_opts));
+                          jelf::Link({&object, 1}, ried_opts));
     }
     pkg.elements.push_back(std::move(elem));
   }

@@ -47,12 +47,12 @@ class AmccTest : public ::testing::Test {
   /// Compile + link + load. Returns the loaded library.
   StatusOr<jelf::LoadedLibrary> Build(const std::string& source,
                                       const std::string& name = "test.amc") {
-    TC_ASSIGN_OR_RETURN(const CompileResult compiled, Compile(source, name));
+    TC_ASSIGN_OR_RETURN(const vm::ObjectCode object, Compile(source, name));
     jelf::LinkOptions link_opts;
     link_opts.image_name = name;
     TC_ASSIGN_OR_RETURN(
         const jelf::LinkedImage image,
-        jelf::Link(std::vector<vm::ObjectCode>{compiled.object}, link_opts));
+        jelf::Link(std::vector<vm::ObjectCode>{object}, link_opts));
     jelf::LoadOptions load_opts;
     // Tests build many units exporting the same "f" into one namespace.
     load_opts.allow_export_override = true;
@@ -321,8 +321,8 @@ TEST_F(AmccTest, ConstGlobalGoesToRodata) {
   auto compiled = Compile("const long magic = 77; long f() { return magic; }",
                           "ro.amc");
   ASSERT_TRUE(compiled.ok()) << compiled.status();
-  EXPECT_FALSE(compiled->object.rodata.empty());
-  EXPECT_TRUE(compiled->object.data.empty());
+  EXPECT_FALSE(compiled->rodata.empty());
+  EXPECT_TRUE(compiled->data.empty());
   EXPECT_EQ(Run("const long magic = 77; long f() { return magic; }", "f"),
             77u);
 }
@@ -331,7 +331,7 @@ TEST_F(AmccTest, StaticGlobalNotExported) {
   auto compiled =
       Compile("static long hidden = 1; long f() { return hidden; }", "s.amc");
   ASSERT_TRUE(compiled.ok()) << compiled.status();
-  const auto* sym = compiled->object.FindSymbol("hidden");
+  const auto* sym = compiled->FindSymbol("hidden");
   ASSERT_NE(sym, nullptr);
   EXPECT_FALSE(sym->global);
 }
@@ -593,7 +593,7 @@ TEST_F(AmccTest, SeededSourcesRoundTripThroughAssemblerFixpoint) {
                             "}";
     auto compiled = Compile(src, "fix" + std::to_string(round) + ".amc");
     ASSERT_TRUE(compiled.ok()) << compiled.status();
-    const auto& text = compiled->object.text;
+    const auto& text = compiled->text;
     ASSERT_FALSE(text.empty());
 
     auto listing = vm::Disassemble(text);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "cache/cache_level.hpp"
@@ -95,22 +96,85 @@ TEST(CacheLevelTest, PopulationNeverExceedsCapacity) {
   EXPECT_LE(c.PopulationCount(), KiB(4) / kLine);
 }
 
+TEST(CacheLevelTest, ClampsGeometryItCannotModelInEveryBuild) {
+  // No ways: one way, so the 4 KiB level is 64 one-line sets.
+  CacheLevel no_ways(TinyLevel(KiB(4), 0, 1));
+  EXPECT_EQ(no_ways.ways(), 1u);
+  EXPECT_EQ(no_ways.sets(), 64u);
+  no_ways.Insert(0x1000);
+  EXPECT_TRUE(no_ways.Probe(0x1000));
+
+  // Smaller than one set: one set of its ways.
+  CacheLevel tiny(TinyLevel(kLine, 4, 1));
+  EXPECT_EQ(tiny.sets(), 1u);
+  for (std::uint64_t i = 0; i < 6; ++i) tiny.Insert(i * kLine);
+  EXPECT_EQ(tiny.PopulationCount(), 4u);
+
+  // Three sets: the largest power of two that fits, and every set it
+  // reports fills.
+  CacheLevel three(TinyLevel(3 * 4 * kLine, 4, 1));
+  EXPECT_EQ(three.sets(), 2u);
+  for (std::uint64_t i = 0; i < 64; ++i) three.Insert(i * kLine);
+  EXPECT_EQ(three.PopulationCount(), three.sets() * three.ways());
+
+  // More ways than a set's 16-bit counts hold: 65536 ways.
+  CacheLevel wide(TinyLevel(65537 * kLine, 65537, 1));
+  EXPECT_EQ(wide.ways(), 65536u);
+  EXPECT_EQ(wide.sets(), 1u);
+  for (std::uint64_t i = 0; i < 6; ++i) wide.Insert(i * kLine);
+  EXPECT_EQ(wide.PopulationCount(), 6u);
+
+  // Too many tags to index (a 2 TiB level): refused before any mapping.
+  EXPECT_THROW(CacheLevel(TinyLevel(std::uint64_t{1} << 41, 16, 1)),
+               std::bad_alloc);
+
+  // A 0-way LLC: its slice geometry is computed with the clamped ways.
+  HierarchyConfig cfg;
+  cfg.llc.ways = 0;
+  CacheHierarchy h(cfg);
+  h.AccessLine(0, 0x10000, AccessKind::kLoad);
+  EXPECT_TRUE(h.ProbeLLC(0x10000));
+}
+
+class CacheLevelPropertyTest : public ::testing::TestWithParam<std::uint32_t> {};
+
 // Property: after inserting N distinct lines mapping to one set of a
-// W-way cache, exactly the last W survive, in LRU order.
-TEST(CacheLevelTest, LookupMatchesAReferenceLru) {
+// W-way cache, exactly the last W survive.
+TEST_P(CacheLevelPropertyTest, SetKeepsMostRecentWays) {
+  const std::uint32_t ways = GetParam();
+  CacheLevel c(TinyLevel(ways * 8 * kLine, ways, 1));  // 8 sets
+  const std::uint64_t stride = c.sets() * kLine;
+  const int n = static_cast<int>(ways) + 5;
+  for (int i = 0; i < n; ++i) c.Insert(static_cast<std::uint64_t>(i) * stride);
+  for (int i = 0; i < n; ++i) {
+    const bool expect_present = i >= n - static_cast<int>(ways);
+    EXPECT_EQ(c.Probe(static_cast<std::uint64_t>(i) * stride), expect_present)
+        << "line " << i << " ways=" << ways;
+  }
+}
+
+TEST_P(CacheLevelPropertyTest, LookupMatchesAReferenceLru) {
   // Lookup answers an MRU-way hit inline and searches the other ways out
-  // of line, InsertAbsent skips the search, and Invalidate compacts the
-  // set and empties its last way; all must keep every set in exact LRU
-  // order, and the level's line count must match the reference after
-  // every step (invalidations of an empty level return on that count).
-  // The reference is one most-recent-first list per set.
-  constexpr std::uint32_t kWays = 4;
-  CacheLevel c(TinyLevel(KiB(2), kWays, 1));  // 8 sets
+  // of line, InsertAbsent skips the search, and Invalidate closes the gap
+  // a line leaves; all must keep every set in exact LRU order, and the
+  // level's line count must match the reference after every step
+  // (invalidations of an empty level return on that count). Each set sees
+  // twice its ways in distinct lines, so at every way count sets fill,
+  // evict, empty and refill, and a Clear partway restarts every set from
+  // empty. The reference is one most-recent-first list per set.
+  const std::uint32_t ways = GetParam();
+  CacheLevel c(TinyLevel(ways * 8 * kLine, ways, 1));  // 8 sets
+  const std::uint64_t lines = 2 * c.sets() * ways;
   std::vector<std::vector<std::uint64_t>> ref(c.sets());
   std::uint64_t population = 0;  // lines across the reference's sets
   Xoshiro256 rng(0x1F0);
   for (int i = 0; i < 20000; ++i) {
-    const std::uint64_t line = rng.NextBelow(64);  // 2x capacity
+    if (i == 10000) {
+      c.Clear();
+      for (auto& set : ref) set.clear();
+      population = 0;
+    }
+    const std::uint64_t line = rng.NextBelow(lines);
     const mem::VirtAddr addr = line * kLine;  // line 0 is cacheable too
     auto& set = ref[line % c.sets()];
     const auto it = std::find(set.begin(), set.end(), line);
@@ -135,66 +199,22 @@ TEST(CacheLevelTest, LookupMatchesAReferenceLru) {
     if (resident) {
       set.insert(set.begin(), line);
       ++population;
-      if (set.size() > kWays) {
+      if (set.size() > ways) {
         set.pop_back();
         --population;
       }
     }
     ASSERT_EQ(c.PopulationCount(), population) << "step " << i;
   }
-  for (std::uint64_t line = 0; line < 64; ++line) {
+  for (std::uint64_t line = 0; line < lines; ++line) {
     const auto& set = ref[line % c.sets()];
     EXPECT_EQ(c.Probe(line * kLine),
               std::find(set.begin(), set.end(), line) != set.end());
   }
 }
 
-TEST(CacheLevelTest, ClampsGeometryItCannotModelInEveryBuild) {
-  // No ways: one way, so the 4 KiB level is 64 one-line sets.
-  CacheLevel no_ways(TinyLevel(KiB(4), 0, 1));
-  EXPECT_EQ(no_ways.ways(), 1u);
-  EXPECT_EQ(no_ways.sets(), 64u);
-  no_ways.Insert(0x1000);
-  EXPECT_TRUE(no_ways.Probe(0x1000));
-
-  // Smaller than one set: one set of its ways.
-  CacheLevel tiny(TinyLevel(kLine, 4, 1));
-  EXPECT_EQ(tiny.sets(), 1u);
-  for (std::uint64_t i = 0; i < 6; ++i) tiny.Insert(i * kLine);
-  EXPECT_EQ(tiny.PopulationCount(), 4u);
-
-  // Three sets: the largest power of two that fits, and every set it
-  // reports fills.
-  CacheLevel three(TinyLevel(3 * 4 * kLine, 4, 1));
-  EXPECT_EQ(three.sets(), 2u);
-  for (std::uint64_t i = 0; i < 64; ++i) three.Insert(i * kLine);
-  EXPECT_EQ(three.PopulationCount(), three.sets() * three.ways());
-
-  // A 0-way LLC: its slice geometry is computed with the clamped ways.
-  HierarchyConfig cfg;
-  cfg.llc.ways = 0;
-  CacheHierarchy h(cfg);
-  h.AccessLine(0, 0x10000, AccessKind::kLoad);
-  EXPECT_TRUE(h.ProbeLLC(0x10000));
-}
-
-class CacheLevelPropertyTest : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(CacheLevelPropertyTest, SetKeepsMostRecentWays) {
-  const std::uint32_t ways = GetParam();
-  CacheLevel c(TinyLevel(ways * 8 * kLine, ways, 1));  // 8 sets
-  const std::uint64_t stride = c.sets() * kLine;
-  const int n = static_cast<int>(ways) + 5;
-  for (int i = 0; i < n; ++i) c.Insert(static_cast<std::uint64_t>(i) * stride);
-  for (int i = 0; i < n; ++i) {
-    const bool expect_present = i >= n - static_cast<int>(ways);
-    EXPECT_EQ(c.Probe(static_cast<std::uint64_t>(i) * stride), expect_present)
-        << "line " << i << " ways=" << ways;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Ways, CacheLevelPropertyTest,
-                         ::testing::Values(1u, 2u, 4u, 8u, 16u));
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 8u, 16u));
 
 // ------------------------------------------------------------ Prefetcher
 

@@ -154,7 +154,7 @@ TEST(PackageGoldenTest, ZeroFilledGlobalsMatchGoldenBytes) {
   EXPECT_EQ(ried.exports.at("heap").offset, 4432u);
   const auto compiled = amcc::Compile(kRiedZeroFill, "ried_fill.rdc");
   ASSERT_TRUE(compiled.ok()) << compiled.status();
-  EXPECT_EQ(compiled->object.DataExtent(), 16777552u);
+  EXPECT_EQ(compiled->DataExtent(), 16777552u);
 }
 
 TEST(PackageBuilderErrorsTest, MissingEntrySymbol) {
